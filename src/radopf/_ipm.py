@@ -12,14 +12,20 @@ homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step, so it returns either an optimal primal-dual pair or
 a certificate of primal/dual infeasibility.
 
-Sizes here are desk scale (a few hundred rows), so all linear algebra is dense
-and the scaled KKT system is refactorized at every iteration.
+Each iteration eliminates the ``z`` block of the Newton system through the NT
+scaling ``W``: with ``Gt = W^{-1} G`` only the dense ``(n+p)``-square matrix
+``[[Gt'Gt, A'], [A, 0]]`` is LU-factored, and every solve is refined against
+the full system in the scaled coordinates ``W z``.  Second-order cones of
+equal size are stacked, so the scaling and the cone algebra are whole-array
+operations with no loop over cones.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -28,239 +34,241 @@ FAILED = "numerical_failure"
 
 # step-back factor keeping iterates strictly interior
 _STEP = 0.99
-_REG_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
+# static regularization tried, in order, when the plain factorization fails
+_REG_LADDER = (1e-12, 1e-10, 1e-8)
 
 
 class _Dims:
-    """Cone layout: `l` nonnegative entries, then SOC blocks of sizes `q`."""
+    """Cone layout: `l` nonnegative entries, then SOC blocks of sizes `q`.
+
+    `groups` holds one (nb, k) index array per distinct SOC size k, so that
+    ``v[idx]`` stacks the nb blocks of that size; `signs`, `jjs` and
+    `jdiags` hold, per size, the diagonal of J = diag(1, -I), its outer
+    product and J itself.  Over the SOC part ``v[l:]``, `sign` is the
+    diagonal of J and `starts` the block offsets, for reductions over all
+    blocks in one ``np.add.reduceat``.
+    """
 
     def __init__(self, l: int, q: list[int]):
         self.l = int(l)
-        self.q = [int(m) for m in q]
+        self.q = [int(k) for k in q]
         self.m = self.l + sum(self.q)
-        # offsets of each SOC block inside the m-vector
-        self.offs = []
-        off = self.l
-        for size in self.q:
-            self.offs.append(off)
-            off += size
+        sizes = np.array(self.q, dtype=int)
+        self.heads = self.l + np.cumsum(sizes) - sizes
+        self.groups = [self.heads[sizes == k, None] + np.arange(k)
+                       for k in np.unique(sizes)]
+        self.signs = [np.where(np.arange(k) == 0, 1.0, -1.0)
+                      for k in np.unique(sizes)]
+        self.jjs = [np.outer(sign, sign) for sign in self.signs]
+        self.jdiags = [np.diag(sign) for sign in self.signs]
+        self.starts = self.heads - self.l
+        self.sign = -np.ones(self.m - self.l)
+        self.sign[self.starts] = 1.0
         # barrier degree: orthant counts per entry, each SOC block counts once
         self.degree = self.l + len(self.q)
 
-    def blocks(self, v):
-        for off, size in zip(self.offs, self.q):
-            yield v[off:off + size]
+
+def _rowdot(U, V):
+    """Row-wise dot products of two stacked block arrays."""
+    return np.add.reduce(U * V, axis=1)
 
 
-def _soc_residual(v):
-    return v[0] ** 2 - v[1:] @ v[1:]
+def _tail_norms(V):
+    """|v1| of every stacked block row v = (v0, v1)."""
+    return np.sqrt(_rowdot(V[:, 1:], V[:, 1:]))
 
 
 def _min_eig(v, dims):
     """Smallest cone 'eigenvalue'; positive iff v is strictly interior."""
-    vals = []
-    if dims.l:
-        vals.append(np.min(v[:dims.l]))
-    for blk in dims.blocks(v):
-        vals.append(blk[0] - np.linalg.norm(blk[1:]))
-    return min(vals) if vals else np.inf
+    vals = [v[:dims.l]]
+    for idx in dims.groups:
+        V = v[idx]
+        vals.append(V[:, 0] - _tail_norms(V))
+    return np.concatenate(vals).min(initial=np.inf)
 
 
 def _unit(dims):
     e = np.zeros(dims.m)
     e[:dims.l] = 1.0
-    for off in dims.offs:
-        e[off] = 1.0
+    e[dims.heads] = 1.0
     return e
 
 
 def _clip_into_cone(v, dims):
     """Smallest per-block push of v into K (exact for LP, radial for SOC)."""
     out = v.copy()
-    if dims.l:
-        np.maximum(out[:dims.l], 0.0, out=out[:dims.l])
-    for off, size in zip(dims.offs, dims.q):
-        nrm = np.linalg.norm(out[off + 1:off + size])
-        if out[off] < nrm:
-            out[off] = nrm
+    np.maximum(out[:dims.l], 0.0, out=out[:dims.l])
+    for idx in dims.groups:
+        head = idx[:, 0]
+        out[head] = np.maximum(v[head], _tail_norms(v[idx]))
     return out
 
 
-def _max_step(v, dv, dims):
-    """sup of alpha >= 0 with v + alpha*dv in K (v strictly interior)."""
-    alpha = np.inf
-    if dims.l:
-        neg = dv[:dims.l] < 0
-        if np.any(neg):
-            alpha = np.min(-v[:dims.l][neg] / dv[:dims.l][neg])
-    for off, size in zip(dims.offs, dims.q):
-        s0, s1 = v[off], v[off + 1:off + size]
-        d0, d1 = dv[off], dv[off + 1:off + size]
-        # roots of |s0+a*d0|^2 - |s1+a*d1|^2, positive at a=0
-        a = d0 * d0 - d1 @ d1
-        bq = 2.0 * (s0 * d0 - s1 @ d1)
-        cq = s0 * s0 - s1 @ s1
-        step = np.inf
-        if abs(a) < 1e-300:
-            if bq < 0:
-                step = -cq / bq
-        else:
-            disc = bq * bq - 4.0 * a * cq
-            if disc >= 0.0:
-                r = np.sqrt(disc)
-                roots = [(-bq - r) / (2.0 * a), (-bq + r) / (2.0 * a)]
-                pos = [t for t in roots if t > 0]
-                if pos and (a < 0 or bq < 0):
-                    step = min(pos)
-        if d0 < 0:
-            step = min(step, -s0 / d0)
-        alpha = min(alpha, step)
-    return alpha
+def _max_step(V, D, dims):
+    """sup of alpha >= 0 with V[i] + alpha*D[i] in K for every row i, for
+    strictly interior V[i]; all rows and all cone blocks in one pass.
+
+    v + alpha*d stays in K while 1 + alpha*mu >= 0 for every eigenvalue mu
+    of d relative to v: mu = d_i/v_i on the orthant, and on a cone block the
+    roots of (d - mu v)'J(d - mu v) = 0, the smaller being
+    mu = (b - sqrt(b^2 - a c))/c with a = d'Jd, b = v'Jd and c = v'Jv > 0.
+    """
+    l, r = dims.l, len(D)
+    t = -np.minimum.reduce(D[:, :l] / V[:, :l], axis=None, initial=0.0)
+    Dq, Vq = D[:, l:], V[:, l:]
+    P = np.concatenate((Dq * Dq, Dq * Vq, Vq * Vq))
+    P *= dims.sign
+    a, b, c = np.add.reduceat(P, dims.starts, axis=1).reshape(3, r, -1)
+    rt = np.sqrt(np.maximum(b * b - a * c, 0.0))
+    # -mu, written without cancellation for either sign of b
+    t = max(t, np.maximum.reduce(np.where(b > 0, -a / (rt + b), (rt - b) / c),
+                                 axis=None, initial=0.0))
+    return 1.0 / t if t > 0 else np.inf
 
 
 class _Scaling:
     """Nesterov-Todd scaling W with lam = W z = W^{-1} s.
 
-    Computed fresh from (s, z) each iteration; blow-ups at the cone boundary
-    surface as non-finite entries that the caller detects and handles.
+    On the orthant W = diag(w).  On a cone block W = eta*H, where H is the
+    hyperbolic Householder matrix of the NT point wbar:
+    H = u u'/u0 - J with u = (1 + wbar0, wbar1) and J = diag(1, -I).  Its
+    inverse J H J / eta is written down the same way, never computed.  Both
+    are stored as one (nb, k, k) array per size group.  Computed fresh from
+    (s, z) each iteration; blow-ups at the cone boundary make `finite` False.
     """
 
     def __init__(self, s, z, dims):
         self.dims = dims
         l = dims.l
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.w_lp = np.sqrt(s[:l] / z[:l]) if l else np.empty(0)
-            self.lam = np.empty(dims.m)
-            self.lam[:l] = np.sqrt(s[:l] * z[:l])
-            self.eta = []
-            self.wbar = []
-            for off, size in zip(dims.offs, dims.q):
-                sb = s[off:off + size]
-                zb = z[off:off + size]
-                rs = _soc_residual(sb)
-                rz = _soc_residual(zb)
-                sbar = sb / np.sqrt(rs)
-                zbar = zb / np.sqrt(rz)
-                gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
-                wb = sbar.copy()
-                wb[0] += zbar[0]
-                wb[1:] -= zbar[1:]
-                wb /= 2.0 * gamma
-                eta = (rs / rz) ** 0.25
-                self.eta.append(eta)
-                self.wbar.append(wb)
-                self.lam[off:off + size] = eta * self._hh(wb, zb)
+        self.w = np.sqrt(s[:l] / z[:l])
+        self.winv = 1.0 / self.w
+        self.lam = np.empty(dims.m)
+        self.lam[:l] = np.sqrt(s[:l] * z[:l])
+        self.W, self.Winv = [], []
+        total = np.add.reduce(self.w) + np.add.reduce(self.winv)
+        sz = np.stack((s, z))
+        for idx, sign, jj, jd in zip(dims.groups, dims.signs, dims.jjs,
+                                     dims.jdiags):
+            SZ = sz[:, idx]
+            root = np.sqrt((SZ * SZ) @ sign)      # sqrt(v'Jv) of s and z
+            Sb, Zb = SZ / root[:, :, None]
+            gamma = np.sqrt((1.0 + _rowdot(Sb, Zb)) / 2.0)
+            u = Sb - Zb
+            u[:, 0] = Sb[:, 0] + Zb[:, 0]
+            u /= (2.0 * gamma)[:, None]          # wbar
+            u[:, 0] += 1.0
+            eta = np.sqrt(root[0] / root[1])[:, None, None]
+            H = u[:, :, None] * (u / u[:, :1])[:, None, :]
+            JHJ = H * jj
+            H -= jd
+            JHJ -= jd
+            W = eta * H
+            Winv = JHJ / eta
+            self.W.append(W)
+            self.Winv.append(Winv)
+            self.lam[idx] = (W @ SZ[1, :, :, None])[:, :, 0]
+            total += np.add.reduce(W + Winv, axis=None)
+        # the sum is non-finite when any entry is
+        self.finite = bool(np.isfinite(total))
 
-    @staticmethod
-    def _hh(w, v):
-        """Apply the hyperbolic Householder matrix of w to v."""
-        out = np.empty_like(v)
-        t = w[1:] @ v[1:]
-        out[0] = w[0] * v[0] + t
-        out[1:] = v[1:] + (v[0] + t / (1.0 + w[0])) * w[1:]
+    def _apply(self, diag, blocks, v, out):
+        if out is None:
+            out = np.empty_like(v)
+        V, O = (v, out) if v.ndim == 2 else (v[:, None], out[:, None])
+        O[:self.dims.l] = diag[:, None] * V[:self.dims.l]
+        for idx, B in zip(self.dims.groups, blocks):
+            O[idx] = B @ V[idx]
         return out
 
-    def apply(self, v):
-        """W v."""
-        out = np.empty_like(v)
-        l = self.dims.l
-        out[:l] = self.w_lp * v[:l]
-        for k, (off, size) in enumerate(zip(self.dims.offs, self.dims.q)):
-            out[off:off + size] = self.eta[k] * self._hh(self.wbar[k], v[off:off + size])
-        return out
+    def apply(self, v, out=None):
+        """W v, for a vector or the columns of an (m, k) matrix."""
+        return self._apply(self.w, self.W, v, out)
 
-    def apply_inv(self, v):
-        """W^{-1} v, using W^{-1} = J W J / eta^2 per SOC block."""
-        out = np.empty_like(v)
-        l = self.dims.l
-        out[:l] = v[:l] / self.w_lp
-        for k, (off, size) in enumerate(zip(self.dims.offs, self.dims.q)):
-            blk = v[off:off + size].copy()
-            blk[1:] = -blk[1:]
-            r = self._hh(self.wbar[k], blk)
-            r[1:] = -r[1:]
-            out[off:off + size] = r / self.eta[k]
-        return out
-
-    def w2_matrix(self):
-        """Dense W^2 = W'W (block diagonal)."""
-        m = self.dims.m
-        W2 = np.zeros((m, m))
-        l = self.dims.l
-        if l:
-            W2[np.arange(l), np.arange(l)] = self.w_lp ** 2
-        for k, (off, size) in enumerate(zip(self.dims.offs, self.dims.q)):
-            wb = self.wbar[k]
-            J = np.diag(np.r_[1.0, -np.ones(size - 1)])
-            W2[off:off + size, off:off + size] = self.eta[k] ** 2 * (2.0 * np.outer(wb, wb) - J)
-        return W2
+    def apply_inv(self, v, out=None):
+        """W^{-1} v, for a vector or the columns of an (m, k) matrix."""
+        return self._apply(self.winv, self.Winv, v, out)
 
 
 def _jprod(u, v, dims):
     """Jordan product u o v on the cone algebra."""
-    out = np.empty(dims.m)
-    l = dims.l
-    out[:l] = u[:l] * v[:l]
-    for off, size in zip(dims.offs, dims.q):
-        ub, vb = u[off:off + size], v[off:off + size]
-        out[off] = ub @ vb
-        out[off + 1:off + size] = ub[0] * vb[1:] + vb[0] * ub[1:]
+    out = u * v
+    for idx in dims.groups:
+        U, V = u[idx], v[idx]
+        P = U[:, :1] * V + V[:, :1] * U
+        P[:, 0] = _rowdot(U, V)
+        out[idx] = P
     return out
 
 
 def _jsolve(lam, v, dims):
     """Solve lam o u = v for u."""
-    out = np.empty(dims.m)
-    l = dims.l
-    out[:l] = v[:l] / lam[:l]
-    for off, size in zip(dims.offs, dims.q):
-        lb, vb = lam[off:off + size], v[off:off + size]
-        det = lb[0] ** 2 - lb[1:] @ lb[1:]
-        u0 = (lb[0] * vb[0] - lb[1:] @ vb[1:]) / det
-        out[off] = u0
-        out[off + 1:off + size] = (vb[1:] - u0 * lb[1:]) / lb[0]
+    out = v / lam
+    for idx in dims.groups:
+        L, V = lam[idx], v[idx]
+        L0 = L[:, 0]
+        det = L0 ** 2 - _rowdot(L[:, 1:], L[:, 1:])
+        u0 = (L0 * V[:, 0] - _rowdot(L[:, 1:], V[:, 1:])) / det
+        P = (V - u0[:, None] * L) / L0[:, None]
+        P[:, 0] = u0
+        out[idx] = P
     return out
 
 
 class _KKT:
-    """Factorization of [[0 A' G'],[A 0 0],[G 0 -W2]] with refinement."""
+    """LU factor of the reduced matrix [[Gt'Gt, A'], [A, 0]], Gt = W^{-1} G.
 
-    def __init__(self, A, G, W2, n, p, m):
-        self.n, self.p, self.m = n, p, m
-        N = n + p + m
-        M = np.zeros((N, N))
-        if p:
-            M[:n, n:n + p] = A.T
-            M[n:n + p, :n] = A
-        if m:
-            M[:n, n + p:] = G.T
-            M[n + p:, :n] = G
-            M[n + p:, n + p:] = -W2
-        self.M = M
-        scale = 1.0 + np.max(np.abs(M))
-        self.factor = None
+    `B` stacks ``[A; Gt]`` (p + m rows, n columns).  `solve` takes the
+    right-hand side ``[r_x; r_y; W^{-1} r_z]`` of the full Newton system
+    ``[[0, A', G'], [A, 0, 0], [G, 0, -W^2]]`` and returns ``[x; y; W z]``:
+    the reduced solve eliminates ``W z = Gt x - W^{-1} r_z``, and two
+    refinement steps run against the unregularized full system in these
+    scaled coordinates, ``[[0, A', Gt'], [A, 0, 0], [Gt, 0, -I]]``, which
+    needs no W.
+    """
+
+    def __init__(self, B, n, p):
+        self.B, self.n, self.p = B, n, p
+        self.Gt = B[p:]
+        A = B[:p]
+        K = np.empty((n + p, n + p))
+        K[:n, :n] = self.Gt.T @ self.Gt
+        K[:n, n:] = A.T
+        K[n:, :n] = A
+        K[n:, n:] = 0.0
+        lu, piv, info = dgetrf(K)
+        if info or not np.isfinite(lu).all():
+            lu, piv = self._regularized(K, n)
+        self.lu, self.piv = lu, piv
+
+    @staticmethod
+    def _regularized(K, n):
+        """Factor K + delta*scale*diag(I, -I) up the regularization ladder."""
+        shift = np.full(len(K), -(1.0 + np.abs(K).max()))
+        shift[:n] *= -1.0
         for delta in _REG_LADDER:
-            R = M.copy()
-            idx = np.arange(N)
-            R[idx[:n], idx[:n]] += delta * scale
-            R[idx[n:], idx[n:]] -= delta * scale
-            try:
-                lu = sla.lu_factor(R, check_finite=False)
-            except (sla.LinAlgError, ValueError):
-                continue
-            if np.all(np.isfinite(lu[0])):
-                self.factor = lu
-                break
-        if self.factor is None:
-            raise FloatingPointError("KKT factorization failed")
+            lu, piv, info = dgetrf(K + np.diag(delta * shift))
+            if not info and np.isfinite(lu).all():
+                return lu, piv
+        raise FloatingPointError("KKT factorization failed")
 
-    def solve(self, rhs):
-        x = sla.lu_solve(self.factor, rhs, check_finite=False)
-        # refine against the unregularized matrix
+    def _reduced(self, r):
+        """Solve the full system without refinement; r may have columns."""
+        n, k = self.n, self.n + self.p
+        red = r[:k].copy()
+        red[:n] += self.Gt.T @ r[k:]
+        u = np.empty_like(r)
+        u[:k] = dgetrs(self.lu, self.piv, red, overwrite_b=1)[0]
+        u[k:] = self.Gt @ u[:n] - r[k:]
+        return u
+
+    def solve(self, r):
+        u = self._reduced(r)
+        n, k = self.n, self.n + self.p
         for _ in range(2):
-            r = rhs - self.M @ x
-            x += sla.lu_solve(self.factor, r, check_finite=False)
-        return x
+            res = r - np.concatenate((self.B.T @ u[n:], self.B @ u[:n]))
+            res[k:] += u[k:]
+            u += self._reduced(res)
+        return u
 
 
 def conelp(c, G, h, dims, A=None, b=None,
@@ -273,7 +281,11 @@ def conelp(c, G, h, dims, A=None, b=None,
     """
     c = np.asarray(c, dtype=float)
     c_scale = max(1.0, np.max(np.abs(c), initial=0.0))
-    out = _conelp_core(c / c_scale, G, h, dims, A, b, feastol, gaptol, maxiter)
+    # iterates near the cone boundary may overflow or divide by zero; the
+    # solver detects non-finite values itself and stops on them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _conelp_core(c / c_scale, G, h, dims, A, b, feastol, gaptol,
+                           maxiter)
     for key in ("pobj", "dobj", "gap"):
         if out[key] is not None:
             out[key] *= c_scale
@@ -281,6 +293,11 @@ def conelp(c, G, h, dims, A=None, b=None,
         if out[key] is not None and out["status"] in (OPTIMAL, FAILED):
             out[key] = out[key] * c_scale
     return out
+
+
+def _norm(v):
+    """Euclidean norm; numpy's own 1-d norm is sqrt(v @ v) as well."""
+    return math.sqrt(v @ v)
 
 
 def _conelp_core(c, G, h, dims, A=None, b=None,
@@ -294,11 +311,14 @@ def _conelp_core(c, G, h, dims, A=None, b=None,
     A = np.asarray(A, dtype=float).reshape(-1, n)
     b = np.asarray(b, dtype=float)
     p, m = A.shape[0], dims.m
+    k = n + p
+    BG = np.concatenate((A, G))          # the constraint rows [A; G]
+    bh = np.concatenate((b, h))
 
     e = _unit(dims)
-    norm_b = 1.0 + np.linalg.norm(b)
-    norm_h = 1.0 + np.linalg.norm(h)
-    norm_c = 1.0 + np.linalg.norm(c)
+    norm_b = 1.0 + _norm(b)
+    norm_h = 1.0 + _norm(h)
+    norm_c = 1.0 + _norm(c)
 
     def result(status, **kw):
         out = dict(status=status, x=None, y=None, z=None, s=None,
@@ -309,56 +329,66 @@ def _conelp_core(c, G, h, dims, A=None, b=None,
         return out
 
     it = 0
-    # --- initial point: least-squares primal/dual shifted into the cone
+    # --- initial point: least-squares primal/dual shifted into the cone,
+    # from the Newton matrix with W = I
     try:
-        kkt0 = _KKT(A, G, np.eye(m) if m else np.zeros((0, 0)), n, p, m)
+        kkt0 = _KKT(BG, n, p)
     except FloatingPointError:
         return result(FAILED)
-    rhs = np.zeros(n + p + m)
-    rhs[n:n + p] = b
-    rhs[n + p:] = h
-    sol0 = kkt0.solve(rhs)
-    x = sol0[:n]
-    s_hat = -sol0[n + p:]
-    me = _min_eig(s_hat, dims) if m else 1.0
-    s = s_hat if me > 0 else s_hat + (1.0 - me) * e
+    # the iterate [x; y; z; s], so that a step updates each part at once
+    X = np.empty(k + 2 * m)
+    x, y, z, s = X[:n], X[n:k], X[k:k + m], X[k + m:]
+    yz = X[n:k + m]
+    sol0 = kkt0.solve(np.concatenate((np.zeros(n), bh)))
+    x[:] = sol0[:n]
+    s_hat = -sol0[k:]
+    me = _min_eig(s_hat, dims)
+    s[:] = s_hat if me > 0 else s_hat + (1.0 - me) * e
 
-    rhs = np.zeros(n + p + m)
-    rhs[:n] = -c
-    sol0 = kkt0.solve(rhs)
-    y = sol0[n:n + p]
-    z_hat = sol0[n + p:]
-    me = _min_eig(z_hat, dims) if m else 1.0
-    z = z_hat if me > 0 else z_hat + (1.0 - me) * e
+    sol0 = kkt0.solve(np.concatenate((-c, np.zeros(p + m))))
+    y[:] = sol0[n:k]
+    z_hat = sol0[k:]
+    me = _min_eig(z_hat, dims)
+    z[:] = z_hat if me > 0 else z_hat + (1.0 - me) * e
     tau, kappa = 1.0, 1.0
+
+    # [G, h, r_z] scaled by W^{-1} in one pass each iteration, beside A
+    Ghr = np.empty((m, n + 2))
+    Ghr[:, :n] = G
+    Ghr[:, n] = h
+    B = np.zeros((p + m, n + 2))
+    B[:p, :n] = A
+    ht, hrzt = B[p:, n], B[p:, n + 1]
 
     best = None
     best_score = np.inf
 
     for it in range(1, maxiter + 1):
         # residuals of the self-dual embedding
-        hrx = -(A.T @ y) - (G.T @ z) - c * tau
-        hry = A @ x - b * tau
-        hrz = G @ x + s - h * tau
-        hrt = kappa + c @ x + b @ y + h @ z
+        hrx = -(BG.T @ yz) - c * tau
+        hryz = BG @ x - bh * tau
+        hryz[p:] += s
+        hry, hrz = hryz[:p], hryz[p:]
+        hrt = kappa + c @ x + bh @ yz
 
         mu = (s @ z + tau * kappa) / (dims.degree + 1)
 
         # convergence metrics of the de-homogenized iterate
-        xt, yt, zt, st = x / tau, y / tau, z / tau, s / tau
-        if m:
-            # the embedding's slack drifts by ~|hrz|/tau; h - Gx is the actual
-            # primal slack, adopted after clipping marginal cone violations
-            # (the clip size then reappears honestly in the row residual)
-            s_rep = _clip_into_cone(h - G @ xt, dims)
-            if (np.linalg.norm(G @ xt + s_rep - h)
-                    < np.linalg.norm(G @ xt + st - h)):
-                st = s_rep
-        pres = max(np.linalg.norm(A @ xt - b) / norm_b,
-                   np.linalg.norm(G @ xt + st - h) / norm_h)
-        dres = np.linalg.norm(A.T @ yt + G.T @ zt + c) / norm_c
+        xt, yzt, st = x / tau, yz / tau, s / tau
+        yt, zt = yzt[:p], yzt[p:]
+        Bxt = BG @ xt
+        Gxt = Bxt[p:]
+        # the embedding's slack drifts by ~|hrz|/tau; h - Gx is the actual
+        # primal slack, adopted after clipping marginal cone violations
+        # (the clip size then reappears honestly in the row residual)
+        s_rep = _clip_into_cone(h - Gxt, dims)
+        res_rep, res_st = _norm(Gxt + s_rep - h), _norm(Gxt + st - h)
+        if res_rep < res_st:
+            st = s_rep
+        pres = max(_norm(Bxt[:p] - b) / norm_b, min(res_rep, res_st) / norm_h)
+        dres = _norm(BG.T @ yzt + c) / norm_c
         pobj = c @ xt
-        dobj = -(b @ yt) - (h @ zt)
+        dobj = -(bh @ yzt)
         # s'z picks up residual-times-dual cross terms; the objective
         # difference is the cleaner suboptimality estimate once both
         # residuals are small, so use the smaller consistent measure
@@ -368,108 +398,110 @@ def _conelp_core(c, G, h, dims, A=None, b=None,
         score = max(pres, dres, relgap)
         if score < best_score:
             best_score = score
-            best = (xt.copy(), yt.copy(), zt.copy(), st.copy(),
-                    pobj, dobj, pres, dres, gap, relgap)
+            best = (xt, yt, zt, st, pobj, dobj, pres, dres, gap, relgap)
 
         if pres <= feastol and dres <= feastol and (relgap <= gaptol or gap <= gaptol * 1e-2):
             return result(OPTIMAL, x=xt, y=yt, z=zt, s=st, pobj=pobj, dobj=dobj,
                           pres=pres, dres=dres, gap=gap, relgap=relgap)
 
         # infeasibility certificates (rays, not scaled by tau)
-        by_hz = b @ y + h @ z
+        by_hz = bh @ yz
         if by_hz < -1e-12:
-            yc, zc = y / (-by_hz), z / (-by_hz)
-            if np.linalg.norm(A.T @ yc + G.T @ zc) / norm_c <= feastol:
+            yzc = yz / (-by_hz)
+            if _norm(BG.T @ yzc) / norm_c <= feastol:
+                yc, zc = yzc[:p], yzc[p:]
                 return result(INFEASIBLE, y=yc, z=zc, pres=pres, dres=dres,
                               certificate={"kind": "primal", "y": yc, "z": zc})
         cx = c @ x
         if cx < -1e-12:
             xc, sc = x / (-cx), s / (-cx)
-            if (np.linalg.norm(A @ xc) / norm_b <= feastol
-                    and np.linalg.norm(G @ xc + sc) / norm_h <= feastol):
+            Bxc = BG @ xc
+            if (_norm(Bxc[:p]) / norm_b <= feastol
+                    and _norm(Bxc[p:] + sc) / norm_h <= feastol):
                 return result(UNBOUNDED, x=xc, s=sc, pres=pres, dres=dres,
                               certificate={"kind": "dual", "x": xc, "s": sc})
 
+        scal = _Scaling(s, z, dims)
+        if not scal.finite:
+            break                       # scaling blow-up at the boundary
+        lam = scal.lam
+        Ghr[:, n + 1] = hrz
+        scal.apply_inv(Ghr, out=B[p:])
         try:
-            scal = _Scaling(s, z, dims) if m else None
-            lam = scal.lam if m else np.empty(0)
-            W2 = scal.w2_matrix() if m else np.zeros((0, 0))
-            if m and not np.all(np.isfinite(W2)):
-                raise FloatingPointError("scaling blow-up at the boundary")
-            kkt = _KKT(A, G, W2, n, p, m)
+            kkt = _KKT(B[:, :n], n, p)
         except FloatingPointError:
             break
 
-        rhs_v = np.concatenate([-c, b, h])
-        v = kkt.solve(rhs_v)
-        vx, vy, vz = v[:n], v[n:n + p], v[n + p:]
-        denom = c @ vx + b @ vy + h @ vz - kappa / tau
+        # Newton systems in the scaled coordinates W dz and W^{-1} ds
+        q = np.concatenate((c, b, ht))          # tau row: c'dx + b'dy + h'dz
+        base = np.concatenate((hrx, -hry, -hrzt))
+        zs = X[k:].reshape(2, m)
 
-        def newton(bx, by, bz, bt, bs, bk):
-            g = _jsolve(lam, bs, dims) if m else np.empty(0)
-            bz_t = bz - (scal.apply(g) if m else 0.0)
-            u = kkt.solve(np.concatenate([-bx, by, bz_t]))
-            ux, uy, uz = u[:n], u[n:n + p], u[n + p:]
-            dtau = (bt - bk / tau - c @ ux - b @ uy - h @ uz) / denom
-            dx = ux + dtau * vx
-            dy = uy + dtau * vy
-            dz = uz + dtau * vz
-            ds = scal.apply(g - scal.apply(dz)) if m else np.empty(0)
+        def newton_rhs(f, g):
+            r = f * base
+            r[k:] -= g
+            return r
+
+        def direction(f, g, bk, u):
+            """Step for residuals scaled by f and complementarity targets
+            (lam o g, bk), from u solving newton_rhs(f, g); returns [dx; dy],
+            the rows [W dz; W^{-1} ds] and [dz; ds], dtau and dkappa."""
+            dtau = (-f * hrt - bk / tau - q @ u) / denom
+            u = u + dtau * v
             dk = (bk - kappa * dtau) / tau
-            return dx, dy, dz, ds, dtau, dk
+            scaled = np.concatenate((u[k:], g - u[k:])).reshape(2, m)
+            dzs = np.empty((2, m))
+            scal.apply_inv(scaled[0], out=dzs[0])
+            scal.apply(scaled[1], out=dzs[1])
+            return u[:k], scaled, dzs, dtau, dk
 
-        # predictor
-        lam2 = _jprod(lam, lam, dims) if m else np.empty(0)
-        dxa, dya, dza, dsa, dta, dka = newton(
-            -hrx, -hry, -hrz, -hrt, -lam2, -tau * kappa)
-        alpha = _max_step(s, dsa, dims) if m else np.inf
-        alpha = min(alpha, _max_step(z, dza, dims) if m else np.inf)
-        if dta < 0:
-            alpha = min(alpha, -tau / dta)
-        if dka < 0:
-            alpha = min(alpha, -kappa / dka)
-        a_aff = min(1.0, alpha)
-        mu_aff = ((s + a_aff * dsa) @ (z + a_aff * dza)
-                  + (tau + a_aff * dta) * (kappa + a_aff * dka)) / (dims.degree + 1)
-        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+        def newton(f, bs, bk):
+            g = _jsolve(lam, bs, dims)
+            return direction(f, g, bk, kkt.solve(newton_rhs(f, g)))
 
-        # corrector
-        corr = _jprod(scal.apply_inv(dsa), scal.apply(dza), dims) if m else np.empty(0)
-        bs = -lam2 - corr + sigma * mu * e
-        bk = -tau * kappa - dta * dka + sigma * mu
-        f = 1.0 - sigma
-        dx, dy, dz, ds, dt, dk = newton(
-            -f * hrx, -f * hry, -f * hrz, -f * hrt, bs, bk)
-
-        def feasible_step(ds, dz, dt, dk):
-            alpha = _max_step(s, ds, dims) if m else np.inf
-            alpha = min(alpha, _max_step(z, dz, dims) if m else np.inf)
+        def feasible_step(dzs, dt, dk, back=1.0):
+            alpha = _max_step(zs, dzs, dims)
             if dt < 0:
                 alpha = min(alpha, -tau / dt)
             if dk < 0:
                 alpha = min(alpha, -kappa / dk)
-            return min(1.0, _STEP * alpha)
+            return min(1.0, back * alpha)
 
-        step = feasible_step(ds, dz, dt, dk)
+        # predictor, solved together with the tau direction v
+        lam2 = _jprod(lam, lam, dims)
+        g = _jsolve(lam, -lam2, dims)
+        V = kkt.solve(np.stack((np.concatenate((-c, b, ht)),
+                                newton_rhs(1.0, g)), axis=1))
+        v = V[:, 0]
+        denom = q @ v - kappa / tau
+        _, scaled_a, dzsa, dta, dka = direction(1.0, g, -tau * kappa, V[:, 1])
+        a_aff = feasible_step(dzsa, dta, dka)
+        z_aff, s_aff = zs + a_aff * dzsa
+        mu_aff = (s_aff @ z_aff
+                  + (tau + a_aff * dta) * (kappa + a_aff * dka)) / (dims.degree + 1)
+        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+
+        # corrector; the second-order term is (W^{-1} ds) o (W dz)
+        corr = _jprod(scaled_a[1], scaled_a[0], dims)
+        bs = -lam2 - corr + sigma * mu * e
+        bk = -tau * kappa - dta * dka + sigma * mu
+        dxy, _, dzs, dt, dk = newton(1.0 - sigma, bs, bk)
+        step = feasible_step(dzs, dt, dk, _STEP)
         if step < 1e-4:
             # blocked by the corrector near a degenerate face: retake a plain
             # centering-biased step without the second-order term
             sigma2 = max(sigma, 0.5)
-            f = 1.0 - sigma2
-            dx2, dy2, dz2, ds2, dt2, dk2 = newton(
-                -f * hrx, -f * hry, -f * hrz, -f * hrt,
-                -lam2 + sigma2 * mu * e, -tau * kappa + sigma2 * mu)
-            step2 = feasible_step(ds2, dz2, dt2, dk2)
+            dxy2, _, dzs2, dt2, dk2 = newton(
+                1.0 - sigma2, -lam2 + sigma2 * mu * e,
+                -tau * kappa + sigma2 * mu)
+            step2 = feasible_step(dzs2, dt2, dk2, _STEP)
             if step2 > step:
-                dx, dy, dz, ds, dt, dk = dx2, dy2, dz2, ds2, dt2, dk2
-                step = step2
+                dxy, dzs, dt, dk, step = dxy2, dzs2, dt2, dk2, step2
         if not np.isfinite(step) or step <= 1e-10:
             break
 
-        x += step * dx
-        y += step * dy
-        z += step * dz
-        s += step * ds
+        X[:k] += step * dxy
+        zs += step * dzs
         tau += step * dt
         kappa += step * dk
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from radopf import conic
+from radopf import _ipm, conic
 
 
 def test_box_lp_min():
@@ -173,3 +173,141 @@ def test_random_feasible_lp_never_infeasible(seed):
     sol = conic.solve_lp(p)
     assert sol.status == conic.OPTIMAL
     assert sol.objective <= c @ x0 + 1e-7 * (1 + abs(c @ x0))
+
+
+# ------------------------------------------------------------ kernel checks
+
+def _interior_point(rng, l, q):
+    """A random strictly interior point of the orthant times the cones q."""
+    parts = [rng.uniform(0.1, 3.0, l)]
+    for k in q:
+        tail = rng.normal(size=k - 1)
+        parts.append(np.r_[np.linalg.norm(tail) + rng.uniform(0.05, 2.0), tail])
+    return np.concatenate(parts)
+
+
+def _nt_w2(s, z, l, q):
+    """Dense W^2 of the Nesterov-Todd scaling, block by block from its
+    textbook form: s_i/z_i on the orthant, eta^2 (2 w w' - J) on a cone."""
+    m = s.size
+    W2 = np.zeros((m, m))
+    W2[np.arange(l), np.arange(l)] = s[:l] / z[:l]
+    off = l
+    for k in q:
+        sb, zb = s[off:off + k], z[off:off + k]
+        J = np.diag(np.r_[1.0, -np.ones(k - 1)])
+        rs, rz = sb @ J @ sb, zb @ J @ zb
+        sbar, zbar = sb / np.sqrt(rs), zb / np.sqrt(rz)
+        gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
+        w = (sbar + J @ zbar) / (2.0 * gamma)
+        W2[off:off + k, off:off + k] = np.sqrt(rs / rz) * (2.0 * np.outer(w, w) - J)
+        off += k
+    return W2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduced_kkt_matches_full_system(seed):
+    """The reduced solve of [[0 A' G'], [A 0 0], [G 0 -W^2]] agrees with a
+    dense solve of the full matrix, W^2 built independently from (s, z)."""
+    rng = np.random.default_rng(seed)
+    l = int(rng.integers(1, 6))
+    q = [int(k) for k in rng.integers(2, 6, size=rng.integers(1, 5))]
+    m = l + sum(q)
+    n = int(rng.integers(2, m))
+    p = int(rng.integers(0, n))
+    A, G = rng.normal(size=(p, n)), rng.normal(size=(m, n))
+    s, z = _interior_point(rng, l, q), _interior_point(rng, l, q)
+    # pull s and z apart on the orthant, as late in a solve, so that the
+    # reduced matrix is ill-conditioned and the refinement steps matter
+    spread = 10.0 ** rng.uniform(-4, 4, l)
+    s[:l] *= spread
+    z[:l] /= spread
+    W2 = _nt_w2(s, z, l, q)
+    assert W2 @ z == pytest.approx(s, rel=1e-10, abs=1e-10)  # W^2 z = s
+
+    M = np.zeros((n + p + m, n + p + m))
+    M[:n, n:n + p], M[n:n + p, :n] = A.T, A
+    M[:n, n + p:], M[n + p:, :n] = G.T, G
+    M[n + p:, n + p:] = -W2
+    rhs = rng.normal(size=n + p + m)
+    ref = np.linalg.solve(M, rhs)
+
+    dims = _ipm.make_dims(l, q)
+    scal = _ipm._Scaling(s, z, dims)
+    assert scal.finite
+    kkt = _ipm._KKT(np.vstack((A, scal.apply_inv(G))), n, p)
+    u = kkt.solve(np.r_[rhs[:n + p], scal.apply_inv(rhs[n + p:])])
+    got = np.r_[u[:n + p], scal.apply_inv(u[n + p:])]
+    assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def _max_step_reference(v, dv, l, q):
+    """Cone-by-cone step length: sup of alpha >= 0 with v + alpha*dv in K."""
+    alpha = np.inf
+    neg = dv[:l] < 0
+    if np.any(neg):
+        alpha = np.min(-v[:l][neg] / dv[:l][neg])
+    off = l
+    for k in q:
+        s0, s1 = v[off], v[off + 1:off + k]
+        d0, d1 = dv[off], dv[off + 1:off + k]
+        off += k
+        # roots of |s0+a*d0|^2 - |s1+a*d1|^2, positive at a=0
+        a = d0 * d0 - d1 @ d1
+        bq = 2.0 * (s0 * d0 - s1 @ d1)
+        cq = s0 * s0 - s1 @ s1
+        step = np.inf
+        if abs(a) < 1e-300:
+            if bq < 0:
+                step = -cq / bq
+        else:
+            disc = bq * bq - 4.0 * a * cq
+            if disc >= 0.0:
+                r = np.sqrt(disc)
+                pos = [t for t in ((-bq - r) / (2.0 * a), (-bq + r) / (2.0 * a))
+                       if t > 0]
+                if pos and (a < 0 or bq < 0):
+                    step = min(pos)
+        if d0 < 0:
+            step = min(step, -s0 / d0)
+        alpha = min(alpha, step)
+    return alpha
+
+
+@st.composite
+def _step_case(draw):
+    """Two interior points (the solver's z and s) and two directions on a
+    grid of quarters, where every J-inner product is exact, so both step
+    lengths are well defined."""
+    quarter = st.integers(-8, 8)
+    l = draw(st.integers(0, 3))
+    q = draw(st.lists(st.integers(2, 5), max_size=4))
+    m = l + sum(q)
+
+    def interior():
+        v = [draw(st.integers(1, 8)) for _ in range(l)]
+        for k in q:
+            tail = [draw(quarter) for _ in range(k - 1)]
+            head = int(np.sqrt(sum(t * t for t in tail))) + draw(st.integers(1, 4))
+            v += [head] + tail
+        return v
+
+    V = np.array([interior(), interior()], dtype=float).reshape(2, m) / 4
+    D = np.array([[draw(quarter) for _ in range(m)] for _ in range(2)],
+                 dtype=float).reshape(2, m) / 4
+    return l, q, V, D
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_case())
+def test_stacked_step_length_matches_per_block(case):
+    l, q, V, D = case
+    # the solver runs its kernel with these silenced; both sides of the
+    # np.where are evaluated
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _ipm._max_step(V, D, _ipm.make_dims(l, q))
+    want = min(_max_step_reference(v, d, l, q) for v, d in zip(V, D))
+    if np.isinf(want):
+        assert np.isinf(got)
+    else:
+        assert got == pytest.approx(want, rel=1e-9)

@@ -1,5 +1,7 @@
 """Lifted OPF model: golden relaxation values, exactness, angle recovery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,39 @@ def test_lines_csv_format(net2):
     header, row = text.strip().splitlines()
     assert header.split(",") == ["from", "to", "cii", "cjj", "c", "s", "residual"]
     assert row.startswith("1,2,")
+
+
+# case14 spanning trees at the edge of their infeasible load range (tree 0
+# is infeasible from 1.06, tree 1 from 1.02, tree 2 on all of 0.80..1.10),
+# where the relaxation must still end with a verdict
+CASE14_TREE_HARD = [(0, 1.10), (1, 1.02), (1, 1.04), (2, 0.94)]
+
+
+@pytest.fixture(scope="module")
+def case14():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # charging/tap/shift zeroed
+        return cases.load_case("case14", drop_charging=True)
+
+
+@pytest.mark.parametrize("tree,gamma", CASE14_TREE_HARD)
+def test_case14_tree_relaxation_answers(case14, tree, gamma):
+    """Each ends with an answer, and an infeasible verdict carries a Farkas
+    certificate checked from the compiled data: A'y + G'z = 0, z in K and
+    b'y + h'z < 0."""
+    net = network.scale_load(network.spanning_tree(case14, tree), gamma)
+    res = jabr.solve_relaxation(net)
+    assert res.status in (conic.OPTIMAL, conic.INFEASIBLE)
+    if res.status == conic.OPTIMAL:
+        return
+    cert = res.solution.certificate
+    assert cert is not None and cert["kind"] == "primal"
+    c, G, h, dims, A, b, _ = res.model.program._compile()
+    y, z = cert["y"], cert["z"]
+    assert np.linalg.norm(A.T @ y + G.T @ z) <= 1e-7
+    assert b @ y + h @ z < 0
+    assert np.all(z[:dims.l] >= 0)
+    off = dims.l
+    for k in dims.q:
+        assert z[off] >= np.linalg.norm(z[off + 1:off + k])
+        off += k
