@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for cone programs.
+"""Dense primal-dual interior-point solver for batches of cone programs.
 
 Solves the standard conic form
 
@@ -12,17 +12,24 @@ homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step, so it returns either an optimal primal-dual pair or
 a certificate of primal/dual infeasibility.
 
+One call solves a batch of programs that share the cone layout and the sizes
+``n`` and ``p``.  Every array carries a leading member axis and every
+member keeps its own iterates, step lengths, stopping test and certificate;
+a member that ends leaves the batch, so the numpy dispatch of an iteration
+is paid once for all members still running.
+
 Each iteration eliminates the ``z`` block of the Newton system through the NT
 scaling ``W``: with ``Gt = W^{-1} G`` only the dense ``(n+p)``-square matrix
-``[[Gt'Gt, A'], [A, 0]]`` is LU-factored, and every solve is refined against
-the full system in the scaled coordinates ``W z``.  Second-order cones of
-equal size are stacked, so the scaling and the cone algebra are whole-array
-operations with no loop over cones.
+``[[Gt'Gt, A'], [A, 0]]`` of each member is LU-factored, and every solve is
+refined against the full system in the scaled coordinates ``W z``.
+Second-order cones of equal size are stacked, so the scaling and the cone
+algebra are whole-array operations over (member, block) with no loop over
+cones.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -41,12 +48,13 @@ _REG_LADDER = (1e-12, 1e-10, 1e-8)
 class _Dims:
     """Cone layout: `l` nonnegative entries, then SOC blocks of sizes `q`.
 
-    `groups` holds one (nb, k) index array per distinct SOC size k, so that
-    ``v[idx]`` stacks the nb blocks of that size; `signs`, `jjs` and
-    `jdiags` hold, per size, the diagonal of J = diag(1, -I), its outer
-    product and J itself.  Over the SOC part ``v[l:]``, `sign` is the
-    diagonal of J and `starts` the block offsets, for reductions over all
-    blocks in one ``np.add.reduceat``.
+    `groups` holds, per distinct SOC size k, where its nb blocks sit and the
+    shape (nb, k) that stacks them: a slice when the blocks are consecutive,
+    as compiled programs lay them out, else a flat index array.  `signs`,
+    `jjs` and `jdiags` hold, per size, the diagonal of J = diag(1, -I), its
+    outer product and J itself.  Over the SOC part ``v[..., l:]``, `sign` is
+    the diagonal of J and `starts` the block offsets, for reductions over
+    all blocks in one ``np.add.reduceat``.
     """
 
     def __init__(self, l: int, q: list[int]):
@@ -55,10 +63,16 @@ class _Dims:
         self.m = self.l + sum(self.q)
         sizes = np.array(self.q, dtype=int)
         self.heads = self.l + np.cumsum(sizes) - sizes
-        self.groups = [self.heads[sizes == k, None] + np.arange(k)
-                       for k in np.unique(sizes)]
+        self.groups = []
+        for k in np.unique(sizes).tolist():
+            heads = self.heads[sizes == k]
+            if np.all(np.diff(heads) == k):
+                where = slice(int(heads[0]), int(heads[0]) + k * len(heads))
+            else:
+                where = (heads[:, None] + np.arange(k)).ravel()
+            self.groups.append((where, (len(heads), k)))
         self.signs = [np.where(np.arange(k) == 0, 1.0, -1.0)
-                      for k in np.unique(sizes)]
+                      for _, (_, k) in self.groups]
         self.jjs = [np.outer(sign, sign) for sign in self.signs]
         self.jdiags = [np.diag(sign) for sign in self.signs]
         self.starts = self.heads - self.l
@@ -68,23 +82,37 @@ class _Dims:
         self.degree = self.l + len(self.q)
 
 
-def _rowdot(U, V):
-    """Row-wise dot products of two stacked block arrays."""
-    return np.add.reduce(U * V, axis=1)
+def _blocks(v, group):
+    """The blocks of one size group of v (cone entries last), stacked as
+    (..., nb, k); a view when the blocks are consecutive."""
+    where, shape = group
+    return v[..., where].reshape(v.shape[:-1] + shape)
+
+
+def _put(out, group, P):
+    """Write the stacked blocks P of one size group into out."""
+    out[..., group[0]] = P.reshape(P.shape[:-2] + (-1,))
+
+
+def _norms(V):
+    """Euclidean norms along the last axis."""
+    return np.sqrt(np.vecdot(V, V))
 
 
 def _tail_norms(V):
-    """|v1| of every stacked block row v = (v0, v1)."""
-    return np.sqrt(_rowdot(V[:, 1:], V[:, 1:]))
+    """|v1| of every stacked block v = (v0, v1)."""
+    return _norms(V[..., 1:])
 
 
 def _min_eig(v, dims):
-    """Smallest cone 'eigenvalue'; positive iff v is strictly interior."""
-    vals = [v[:dims.l]]
-    for idx in dims.groups:
-        V = v[idx]
-        vals.append(V[:, 0] - _tail_norms(V))
-    return np.concatenate(vals).min(initial=np.inf)
+    """Smallest cone 'eigenvalue' of each vector; positive iff it is strictly
+    interior."""
+    vals = [v[..., :dims.l]]
+    for group in dims.groups:
+        V = _blocks(v, group)
+        vals.append(V[..., 0] - _tail_norms(V))
+    return np.minimum.reduce(np.concatenate(vals, axis=-1), axis=-1,
+                             initial=np.inf)
 
 
 def _unit(dims):
@@ -97,128 +125,148 @@ def _unit(dims):
 def _clip_into_cone(v, dims):
     """Smallest per-block push of v into K (exact for LP, radial for SOC)."""
     out = v.copy()
-    np.maximum(out[:dims.l], 0.0, out=out[:dims.l])
-    for idx in dims.groups:
-        head = idx[:, 0]
-        out[head] = np.maximum(v[head], _tail_norms(v[idx]))
+    np.maximum(out[..., :dims.l], 0.0, out=out[..., :dims.l])
+    for group in dims.groups:
+        P = _blocks(out, group)
+        P[..., 0] = np.maximum(P[..., 0], _tail_norms(P))
+        _put(out, group, P)
     return out
 
 
 def _max_step(V, D, dims):
-    """sup of alpha >= 0 with V[i] + alpha*D[i] in K for every row i, for
-    strictly interior V[i]; all rows and all cone blocks in one pass.
+    """sup of alpha >= 0 with V[..., i, :] + alpha*D[..., i, :] in K for every
+    row i, for strictly interior rows; one value per leading index, all rows
+    and all cone blocks in one pass.
 
     v + alpha*d stays in K while 1 + alpha*mu >= 0 for every eigenvalue mu
     of d relative to v: mu = d_i/v_i on the orthant, and on a cone block the
     roots of (d - mu v)'J(d - mu v) = 0, the smaller being
     mu = (b - sqrt(b^2 - a c))/c with a = d'Jd, b = v'Jd and c = v'Jv > 0.
+    The step is 1/max(-mu), infinite when no eigenvalue is negative.
     """
-    l, r = dims.l, len(D)
-    t = -np.minimum.reduce(D[:, :l] / V[:, :l], axis=None, initial=0.0)
-    Dq, Vq = D[:, l:], V[:, l:]
-    P = np.concatenate((Dq * Dq, Dq * Vq, Vq * Vq))
+    l, r = dims.l, D.shape[-2]
+    t = -np.minimum.reduce(D[..., :l] / V[..., :l], axis=(-2, -1), initial=0.0)
+    Dq, Vq = D[..., l:], V[..., l:]
+    P = np.concatenate((Dq * Dq, Dq * Vq, Vq * Vq), axis=-2)
     P *= dims.sign
-    a, b, c = np.add.reduceat(P, dims.starts, axis=1).reshape(3, r, -1)
+    abc = np.add.reduceat(P, dims.starts, axis=-1)
+    a, b, c = abc[..., :r, :], abc[..., r:2 * r, :], abc[..., 2 * r:, :]
     rt = np.sqrt(np.maximum(b * b - a * c, 0.0))
     # -mu, written without cancellation for either sign of b
-    t = max(t, np.maximum.reduce(np.where(b > 0, -a / (rt + b), (rt - b) / c),
-                                 axis=None, initial=0.0))
-    return 1.0 / t if t > 0 else np.inf
+    t = np.fmax(t, np.maximum.reduce(
+        np.where(b > 0, -a / (rt + b), (rt - b) / c), axis=(-2, -1),
+        initial=0.0))
+    return 1.0 / t
 
 
 class _Scaling:
-    """Nesterov-Todd scaling W with lam = W z = W^{-1} s.
+    """Nesterov-Todd scaling W with lam = W z = W^{-1} s, for each of the
+    stacked vector pairs (s, z) (any leading axes, cone entries last).
 
     On the orthant W = diag(w).  On a cone block W = eta*H, where H is the
     hyperbolic Householder matrix of the NT point wbar:
     H = u u'/u0 - J with u = (1 + wbar0, wbar1) and J = diag(1, -I).  Its
-    inverse J H J / eta is written down the same way, never computed.  Both
-    are stored as one (nb, k, k) array per size group.  Computed fresh from
-    (s, z) each iteration; blow-ups at the cone boundary make `finite` False.
+    inverse J H J / eta is written down the same way, never computed.
+    `ww` stacks (1/w, w) and `WW` holds, per size group, the (W^{-1}, W)
+    blocks as one (..., 2, nb, k, k) array.  Computed fresh from (s, z) each
+    iteration; `finite` is False for a pair whose scaling blew up at the
+    cone boundary.
     """
 
     def __init__(self, s, z, dims):
         self.dims = dims
         l = dims.l
-        self.w = np.sqrt(s[:l] / z[:l])
-        self.winv = 1.0 / self.w
-        self.lam = np.empty(dims.m)
-        self.lam[:l] = np.sqrt(s[:l] * z[:l])
-        self.W, self.Winv = [], []
-        total = np.add.reduce(self.w) + np.add.reduce(self.winv)
-        sz = np.stack((s, z))
-        for idx, sign, jj, jd in zip(dims.groups, dims.signs, dims.jjs,
-                                     dims.jdiags):
-            SZ = sz[:, idx]
+        lead = s.shape[:-1]
+        self.ww = np.empty(lead + (2, l))
+        w, winv = self.ww[..., 1, :], self.ww[..., 0, :]
+        np.sqrt(s[..., :l] / z[..., :l], out=w)
+        np.divide(1.0, w, out=winv)
+        self.lam = np.empty_like(s)
+        self.lam[..., :l] = np.sqrt(s[..., :l] * z[..., :l])
+        self.WW = []
+        total = np.add.reduce(self.ww, axis=(-2, -1))
+        sz = np.concatenate((s[None], z[None]))
+        for group, sign, jj, jd in zip(dims.groups, dims.signs, dims.jjs,
+                                       dims.jdiags):
+            SZ = _blocks(sz, group)
             root = np.sqrt((SZ * SZ) @ sign)      # sqrt(v'Jv) of s and z
-            Sb, Zb = SZ / root[:, :, None]
-            gamma = np.sqrt((1.0 + _rowdot(Sb, Zb)) / 2.0)
-            u = Sb - Zb
-            u[:, 0] = Sb[:, 0] + Zb[:, 0]
-            u /= (2.0 * gamma)[:, None]          # wbar
-            u[:, 0] += 1.0
-            eta = np.sqrt(root[0] / root[1])[:, None, None]
-            H = u[:, :, None] * (u / u[:, :1])[:, None, :]
-            JHJ = H * jj
+            Sb, Zb = SZ / root[..., None]
+            gamma = np.sqrt((1.0 + np.vecdot(Sb, Zb)) / 2.0)
+            u = Sb + Zb * sign
+            u /= (2.0 * gamma)[..., None]        # wbar
+            u[..., 0] += 1.0
+            eta = np.sqrt(root[0] / root[1])[..., None, None]
+            H = u[..., :, None] * (u / u[..., :1])[..., None, :]
+            WW = np.empty(lead + (2,) + H.shape[-3:])
+            np.multiply(H, jj, out=WW[..., 0, :, :, :])
+            WW[..., 0, :, :, :] -= jd
+            WW[..., 0, :, :, :] /= eta
             H -= jd
-            JHJ -= jd
-            W = eta * H
-            Winv = JHJ / eta
-            self.W.append(W)
-            self.Winv.append(Winv)
-            self.lam[idx] = (W @ SZ[1, :, :, None])[:, :, 0]
-            total += np.add.reduce(W + Winv, axis=None)
+            np.multiply(eta, H, out=WW[..., 1, :, :, :])
+            self.WW.append(WW)
+            _put(self.lam, group, np.matvec(WW[..., 1, :, :, :], SZ[1]))
+            total += np.add.reduce(WW, axis=(-4, -3, -2, -1))
         # the sum is non-finite when any entry is
-        self.finite = bool(np.isfinite(total))
+        self.finite = np.isfinite(total)
 
-    def _apply(self, diag, blocks, v, out):
-        if out is None:
-            out = np.empty_like(v)
-        V, O = (v, out) if v.ndim == 2 else (v[:, None], out[:, None])
-        O[:self.dims.l] = diag[:, None] * V[:self.dims.l]
-        for idx, B in zip(self.dims.groups, blocks):
-            O[idx] = B @ V[idx]
-        return out
-
-    def apply(self, v, out=None):
-        """W v, for a vector or the columns of an (m, k) matrix."""
-        return self._apply(self.w, self.W, v, out)
+    def _apply(self, diag, blocks, V, O):
+        """O = diag(diag) V on the orthant and B V on each cone block, for
+        the columns of V (..., m, cols)."""
+        l = self.dims.l
+        np.multiply(diag[..., None], V[..., :l, :], out=O[..., :l, :])
+        for (where, shape), B in zip(self.dims.groups, blocks):
+            Vb = V[..., where, :].reshape(V.shape[:-2] + shape + V.shape[-1:])
+            O[..., where, :] = (B @ Vb).reshape(Vb.shape[:-3] + (-1,)
+                                                + V.shape[-1:])
+        return O
 
     def apply_inv(self, v, out=None):
-        """W^{-1} v, for a vector or the columns of an (m, k) matrix."""
-        return self._apply(self.winv, self.Winv, v, out)
+        """W^{-1} v, for vectors shaped like s or the columns of (..., m, k)."""
+        if out is None:
+            out = np.empty_like(v)
+        V, O = (v, out) if v.ndim > self.lam.ndim else (v[..., None],
+                                                        out[..., None])
+        self._apply(self.ww[..., 0, :], [B[..., 0, :, :, :] for B in self.WW],
+                    V, O)
+        return out
+
+    def unscale(self, V, out):
+        """(W^{-1} v, W u) for the stacked pairs V = (v, u), (..., 2, m)."""
+        self._apply(self.ww, self.WW, V[..., None], out[..., None])
 
 
 def _jprod(u, v, dims):
     """Jordan product u o v on the cone algebra."""
     out = u * v
-    for idx in dims.groups:
-        U, V = u[idx], v[idx]
-        P = U[:, :1] * V + V[:, :1] * U
-        P[:, 0] = _rowdot(U, V)
-        out[idx] = P
+    for group in dims.groups:
+        U, V = _blocks(u, group), _blocks(v, group)
+        P = U[..., :1] * V + V[..., :1] * U
+        P[..., 0] = np.vecdot(U, V)
+        _put(out, group, P)
     return out
 
 
 def _jsolve(lam, v, dims):
     """Solve lam o u = v for u."""
     out = v / lam
-    for idx in dims.groups:
-        L, V = lam[idx], v[idx]
-        L0 = L[:, 0]
-        det = L0 ** 2 - _rowdot(L[:, 1:], L[:, 1:])
-        u0 = (L0 * V[:, 0] - _rowdot(L[:, 1:], V[:, 1:])) / det
-        P = (V - u0[:, None] * L) / L0[:, None]
-        P[:, 0] = u0
-        out[idx] = P
+    for group in dims.groups:
+        L, V = _blocks(lam, group), _blocks(v, group)
+        L0 = L[..., 0]
+        det = L0 ** 2 - np.vecdot(L[..., 1:], L[..., 1:])
+        u0 = (L0 * V[..., 0] - np.vecdot(L[..., 1:], V[..., 1:])) / det
+        P = (V - u0[..., None] * L) / L0[..., None]
+        P[..., 0] = u0
+        _put(out, group, P)
     return out
 
 
 class _KKT:
-    """LU factor of the reduced matrix [[Gt'Gt, A'], [A, 0]], Gt = W^{-1} G.
+    """LU factors of the reduced matrices [[Gt'Gt, A'], [A, 0]], Gt = W^{-1} G,
+    one per member.
 
-    `B` stacks ``[A; Gt]`` (p + m rows, n columns).  `solve` takes the
-    right-hand side ``[r_x; r_y; W^{-1} r_z]`` of the full Newton system
+    `B` stacks ``[A; Gt]`` of each member, shape (members, p + m, n), and
+    `ok` marks the members whose factorization succeeded.  `solve` takes the
+    right-hand sides ``[r_x; r_y; W^{-1} r_z]`` of the full Newton systems
     ``[[0, A', G'], [A, 0, 0], [G, 0, -W^2]]`` and returns ``[x; y; W z]``:
     the reduced solve eliminates ``W z = Gt x - W^{-1} r_z``, and two
     refinement steps run against the unregularized full system in these
@@ -226,19 +274,26 @@ class _KKT:
     needs no W.
     """
 
-    def __init__(self, B, n, p):
-        self.B, self.n, self.p = B, n, p
-        self.Gt = B[p:]
-        A = B[:p]
-        K = np.empty((n + p, n + p))
-        K[:n, :n] = self.Gt.T @ self.Gt
-        K[:n, n:] = A.T
-        K[n:, :n] = A
-        K[n:, n:] = 0.0
-        lu, piv, info = dgetrf(K)
-        if info or not np.isfinite(lu).all():
-            lu, piv = self._regularized(K, n)
-        self.lu, self.piv = lu, piv
+    def __init__(self, B, n, p, K=None):
+        """`K`, if given, holds the A blocks of the reduced matrices and
+        receives their Gt'Gt blocks."""
+        self.B, self.BT, self.n, self.k = B, B.transpose(0, 2, 1), n, n + p
+        self.Gt, self.GtT = B[:, p:], self.BT[:, :, p:]
+        if K is None:
+            K = np.zeros((len(B), n + p, n + p))
+            K[:, :n, n:] = self.BT[:, :, :p]
+            K[:, n:, :n] = B[:, :p]
+        np.matmul(self.GtT, self.Gt, out=K[:, :n, :n])
+        self.factors = []
+        self.ok = np.ones(len(B), dtype=bool)
+        for i, Ki in enumerate(K):
+            lu, piv, info = dgetrf(Ki)
+            if info or not np.isfinite(lu).all():
+                try:
+                    lu, piv = self._regularized(Ki, n)
+                except FloatingPointError:
+                    self.ok[i] = False
+            self.factors.append((lu, piv))
 
     @staticmethod
     def _regularized(K, n):
@@ -252,263 +307,359 @@ class _KKT:
         raise FloatingPointError("KKT factorization failed")
 
     def _reduced(self, r):
-        """Solve the full system without refinement; r may have columns."""
-        n, k = self.n, self.n + self.p
-        red = r[:k].copy()
-        red[:n] += self.Gt.T @ r[k:]
-        u = np.empty_like(r)
-        u[:k] = dgetrs(self.lu, self.piv, red, overwrite_b=1)[0]
-        u[k:] = self.Gt @ u[:n] - r[k:]
-        return u
+        """Solve the full systems without refinement; row j of r[i] is the
+        j-th right-hand side of member i."""
+        n, k = self.n, self.k
+        # row-major per member is column-major for LAPACK: solved in place
+        red = r[..., :k].copy()
+        red[..., :n] += r[..., k:] @ self.Gt
+        for (lu, piv), rhs in zip(self.factors, red):
+            dgetrs(lu, piv, rhs.T, overwrite_b=1)
+        return np.concatenate((red, red[..., :n] @ self.GtT - r[..., k:]),
+                              axis=-1)
 
     def solve(self, r):
+        """Solve for right-hand sides (members, rows), or (members, count,
+        rows) with several per member."""
+        vector = r.ndim == 2
+        if vector:
+            r = r[:, None]
         u = self._reduced(r)
-        n, k = self.n, self.n + self.p
+        n, k = self.n, self.k
         for _ in range(2):
-            res = r - np.concatenate((self.B.T @ u[n:], self.B @ u[:n]))
-            res[k:] += u[k:]
+            res = r - np.concatenate((u[..., n:] @ self.B,
+                                      u[..., :n] @ self.BT), axis=-1)
+            res[..., k:] += u[..., k:]
             u += self._reduced(res)
-        return u
+        return u[:, 0] if vector else u
 
 
 def conelp(c, G, h, dims, A=None, b=None,
            feastol=1e-8, gaptol=1e-8, maxiter=200):
-    """Solve the conic LP; returns a result dict with status and certificates.
+    """Solve a batch of conic LPs; returns one result dict per member, each
+    with its status and certificates.
 
-    The objective is normalized internally (costs can be orders of magnitude
-    above the constraint data in $-valued problems); duals and objective
-    values are scaled back on exit.
+    Row i of `c` (members, n) belongs to member i; `h` and `b` are one row
+    for every member or one row per member, and `G` and `A` are both one
+    matrix for every member or both stacked per member, (members, m, n) and
+    (members, p, n).  The objective of each member is normalized internally
+    (costs can be orders of magnitude above the constraint data in $-valued
+    problems); duals and objective values are scaled back on exit.
     """
-    c = np.asarray(c, dtype=float)
-    c_scale = max(1.0, np.max(np.abs(c), initial=0.0))
+    c = np.asarray(c, dtype=float).reshape(-1, np.shape(c)[-1])
+    c_scale = np.maximum.reduce(np.abs(c), axis=1, initial=1.0)
     # iterates near the cone boundary may overflow or divide by zero; the
     # solver detects non-finite values itself and stops on them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _conelp_core(c / c_scale, G, h, dims, A, b, feastol, gaptol,
-                           maxiter)
-    for key in ("pobj", "dobj", "gap"):
-        if out[key] is not None:
-            out[key] *= c_scale
-    for key in ("y", "z"):
-        if out[key] is not None and out["status"] in (OPTIMAL, FAILED):
-            out[key] = out[key] * c_scale
+        outs = _conelp_core(c / c_scale[:, None], G, h, dims, A, b, feastol,
+                            gaptol, maxiter)
+    for out, scale in zip(outs, c_scale.tolist()):
+        for key in ("pobj", "dobj", "gap"):
+            if out[key] is not None:
+                out[key] *= scale
+        for key in ("y", "z"):
+            if out[key] is not None and out["status"] in (OPTIMAL, FAILED):
+                out[key] = out[key] * scale
+    return outs
+
+
+# columns of the per-member convergence record; the stopping score is the
+# largest of the last three
+_INFO = ("pobj", "dobj", "gap", "pres", "dres", "relgap")
+
+
+def _result(status, iterations, info=None, **kw):
+    out = dict(status=status, x=None, y=None, z=None, s=None,
+               pobj=None, dobj=None, pres=np.inf, dres=np.inf,
+               gap=np.inf, relgap=np.inf, iterations=iterations,
+               certificate=None)
+    if info is not None:
+        out.update(zip(_INFO, info.tolist()))
+    out.update(kw)
     return out
 
 
-def _norm(v):
-    """Euclidean norm; numpy's own 1-d norm is sqrt(v @ v) as well."""
-    return math.sqrt(v @ v)
+def _rows(v, count):
+    """v with one row per member: as given, or one shared row repeated."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        v = v[None]
+    return v if len(v) == count else v.repeat(count, axis=0)
 
 
-def _conelp_core(c, G, h, dims, A=None, b=None,
-                 feastol=1e-8, gaptol=1e-8, maxiter=200):
-    n = c.size
-    G = np.asarray(G, dtype=float).reshape(dims.m, n)
-    h = np.asarray(h, dtype=float)
-    if A is None:
-        A = np.zeros((0, n))
-        b = np.zeros(0)
-    A = np.asarray(A, dtype=float).reshape(-1, n)
-    b = np.asarray(b, dtype=float)
-    p, m = A.shape[0], dims.m
+class _Members:
+    """Per-member arrays of the members still running, rows in step."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, rows):
+        for key, val in vars(self).items():
+            setattr(self, key, val[rows])
+
+
+def _conelp_core(c, G, h, dims, A, b, feastol, gaptol, maxiter):
+    count, n = c.shape
+    m = dims.m
+    G = np.asarray(G, dtype=float)
+    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float)
+    G, A = (M[None] if M.ndim == 2 else M for M in (G, A))
+    p = A.shape[1]
     k = n + p
-    BG = np.concatenate((A, G))          # the constraint rows [A; G]
-    bh = np.concatenate((b, h))
-
+    # the iterate of each member is [x; y; tau; z; kappa; s], so that a step
+    # updates every part at once and [tau; z] and [kappa; s] are the rows of
+    # the complementary pair, tau and kappa counting as orthant entries
+    z0, s0 = k + 1, k + m + 2
+    dims1 = make_dims(dims.l + 1, dims.q)
+    # [A; 0; G], which multiplies [y; tau; z], of each member (a view when
+    # shared)
+    BG1 = np.concatenate((A, np.zeros((len(A), 1, n)), G), axis=1)
+    if len(BG1) < count:
+        BG1 = np.broadcast_to(BG1, (count,) + BG1.shape[1:])
+    h = _rows(h, count)
+    b = _rows(np.zeros(0) if b is None else b, count)
+    # [c; b; 0; h], aligned with [x; y; tau; z]
+    cbh = np.concatenate((c, b, np.zeros((count, 1)), h), axis=1)
     e = _unit(dims)
-    norm_b = 1.0 + _norm(b)
-    norm_h = 1.0 + _norm(h)
-    norm_c = 1.0 + _norm(c)
-
-    def result(status, **kw):
-        out = dict(status=status, x=None, y=None, z=None, s=None,
-                   pobj=None, dobj=None, pres=np.inf, dres=np.inf,
-                   gap=np.inf, relgap=np.inf, iterations=it,
-                   certificate=None)
-        out.update(kw)
-        return out
-
+    out = [None] * count
     it = 0
+
+    # [G, h, r_z], scaled by W^{-1} in one pass each iteration into B, under
+    # A; the reduced matrices K keep their A blocks, and each factorization
+    # rewrites only the Gt'Gt block
+    Ghr = np.empty((count, m, n + 2))
+    Ghr[:, :, :n] = G
+    Ghr[:, :, n] = h
+    B = np.zeros((count, p + m, n + 2))
+    B[:, :p, :n] = A
+    B[:, p:, :n] = G
+    K = np.zeros((count, k, k))
+    K[:, :n, n:] = B[:, :p, :n].transpose(0, 2, 1)
+    K[:, n:, :n] = B[:, :p, :n]
+
     # --- initial point: least-squares primal/dual shifted into the cone,
     # from the Newton matrix with W = I
-    try:
-        kkt0 = _KKT(BG, n, p)
-    except FloatingPointError:
-        return result(FAILED)
-    # the iterate [x; y; z; s], so that a step updates each part at once
-    X = np.empty(k + 2 * m)
-    x, y, z, s = X[:n], X[n:k], X[k:k + m], X[k + m:]
-    yz = X[n:k + m]
-    sol0 = kkt0.solve(np.concatenate((np.zeros(n), bh)))
-    x[:] = sol0[:n]
-    s_hat = -sol0[k:]
-    me = _min_eig(s_hat, dims)
-    s[:] = s_hat if me > 0 else s_hat + (1.0 - me) * e
+    kkt0 = _KKT(B[:, :, :n], n, p, K)
+    X = np.ones((count, s0 + m))
+    sol0 = kkt0.solve(np.concatenate((np.zeros((count, n)), b, h), axis=1))
+    X[:, :n] = sol0[:, :n]
+    s_hat = -sol0[:, k:]
+    me = _min_eig(s_hat, dims)[:, None]
+    X[:, s0:] = np.where(me > 0, s_hat, s_hat + (1.0 - me) * e)
+    sol0 = kkt0.solve(np.concatenate((-c, np.zeros((count, p + m))), axis=1))
+    X[:, n:k] = sol0[:, n:k]
+    z_hat = sol0[:, k:]
+    me = _min_eig(z_hat, dims)[:, None]
+    X[:, z0:z0 + m] = np.where(me > 0, z_hat, z_hat + (1.0 - me) * e)
+    norms = 1.0 + np.sqrt(np.array([np.vecdot(v, v) for v in (b, h, c)]).T)
+    act = _Members(
+        ids=np.arange(count), X=X, cbh=cbh, BG1=BG1, Ghr=Ghr, B=B, K=K,
+        # [c; -b; 0; -h]: [A'y + G'z; A x; 0; G x] + cbh_ tau is the
+        # residual with r_x negated
+        cbh_=np.concatenate((c, -cbh[:, n:]), axis=1),
+        norms=norms, cert=(feastol * norms[:, 2]) ** 2)
+    if not kkt0.ok.all():
+        for i in np.flatnonzero(~kkt0.ok):
+            out[i] = _result(FAILED, it)
+        act.keep(kkt0.ok)
+        if not len(act.ids):
+            return out
+    # per iteration: the member ids, their de-homogenized iterates and their
+    # info, from which a member that fails reports its best iterate
+    history = []
 
-    sol0 = kkt0.solve(np.concatenate((-c, np.zeros(p + m))))
-    y[:] = sol0[n:k]
-    z_hat = sol0[k:]
-    me = _min_eig(z_hat, dims)
-    z[:] = z_hat if me > 0 else z_hat + (1.0 - me) * e
-    tau, kappa = 1.0, 1.0
-
-    # [G, h, r_z] scaled by W^{-1} in one pass each iteration, beside A
-    Ghr = np.empty((m, n + 2))
-    Ghr[:, :n] = G
-    Ghr[:, n] = h
-    B = np.zeros((p + m, n + 2))
-    B[:p, :n] = A
-    ht, hrzt = B[p:, n], B[p:, n + 1]
-
-    best = None
-    best_score = np.inf
+    def fail(rows):
+        """Record the best iterate of each member in `rows` as a failure:
+        the first one with the smallest of max(pres, dres, relgap)."""
+        for i in act.ids[rows].tolist():
+            best, fields = np.inf, {}
+            for ids, Xt, info in history:
+                j = np.searchsorted(ids, i)
+                if j < len(ids) and ids[j] == i and info[j, 3:].max() < best:
+                    best = info[j, 3:].max()
+                    fields = dict(x=Xt[j, :n], y=Xt[j, n:k],
+                                  z=Xt[j, z0:z0 + m], s=Xt[j, s0:],
+                                  info=info[j])
+            out[i] = _result(FAILED, it, **fields)
 
     for it in range(1, maxiter + 1):
-        # residuals of the self-dual embedding
-        hrx = -(BG.T @ yz) - c * tau
-        hryz = BG @ x - bh * tau
-        hryz[p:] += s
-        hry, hrz = hryz[:p], hryz[p:]
-        hrt = kappa + c @ x + bh @ yz
+        X, cbh, BG1 = act.X, act.cbh, act.BG1
+        x, yz, s = X[:, :n], X[:, n:s0 - 1], X[:, s0:]
+        tau, kappa, T = X[:, k], X[:, s0 - 1], X[:, k:z0]
+        ZS = X[:, k:].reshape(-1, 2, m + 1)
+        # residuals of the self-dual embedding, r_x negated:
+        # [A'y + G'z + c tau; A x - b tau; 0; G x + s - h tau], and r_tau
+        BGx, BGyz = np.matvec(BG1, x), np.vecmat(yz, BG1)
+        hr = np.concatenate((BGyz, BGx), axis=1)
+        hr += act.cbh_ * T
+        hr[:, z0:] += s
+        cx, by_hz = np.vecdot(cbh[:, :n], x), np.vecdot(cbh[:, n:], yz)
+        hrt = kappa + cx + by_hz
+        mu = np.vecdot(ZS[:, 0], ZS[:, 1]) / (dims.degree + 1)
 
-        mu = (s @ z + tau * kappa) / (dims.degree + 1)
-
-        # convergence metrics of the de-homogenized iterate
-        xt, yzt, st = x / tau, yz / tau, s / tau
-        yt, zt = yzt[:p], yzt[p:]
-        Bxt = BG @ xt
-        Gxt = Bxt[p:]
+        # convergence metrics of the de-homogenized iterates
+        Xt = X / T
+        xt, zt, st = Xt[:, :n], Xt[:, z0:z0 + m], Xt[:, s0:]
         # the embedding's slack drifts by ~|hrz|/tau; h - Gx is the actual
         # primal slack, adopted after clipping marginal cone violations
         # (the clip size then reappears honestly in the row residual)
-        s_rep = _clip_into_cone(h - Gxt, dims)
-        res_rep, res_st = _norm(Gxt + s_rep - h), _norm(Gxt + st - h)
-        if res_rep < res_st:
-            st = s_rep
-        pres = max(_norm(Bxt[:p] - b) / norm_b, min(res_rep, res_st) / norm_h)
-        dres = _norm(BG.T @ yzt + c) / norm_c
-        pobj = c @ xt
-        dobj = -(bh @ yzt)
+        hG = cbh[:, z0:] - BGx[:, p + 1:] / T
+        s_rep = _clip_into_cone(hG, dims)
+        res_rep, res_st = _norms(s_rep - hG), _norms(st - hG)
+        np.copyto(st, s_rep, where=(res_rep < res_st)[:, None])
+        info = np.empty((len(X), len(_INFO)))
+        pobj, dobj, gap, pres, dres, relgap = info.T
+        np.divide(cx, tau, out=pobj)
+        np.divide(-by_hz, tau, out=dobj)
+        nb_, nh_, nc_ = act.norms.T
+        np.maximum(_norms(hr[:, n:k]) / (tau * nb_),
+                   np.minimum(res_rep, res_st) / nh_, out=pres)
+        np.divide(_norms(hr[:, :n]), tau * nc_, out=dres)
         # s'z picks up residual-times-dual cross terms; the objective
         # difference is the cleaner suboptimality estimate once both
         # residuals are small, so use the smaller consistent measure
-        gap = min(st @ zt, abs(pobj - dobj))
-        relgap = gap / max(1.0, abs(pobj), abs(dobj))
+        np.minimum(np.vecdot(st, zt), np.abs(pobj - dobj), out=gap)
+        np.divide(gap, np.maximum.reduce(np.abs(info[:, :2]), axis=1,
+                                         initial=1.0), out=relgap)
+        history.append((act.ids, Xt, info))
 
-        score = max(pres, dres, relgap)
-        if score < best_score:
-            best_score = score
-            best = (xt, yt, zt, st, pobj, dobj, pres, dres, gap, relgap)
+        done = np.maximum(pres, dres) <= feastol
+        if np.count_nonzero(done):
+            done &= (relgap <= gaptol) | (gap <= gaptol * 1e-2)
+            for j in np.flatnonzero(done):
+                out[act.ids[j]] = _result(OPTIMAL, it, info[j], x=xt[j],
+                                          y=Xt[j, n:k], z=zt[j], s=st[j])
+        # infeasibility certificates (rays, not scaled by tau): A'y + G'z
+        # and [A x; G x + s] vanish relative to -b'y - h'z and -c'x
+        rows = np.vecdot(BGyz, BGyz) <= act.cert * by_hz * by_hz
+        if np.count_nonzero(rows):
+            rows &= (by_hz < -1e-12) & ~done
+            for j in np.flatnonzero(rows):
+                yzc = yz[j] / -by_hz[j]
+                yc, zc = yzc[:p], yzc[p + 1:]
+                out[act.ids[j]] = _result(
+                    INFEASIBLE, it, y=yc, z=zc, pres=pres[j], dres=dres[j],
+                    certificate={"kind": "primal", "y": yc, "z": zc})
+            done |= rows
+        if np.count_nonzero(cx < -1e-12):
+            BGx[:, p + 1:] += s
+            rows = (~done & (cx < -1e-12)
+                    & (_norms(BGx[:, :p]) / nb_ <= feastol * -cx)
+                    & (_norms(BGx[:, p + 1:]) / nh_ <= feastol * -cx))
+            for j in np.flatnonzero(rows):
+                xc, sc = x[j] / -cx[j], s[j] / -cx[j]
+                out[act.ids[j]] = _result(
+                    UNBOUNDED, it, x=xc, s=sc, pres=pres[j], dres=dres[j],
+                    certificate={"kind": "dual", "x": xc, "s": sc})
+            done |= rows
 
-        if pres <= feastol and dres <= feastol and (relgap <= gaptol or gap <= gaptol * 1e-2):
-            return result(OPTIMAL, x=xt, y=yt, z=zt, s=st, pobj=pobj, dobj=dobj,
-                          pres=pres, dres=dres, gap=gap, relgap=relgap)
-
-        # infeasibility certificates (rays, not scaled by tau)
-        by_hz = bh @ yz
-        if by_hz < -1e-12:
-            yzc = yz / (-by_hz)
-            if _norm(BG.T @ yzc) / norm_c <= feastol:
-                yc, zc = yzc[:p], yzc[p:]
-                return result(INFEASIBLE, y=yc, z=zc, pres=pres, dres=dres,
-                              certificate={"kind": "primal", "y": yc, "z": zc})
-        cx = c @ x
-        if cx < -1e-12:
-            xc, sc = x / (-cx), s / (-cx)
-            Bxc = BG @ xc
-            if (_norm(Bxc[:p]) / norm_b <= feastol
-                    and _norm(Bxc[p:] + sc) / norm_h <= feastol):
-                return result(UNBOUNDED, x=xc, s=sc, pres=pres, dres=dres,
-                              certificate={"kind": "dual", "x": xc, "s": sc})
-
-        scal = _Scaling(s, z, dims)
-        if not scal.finite:
-            break                       # scaling blow-up at the boundary
+        # NT scaling and KKT factor; a scaling blow-up at the boundary or a
+        # failed factorization ends the member with its best iterate
+        resid = (hr, hrt, mu)
+        while True:
+            if np.count_nonzero(done):
+                act.keep(~done)
+                if not len(act.ids):
+                    return out
+                resid = tuple(a[~done] for a in resid)
+            ZS = act.X[:, k:].reshape(-1, 2, m + 1)
+            scal = _Scaling(ZS[:, 1, 1:], ZS[:, 0, 1:], dims)
+            done = ~scal.finite
+            if not np.count_nonzero(done):
+                act.Ghr[:, :, n + 1] = resid[0][:, z0:]
+                scal.apply_inv(act.Ghr, out=act.B[:, p:])
+                kkt = _KKT(act.B[:, :, :n], n, p, act.K)
+                done = ~kkt.ok
+                if not np.count_nonzero(done):
+                    break
+            fail(done)
+        hr, hrt, mu = resid
+        X, cbh = act.X, act.cbh
+        tau, kappa = X[:, k], X[:, s0 - 1]
         lam = scal.lam
-        Ghr[:, n + 1] = hrz
-        scal.apply_inv(Ghr, out=B[p:])
-        try:
-            kkt = _KKT(B[:, :n], n, p)
-        except FloatingPointError:
-            break
 
-        # Newton systems in the scaled coordinates W dz and W^{-1} ds
-        q = np.concatenate((c, b, ht))          # tau row: c'dx + b'dy + h'dz
-        base = np.concatenate((hrx, -hry, -hrzt))
-        zs = X[k:].reshape(2, m)
-
-        def newton_rhs(f, g):
-            r = f * base
-            r[k:] -= g
-            return r
+        # Newton systems in the scaled coordinates W dz and W^{-1} ds; the
+        # tau row reads c'dx + b'dy + h'dz, with h scaled like dz
+        q = np.concatenate((cbh[:, :k], act.B[:, p:, n]), axis=1)
+        base = -np.concatenate((hr[:, :k], act.B[:, p:, n + 1]), axis=1)
 
         def direction(f, g, bk, u):
-            """Step for residuals scaled by f and complementarity targets
-            (lam o g, bk), from u solving newton_rhs(f, g); returns [dx; dy],
-            the rows [W dz; W^{-1} ds] and [dz; ds], dtau and dkappa."""
-            dtau = (-f * hrt - bk / tau - q @ u) / denom
-            u = u + dtau * v
-            dk = (bk - kappa * dtau) / tau
-            scaled = np.concatenate((u[k:], g - u[k:])).reshape(2, m)
-            dzs = np.empty((2, m))
-            scal.apply_inv(scaled[0], out=dzs[0])
-            scal.apply(scaled[1], out=dzs[1])
-            return u[:k], scaled, dzs, dtau, dk
+            """Step [dx; dy; dtau; dz; dkappa; ds] for residuals scaled by f
+            and complementarity targets (lam o g, bk), from u solving the
+            Newton system for them; also returns [W dz; W^{-1} ds]."""
+            D = np.empty_like(X)
+            dtau = D[:, k]
+            np.divide(-f * hrt - bk / tau - np.vecdot(q, u), denom, out=dtau)
+            u += dtau[:, None] * v
+            D[:, s0 - 1] = (bk - kappa * dtau) / tau
+            D[:, :k] = u[:, :k]
+            WS = np.concatenate((u[:, k:], g - u[:, k:]),
+                                axis=1).reshape(-1, 2, m)
+            scal.unscale(WS, D[:, k:].reshape(-1, 2, m + 1)[:, :, 1:])
+            return D, WS
 
         def newton(f, bs, bk):
             g = _jsolve(lam, bs, dims)
-            return direction(f, g, bk, kkt.solve(newton_rhs(f, g)))
+            r = base * f[:, None]
+            r[:, k:] -= g
+            return direction(f, g, bk, kkt.solve(r))[0]
 
-        def feasible_step(dzs, dt, dk, back=1.0):
-            alpha = _max_step(zs, dzs, dims)
-            if dt < 0:
-                alpha = min(alpha, -tau / dt)
-            if dk < 0:
-                alpha = min(alpha, -kappa / dk)
-            return min(1.0, back * alpha)
+        def feasible_step(D, back=1.0):
+            return np.fmin(1.0, back * _max_step(
+                ZS, D[:, k:].reshape(-1, 2, m + 1), dims1))
 
-        # predictor, solved together with the tau direction v
+        # predictor, solved together with the tau direction v; its
+        # complementarity target lam o g = -lam o lam has g = -lam
         lam2 = _jprod(lam, lam, dims)
-        g = _jsolve(lam, -lam2, dims)
-        V = kkt.solve(np.stack((np.concatenate((-c, b, ht)),
-                                newton_rhs(1.0, g)), axis=1))
+        R = np.empty((len(X), 2, k + m))
+        np.negative(q, out=R[:, 0])
+        R[:, 0, n:] *= -1.0
+        R[:, 1] = base
+        R[:, 1, k:] += lam
+        V = kkt.solve(R)
         v = V[:, 0]
-        denom = q @ v - kappa / tau
-        _, scaled_a, dzsa, dta, dka = direction(1.0, g, -tau * kappa, V[:, 1])
-        a_aff = feasible_step(dzsa, dta, dka)
-        z_aff, s_aff = zs + a_aff * dzsa
-        mu_aff = (s_aff @ z_aff
-                  + (tau + a_aff * dta) * (kappa + a_aff * dka)) / (dims.degree + 1)
-        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+        denom = np.vecdot(q, v) - kappa / tau
+        tk = tau * kappa
+        Da, WS = direction(1.0, -lam, -tk, V[:, 1])
+        a_aff = feasible_step(Da)
+        ZSa = ZS + a_aff[:, None, None] * Da[:, k:].reshape(-1, 2, m + 1)
+        mu_aff = np.vecdot(ZSa[:, 0], ZSa[:, 1]) / (dims.degree + 1)
+        sigma = np.fmin(1.0, np.fmax(0.0, mu_aff / mu)) ** 3
 
         # corrector; the second-order term is (W^{-1} ds) o (W dz)
-        corr = _jprod(scaled_a[1], scaled_a[0], dims)
-        bs = -lam2 - corr + sigma * mu * e
-        bk = -tau * kappa - dta * dka + sigma * mu
-        dxy, _, dzs, dt, dk = newton(1.0 - sigma, bs, bk)
-        step = feasible_step(dzs, dt, dk, _STEP)
-        if step < 1e-4:
+        corr = _jprod(WS[:, 1], WS[:, 0], dims)
+        smu = sigma * mu
+        D = newton(1.0 - sigma, smu[:, None] * e - lam2 - corr,
+                   smu - tk - Da[:, k] * Da[:, s0 - 1])
+        step = feasible_step(D, _STEP)
+        blocked = step < 1e-4
+        if np.count_nonzero(blocked):
             # blocked by the corrector near a degenerate face: retake a plain
             # centering-biased step without the second-order term
-            sigma2 = max(sigma, 0.5)
-            dxy2, _, dzs2, dt2, dk2 = newton(
-                1.0 - sigma2, -lam2 + sigma2 * mu * e,
-                -tau * kappa + sigma2 * mu)
-            step2 = feasible_step(dzs2, dt2, dk2, _STEP)
-            if step2 > step:
-                dxy, dzs, dt, dk, step = dxy2, dzs2, dt2, dk2, step2
-        if not np.isfinite(step) or step <= 1e-10:
-            break
+            sigma2 = np.maximum(sigma, 0.5)
+            smu2 = sigma2 * mu
+            D2 = newton(1.0 - sigma2, smu2[:, None] * e - lam2, smu2 - tk)
+            step2 = feasible_step(D2, _STEP)
+            take = blocked & (step2 > step)
+            D[take] = D2[take]
+            step = np.where(take, step2, step)
 
-        X[:k] += step * dxy
-        zs += step * dzs
-        tau += step * dt
-        kappa += step * dk
+        X += step[:, None] * D
+        done = ~(step > 1e-10)
+        if np.count_nonzero(done):
+            fail(done)
+            act.keep(~done)
+            if not len(act.ids):
+                return out
 
-    xt, yt, zt, st, pobj, dobj, pres, dres, gap, relgap = best
-    return result(FAILED, x=xt, y=yt, z=zt, s=st, pobj=pobj, dobj=dobj,
-                  pres=pres, dres=dres, gap=gap, relgap=relgap)
+    fail(np.ones(len(act.ids), dtype=bool))
+    return out
 
 
 def make_dims(l, q):
-    return _Dims(l, q)
+    return _dims(int(l), tuple(int(k) for k in q))
+
+
+@functools.lru_cache(maxsize=256)
+def _dims(l, q):
+    return _Dims(l, list(q))

@@ -15,14 +15,13 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize as sopt
 
 from . import conic, jabr, tighten
-from .network import Network
+from .network import Network, tree_edges
 
 GLOBAL_OPTIMAL = "global-optimal"
 INFEASIBLE = "infeasible"
@@ -155,7 +154,6 @@ def _sweep_rows(rows, lo, hi):
 
 
 def node_relaxation(net: Network, box: NodeBox, cuts=(),
-                    include_reverse: bool = True,
                     **build_kwargs) -> jabr.JabrModel:
     """Lifted SOCP over the box plus the reverse-side outer approximation."""
     model = jabr.build_relaxation(net, **build_kwargs)
@@ -166,24 +164,23 @@ def node_relaxation(net: Network, box: NodeBox, cuts=(),
         prog.set_bounds(model.c[k], box.c_lo[k], box.c_hi[k])
         prog.set_bounds(model.s[k], box.s_lo[k], box.s_hi[k])
     tighten.apply_to_model(model, None, cuts)
-    if include_reverse:
-        pos = net.bus_index
-        for k, ln in enumerate(net.lines):
-            i, j = pos[ln.from_bus], pos[ln.to_bus]
-            li, ui = box.cii_lo[i], box.cii_hi[i]
-            lj, uj = box.cii_lo[j], box.cii_hi[j]
-            lc, uc = box.c_lo[k], box.c_hi[k]
-            ls, us = box.s_lo[k], box.s_hi[k]
-            vi, vj = model.cii[ln.from_bus], model.cii[ln.to_bus]
-            vc, vs = model.c[k], model.s[k]
-            rhs_sec = -(lc * uc) - (ls * us)
-            # McCormick underestimate of cii*cjj <= secants of c^2 + s^2
-            prog.add_ineq([vi, vj, vc, vs],
-                          [lj, li, -(lc + uc), -(ls + us)],
-                          li * lj + rhs_sec)
-            prog.add_ineq([vi, vj, vc, vs],
-                          [uj, ui, -(lc + uc), -(ls + us)],
-                          ui * uj + rhs_sec)
+    pos = net.bus_index
+    for k, ln in enumerate(net.lines):
+        i, j = pos[ln.from_bus], pos[ln.to_bus]
+        li, ui = box.cii_lo[i], box.cii_hi[i]
+        lj, uj = box.cii_lo[j], box.cii_hi[j]
+        lc, uc = box.c_lo[k], box.c_hi[k]
+        ls, us = box.s_lo[k], box.s_hi[k]
+        vi, vj = model.cii[ln.from_bus], model.cii[ln.to_bus]
+        vc, vs = model.c[k], model.s[k]
+        rhs_sec = -(lc * uc) - (ls * us)
+        # McCormick underestimate of cii*cjj <= secants of c^2 + s^2
+        prog.add_ineq([vi, vj, vc, vs],
+                      [lj, li, -(lc + uc), -(ls + us)],
+                      li * lj + rhs_sec)
+        prog.add_ineq([vi, vj, vc, vs],
+                      [uj, ui, -(lc + uc), -(ls + us)],
+                      ui * uj + rhs_sec)
     return model
 
 
@@ -247,47 +244,6 @@ def branch(net: Network, box: NodeBox, point: dict,
 
 
 # --------------------------------------------------------------- local polish
-
-def _tree_angles(net: Network, cii: dict, c: np.ndarray, s: np.ndarray,
-                 slack_bus: int) -> np.ndarray:
-    pos = net.bus_index
-    theta = np.zeros(net.num_buses)
-    incident = {b.id: [] for b in net.buses}
-    for k, ln in enumerate(net.lines):
-        incident[ln.from_bus].append(k)
-        incident[ln.to_bus].append(k)
-    stack, seen = [slack_bus], {slack_bus}
-    while stack:
-        i = stack.pop()
-        for k in incident[i]:
-            ln = net.lines[k]
-            j = ln.to_bus if ln.from_bus == i else ln.from_bus
-            if j in seen:
-                continue
-            d = math.atan2(s[k], c[k])
-            theta[pos[j]] = theta[pos[i]] + d if ln.from_bus == i else theta[pos[i]] - d
-            seen.add(j)
-            stack.append(j)
-    return theta
-
-
-def _bus_depths(net: Network, slack_bus: int) -> np.ndarray:
-    pos = net.bus_index
-    depth = np.zeros(net.num_buses)
-    incident = {b.id: [] for b in net.buses}
-    for ln in net.lines:
-        incident[ln.from_bus].append(ln.to_bus)
-        incident[ln.to_bus].append(ln.from_bus)
-    stack, seen = [slack_bus], {slack_bus}
-    while stack:
-        i = stack.pop()
-        for j in incident[i]:
-            if j not in seen:
-                depth[pos[j]] = depth[pos[i]] + 1
-                seen.add(j)
-                stack.append(j)
-    return depth
-
 
 def _bus_gen_limits(net: Network):
     pmin = np.zeros(net.num_buses)
@@ -366,7 +322,11 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
         else:
             c[k], s[k] = target, 0.0
     vm0 = np.sqrt([max(cii[i], 1e-9) for i in ids])
-    th0 = _tree_angles(net, cii, c, s, slack)
+    edges = tree_edges(net, slack)
+    th0 = np.zeros(n)
+    for i, j, k in edges:
+        d = math.atan2(s[k], c[k])
+        th0[pos[j]] = th0[pos[i]] + d if net.lines[k].from_bus == i else th0[pos[i]] - d
 
     free = [k for k in range(n) if k != islack]
 
@@ -394,7 +354,9 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
     if multistart:
         # the guided start can stall on a voltage floor; sweep flat and
         # feeder-tilted profiles (voltage declining with depth from slack)
-        depth = _bus_depths(net, slack)
+        depth = np.zeros(n)
+        for i, j, _ in edges:
+            depth[pos[j]] = depth[pos[i]] + 1
         prof = depth / max(depth.max(), 1.0)
         for f, tilt in ((0.5, 0.0), (0.55, -0.5), (0.35, -0.4), (0.75, -0.35),
                         (0.25, 0.3), (0.9, -0.5), (0.15, 0.0), (0.85, 0.0)):
@@ -461,9 +423,9 @@ def range_reduction(net: Network, box: NodeBox, cuts, incumbent: float,
     """Optimization-based shrink of the most promising intervals, optionally
     under the incumbent cost cutoff; returns None when the box empties.
 
-    All min/max solves share one relaxation model (plus the cutoff row); the
-    box is updated after the sweep, not between solves, which keeps the sweep
-    order-independent.
+    All min/max directions share one relaxation model (plus the cutoff row),
+    compiled once and solved in one batch; the box is updated after the
+    sweep, not between solves, which keeps the sweep order-independent.
     """
     if not len(net.lines):
         return box
@@ -476,22 +438,28 @@ def range_reduction(net: Network, box: NodeBox, cuts, incumbent: float,
     model = node_relaxation(net, box, cuts, **build_kwargs)
     if math.isfinite(incumbent):
         jabr.add_cost_cap(model, incumbent + 1e-6 * (1 + abs(incumbent)))
-    out = box.copy()
+    nv = model.program.num_vars
+    wide, overrides = [], []
     for kind, idx in targets[:max_vars]:
-        lo, hi = out.interval(kind, idx)
+        lo, hi = box.interval(kind, idx)
         if hi - lo <= _WIDTH_TOL:
             continue
         if kind == "cii":
             var = model.cii[net.buses[idx].id]
         else:
             var = (model.c if kind == "c" else model.s)[idx]
-        for sense in (+1, -1):
-            override = np.zeros(model.program.num_vars)
-            override[var] = sense
-            sol = conic.solve(model.program, feastol=feastol, gaptol=gaptol,
-                              objective_override=override)
-            if sol.status == conic.INFEASIBLE:
-                return None
+        wide.append((kind, idx))
+        for sense in (+1, -1):     # +1 minimizes, -1 maximizes
+            overrides.append(np.zeros(nv))
+            overrides[-1][var] = sense
+    sols = conic.solve_batch(model.program, overrides, feastol=feastol,
+                             gaptol=gaptol)
+    if any(sol.status == conic.INFEASIBLE for sol in sols):
+        return None
+    out = box.copy()
+    for t, (kind, idx) in enumerate(wide):
+        lo, hi = box.interval(kind, idx)
+        for sense, sol in zip((+1, -1), sols[2 * t:2 * t + 2]):
             if not sol.optimal:
                 continue
             val = sense * sol.objective
@@ -545,6 +513,10 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                  feastol: float = 1e-8, gaptol: float = 1e-8,
                  verbose: bool = False) -> BnbResult:
     """Best-first spatial branch-and-bound to certified relative gap.
+
+    `workers` is a batch size, not a thread count: that many best-first
+    nodes are popped together and their relaxations solved in one batched
+    interior-point call.
 
     Infeasibility is declared only on a root-relaxation infeasibility
     certificate or when the whole tree is exhausted with every leaf either
@@ -620,121 +592,115 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         if incumbent is None or cand.objective < incumbent.objective:
             incumbent = cand
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while heap:
-            if time_limit is not None and time.monotonic() - t0 > time_limit:
-                return done(TIME_LIMIT, global_lb(), incumbent, nodes, root_lb,
-                            trace, len(cuts))
-            if node_limit is not None and nodes >= node_limit:
-                return done(GAP_LIMIT, global_lb(), incumbent, nodes, root_lb,
-                            trace, len(cuts))
+    while heap:
+        if time_limit is not None and time.monotonic() - t0 > time_limit:
+            return done(TIME_LIMIT, global_lb(), incumbent, nodes, root_lb,
+                        trace, len(cuts))
+        if node_limit is not None and nodes >= node_limit:
+            return done(GAP_LIMIT, global_lb(), incumbent, nodes, root_lb,
+                        trace, len(cuts))
 
-            # pop a batch of best-first nodes; relaxations solve concurrently,
-            # results are folded back in deterministic (bound-sorted) order
-            batch = []
-            while heap and len(batch) < max(1, workers):
-                lb_parent, _, box, depth = heapq.heappop(heap)
-                if lb_parent >= ub_val() - gap_tol * max(abs(ub_val()), 1e-9):
-                    heapq.heappush(heap, (lb_parent, counter, box, depth))
-                    counter += 1
-                    heap_done = True
-                    break
-                box = prop.run(box)
-                if box is None:
-                    nodes += 1  # emptied by interval propagation
-                    continue
-                batch.append((lb_parent, box, depth))
-            else:
-                heap_done = False
-            if not batch:
+        # pop a batch of up to `workers` best-first nodes and solve their
+        # relaxations in one batched call; results are folded back in
+        # deterministic (bound-sorted) order
+        batch = []
+        while heap and len(batch) < max(1, workers):
+            lb_parent, _, box, depth = heapq.heappop(heap)
+            if lb_parent >= ub_val() - gap_tol * max(abs(ub_val()), 1e-9):
+                heapq.heappush(heap, (lb_parent, counter, box, depth))
+                counter += 1
+                heap_done = True
                 break
-            models = [node_relaxation(net, box, cuts, **build_kwargs)
-                      for _, box, _ in batch]
-            solve_one = lambda m: conic.solve(m.program, feastol=feastol,
-                                              gaptol=gaptol)
-            sols = list(pool.map(solve_one, models)) if pool else \
-                [solve_one(m) for m in models]
+            box = prop.run(box)
+            if box is None:
+                nodes += 1  # emptied by interval propagation
+                continue
+            batch.append((lb_parent, box, depth))
+        else:
+            heap_done = False
+        if not batch:
+            break
+        models = [node_relaxation(net, box, cuts, **build_kwargs)
+                  for _, box, _ in batch]
+        sols = conic.solve_batch([m.program for m in models],
+                                 feastol=feastol, gaptol=gaptol)
 
-            for (lb_parent, box, depth), model, sol in zip(batch, models, sols):
-                nodes += 1
-                if sol.status == conic.INFEASIBLE:
-                    continue
-                if not sol.optimal:
-                    # unresolved node: keep searching below it, bound unchanged
-                    kids, _ = branch(net, box, _mid_point(net, box),
-                                     np.ones(len(net.lines)))
-                    if not kids:
-                        exhausted_clean = exhausted_clean and \
-                            box.max_width() <= 10 * _WIDTH_TOL
-                        continue
-                    for kid in kids:
-                        heapq.heappush(heap, (lb_parent, counter, kid, depth + 1))
-                        counter += 1
-                    continue
-
-                node_lb = sol.dual_objective if sol.dual_objective is not None \
-                    else sol.objective
-                if root_lb is None:
-                    root_lb = node_lb
-                if node_lb >= ub_val() - gap_tol * max(abs(ub_val()), 1e-9):
-                    continue
-
-                point = model.point(sol.x)
-                slacks = _coupling_slacks(net, point)
-                worst = float(np.max(slacks, initial=0.0))
-
-                if worst <= _EXACT_TOL:
-                    # point is on the cone surface: recover and fathom
-                    try:
-                        consider(jabr.recover_angles(net, model, sol,
-                                                     tol=10 * _EXACT_TOL))
-                    except ValueError:
-                        pass
-                    if incumbent is None:
-                        consider(local_polish(net, point,
-                                              fixed_voltage=fixed_voltage))
-                    if incumbent is not None and incumbent.objective <= node_lb \
-                            + gap_tol * max(1.0, abs(node_lb)):
-                        trace.append((nodes, node_lb, ub_val()))
-                        continue
-                    # recovery failed numerically; keep branching below
-
-                elif incumbent is None or nodes % 25 == 0:
-                    consider(local_polish(net, point,
-                                          cost_pass=True,
-                                          multistart=incumbent is None,
-                                          fixed_voltage=fixed_voltage))
-
-                # cutoff-based range reduction pays for itself at every depth
-                # on these instance sizes
-                if obbt_depth is None or depth <= obbt_depth:
-                    reduced = range_reduction(net, box, cuts, ub_val(), point,
-                                              slacks, feastol=feastol,
-                                              gaptol=gaptol, **build_kwargs)
-                    if reduced is None:
-                        trace.append((nodes, node_lb, ub_val()))
-                        continue
-                    box = reduced
-
-                kids, _ = branch(net, box, point, slacks)
+        for (lb_parent, box, depth), model, sol in zip(batch, models, sols):
+            nodes += 1
+            if sol.status == conic.INFEASIBLE:
+                continue
+            if not sol.optimal:
+                # unresolved node: keep searching below it, bound unchanged
+                kids, _ = branch(net, box, _mid_point(net, box),
+                                 np.ones(len(net.lines)))
                 if not kids:
-                    # coupling violated but nothing branchable: width floor hit
-                    trace.append((nodes, node_lb, ub_val()))
+                    exhausted_clean = exhausted_clean and \
+                        box.max_width() <= 10 * _WIDTH_TOL
                     continue
                 for kid in kids:
-                    heapq.heappush(heap, (node_lb, counter, kid, depth + 1))
+                    heapq.heappush(heap, (lb_parent, counter, kid, depth + 1))
                     counter += 1
-                trace.append((nodes, node_lb, ub_val()))
+                continue
 
-            if incumbent is not None and _rel_gap(global_lb(), ub_val()) <= gap_tol:
-                return done(GLOBAL_OPTIMAL, global_lb(), incumbent, nodes,
-                            root_lb, trace, len(cuts))
-            if heap_done:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+            node_lb = sol.dual_objective if sol.dual_objective is not None \
+                else sol.objective
+            if root_lb is None:
+                root_lb = node_lb
+            if node_lb >= ub_val() - gap_tol * max(abs(ub_val()), 1e-9):
+                continue
+
+            point = model.point(sol.x)
+            slacks = _coupling_slacks(net, point)
+            worst = float(np.max(slacks, initial=0.0))
+
+            if worst <= _EXACT_TOL:
+                # point is on the cone surface: recover and fathom
+                try:
+                    consider(jabr.recover_angles(net, model, sol,
+                                                 tol=10 * _EXACT_TOL))
+                except ValueError:
+                    pass
+                if incumbent is None:
+                    consider(local_polish(net, point,
+                                          fixed_voltage=fixed_voltage))
+                if incumbent is not None and incumbent.objective <= node_lb \
+                        + gap_tol * max(1.0, abs(node_lb)):
+                    trace.append((nodes, node_lb, ub_val()))
+                    continue
+                # recovery failed numerically; keep branching below
+
+            elif incumbent is None or nodes % 25 == 0:
+                consider(local_polish(net, point,
+                                      cost_pass=True,
+                                      multistart=incumbent is None,
+                                      fixed_voltage=fixed_voltage))
+
+            # cutoff-based range reduction pays for itself at every depth
+            # on these instance sizes
+            if obbt_depth is None or depth <= obbt_depth:
+                reduced = range_reduction(net, box, cuts, ub_val(), point,
+                                          slacks, feastol=feastol,
+                                          gaptol=gaptol, **build_kwargs)
+                if reduced is None:
+                    trace.append((nodes, node_lb, ub_val()))
+                    continue
+                box = reduced
+
+            kids, _ = branch(net, box, point, slacks)
+            if not kids:
+                # coupling violated but nothing branchable: width floor hit
+                trace.append((nodes, node_lb, ub_val()))
+                continue
+            for kid in kids:
+                heapq.heappush(heap, (node_lb, counter, kid, depth + 1))
+                counter += 1
+            trace.append((nodes, node_lb, ub_val()))
+
+        if incumbent is not None and _rel_gap(global_lb(), ub_val()) <= gap_tol:
+            return done(GLOBAL_OPTIMAL, global_lb(), incumbent, nodes,
+                        root_lb, trace, len(cuts))
+        if heap_done:
+            break
 
     lb = global_lb()
     if incumbent is not None:

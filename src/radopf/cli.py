@@ -347,7 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--time-limit", type=float, default=None)
     sp.add_argument("--no-cuts", action="store_true")
     sp.add_argument("--no-obbt", action="store_true")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="batch size: best-first nodes whose relaxations are "
+                         "solved together in one interior-point call (not "
+                         "threads)")
     sp.add_argument("--fix-voltage", default=None,
                     help='JSON map bus -> squared voltage, e.g. \'{"1":0.874}\'')
     sp.set_defaults(func=cmd_solve)

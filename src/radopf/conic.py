@@ -167,17 +167,29 @@ class ConicProgram:
 
     # ---------------------------------------------------------------- compile
     def _compile(self, objective_override=None):
-        n = self.num_vars
-        lift = objective_override is None and any(q > 0 for q in self.qcost)
-        ncols = n + 1 if lift else n
+        c = self._objective(objective_override)
+        return (c, *self._constraints(len(c)), self.num_vars)
 
-        c = np.zeros(ncols)
-        if objective_override is None:
-            c[:n] = self.cost
-            if lift:
-                c[n] = 1.0
-        else:
-            c[:n] = objective_override
+    def _objective(self, objective_override=None):
+        """Objective row of the standard form; the program's own objective
+        lifts its quadratic terms into one extra epigraph column."""
+        n = self.num_vars
+        if objective_override is not None:
+            c = np.zeros(n)
+            c[:] = objective_override
+            return c
+        lift = any(q > 0 for q in self.qcost)
+        c = np.zeros(n + 1 if lift else n)
+        c[:n] = self.cost
+        if lift:
+            c[n] = 1.0
+        return c
+
+    def _constraints(self, ncols):
+        """(G, h, dims, A, b) of the standard form over `ncols` columns; one
+        column past the variables is the quadratic epigraph."""
+        n = self.num_vars
+        lift = ncols > n
 
         A_rows, b_vals = [], []
         G_rows, h_vals = [], []
@@ -240,8 +252,8 @@ class ConicProgram:
 
         A = np.array(A_rows).reshape(-1, ncols) if A_rows else np.zeros((0, ncols))
         G = np.array(G_rows).reshape(-1, ncols) if G_rows else np.zeros((0, ncols))
-        return (c, G, np.array(h_vals, dtype=float), _ipm.make_dims(l, q_sizes),
-                A, np.array(b_vals, dtype=float), n)
+        return (G, np.array(h_vals, dtype=float), _ipm.make_dims(l, q_sizes),
+                A, np.array(b_vals, dtype=float))
 
 
 @dataclass
@@ -268,16 +280,58 @@ def solve(prog: ConicProgram, *, feastol: float = 1e-8, gaptol: float = 1e-8,
           maxiter: int = 200, objective_override=None) -> ConicSolution:
     """Solve the program; on `optimal` the returned point satisfies all
     constraints to `feastol` and closes the relative duality gap to `gaptol`."""
-    c, G, h, dims, A, b, n = prog._compile(objective_override)
-    res = _ipm.conelp(c, G, h, dims, A, b,
-                      feastol=feastol, gaptol=gaptol, maxiter=maxiter)
+    return solve_batch(prog, [objective_override], feastol=feastol,
+                       gaptol=gaptol, maxiter=maxiter)[0]
+
+
+def solve_batch(progs, overrides=None, *, feastol: float = 1e-8,
+                gaptol: float = 1e-8, maxiter: int = 200) -> list[ConicSolution]:
+    """Solve a batch of members in as few interior-point calls as their
+    shapes allow; returns one solution per member, in order.
+
+    `progs` is either one program, solved once per objective override in
+    `overrides`, or a list of programs, one member each, with `overrides`
+    (if given) aligned to it.  An override of None keeps the program's own
+    objective.  Each program is compiled once; members whose compiled
+    shapes agree share one batched `conelp` call, in which every member runs
+    its own iterates and ends as its own one-member solve would.
+    """
+    if isinstance(progs, ConicProgram):
+        progs = [progs] * len(overrides)
+    if overrides is None:
+        overrides = [None] * len(progs)
+    compiled, groups = {}, {}
+    for i, (prog, override) in enumerate(zip(progs, overrides)):
+        c = prog._objective(override)
+        key = (id(prog), len(c))
+        if key not in compiled:
+            compiled[key] = prog._constraints(len(c))
+        G, _, dims, A, _ = compiled[key]
+        shape = (G.shape, A.shape, dims.l, tuple(dims.q))
+        groups.setdefault(shape, []).append((i, key, c))
+
+    sols = [None] * len(progs)
+    for members in groups.values():
+        data = [compiled[key] for _, key, _ in members]
+        G, h, dims, A, b = data[0]
+        if len({key for _, key, _ in members}) > 1:
+            G, h, A, b = (np.stack([d[j] for d in data]) for j in (0, 1, 3, 4))
+        res = _ipm.conelp(np.array([c for _, _, c in members]), G, h, dims,
+                          A, b, feastol=feastol, gaptol=gaptol, maxiter=maxiter)
+        for (i, _, _), r in zip(members, res):
+            sols[i] = _solution(progs[i], overrides[i], r)
+    return sols
+
+
+def _solution(prog: ConicProgram, override, res) -> ConicSolution:
+    n = prog.num_vars
     x = res["x"][:n] if res["x"] is not None else None
-    offset = prog.cost_const if objective_override is None else 0.0
+    offset = prog.cost_const if override is None else 0.0
     if res["status"] == OPTIMAL and x is not None:
-        if objective_override is None:
+        if override is None:
             obj = prog.objective_value(x)
         else:
-            obj = float(np.asarray(objective_override) @ x)
+            obj = float(np.asarray(override) @ x)
     else:
         obj = res["pobj"] + offset if res["pobj"] is not None else None
     dobj = res["dobj"] + offset if res["dobj"] is not None else None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conic
-from .network import Network, admittance
+from .network import Network, admittance, tree_edges
 
 
 @dataclass
@@ -174,7 +174,7 @@ class OpfSolution:
     def f(self) -> np.ndarray:
         return self.vm * np.sin(self.theta)
 
-    def angle(self, bus_ids: list[int] | None = None) -> dict[int, float]:
+    def angle(self) -> dict[int, float]:
         return dict(zip(self.bus_ids, self.theta))
 
 
@@ -200,25 +200,12 @@ def recover_angles(net: Network, model: JabrModel, sol: conic.ConicSolution,
     vm = np.array([math.sqrt(max(x[model.cii[b]], 0.0)) for b in ids])
 
     theta = np.full(len(ids), np.nan)
-    theta[pos[_slack_bus(net)]] = 0.0
-    incident: dict[int, list[int]] = {b: [] for b in ids}
-    for k, ln in enumerate(net.lines):
-        incident[ln.from_bus].append(k)
-        incident[ln.to_bus].append(k)
-    stack = [_slack_bus(net)]
-    seen = {_slack_bus(net)}
-    while stack:
-        i = stack.pop()
-        for k in incident[i]:
-            ln = net.lines[k]
-            j = ln.to_bus if ln.from_bus == i else ln.from_bus
-            if j in seen:
-                continue
-            # flow-balance rows imply s = v_f v_t sin(t_to - t_from)
-            delta = math.atan2(x[model.s[k]], x[model.c[k]])
-            theta[pos[j]] = theta[pos[i]] + delta if ln.from_bus == i else theta[pos[i]] - delta
-            seen.add(j)
-            stack.append(j)
+    slack = _slack_bus(net)
+    theta[pos[slack]] = 0.0
+    for i, j, k in tree_edges(net, slack):
+        # flow-balance rows imply s = v_f v_t sin(t_to - t_from)
+        delta = math.atan2(x[model.s[k]], x[model.c[k]])
+        theta[pos[j]] = theta[pos[i]] + delta if net.lines[k].from_bus == i else theta[pos[i]] - delta
 
     pg = x[model.pg].copy()
     qg = x[model.qg].copy()

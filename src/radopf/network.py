@@ -13,6 +13,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +43,6 @@ class CostFunction:
 
     def value(self, p: float) -> float:
         return self.c2 * p * p + self.c1 * p + self.c0
-
-    def is_nondecreasing_on(self, pmin: float, pmax: float) -> bool:
-        lo = max(pmin, -self.c1 / (2 * self.c2)) if self.c2 > 0 else pmin
-        return self.c2 == 0.0 and self.c1 >= 0 or lo <= pmin or self.value(pmin) <= self.value(pmax)
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ class Network:
     def num_buses(self) -> int:
         return len(self.buses)
 
-    @property
+    @cached_property
     def bus_index(self) -> dict[int, int]:
         return {b.id: k for k, b in enumerate(self.buses)}
 
@@ -147,6 +144,26 @@ class Network:
             raise NetworkError(
                 f"{self.name}: radial network required "
                 f"({len(self.lines)} lines, {self.num_buses} buses)")
+
+
+def tree_edges(net: Network, root: int) -> list[tuple[int, int, int]]:
+    """Depth-first walk of the network from bus `root`: one (parent bus,
+    child bus, line index) triple per bus reached, each after its parent's."""
+    incident: dict[int, list[int]] = {b.id: [] for b in net.buses}
+    for k, ln in enumerate(net.lines):
+        incident[ln.from_bus].append(k)
+        incident[ln.to_bus].append(k)
+    edges, stack, seen = [], [root], {root}
+    while stack:
+        i = stack.pop()
+        for k in incident[i]:
+            ln = net.lines[k]
+            j = ln.to_bus if ln.from_bus == i else ln.from_bus
+            if j not in seen:
+                edges.append((i, j, k))
+                seen.add(j)
+                stack.append(j)
+    return edges
 
 
 def _connected(ids, lines) -> bool:

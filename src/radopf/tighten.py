@@ -159,25 +159,26 @@ def _tighten_loop(net: Network, with_cuts: bool, feastol: float,
     bounds = VarBounds.implied(net)
     cuts: list[Cut] = []
     solves = 0
+    directions = (("c", +1), ("c", -1), ("s", +1), ("s", -1))
     for k in range(len(net.lines)):
-        vals = {}
-        for what, sense in (("c", +1), ("c", -1), ("s", +1), ("s", -1)):
-            model = jabr.build_relaxation(net, **build_kwargs)
-            apply_to_model(model, bounds, cuts)
+        # one model per line, its four directions solved in one batch
+        model = jabr.build_relaxation(net, **build_kwargs)
+        apply_to_model(model, bounds, cuts)
+        overrides = []
+        for what, sense in directions:
+            overrides.append(np.zeros(model.program.num_vars))
             var = model.c[k] if what == "c" else model.s[k]
-            override = np.zeros(model.program.num_vars)
-            override[var] = sense  # +1 minimizes, -1 maximizes
-            sol = conic.solve(model.program, feastol=feastol, gaptol=gaptol,
-                              objective_override=override)
-            solves += 1
+            overrides[-1][var] = sense  # +1 minimizes, -1 maximizes
+        sols = conic.solve_batch(model.program, overrides, feastol=feastol,
+                                 gaptol=gaptol)
+        solves += len(sols)
+        vals = {}
+        for (what, sense), sol in zip(directions, sols):
             if sol.status == conic.INFEASIBLE:
                 raise RelaxationInfeasible(
                     f"relaxation infeasible while bounding line {k}",
                     certificate=sol.certificate)
-            if not sol.optimal:
-                vals[(what, sense)] = None
-                continue
-            vals[(what, sense)] = sense * sol.objective
+            vals[(what, sense)] = sense * sol.objective if sol.optimal else None
         if vals[("c", 1)] is not None:
             bounds.c_lo[k] = max(bounds.c_lo[k], vals[("c", 1)] - _PAD)
         if vals[("c", -1)] is not None:

@@ -302,12 +302,6 @@ def _flag_upper_bounds(cls: TwoBusClassification, inst: TwoBusInstance, diff: fl
         cls.notes.append("upper generation bounds bind; closed form not valid")
 
 
-def socp_value_closed_form(inst: TwoBusInstance) -> float | None:
-    """Relaxation optimum via the projected geometry (None if infeasible)."""
-    out = classify(inst)
-    return out.socp_value
-
-
 # ----------------------------------------------------------------- enumeration
 
 @dataclass

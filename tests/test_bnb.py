@@ -320,3 +320,49 @@ def test_matches_closed_form_on_random_two_bus():
                                                   abs=1e-6), inst
             seen[cls.verdict] += 1
     assert all(v > 0 for v in seen.values()), seen
+
+
+@pytest.mark.parametrize("gamma,incumbent", [(1.00, math.inf), (1.00, 570.0),
+                                             (1.01, 600.0)])
+def test_range_reduction_matches_per_direction_solves(net2, gamma,
+                                                      incumbent):
+    """The batched sweep gives the box of a reference loop that solves
+    every direction on its own."""
+    scaled = network.scale_load(net2, gamma)
+    box = bnb.NodeBox.root(scaled, tighten.compute_bounds(scaled))
+    model = bnb.node_relaxation(scaled, box)
+    sol = conic.solve(model.program)
+    point = model.point(sol.x)
+    slacks = bnb._coupling_slacks(scaled, point)
+    got = bnb.range_reduction(scaled, box, (), incumbent, point, slacks)
+
+    ref_model = bnb.node_relaxation(scaled, box)
+    if math.isfinite(incumbent):
+        jabr.add_cost_cap(ref_model, incumbent + 1e-6 * (1 + abs(incumbent)))
+    worst = int(np.argmax(slacks))
+    ln = scaled.lines[worst]
+    pos = scaled.bus_index
+    targets = [("cii", pos[ln.from_bus]), ("cii", pos[ln.to_bus]),
+               ("c", worst), ("s", worst)]
+    targets.sort(key=lambda t: box.interval(*t)[0] - box.interval(*t)[1])
+    want = box.copy()
+    for kind, idx in targets[:2]:
+        lo, hi = box.interval(kind, idx)
+        var = (ref_model.cii[scaled.buses[idx].id] if kind == "cii"
+               else (ref_model.c if kind == "c" else ref_model.s)[idx])
+        for sense in (+1, -1):
+            override = np.zeros(ref_model.program.num_vars)
+            override[var] = sense
+            one = conic.solve(ref_model.program, objective_override=override)
+            assert one.optimal
+            val = sense * one.objective
+            pad = 1e-9 * (1 + abs(val))
+            lo, hi = (max(lo, val - pad), hi) if sense > 0 else \
+                (lo, min(hi, val + pad))
+        want.set_interval(kind, idx, lo, hi)
+    assert got is not None
+    for kind in ("cii", "c", "s"):
+        for end in ("_lo", "_hi"):
+            np.testing.assert_allclose(getattr(got, kind + end),
+                                       getattr(want, kind + end),
+                                       rtol=1e-7, atol=1e-7)

@@ -235,8 +235,8 @@ def test_reduced_kkt_matches_full_system(seed):
     dims = _ipm.make_dims(l, q)
     scal = _ipm._Scaling(s, z, dims)
     assert scal.finite
-    kkt = _ipm._KKT(np.vstack((A, scal.apply_inv(G))), n, p)
-    u = kkt.solve(np.r_[rhs[:n + p], scal.apply_inv(rhs[n + p:])])
+    kkt = _ipm._KKT(np.vstack((A, scal.apply_inv(G)))[None], n, p)
+    u = kkt.solve(np.r_[rhs[:n + p], scal.apply_inv(rhs[n + p:])][None])[0]
     got = np.r_[u[:n + p], scal.apply_inv(u[n + p:])]
     assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
@@ -311,3 +311,91 @@ def test_stacked_step_length_matches_per_block(case):
         assert np.isinf(got)
     else:
         assert got == pytest.approx(want, rel=1e-9)
+
+
+# ------------------------------------------------------------ batched solves
+
+def _cone_program(rng, box_hi=2.0):
+    """Six variables in [-1, box_hi], two equalities through a known point
+    and one rotated cone: the shape of `test_weak_duality_and_feasibility`."""
+    n = 6
+    p = conic.ConicProgram()
+    for i in range(n):
+        p.add_var(f"x{i}", -1.0, box_hi, cost=rng.normal())
+    A = rng.normal(size=(2, n))
+    x0 = rng.uniform(0.0, 1.0, n)
+    for k in range(2):
+        p.add_eq(np.arange(n), A[k], float(A[k] @ x0))
+    p.add_rotated_cone((np.array([0]), np.array([1.0]), 2.0),
+                       (np.array([1]), np.array([1.0]), 2.0),
+                       [(np.array([2, 3]), np.array([1.0, -1.0]), 0.0)])
+    return p
+
+
+def _assert_same_as_alone(batch, alone):
+    assert batch.status == alone.status
+    assert abs(batch.iterations - alone.iterations) <= 1
+    if alone.objective is not None:
+        assert batch.objective == pytest.approx(alone.objective, rel=1e-7,
+                                                abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_directions_match_one_member_solves(seed):
+    """Every min/max direction of one program, solved in one batch, ends
+    as its own one-member solve does, although the members stop at
+    different iterations."""
+    rng = np.random.default_rng(200 + seed)
+    p = _cone_program(rng)
+    overrides = [None]
+    for i in range(p.num_vars):
+        for sense in (+1.0, -1.0):
+            o = np.zeros(p.num_vars)
+            o[i] = sense
+            overrides.append(o)
+    sols = conic.solve_batch(p, overrides)
+    assert len({s.iterations for s in sols}) > 1
+    for o, sol in zip(overrides, sols):
+        _assert_same_as_alone(sol, conic.solve(p, objective_override=o))
+
+
+def test_batch_of_programs_with_an_infeasible_member():
+    """Different programs of equal shape share one call; the infeasible one
+    carries a Farkas certificate checked from the compiled data, and the
+    others are untouched by it."""
+    rng = np.random.default_rng(11)
+    progs = [_cone_program(np.random.default_rng(3)),
+             _cone_program(np.random.default_rng(4)),
+             _cone_program(rng)]
+    # x4 <= -2 against its own lower bound -1: same rows, empty set
+    progs[1].add_ineq([4], [1.0], -2.0)
+    for q in (progs[0], progs[2]):
+        q.add_ineq([4], [1.0], 5.0)
+    sols = conic.solve_batch(progs)
+    assert [s.status for s in sols] == [conic.OPTIMAL, conic.INFEASIBLE,
+                                        conic.OPTIMAL]
+    for prog, sol in zip(progs, sols):
+        _assert_same_as_alone(sol, conic.solve(prog))
+    cert = sols[1].certificate
+    assert cert is not None and cert["kind"] == "primal"
+    c, G, h, dims, A, b, _ = progs[1]._compile()
+    y, z = cert["y"], cert["z"]
+    assert np.linalg.norm(A.T @ y + G.T @ z) <= 1e-7
+    assert b @ y + h @ z < 0
+    assert np.all(z[:dims.l] >= 0)
+    off = dims.l
+    for k in dims.q:
+        assert z[off] >= np.linalg.norm(z[off + 1:off + k])
+        off += k
+
+
+def test_batch_groups_programs_by_shape():
+    """Programs whose compiled shapes differ go to separate calls and come
+    back in input order."""
+    rng = np.random.default_rng(5)
+    small, _, _, _ = _random_lp(rng, n=4, m=2)
+    cone = _cone_program(rng)
+    sols = conic.solve_batch([cone, small, cone])
+    for prog, sol in zip([cone, small, cone], sols):
+        _assert_same_as_alone(sol, conic.solve(prog))
+    assert sols[0].objective == sols[2].objective

@@ -199,3 +199,51 @@ def test_cuts_csv():
     _, cuts = tighten.run_algorithm1(net)
     text = tighten.cuts_csv(cuts)
     assert text.splitlines()[0] == "line,a_c,a_s,rhs,case,x1,y1,x2,y2"
+
+
+def _reference_algorithm1(net):
+    """Algorithm 1 with every direction solved on its own."""
+    bounds = VarBounds.implied(net)
+    cuts = []
+    for k in range(len(net.lines)):
+        vals = {}
+        for what, sense in (("c", 1), ("c", -1), ("s", 1), ("s", -1)):
+            model = jabr.build_relaxation(net)
+            tighten.apply_to_model(model, bounds, cuts)
+            override = np.zeros(model.program.num_vars)
+            override[(model.c if what == "c" else model.s)[k]] = sense
+            sol = conic.solve(model.program, objective_override=override)
+            vals[what, sense] = sense * sol.objective if sol.optimal else None
+        pad = tighten._PAD
+        if vals["c", 1] is not None:
+            bounds.c_lo[k] = max(bounds.c_lo[k], vals["c", 1] - pad)
+        if vals["c", -1] is not None:
+            bounds.c_hi[k] = min(bounds.c_hi[k], vals["c", -1] + pad)
+        if vals["s", 1] is not None:
+            bounds.s_lo[k] = max(bounds.s_lo[k], vals["s", 1] - pad)
+        if vals["s", -1] is not None:
+            bounds.s_hi[k] = min(bounds.s_hi[k], vals["s", -1] + pad)
+        cut = generate_cut(*bounds.box(k), ring_for(net, k).r_lo, line=k)
+        if cut is not None:
+            cuts.append(cut)
+    return bounds, cuts
+
+
+@pytest.mark.parametrize("name,gamma", [("case2_two_gen", 1.00),
+                                        ("case3_one_gen", 1.00),
+                                        ("case3_one_gen", 1.03)])
+def test_algorithm1_matches_per_direction_solves(name, gamma):
+    """Batched per-line solves give the boxes and cuts of the loop that
+    solves each direction on its own."""
+    net = network.scale_load(cases.load_case(name), gamma,
+                             scale_p=name != "case3_one_gen")
+    got_b, got_c = tighten.run_algorithm1(net)
+    want_b, want_c = _reference_algorithm1(net)
+    for field in ("c_lo", "c_hi", "s_lo", "s_hi"):
+        np.testing.assert_allclose(getattr(got_b, field),
+                                   getattr(want_b, field), rtol=1e-7,
+                                   atol=1e-7)
+    assert [c.line for c in got_c] == [c.line for c in want_c]
+    for a, b in zip(got_c, want_c):
+        assert (a.a_c, a.a_s, a.rhs) == pytest.approx((b.a_c, b.a_s, b.rhs),
+                                                      rel=1e-7, abs=1e-7)
