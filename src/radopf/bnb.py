@@ -160,10 +160,7 @@ def node_relaxation(net: Network, box: NodeBox, cuts=(),
     prog = model.program
     for k, bus in enumerate(net.buses):
         prog.set_bounds(model.cii[bus.id], box.cii_lo[k], box.cii_hi[k])
-    for k in range(len(net.lines)):
-        prog.set_bounds(model.c[k], box.c_lo[k], box.c_hi[k])
-        prog.set_bounds(model.s[k], box.s_lo[k], box.s_hi[k])
-    tighten.apply_to_model(model, None, cuts)
+    tighten.apply_to_model(model, box, cuts)
     pos = net.bus_index
     for k, ln in enumerate(net.lines):
         i, j = pos[ln.from_bus], pos[ln.to_bus]
@@ -307,7 +304,7 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
     pd = np.array([b.pd for b in net.buses])
     qd = np.array([b.qd for b in net.buses])
     pmin, pmax, qmin, qmax = _bus_gen_limits(net)
-    slack = sorted({g.bus for g in net.generators})[0] if net.generators else ids[0]
+    slack = jabr._slack_bus(net)
     islack = pos[slack]
 
     cii = point["cii"]
@@ -416,17 +413,19 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
 
 # -------------------------------------------------------------- range reduction
 
-def range_reduction(net: Network, box: NodeBox, cuts, incumbent: float,
-                    point: dict, slacks: np.ndarray, *, max_vars: int = 2,
-                    feastol: float = 1e-8, gaptol: float = 1e-8,
-                    **build_kwargs) -> NodeBox | None:
-    """Optimization-based shrink of the most promising intervals, optionally
-    under the incumbent cost cutoff; returns None when the box empties.
+def range_reduction(model: jabr.JabrModel, box: NodeBox, incumbent: float,
+                    slacks: np.ndarray, *, max_vars: int = 2,
+                    feastol: float = 1e-8,
+                    gaptol: float = 1e-8) -> NodeBox | None:
+    """Optimization-based shrink of the most promising intervals of `box`
+    over its node model `model`, optionally under the incumbent cost cutoff;
+    returns None when the box empties.
 
-    All min/max directions share one relaxation model (plus the cutoff row),
-    compiled once and solved in one batch; the box is updated after the
-    sweep, not between solves, which keeps the sweep order-independent.
+    The model gains the cutoff row.  All min/max directions are solved in
+    one batch by `tighten.min_max`; the box is updated after the sweep, not
+    between solves, which keeps the sweep order-independent.
     """
+    net = model.net
     if not len(net.lines):
         return box
     worst = int(np.argmax(slacks))
@@ -435,39 +434,28 @@ def range_reduction(net: Network, box: NodeBox, cuts, incumbent: float,
     targets = [("cii", pos[ln.from_bus]), ("cii", pos[ln.to_bus]),
                ("c", worst), ("s", worst)]
     targets.sort(key=lambda t: box.interval(*t)[0] - box.interval(*t)[1])
-    model = node_relaxation(net, box, cuts, **build_kwargs)
     if math.isfinite(incumbent):
         jabr.add_cost_cap(model, incumbent + 1e-6 * (1 + abs(incumbent)))
-    nv = model.program.num_vars
-    wide, overrides = [], []
+    wide, variables = [], []
     for kind, idx in targets[:max_vars]:
         lo, hi = box.interval(kind, idx)
         if hi - lo <= _WIDTH_TOL:
             continue
-        if kind == "cii":
-            var = model.cii[net.buses[idx].id]
-        else:
-            var = (model.c if kind == "c" else model.s)[idx]
         wide.append((kind, idx))
-        for sense in (+1, -1):     # +1 minimizes, -1 maximizes
-            overrides.append(np.zeros(nv))
-            overrides[-1][var] = sense
-    sols = conic.solve_batch(model.program, overrides, feastol=feastol,
-                             gaptol=gaptol)
-    if any(sol.status == conic.INFEASIBLE for sol in sols):
+        variables.append(model.cii[net.buses[idx].id] if kind == "cii"
+                         else (model.c if kind == "c" else model.s)[idx])
+    try:
+        pairs = tighten.min_max(model, variables, feastol=feastol,
+                                gaptol=gaptol)
+    except tighten.RelaxationInfeasible:
         return None
     out = box.copy()
-    for t, (kind, idx) in enumerate(wide):
+    for (kind, idx), (vmin, vmax) in zip(wide, pairs):
         lo, hi = box.interval(kind, idx)
-        for sense, sol in zip((+1, -1), sols[2 * t:2 * t + 2]):
-            if not sol.optimal:
-                continue
-            val = sense * sol.objective
-            pad = 1e-9 * (1 + abs(val))
-            if sense > 0:
-                lo = max(lo, val - pad)
-            else:
-                hi = min(hi, val + pad)
+        if vmin is not None:
+            lo = max(lo, vmin - 1e-9 * (1 + abs(vmin)))
+        if vmax is not None:
+            hi = min(hi, vmax + 1e-9 * (1 + abs(vmax)))
         if lo > hi:
             return None
         out.set_interval(kind, idx, lo, hi)
@@ -507,11 +495,10 @@ def _rel_gap(lb: float, ub: float) -> float:
 def solve_global(net: Network, *, gap_tol: float = 1e-4,
                  time_limit: float | None = None, node_limit: int | None = None,
                  use_cuts: bool = True, use_bounds: bool = True,
-                 workers: int = 1, obbt_depth: int | None = None,
+                 workers: int = 1,
                  fixed_voltage: dict[int, float] | None = None,
                  angle_bound_deg: float | None = None,
-                 feastol: float = 1e-8, gaptol: float = 1e-8,
-                 verbose: bool = False) -> BnbResult:
+                 feastol: float = 1e-8, gaptol: float = 1e-8) -> BnbResult:
     """Best-first spatial branch-and-bound to certified relative gap.
 
     `workers` is a batch size, not a thread count: that many best-first
@@ -609,15 +596,12 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             if lb_parent >= ub_val() - gap_tol * max(abs(ub_val()), 1e-9):
                 heapq.heappush(heap, (lb_parent, counter, box, depth))
                 counter += 1
-                heap_done = True
                 break
             box = prop.run(box)
             if box is None:
                 nodes += 1  # emptied by interval propagation
                 continue
             batch.append((lb_parent, box, depth))
-        else:
-            heap_done = False
         if not batch:
             break
         models = [node_relaxation(net, box, cuts, **build_kwargs)
@@ -677,14 +661,11 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
 
             # cutoff-based range reduction pays for itself at every depth
             # on these instance sizes
-            if obbt_depth is None or depth <= obbt_depth:
-                reduced = range_reduction(net, box, cuts, ub_val(), point,
-                                          slacks, feastol=feastol,
-                                          gaptol=gaptol, **build_kwargs)
-                if reduced is None:
-                    trace.append((nodes, node_lb, ub_val()))
-                    continue
-                box = reduced
+            box = range_reduction(model, box, ub_val(), slacks,
+                                  feastol=feastol, gaptol=gaptol)
+            if box is None:
+                trace.append((nodes, node_lb, ub_val()))
+                continue
 
             kids, _ = branch(net, box, point, slacks)
             if not kids:
@@ -699,8 +680,6 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         if incumbent is not None and _rel_gap(global_lb(), ub_val()) <= gap_tol:
             return done(GLOBAL_OPTIMAL, global_lb(), incumbent, nodes,
                         root_lb, trace, len(cuts))
-        if heap_done:
-            break
 
     lb = global_lb()
     if incumbent is not None:

@@ -117,7 +117,8 @@ class Network:
         for ln in self.lines:
             if ln.from_bus not in known or ln.to_bus not in known:
                 raise NetworkError(f"line ({ln.from_bus},{ln.to_bus}) off the bus set")
-        if not _connected(ids, self.lines):
+        # connected iff a spanning forest has one line fewer than buses
+        if len(_forest(ids, self.lines)) != len(ids) - 1:
             raise NetworkError("network is not connected")
 
     # ------------------------------------------------------------- structure
@@ -166,7 +167,9 @@ def tree_edges(net: Network, root: int) -> list[tuple[int, int, int]]:
     return edges
 
 
-def _connected(ids, lines) -> bool:
+def _forest(ids, lines) -> list[int]:
+    """Positions of the lines that join two components when `lines` are
+    added in order (union-find with path halving): a spanning forest."""
     parent = {i: i for i in ids}
 
     def find(i):
@@ -175,9 +178,13 @@ def _connected(ids, lines) -> bool:
             i = parent[i]
         return i
 
-    for ln in lines:
-        parent[find(ln.from_bus)] = find(ln.to_bus)
-    return len({find(i) for i in ids}) == 1
+    keep = []
+    for k, ln in enumerate(lines):
+        ri, rj = find(ln.from_bus), find(ln.to_bus)
+        if ri != rj:
+            parent[ri] = rj
+            keep.append(k)
+    return keep
 
 
 # ---------------------------------------------------------------------- parse
@@ -345,22 +352,9 @@ def spanning_tree(net: Network, seed: int = 0) -> Network:
     fixed seed (random edge order + union-find)."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(net.lines))
-    parent = {b.id: b.id for b in net.buses}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    keep = []
-    for k in order:
-        ln = net.lines[k]
-        ri, rj = find(ln.from_bus), find(ln.to_bus)
-        if ri != rj:
-            parent[ri] = rj
-            keep.append(int(k))
-    keep.sort()  # preserve input file order among surviving lines
+    picked = _forest([b.id for b in net.buses], [net.lines[k] for k in order])
+    # preserve input file order among surviving lines
+    keep = sorted(int(order[k]) for k in picked)
     tree = replace(net, lines=tuple(net.lines[k] for k in keep))
     tree.require_radial()
     return tree

@@ -130,16 +130,10 @@ def generate_cut(c_lo: float, c_hi: float, s_lo: float, s_hi: float,
                case=case, p1=(x1, y1), p2=(x2, y2))
 
 
-@dataclass
-class TightenResult:
-    bounds: VarBounds
-    cuts: list[Cut]
-    solves: int = 0
-
-
-def apply_to_model(model: jabr.JabrModel, bounds: VarBounds | None = None,
-                   cuts=()):
-    """Install boxes and cuts into a freshly built lifted model."""
+def apply_to_model(model: jabr.JabrModel, bounds=None, cuts=()):
+    """Install per-line (c, s) boxes and cuts into a freshly built lifted
+    model; `bounds` is anything with `c_lo`/`c_hi`/`s_lo`/`s_hi` arrays
+    (a `VarBounds` or a branch-and-bound node box)."""
     prog = model.program
     if bounds is not None:
         for k in range(len(model.net.lines)):
@@ -150,48 +144,57 @@ def apply_to_model(model: jabr.JabrModel, bounds: VarBounds | None = None,
                       [-cut.a_c, -cut.a_s], -cut.rhs)
 
 
+def min_max(model: jabr.JabrModel, variables, *, feastol: float = 1e-8,
+            gaptol: float = 1e-8) -> list[tuple[float | None, float | None]]:
+    """Minimum and maximum of each variable over the model's relaxation.
+
+    The program is compiled once and every direction (minimize, then
+    maximize, per variable in order) is solved in one batch.  Returns one
+    (min, max) pair per variable, None where a direction did not end
+    optimal.  Raises RelaxationInfeasible when the relaxation is empty.
+    """
+    prog = model.program
+    # +1 minimizes, -1 maximizes
+    directions = [(var, sense) for var in variables for sense in (+1, -1)]
+    overrides = []
+    for var, sense in directions:
+        overrides.append(np.zeros(prog.num_vars))
+        overrides[-1][var] = sense
+    sols = conic.solve_batch(prog, overrides, feastol=feastol, gaptol=gaptol)
+    vals = []
+    for (var, sense), sol in zip(directions, sols):
+        if sol.status == conic.INFEASIBLE:
+            raise RelaxationInfeasible(
+                f"relaxation infeasible while bounding {prog.names[var]}",
+                certificate=sol.certificate)
+        vals.append(sense * sol.objective if sol.optimal else None)
+    return list(zip(vals[::2], vals[1::2]))
+
+
 # bound solves are exact only to solver tolerance; pad outward before use
 _PAD = 1e-7
 
 
 def _tighten_loop(net: Network, with_cuts: bool, feastol: float,
-                  gaptol: float, **build_kwargs) -> TightenResult:
+                  gaptol: float, **build_kwargs) -> tuple[VarBounds, list[Cut]]:
     bounds = VarBounds.implied(net)
     cuts: list[Cut] = []
-    solves = 0
-    directions = (("c", +1), ("c", -1), ("s", +1), ("s", -1))
     for k in range(len(net.lines)):
-        # one model per line, its four directions solved in one batch
         model = jabr.build_relaxation(net, **build_kwargs)
         apply_to_model(model, bounds, cuts)
-        overrides = []
-        for what, sense in directions:
-            overrides.append(np.zeros(model.program.num_vars))
-            var = model.c[k] if what == "c" else model.s[k]
-            overrides[-1][var] = sense  # +1 minimizes, -1 maximizes
-        sols = conic.solve_batch(model.program, overrides, feastol=feastol,
-                                 gaptol=gaptol)
-        solves += len(sols)
-        vals = {}
-        for (what, sense), sol in zip(directions, sols):
-            if sol.status == conic.INFEASIBLE:
-                raise RelaxationInfeasible(
-                    f"relaxation infeasible while bounding line {k}",
-                    certificate=sol.certificate)
-            vals[(what, sense)] = sense * sol.objective if sol.optimal else None
-        if vals[("c", 1)] is not None:
-            bounds.c_lo[k] = max(bounds.c_lo[k], vals[("c", 1)] - _PAD)
-        if vals[("c", -1)] is not None:
-            bounds.c_hi[k] = min(bounds.c_hi[k], vals[("c", -1)] + _PAD)
-        if vals[("s", 1)] is not None:
-            bounds.s_lo[k] = max(bounds.s_lo[k], vals[("s", 1)] - _PAD)
-        if vals[("s", -1)] is not None:
-            bounds.s_hi[k] = min(bounds.s_hi[k], vals[("s", -1)] + _PAD)
+        pairs = min_max(model, [model.c[k], model.s[k]], feastol=feastol,
+                        gaptol=gaptol)
+        for lo, hi, (vmin, vmax) in zip((bounds.c_lo, bounds.s_lo),
+                                        (bounds.c_hi, bounds.s_hi), pairs):
+            if vmin is not None:
+                lo[k] = max(lo[k], vmin - _PAD)
+            if vmax is not None:
+                hi[k] = min(hi[k], vmax + _PAD)
         if with_cuts:
             cut = generate_cut(*bounds.box(k), ring_for(net, k).r_lo, line=k)
             if cut is not None:
                 cuts.append(cut)
-    return TightenResult(bounds=bounds, cuts=cuts, solves=solves)
+    return bounds, cuts
 
 
 def compute_bounds(net: Network, *, feastol: float = 1e-8, gaptol: float = 1e-8,
@@ -199,7 +202,7 @@ def compute_bounds(net: Network, *, feastol: float = 1e-8, gaptol: float = 1e-8,
     """Tightened per-line boxes from four relaxation solves per line, boxes
     accumulating in input-file line order."""
     net.require_radial()
-    return _tighten_loop(net, False, feastol, gaptol, **build_kwargs).bounds
+    return _tighten_loop(net, False, feastol, gaptol, **build_kwargs)[0]
 
 
 def run_algorithm1(net: Network, *, feastol: float = 1e-8, gaptol: float = 1e-8,
@@ -207,8 +210,7 @@ def run_algorithm1(net: Network, *, feastol: float = 1e-8, gaptol: float = 1e-8,
     """Full sequential pass: per line, tighten the box, then add the secant
     cut (when the box pokes inside the inner circle) before moving on."""
     net.require_radial()
-    out = _tighten_loop(net, True, feastol, gaptol, **build_kwargs)
-    return out.bounds, out.cuts
+    return _tighten_loop(net, True, feastol, gaptol, **build_kwargs)
 
 
 def cuts_csv(cuts: list[Cut]) -> str:

@@ -184,7 +184,7 @@ def test_range_reduction_shrinks_and_keeps_optimum(net2):
     sol = conic.solve(model.program)
     point = model.point(sol.x)
     slacks = bnb._coupling_slacks(scaled, point)
-    red = bnb.range_reduction(scaled, box, cuts, 564.9, point, slacks, max_vars=4)
+    red = bnb.range_reduction(model, box, 564.9, slacks, max_vars=4)
     assert red is not None
     assert red.max_width() <= box.max_width()
     # the verified optimum (cost 564.84, s = v1*v2*sin(-0.003452)) stays inside
@@ -198,7 +198,7 @@ def test_range_reduction_infeasible_cutoff_prunes(net2):
     sol = conic.solve(model.program)
     point = model.point(sol.x)
     slacks = bnb._coupling_slacks(scaled, point)
-    red = bnb.range_reduction(scaled, box, (), 100.0, point, slacks)
+    red = bnb.range_reduction(model, box, 100.0, slacks)
     assert red is None  # cutoff below the relaxation value empties the node
 
 
@@ -282,6 +282,15 @@ def test_workers_same_answer(net3):
     assert a.objective == pytest.approx(b.objective, rel=2e-3)
 
 
+def test_batched_search_does_not_stop_at_a_fathomed_pop(net2):
+    """A batch popped up to a fathomable node still pushes children below
+    the cutoff; the search must go on to pop them."""
+    scaled = network.scale_load(net2, 1.00)
+    res = bnb.solve_global(scaled, gap_tol=2e-3, workers=5)
+    assert res.status == bnb.GLOBAL_OPTIMAL
+    assert res.gap <= 2e-3
+
+
 def test_time_limit_status(net2):
     scaled = network.scale_load(net2, 1.00)
     res = bnb.solve_global(scaled, gap_tol=1e-9, time_limit=0.5)
@@ -334,7 +343,7 @@ def test_range_reduction_matches_per_direction_solves(net2, gamma,
     sol = conic.solve(model.program)
     point = model.point(sol.x)
     slacks = bnb._coupling_slacks(scaled, point)
-    got = bnb.range_reduction(scaled, box, (), incumbent, point, slacks)
+    got = bnb.range_reduction(model, box, incumbent, slacks)
 
     ref_model = bnb.node_relaxation(scaled, box)
     if math.isfinite(incumbent):
