@@ -7,7 +7,7 @@ positive gap (the reason cuts and bound tightening exist).
 """
 
 from radopf import bnb, cases, jabr, network
-from radopf.cli import raise_reactive_floor
+from radopf.generate import raise_reactive_floor
 
 print("1. exact root: case2_two_gen at gamma = 0.90")
 scaled = network.scale_load(cases.load_case("case2_two_gen"), 0.90)

@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for batches of cone programs.
+"""Primal-dual interior-point solver for batches of cone programs.
 
 Solves the standard conic form
 
@@ -19,20 +19,26 @@ a member that ends leaves the batch, so the numpy dispatch of an iteration
 is paid once for all members still running.
 
 Each iteration eliminates the ``z`` block of the Newton system through the NT
-scaling ``W``: with ``Gt = W^{-1} G`` only the dense ``(n+p)``-square matrix
-``[[Gt'Gt, A'], [A, 0]]`` of each member is LU-factored, and every solve is
-refined against the full system in the scaled coordinates ``W z``.
-Second-order cones of equal size are stacked, so the scaling and the cone
-algebra are whole-array operations over (member, block) with no loop over
-cones.
+scaling ``W``: with ``Gt = W^{-1} G`` only the ``(n+p)``-square matrix
+``[[Gt'Gt, A'], [A, 0]]`` of each member is factored, and every solve is
+refined against the full system in the scaled coordinates ``W z``.  Small
+programs keep that matrix dense and LU-factor it through LAPACK (`_Dense`);
+from `_SPARSE_FROM` reduced rows on, ``[A; G]``, ``Gt`` and the matrix are
+kept in compressed sparse form on a fixed pattern and factored by SuperLU
+(`_Sparse`).  Second-order cones of equal size are stacked, so the scaling
+and the cone algebra are whole-array operations over (member, block) with no
+loop over cones.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.sparse.linalg import splu
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -334,6 +340,283 @@ class _KKT:
         return u[:, 0] if vector else u
 
 
+# Reduced order n + p from which `_Sparse` replaces `_Dense`.  Measured on
+# the feeder relaxations (2-core x86_64, one BLAS thread), ms per IPM
+# iteration dense against sparse: feeder33 (n + p = 166) 1.49 / 1.75, a
+# 39-bus feeder (196) 2.57 / 2.76, a 42-bus feeder (211) 2.43 / 2.06,
+# feeder69 (346) 5.76 / 2.14, feeder120 (601) 21.6 / 3.48; the factor alone
+# at 601 takes 7.7 ms by dgetrf and 0.9 ms by splu.  Below the crossover
+# the sparse path's fixed costs per iteration (pattern gathers, matrix
+# wrappers, SuperLU's ordering) outweigh the dense work.
+_SPARSE_FROM = 200
+
+
+class _Dense:
+    """`[A; G]` and the reduced matrices of the members as dense arrays.
+
+    `BG1` is ``[A; 0; G]``, which multiplies ``[y; tau; z]`` in the
+    residuals (a view when shared); `Ghr` holds ``[G, h, r_z]``, scaled by
+    W^{-1} in one pass into `B` under A; the reduced matrices `K` keep their
+    A blocks, and each factorization rewrites only the Gt'Gt block.
+    """
+
+    def __init__(self, A, G, h, dims, count):
+        (_, p, n), m = A.shape, dims.m
+        self.n, self.p = n, p
+        BG1 = np.concatenate((A, np.zeros((len(A), 1, n)), G), axis=1)
+        if len(BG1) < count:
+            BG1 = np.broadcast_to(BG1, (count,) + BG1.shape[1:])
+        self.BG1 = BG1
+        self.Ghr = np.empty((count, m, n + 2))
+        self.Ghr[:, :, :n] = G
+        self.Ghr[:, :, n] = h
+        self.B = np.zeros((count, p + m, n + 2))
+        self.B[:, :p, :n] = A
+        self.B[:, p:, :n] = G
+        self.K = np.zeros((count, n + p, n + p))
+        self.K[:, :n, n:] = self.B[:, :p, :n].transpose(0, 2, 1)
+        self.K[:, n:, :n] = self.B[:, :p, :n]
+
+    def __getitem__(self, rows):
+        """The members in `rows`."""
+        out = copy.copy(self)
+        for key in ("BG1", "Ghr", "B", "K"):
+            setattr(out, key, getattr(self, key)[rows])
+        return out
+
+    def products(self, x, yz):
+        """``[A x; 0; G x]`` and ``A'y + G'z`` of each member."""
+        return np.matvec(self.BG1, x), np.vecmat(yz, self.BG1)
+
+    def factor(self, scal=None, rz=None):
+        """Factors of the reduced matrices for the scaling `scal`, and
+        ``W^{-1} [h, r_z]`` of each member, (members, m, 2); without a
+        scaling W = I and no scaled columns."""
+        n, p = self.n, self.p
+        if scal is None:
+            return _KKT(self.B[:, :, :n], n, p, self.K), None
+        self.Ghr[:, :, n + 1] = rz
+        scal.apply_inv(self.Ghr, out=self.B[:, p:])
+        return _KKT(self.B[:, :, :n], n, p, self.K), self.B[:, p:, n:]
+
+
+def _runs(lengths):
+    """Runs of the given lengths laid end to end: the run of each position,
+    its offset in the run, and the start of each run."""
+    starts = np.cumsum(lengths) - lengths
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - starts[run], starts
+
+
+def _csr(ptr, ind, shape):
+    """A CSR matrix of the pattern (ptr, ind) and its transpose, in CSC
+    form on the same arrays; the data is set per use by `_on`."""
+    data = np.zeros(len(ind))
+    return (sparse.csr_matrix((data, ind, ptr), shape=shape),
+            sparse.csc_matrix((data, ind, ptr), shape=shape[::-1]))
+
+
+def _on(mats, data):
+    """The matrices `mats` of one pattern with their data replaced by
+    `data`, sharing the pattern arrays."""
+    out = tuple(copy.copy(M) for M in mats)
+    for M in out:
+        M.data = data
+    return out
+
+
+class _Sparse:
+    """`[A; G]`, `Gt` and the reduced matrices of the members in compressed
+    sparse form, on one pattern fixed for the call and shared by the members
+    (the union of their nonzeros).
+
+    The pattern of Gt = W^{-1} G closes G's row pattern over each cone
+    block, where W^{-1} is dense; on the orthant it is G's own.  `BG` holds
+    per member (one row when shared) the data of ``[A; G]`` on that pattern,
+    A's `na` entries first.  An entry of Gt sums the products of W^{-1}
+    entries (`iw`, into the data `_winv` lays out) with G entries (`ig`), in
+    segments that start at `terms`; an entry of the Gt'Gt block sums the
+    products of two Gt entries of one row (`pa`, `pb`), in segments that
+    start at `pairs`, and lands at `kpos` in the CSC data of the reduced
+    matrices.  `Kd` holds that data per member with the A blocks in place,
+    and `diag` locates its diagonal.  `B`, `Gt` and `K` are the pattern
+    templates of ``[A; Gt]`` and ``Gt``, each with its transpose, and of the
+    reduced matrices (a 1-tuple); `mats` holds ``[A; 0; G]`` and its
+    transpose of each member on its data.
+    """
+
+    def __init__(self, A, G, h, dims, count):
+        (_, p, n), m = A.shape, dims.m
+        k = n + p
+        self.n, self.p, self.h = n, p, h
+        nz = np.any(G != 0, axis=0)
+        for where, (nb, bk) in dims.groups:
+            nz[where] = nz[where].reshape(nb, bk, n).any(axis=1).repeat(bk, 0)
+        row, col = np.nonzero(nz)
+        width = np.count_nonzero(nz, axis=1)
+        gptr = np.concatenate(([0], np.cumsum(width)))
+        arow, acol = np.nonzero(np.any(A != 0, axis=0))
+        self.na = na = len(acol)
+        aptr = np.searchsorted(arow, np.arange(p + 1))
+        bcol = np.concatenate((acol, col))
+        self.BG = np.concatenate((A[:, arow, acol], G[:, row, col]), axis=1)
+        bg1 = _csr(np.concatenate((aptr, na + gptr)), bcol, (p + 1 + m, n))
+        self.mats = [_on(bg1, d) for d in self.BG]
+        self.B = _csr(np.concatenate((aptr[:-1], na + gptr)), bcol, (p + m, n))
+        self.Gt = _csr(gptr, col, (m, n))
+
+        # each row's block: its first row, its size, and where its row of
+        # W^{-1} starts in the data of `_winv`
+        first, size, wrow = np.arange(m), np.ones(m, dtype=int), np.arange(m)
+        off = dims.l
+        for where, (nb, bk) in dims.groups:
+            rows = np.arange(m)[where].reshape(nb, bk)
+            first[rows] = rows[:, :1]
+            size[rows] = bk
+            wrow[rows] = off + bk * np.arange(nb * bk).reshape(nb, bk)
+            off += nb * bk * bk
+        e, j, self.terms = _runs(size[row])
+        self.iw = wrow[row[e]] + j
+        self.ig = na + gptr[first[row[e]] + j] + e - gptr[row[e]]
+
+        # CSC keys (column * k + row) of Gt'Gt, the diagonal, A and A'
+        a, b, _ = _runs(width[row])
+        b += gptr[row[a]]
+        pkey = col[b] * k + col[a]
+        akeys = (acol * k + n + arow, (n + arow) * k + acol)
+        keys = np.unique(np.concatenate((pkey, np.arange(k) * (k + 1))
+                                        + akeys))
+        self.K = (sparse.csc_matrix(
+            (np.zeros(len(keys)), keys % k,
+             np.searchsorted(keys, np.arange(k + 1) * k)), shape=(k, k)),)
+        self.diag = np.searchsorted(keys, np.arange(k) * (k + 1))
+        dest = np.searchsorted(keys, pkey)
+        order = np.argsort(dest, kind="stable")
+        self.pa, self.pb = a[order], b[order]
+        self.kpos, self.pairs = np.unique(dest[order], return_index=True)
+        self.Kd = np.zeros((count, len(keys)))
+        for key in akeys:
+            self.Kd[:, np.searchsorted(keys, key)] = self.BG[:, :na]
+
+    def __getitem__(self, rows):
+        """The members in `rows`, a boolean mask."""
+        out = copy.copy(self)
+        out.h, out.Kd = self.h[rows], self.Kd[rows]
+        if len(self.BG) > 1:
+            out.BG = self.BG[rows]
+            out.mats = [mat for mat, keep in zip(self.mats, rows) if keep]
+        return out
+
+    def products(self, x, yz):
+        """``[A x; 0; G x]`` and ``A'y + G'z`` of each member."""
+        if len(self.mats) == 1:
+            M, MT = self.mats[0]
+            return (M @ x.T).T, (MT @ yz.T).T
+        return (np.array([M @ v for (M, _), v in zip(self.mats, x)]),
+                np.array([MT @ v for (_, MT), v in zip(self.mats, yz)]))
+
+    @staticmethod
+    def _winv(scal):
+        """The data of W^{-1} per member: the orthant diagonal, then the
+        stacked blocks of each size group, row-major."""
+        return np.concatenate(
+            [scal.ww[:, 0]] + [W[:, 0].reshape(len(W), -1) for W in scal.WW],
+            axis=1)
+
+    def factor(self, scal=None, rz=None):
+        """Factors of the reduced matrices for the scaling `scal`, and
+        ``W^{-1} [h, r_z]`` of each member, (members, m, 2); without a
+        scaling W = I and no scaled columns."""
+        na = self.na
+        bd = np.empty((len(self.Kd), self.BG.shape[1]))
+        bd[:, :na] = self.BG[:, :na]
+        gt = bd[:, na:]
+        if scal is None:
+            gt[:] = self.BG[:, na:]
+            hrs = None
+        else:
+            gt[:] = np.add.reduceat(self._winv(scal)[:, self.iw]
+                                    * self.BG[:, self.ig], self.terms, axis=1)
+            hrs = scal.apply_inv(np.stack((self.h, rz), axis=-1))
+        self.Kd[:, self.kpos] = np.add.reduceat(
+            gt[:, self.pa] * gt[:, self.pb], self.pairs, axis=1)
+        return _SparseKKT(self, bd), hrs
+
+
+def _splu(K):
+    """SuperLU factors of K, or None when SuperLU finds it singular or its
+    factors are not finite."""
+    try:
+        lu = splu(K)
+    except RuntimeError:
+        return None
+    return lu if np.isfinite(lu.U.data).all() else None
+
+
+class _SparseKKT:
+    """SuperLU factors of the reduced matrices of `_Sparse`, one per member,
+    for the data `bd` of ``[A; Gt]``; the interface of `_KKT`: `ok` marks
+    the members whose factorization succeeded, and `solve` takes and returns
+    the same vectors, refined by the same two steps (NaN for a member
+    without factors)."""
+
+    def __init__(self, lin, bd):
+        self.n, self.k = lin.n, lin.n + lin.p
+        self.B = [_on(lin.B, d) for d in bd]
+        self.Gt = [_on(lin.Gt, d[lin.na:]) for d in bd]
+        self.factors = []
+        self.ok = np.ones(len(bd), dtype=bool)
+        for i, data in enumerate(lin.Kd):
+            lu = None
+            if np.isfinite(data).all():
+                lu = _splu(*_on(lin.K, data))
+                if lu is None:
+                    lu = self._regularized(lin, data)
+            self.ok[i] = lu is not None
+            self.factors.append(lu)
+
+    def _regularized(self, lin, data):
+        """Factor K + delta*scale*diag(I, -I) up the regularization ladder."""
+        shift = np.full(self.k, -(1.0 + np.abs(data).max()))
+        shift[:self.n] *= -1.0
+        for delta in _REG_LADDER:
+            reg = data.copy()
+            reg[lin.diag] += delta * shift
+            lu = _splu(*_on(lin.K, reg))
+            if lu is not None:
+                return lu
+        return None
+
+    def solve(self, r):
+        """Solve for right-hand sides (members, rows), or (members, count,
+        rows) with several per member."""
+        vector = r.ndim == 2
+        if vector:
+            r = r[:, None]
+        n, k = self.n, self.k
+        out = np.empty_like(r)
+        for i, (lu, (B, BT), (Gt, GtT)) in enumerate(
+                zip(self.factors, self.B, self.Gt)):
+            if lu is None:
+                out[i] = np.nan
+                continue
+
+            def reduced(v):
+                red = v[:k].copy()
+                red[:n] += GtT @ v[k:]
+                x = lu.solve(red)
+                return np.concatenate((x, Gt @ x[:n] - v[k:]))
+
+            ri = r[i].T
+            u = reduced(ri)
+            for _ in range(2):
+                res = ri - np.concatenate((BT @ u[n:], B @ u[:n]))
+                res[k:] += u[k:]
+                u += reduced(res)
+            out[i] = u.T
+        return out[:, 0] if vector else out
+
+
 def conelp(c, G, h, dims, A=None, b=None,
            feastol=1e-8, gaptol=1e-8, maxiter=200):
     """Solve a batch of conic LPs; returns one result dict per member, each
@@ -411,11 +694,6 @@ def _conelp_core(c, G, h, dims, A, b, feastol, gaptol, maxiter):
     # the complementary pair, tau and kappa counting as orthant entries
     z0, s0 = k + 1, k + m + 2
     dims1 = make_dims(dims.l + 1, dims.q)
-    # [A; 0; G], which multiplies [y; tau; z], of each member (a view when
-    # shared)
-    BG1 = np.concatenate((A, np.zeros((len(A), 1, n)), G), axis=1)
-    if len(BG1) < count:
-        BG1 = np.broadcast_to(BG1, (count,) + BG1.shape[1:])
     h = _rows(h, count)
     b = _rows(np.zeros(0) if b is None else b, count)
     # [c; b; 0; h], aligned with [x; y; tau; z]
@@ -423,23 +701,11 @@ def _conelp_core(c, G, h, dims, A, b, feastol, gaptol, maxiter):
     e = _unit(dims)
     out = [None] * count
     it = 0
-
-    # [G, h, r_z], scaled by W^{-1} in one pass each iteration into B, under
-    # A; the reduced matrices K keep their A blocks, and each factorization
-    # rewrites only the Gt'Gt block
-    Ghr = np.empty((count, m, n + 2))
-    Ghr[:, :, :n] = G
-    Ghr[:, :, n] = h
-    B = np.zeros((count, p + m, n + 2))
-    B[:, :p, :n] = A
-    B[:, p:, :n] = G
-    K = np.zeros((count, k, k))
-    K[:, :n, n:] = B[:, :p, :n].transpose(0, 2, 1)
-    K[:, n:, :n] = B[:, :p, :n]
+    lin = (_Sparse if k >= _SPARSE_FROM else _Dense)(A, G, h, dims, count)
 
     # --- initial point: least-squares primal/dual shifted into the cone,
     # from the Newton matrix with W = I
-    kkt0 = _KKT(B[:, :, :n], n, p, K)
+    kkt0, _ = lin.factor()
     X = np.ones((count, s0 + m))
     sol0 = kkt0.solve(np.concatenate((np.zeros((count, n)), b, h), axis=1))
     X[:, :n] = sol0[:, :n]
@@ -453,7 +719,7 @@ def _conelp_core(c, G, h, dims, A, b, feastol, gaptol, maxiter):
     X[:, z0:z0 + m] = np.where(me > 0, z_hat, z_hat + (1.0 - me) * e)
     norms = 1.0 + np.sqrt(np.array([np.vecdot(v, v) for v in (b, h, c)]).T)
     act = _Members(
-        ids=np.arange(count), X=X, cbh=cbh, BG1=BG1, Ghr=Ghr, B=B, K=K,
+        ids=np.arange(count), X=X, cbh=cbh, lin=lin,
         # [c; -b; 0; -h]: [A'y + G'z; A x; 0; G x] + cbh_ tau is the
         # residual with r_x negated
         cbh_=np.concatenate((c, -cbh[:, n:]), axis=1),
@@ -483,13 +749,13 @@ def _conelp_core(c, G, h, dims, A, b, feastol, gaptol, maxiter):
             out[i] = _result(FAILED, it, **fields)
 
     for it in range(1, maxiter + 1):
-        X, cbh, BG1 = act.X, act.cbh, act.BG1
+        X, cbh = act.X, act.cbh
         x, yz, s = X[:, :n], X[:, n:s0 - 1], X[:, s0:]
         tau, kappa, T = X[:, k], X[:, s0 - 1], X[:, k:z0]
         ZS = X[:, k:].reshape(-1, 2, m + 1)
         # residuals of the self-dual embedding, r_x negated:
         # [A'y + G'z + c tau; A x - b tau; 0; G x + s - h tau], and r_tau
-        BGx, BGyz = np.matvec(BG1, x), np.vecmat(yz, BG1)
+        BGx, BGyz = act.lin.products(x, yz)
         hr = np.concatenate((BGyz, BGx), axis=1)
         hr += act.cbh_ * T
         hr[:, z0:] += s
@@ -566,9 +832,7 @@ def _conelp_core(c, G, h, dims, A, b, feastol, gaptol, maxiter):
             scal = _Scaling(ZS[:, 1, 1:], ZS[:, 0, 1:], dims)
             done = ~scal.finite
             if not np.count_nonzero(done):
-                act.Ghr[:, :, n + 1] = resid[0][:, z0:]
-                scal.apply_inv(act.Ghr, out=act.B[:, p:])
-                kkt = _KKT(act.B[:, :, :n], n, p, act.K)
+                kkt, hrs = act.lin.factor(scal, resid[0][:, z0:])
                 done = ~kkt.ok
                 if not np.count_nonzero(done):
                     break
@@ -580,8 +844,8 @@ def _conelp_core(c, G, h, dims, A, b, feastol, gaptol, maxiter):
 
         # Newton systems in the scaled coordinates W dz and W^{-1} ds; the
         # tau row reads c'dx + b'dy + h'dz, with h scaled like dz
-        q = np.concatenate((cbh[:, :k], act.B[:, p:, n]), axis=1)
-        base = -np.concatenate((hr[:, :k], act.B[:, p:, n + 1]), axis=1)
+        q = np.concatenate((cbh[:, :k], hrs[..., 0]), axis=1)
+        base = -np.concatenate((hr[:, :k], hrs[..., 1]), axis=1)
 
         def direction(f, g, bk, u):
             """Step [dx; dy; dtau; dz; dkappa; ds] for residuals scaled by f

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.optimize as sopt
 
 from . import conic, jabr, tighten
-from .network import Network, tree_edges
+from .network import Network, bus_gen_limits, tree_edges
 
 GLOBAL_OPTIMAL = "global-optimal"
 INFEASIBLE = "infeasible"
@@ -242,21 +242,6 @@ def branch(net: Network, box: NodeBox, point: dict,
 
 # --------------------------------------------------------------- local polish
 
-def _bus_gen_limits(net: Network):
-    pmin = np.zeros(net.num_buses)
-    pmax = np.zeros(net.num_buses)
-    qmin = np.zeros(net.num_buses)
-    qmax = np.zeros(net.num_buses)
-    for k, bus in enumerate(net.buses):
-        for g in net.generators_at(bus.id):
-            gen = net.generators[g]
-            pmin[k] += gen.pmin
-            pmax[k] += gen.pmax
-            qmin[k] += gen.qmin
-            qmax[k] += gen.qmax
-    return pmin, pmax, qmin, qmax
-
-
 def _allocate(net: Network, p_bus: np.ndarray, q_bus: np.ndarray):
     """Split required bus generation across its units, pro rata by range."""
     pg = np.zeros(len(net.generators))
@@ -303,7 +288,7 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
             vmax[k] = math.sqrt(c_pin) + 5e-10
     pd = np.array([b.pd for b in net.buses])
     qd = np.array([b.qd for b in net.buses])
-    pmin, pmax, qmin, qmax = _bus_gen_limits(net)
+    pmin, pmax, qmin, qmax = bus_gen_limits(net)
     slack = jabr._slack_bus(net)
     islack = pos[slack]
 

@@ -39,6 +39,15 @@ def _as_term(term):
             np.atleast_1d(np.asarray(coef, dtype=float)), const)
 
 
+def _entries(terms):
+    """(rows, cols, vals) of the entries of (row, idx, coef) terms."""
+    if not terms:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+    rows, idx, coef = zip(*terms)
+    return (np.array(rows).repeat([len(i) for i in idx]),
+            np.concatenate(idx), np.concatenate(coef))
+
+
 @dataclass
 class _Row:
     idx: np.ndarray
@@ -187,73 +196,63 @@ class ConicProgram:
 
     def _constraints(self, ncols):
         """(G, h, dims, A, b) of the standard form over `ncols` columns; one
-        column past the variables is the quadratic epigraph."""
+        column past the variables is the quadratic epigraph.  Every matrix is
+        filled by index scatter from zeros."""
         n = self.num_vars
-        lift = ncols > n
+        lb, ub = np.array(self.lb), np.array(self.ub)
+        free = lb != ub
+        fixed = np.flatnonzero(~free & np.isfinite(lb))
+        # variable bounds: per variable its upper row, then its lower one
+        bvar, lower = np.nonzero(np.stack(
+            (free & np.isfinite(ub), free & np.isfinite(lb)), axis=1))
+        bound_h = np.where(lower, -lb[bvar], ub[bvar])
 
-        A_rows, b_vals = [], []
-        G_rows, h_vals = [], []
+        def scatter(M, linear, cols, vals):
+            """Write the rows `linear` into M, then one row per (col, val)
+            pair."""
+            r, i, v = _entries([(k, row.idx, row.coef)
+                                for k, row in enumerate(linear)])
+            M[r, i] = v
+            M[np.arange(len(linear), len(linear) + len(cols)), cols] = vals
 
-        def row_of(idx, coef):
-            r = np.zeros(ncols)
-            r[idx] = coef
-            return r
+        A = np.zeros((len(self.eqs) + len(fixed), ncols))
+        scatter(A, self.eqs, fixed, np.ones(len(fixed)))
+        b = np.concatenate(([r.rhs for r in self.eqs], lb[fixed]))
+        l = len(self.ineqs) + len(bvar)
+        h_lin = np.concatenate(([r.rhs for r in self.ineqs], bound_h))
 
-        for row in self.eqs:
-            A_rows.append(row_of(row.idx, row.coef))
-            b_vals.append(row.rhs)
-        for i in range(n):
-            if self.lb[i] == self.ub[i] and np.isfinite(self.lb[i]):
-                A_rows.append(row_of([i], [1.0]))
-                b_vals.append(self.lb[i])
-        for row in self.ineqs:
-            G_rows.append(row_of(row.idx, row.coef))
-            h_vals.append(row.rhs)
-        for i in range(n):
-            if self.lb[i] == self.ub[i]:
-                continue
-            if np.isfinite(self.ub[i]):
-                G_rows.append(row_of([i], [1.0]))
-                h_vals.append(self.ub[i])
-            if np.isfinite(self.lb[i]):
-                G_rows.append(row_of([i], [-1.0]))
-                h_vals.append(-self.lb[i])
-        l = len(G_rows)
-
-        q_sizes = []
         cones = list(self.cones)
-        if lift:
+        if ncols > n:
             roots = [(np.array([i]), np.array([np.sqrt(qi)]), 0.0)
                      for i, qi in enumerate(self.qcost) if qi > 0]
             cones.append(_Cone((np.array([n]), np.array([1.0]), 0.0),
                                (np.empty(0, dtype=int), np.empty(0), 1.0),
                                roots))
-        for cone in cones:
-            iu, cu, du = cone.u
-            iw, cw, dw = cone.w
-            # (u+w)/2 >= |((u-w)/2, z...)| is the SOC form of |z|^2 <= u*w
-            top = np.zeros(ncols)
-            top[iu] += 0.5 * cu
-            top[iw] += 0.5 * cw
-            mid = np.zeros(ncols)
-            mid[iu] += 0.5 * cu
-            mid[iw] -= 0.5 * cw
-            G_rows.append(-top)
-            h_vals.append(0.5 * (du + dw))
-            G_rows.append(-mid)
-            h_vals.append(0.5 * (du - dw))
-            # rows enter as s = h - Gx, so cone entries are negated
-            for iz, cz, dz in cone.zs:
-                r = np.zeros(ncols)
-                r[iz] = cz
-                G_rows.append(-r)
-                h_vals.append(dz)
-            q_sizes.append(2 + len(cone.zs))
-
-        A = np.array(A_rows).reshape(-1, ncols) if A_rows else np.zeros((0, ncols))
-        G = np.array(G_rows).reshape(-1, ncols) if G_rows else np.zeros((0, ncols))
-        return (G, np.array(h_vals, dtype=float), _ipm.make_dims(l, q_sizes),
-                A, np.array(b_vals, dtype=float))
+        # (u+w)/2 >= |((u-w)/2, z...)| is the SOC form of |z|^2 <= u*w; per
+        # cone its rows are top, mid and one per z term, built positive in C
+        # and negated as a block, since rows enter as s = h - Gx
+        q_sizes = [2 + len(cone.zs) for cone in cones]
+        heads = np.cumsum(q_sizes) - q_sizes
+        u, w, z, h_cone = [], [], [], []
+        for head, cone in zip(heads, cones):
+            (iu, cu, du), (iw, cw, dw) = cone.u, cone.w
+            u.append((head, iu, 0.5 * cu))
+            w.append((head, iw, 0.5 * cw))
+            z += [(head + t, iz, cz) for t, (iz, cz, _) in enumerate(cone.zs, 2)]
+            h_cone += [0.5 * (du + dw), 0.5 * (du - dw)]
+            h_cone += [dz for _, _, dz in cone.zs]
+        (ru, iu, cu), (rw, iw, cw), (rz, iz, cz) = map(_entries, (u, w, z))
+        G = np.zeros((l + sum(q_sizes), ncols))
+        scatter(G, self.ineqs, bvar, 1.0 - 2.0 * lower)
+        C = G[l:]
+        C[ru, iu] += cu
+        C[rw, iw] += cw
+        C[ru + 1, iu] += cu
+        C[rw + 1, iw] -= cw
+        C[rz, iz] = cz
+        np.negative(C, out=C)
+        return (G, np.concatenate((h_lin, h_cone)), _ipm.make_dims(l, q_sizes),
+                A, b)
 
 
 @dataclass

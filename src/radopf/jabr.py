@@ -97,13 +97,9 @@ def build_relaxation(net: Network, *, fixed_voltage: dict[int, float] | None = N
     for bi, bus in enumerate(net.buses):
         p_idx, p_coef = [cii[bus.id]], [-G[bi, bi]]
         q_idx, q_coef = [cii[bus.id]], [B[bi, bi]]
-        for k, ln in enumerate(net.lines):
-            if bus.id == ln.from_bus:
-                sign = 1.0
-            elif bus.id == ln.to_bus:
-                sign = -1.0
-            else:
-                continue
+        for k in net.incident_lines[bus.id]:
+            ln = net.lines[k]
+            sign = 1.0 if bus.id == ln.from_bus else -1.0
             p_idx += [c[k], s[k]]
             p_coef += [-ln.g, sign * ln.b]
             q_idx += [c[k], s[k]]

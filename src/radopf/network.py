@@ -133,8 +133,24 @@ class Network:
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.bus_index[bus_id]]
 
+    @cached_property
+    def _generators_by_bus(self) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for k, g in enumerate(self.generators):
+            out.setdefault(g.bus, []).append(k)
+        return out
+
     def generators_at(self, bus_id: int) -> list[int]:
-        return [k for k, g in enumerate(self.generators) if g.bus == bus_id]
+        return list(self._generators_by_bus.get(bus_id, ()))
+
+    @cached_property
+    def incident_lines(self) -> dict[int, list[int]]:
+        """Bus id -> indices of the lines at that bus, in line order."""
+        incident: dict[int, list[int]] = {b.id: [] for b in self.buses}
+        for k, ln in enumerate(self.lines):
+            incident[ln.from_bus].append(k)
+            incident[ln.to_bus].append(k)
+        return incident
 
     @property
     def is_radial(self) -> bool:
@@ -150,10 +166,7 @@ class Network:
 def tree_edges(net: Network, root: int) -> list[tuple[int, int, int]]:
     """Depth-first walk of the network from bus `root`: one (parent bus,
     child bus, line index) triple per bus reached, each after its parent's."""
-    incident: dict[int, list[int]] = {b.id: [] for b in net.buses}
-    for k, ln in enumerate(net.lines):
-        incident[ln.from_bus].append(k)
-        incident[ln.to_bus].append(k)
+    incident = net.incident_lines
     edges, stack, seen = [], [root], {root}
     while stack:
         i = stack.pop()
@@ -345,6 +358,15 @@ def admittance(net: Network) -> tuple[np.ndarray, np.ndarray]:
         G[k, k] = bus.gsh - (G[k].sum() - G[k, k])
         B[k, k] = bus.bsh - (B[k].sum() - B[k, k])
     return G, B
+
+
+def bus_gen_limits(net: Network) -> tuple[np.ndarray, ...]:
+    """(pmin, pmax, qmin, qmax) summed over the generators at each bus, in
+    bus order."""
+    out = np.zeros((4, net.num_buses))
+    for g in net.generators:
+        out[:, net.bus_index[g.bus]] += (g.pmin, g.pmax, g.qmin, g.qmax)
+    return tuple(out)
 
 
 def spanning_tree(net: Network, seed: int = 0) -> Network:

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from radopf import bnb, cases, jabr, network, tighten, twobus
-from radopf.cli import raise_reactive_floor
+from radopf.generate import raise_reactive_floor
 
 warnings.filterwarnings("ignore")
 

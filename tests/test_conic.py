@@ -175,6 +175,112 @@ def test_random_feasible_lp_never_infeasible(seed):
     assert sol.objective <= c @ x0 + 1e-7 * (1 + abs(c @ x0))
 
 
+# ------------------------------------------------------------ compile
+
+def _constraints_by_rows(prog, ncols):
+    """(G, h, dims, A, b) built one dense row at a time: the reference for
+    the scatter in `ConicProgram._constraints`."""
+    n = prog.num_vars
+    A_rows, b_vals, G_rows, h_vals = [], [], [], []
+
+    def row_of(idx, coef):
+        r = np.zeros(ncols)
+        r[idx] = coef
+        return r
+
+    for row in prog.eqs:
+        A_rows.append(row_of(row.idx, row.coef))
+        b_vals.append(row.rhs)
+    for i in range(n):
+        if prog.lb[i] == prog.ub[i] and np.isfinite(prog.lb[i]):
+            A_rows.append(row_of([i], [1.0]))
+            b_vals.append(prog.lb[i])
+    for row in prog.ineqs:
+        G_rows.append(row_of(row.idx, row.coef))
+        h_vals.append(row.rhs)
+    for i in range(n):
+        if prog.lb[i] == prog.ub[i]:
+            continue
+        if np.isfinite(prog.ub[i]):
+            G_rows.append(row_of([i], [1.0]))
+            h_vals.append(prog.ub[i])
+        if np.isfinite(prog.lb[i]):
+            G_rows.append(row_of([i], [-1.0]))
+            h_vals.append(-prog.lb[i])
+    l = len(G_rows)
+    q_sizes = []
+    cones = list(prog.cones)
+    if ncols > n:
+        roots = [(np.array([i]), np.array([np.sqrt(qi)]), 0.0)
+                 for i, qi in enumerate(prog.qcost) if qi > 0]
+        cones.append(conic._Cone((np.array([n]), np.array([1.0]), 0.0),
+                                 (np.empty(0, dtype=int), np.empty(0), 1.0),
+                                 roots))
+    for cone in cones:
+        iu, cu, du = cone.u
+        iw, cw, dw = cone.w
+        top = np.zeros(ncols)
+        top[iu] += 0.5 * cu
+        top[iw] += 0.5 * cw
+        mid = np.zeros(ncols)
+        mid[iu] += 0.5 * cu
+        mid[iw] -= 0.5 * cw
+        G_rows += [-top, -mid]
+        h_vals += [0.5 * (du + dw), 0.5 * (du - dw)]
+        for iz, cz, dz in cone.zs:
+            G_rows.append(-row_of(iz, cz))
+            h_vals.append(dz)
+        q_sizes.append(2 + len(cone.zs))
+    A = np.array(A_rows).reshape(-1, ncols) if A_rows else np.zeros((0, ncols))
+    G = np.array(G_rows).reshape(-1, ncols) if G_rows else np.zeros((0, ncols))
+    return (G, np.array(h_vals, dtype=float), _ipm.make_dims(l, q_sizes), A,
+            np.array(b_vals, dtype=float))
+
+
+def _compile_case(name):
+    from radopf import bnb, cases, jabr, network
+    if name == "hand-built":
+        p = conic.ConicProgram()
+        p.add_var("a", -1.0, 2.0, cost=1.0, qcost=0.5)
+        p.add_var("fixed", 0.25, 0.25)
+        p.add_var("free", cost=-1.0)
+        p.add_var("lower", 0.0, qcost=2.0)
+        p.add_var("upper", ub=3.0)
+        p.add_eq([0, 2], [1.0, 1.0], 1.0)
+        p.add_ineq([2, 3, 4], [1.0, -2.0, 0.5], 4.0)
+        p.add_rotated_cone(0, (np.array([3]), np.array([2.0]), 1.0),
+                           [2, (np.array([1, 4]), np.array([1.0, -1.0]), 0.5)])
+        return p
+    if name == "2-bus node with cost cap":
+        net = network.scale_load(cases.load_case("case2_two_gen"), 1.0)
+        model = bnb.node_relaxation(net, bnb.NodeBox.root(net))
+        jabr.add_cost_cap(model, 600.0)
+        return model.program
+    tree9 = network.spanning_tree(cases.load_case("case9", drop_charging=True))
+    if name == "case9 tree":
+        return jabr.build_relaxation(tree9).program
+    # quadratic costs: the cap adds its own epigraph cone
+    model = bnb.node_relaxation(tree9, bnb.NodeBox.root(tree9))
+    jabr.add_cost_cap(model, 6000.0)
+    return model.program
+
+
+@pytest.mark.parametrize("name", ["case9 tree", "2-bus node with cost cap",
+                                  "case9 node with cost cap", "hand-built"])
+def test_compile_matches_row_by_row(name):
+    """The scattered standard form is bit-identical to a row-by-row build,
+    for the program's own objective (a quadratic epigraph column in all but
+    the 2-bus node) and for an override."""
+    prog = _compile_case(name)
+    for ncols in {len(prog._objective()), prog.num_vars}:
+        got = prog._constraints(ncols)
+        want = _constraints_by_rows(prog, ncols)
+        for g, w in zip(got[:2] + got[3:], want[:2] + want[3:]):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        assert (got[2].l, got[2].q) == (want[2].l, want[2].q)
+
+
 # ------------------------------------------------------------ kernel checks
 
 def _interior_point(rng, l, q):
@@ -205,23 +311,17 @@ def _nt_w2(s, z, l, q):
     return W2
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_reduced_kkt_matches_full_system(seed):
-    """The reduced solve of [[0 A' G'], [A 0 0], [G 0 -W^2]] agrees with a
-    dense solve of the full matrix, W^2 built independently from (s, z)."""
-    rng = np.random.default_rng(seed)
-    l = int(rng.integers(1, 6))
-    q = [int(k) for k in rng.integers(2, 6, size=rng.integers(1, 5))]
-    m = l + sum(q)
-    n = int(rng.integers(2, m))
-    p = int(rng.integers(0, n))
-    A, G = rng.normal(size=(p, n)), rng.normal(size=(m, n))
+def _check_reduced_solves(rng, A, G, l, q, spread):
+    """Both reduced solves of [[0 A' G'], [A 0 0], [G 0 -W^2]], dense and
+    sparse, agree with a dense solve of the full matrix, W^2 built
+    independently from (s, z).  s and z are pulled apart on the orthant by
+    up to `spread`, as late in a solve, so that the reduced matrix is
+    ill-conditioned and the refinement steps matter."""
+    (p, n), m = A.shape, G.shape[0]
     s, z = _interior_point(rng, l, q), _interior_point(rng, l, q)
-    # pull s and z apart on the orthant, as late in a solve, so that the
-    # reduced matrix is ill-conditioned and the refinement steps matter
-    spread = 10.0 ** rng.uniform(-4, 4, l)
-    s[:l] *= spread
-    z[:l] /= spread
+    ratio = spread ** rng.uniform(-1, 1, l)
+    s[:l] *= ratio
+    z[:l] /= ratio
     W2 = _nt_w2(s, z, l, q)
     assert W2 @ z == pytest.approx(s, rel=1e-10, abs=1e-10)  # W^2 z = s
 
@@ -233,12 +333,55 @@ def test_reduced_kkt_matches_full_system(seed):
     ref = np.linalg.solve(M, rhs)
 
     dims = _ipm.make_dims(l, q)
-    scal = _ipm._Scaling(s, z, dims)
-    assert scal.finite
-    kkt = _ipm._KKT(np.vstack((A, scal.apply_inv(G)))[None], n, p)
-    u = kkt.solve(np.r_[rhs[:n + p], scal.apply_inv(rhs[n + p:])][None])[0]
-    got = np.r_[u[:n + p], scal.apply_inv(u[n + p:])]
-    assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+    scal = _ipm._Scaling(s[None], z[None], dims)
+    assert scal.finite.all()
+    for impl in (_ipm._Dense, _ipm._Sparse):
+        lin = impl(A[None], G[None], np.zeros((1, m)), dims, 1)
+        kkt, _ = lin.factor(scal, np.zeros((1, m)))
+        assert kkt.ok.all()
+        u = kkt.solve(np.r_[rhs[:n + p],
+                            scal.apply_inv(rhs[None, n + p:])[0]][None])[0]
+        got = np.r_[u[:n + p], scal.apply_inv(u[None, n + p:])[0]]
+        assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref), impl
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduced_kkt_matches_full_system(seed):
+    rng = np.random.default_rng(seed)
+    l = int(rng.integers(1, 6))
+    q = [int(k) for k in rng.integers(2, 6, size=rng.integers(1, 5))]
+    m = l + sum(q)
+    n = int(rng.integers(2, m))
+    p = int(rng.integers(0, n))
+    A, G = rng.normal(size=(p, n)), rng.normal(size=(m, n))
+    _check_reduced_solves(rng, A, G, l, q, 1e4)
+
+
+def test_reduced_kkt_matches_full_system_block_sparse():
+    """A program shaped like a radial relaxation, above the size at which
+    `conelp` takes the sparse path: a bound row per variable, two-entry
+    rows, cone blocks over a few columns each, and sparse equalities."""
+    rng = np.random.default_rng(42)
+    n, p = 170, 50
+    assert n + p >= _ipm._SPARSE_FROM
+    rows = [np.eye(n), -np.eye(n)]
+    for _ in range(30):
+        r = np.zeros(n)
+        r[rng.choice(n, 2, replace=False)] = rng.normal(size=2)
+        rows.append(r[None])
+    q = [int(k) for k in rng.integers(3, 6, size=40)]
+    for k in q:
+        block = np.zeros((k, n))
+        cols = rng.choice(n, 4, replace=False)
+        block[:, cols] = rng.normal(size=(k, 4))
+        block[rng.integers(k), :] = 0.0      # a row outside the pattern
+        rows.append(block)
+    G = np.concatenate(rows)
+    l = len(G) - sum(q)
+    A = np.zeros((p, n))
+    for i in range(p):
+        A[i, rng.choice(n, 3, replace=False)] = rng.normal(size=3)
+    _check_reduced_solves(rng, A, G, l, q, 1e4)
 
 
 def _max_step_reference(v, dv, l, q):
@@ -399,3 +542,66 @@ def test_batch_groups_programs_by_shape():
     for prog, sol in zip([cone, small, cone], sols):
         _assert_same_as_alone(sol, conic.solve(prog))
     assert sols[0].objective == sols[2].objective
+
+
+# ------------------------------------------------------- large sparse programs
+
+def _chain_program(nbus, r=0.002, load=0.01, extra_ineq=10.0):
+    """Jabr relaxation of a feasible radial chain with one generator at its
+    head, large enough for `conelp` to take the sparse path; the last
+    argument bounds pg0 from above (below 0 it empties the program)."""
+    from radopf import jabr, network
+    buses = tuple(network.Bus(i, pd=0.0 if i == 1 else load,
+                              qd=0.0 if i == 1 else load / 2)
+                  for i in range(1, nbus + 1))
+    gen = network.Generator(1, pmin=0.0, pmax=5.0, qmin=-5.0, qmax=5.0,
+                            cost=network.CostFunction(c2=10.0, c1=100.0))
+    lines = tuple(network.Line(i, i + 1, r=r * (1 + 0.01 * i), x=2 * r)
+                  for i in range(1, nbus))
+    net = network.Network(buses, (gen,), lines, name=f"chain{nbus}")
+    model = jabr.build_relaxation(net)
+    model.program.add_ineq([model.pg[0]], [1.0], extra_ineq)
+    return model.program
+
+
+def _reduced_order(prog):
+    c, G, h, dims, A, b, _ = prog._compile()
+    return len(c) + len(b)
+
+
+def test_sparse_path_matches_dense_on_a_radial_chain(monkeypatch):
+    prog = _chain_program(50)
+    assert _reduced_order(prog) >= _ipm._SPARSE_FROM
+    sparse = conic.solve(prog)
+    monkeypatch.setattr(_ipm, "_SPARSE_FROM", 10 ** 9)
+    dense = conic.solve(prog)
+    assert sparse.status == dense.status == conic.OPTIMAL
+    assert sparse.objective == pytest.approx(dense.objective, rel=1e-7)
+    assert abs(sparse.iterations - dense.iterations) <= 2
+    assert prog.max_violation(sparse.x) <= 1e-6
+
+
+def test_sparse_batch_with_an_infeasible_member():
+    """Large programs of equal shape, different data, share one sparse
+    call; the infeasible member's Farkas certificate is checked from the
+    compiled data, and the others end as their one-member solves do."""
+    progs = [_chain_program(45, r=0.002), _chain_program(45, r=0.003,
+                                                         extra_ineq=-1.0),
+             _chain_program(45, r=0.0025, load=0.012)]
+    assert _reduced_order(progs[0]) >= _ipm._SPARSE_FROM
+    sols = conic.solve_batch(progs)
+    assert [s.status for s in sols] == [conic.OPTIMAL, conic.INFEASIBLE,
+                                        conic.OPTIMAL]
+    for prog, sol in zip(progs, sols):
+        _assert_same_as_alone(sol, conic.solve(prog))
+    cert = sols[1].certificate
+    assert cert is not None and cert["kind"] == "primal"
+    c, G, h, dims, A, b, _ = progs[1]._compile()
+    y, z = cert["y"], cert["z"]
+    assert np.linalg.norm(A.T @ y + G.T @ z) <= 1e-7
+    assert b @ y + h @ z < 0
+    assert np.all(z[:dims.l] >= 0)
+    off = dims.l
+    for k in dims.q:
+        assert z[off] >= np.linalg.norm(z[off + 1:off + k])
+        off += k
