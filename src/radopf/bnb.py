@@ -241,25 +241,176 @@ def branch(net: Network, box: NodeBox, point: dict,
 
 
 # --------------------------------------------------------------- local polish
+#
+# The polish moves z = (|V| at every bus, angle at every bus but the slack).
+# A bus's required generation is S(V) + S_d with S = V * conj(Y V); its
+# residual is the part of that lying outside the bus generation box.  The
+# helpers take (z, bal) so that scipy can pass `bal` through `args=`.
 
-def _allocate(net: Network, p_bus: np.ndarray, q_bus: np.ndarray):
-    """Split required bus generation across its units, pro rata by range."""
-    pg = np.zeros(len(net.generators))
-    qg = np.zeros(len(net.generators))
-    for k, bus in enumerate(net.buses):
-        gidx = net.generators_at(bus.id)
-        if not gidx:
-            continue
-        for arr, need, lo_attr, hi_attr in ((pg, p_bus[k], "pmin", "pmax"),
-                                            (qg, q_bus[k], "qmin", "qmax")):
-            lo = sum(getattr(net.generators[g], lo_attr) for g in gidx)
-            hi = sum(getattr(net.generators[g], hi_attr) for g in gidx)
-            frac = 0.0 if hi <= lo else min(max((need - lo) / (hi - lo), 0.0), 1.0)
-            for g in gidx:
-                gl = getattr(net.generators[g], lo_attr)
-                gh = getattr(net.generators[g], hi_attr)
-                arr[g] = gl + frac * (gh - gl)
-    return pg, qg
+@dataclass
+class _Balance:
+    """Network data of the clipped polar balance residuals, bus order."""
+    Y: np.ndarray           # complex bus admittance
+    slack: int              # bus id whose angle is fixed at 0
+    free: np.ndarray        # positions of the buses whose angle is in z
+    sd: np.ndarray          # (2, buses) active/reactive demand
+    lo: np.ndarray          # (2, buses) bus generation box
+    hi: np.ndarray
+    gen_bus: np.ndarray     # bus position of each generator
+    gen_lo: np.ndarray      # (2, generators) unit boxes
+    gen_hi: np.ndarray
+    cost: np.ndarray        # (3, generators) c2, c1, c0
+
+
+def _balance(net: Network) -> _Balance:
+    G, B = jabr.admittance(net)
+    pos = net.bus_index
+    slack = jabr._slack_bus(net)
+    pmin, pmax, qmin, qmax = bus_gen_limits(net)
+    gens = net.generators
+    return _Balance(
+        Y=G + 1j * B, slack=slack,
+        free=np.array([k for k in range(net.num_buses) if k != pos[slack]],
+                      dtype=int),
+        sd=np.array([[b.pd for b in net.buses], [b.qd for b in net.buses]]),
+        lo=np.array([pmin, qmin]), hi=np.array([pmax, qmax]),
+        gen_bus=np.array([pos[g.bus] for g in gens], dtype=int),
+        gen_lo=np.array([[g.pmin for g in gens], [g.qmin for g in gens]]),
+        gen_hi=np.array([[g.pmax for g in gens], [g.qmax for g in gens]]),
+        cost=np.array([[g.cost.c2 for g in gens], [g.cost.c1 for g in gens],
+                       [g.cost.c0 for g in gens]]))
+
+
+def _required(z: np.ndarray, bal: _Balance, jac: bool = False):
+    """Required bus generation (2, buses) at z and, with `jac`, its
+    derivative (2, buses, len(z)): the real and imaginary parts of
+    [dS/dVm, dS/dθ[:, free]] (Zimmerman, Murillo-Sánchez, Thomas, IEEE
+    TPWRS 2011).  With M = diag(V)·conj(Y)·diag(conj(V/|V|)),
+    dS/dVm = M + diag(conj(I)·V/|V|) and dS/dθ = j·(diag(S) − M·diag(|V|))."""
+    n = len(bal.free) + 1
+    vm = z[:n]
+    th = np.zeros(n)
+    th[bal.free] = z[n:]
+    vn = np.exp(1j * th)
+    V = vm * vn
+    I = bal.Y @ V
+    S = V * np.conj(I)
+    need = np.array([S.real, S.imag]) + bal.sd
+    if not jac:
+        return need
+    M = V[:, None] * np.conj(bal.Y * vn)
+    dS = np.empty((n, 2 * n - 1), dtype=complex)
+    dS[:, :n] = M
+    dS[:, n:] = -1j * (M[:, bal.free] * vm[bal.free])
+    k = np.arange(n)
+    dS[k, k] += np.conj(I) * vn
+    dS[bal.free, n + k[:-1]] += 1j * S[bal.free]
+    return need, np.array([dS.real, dS.imag])
+
+
+def _residuals(z: np.ndarray, bal: _Balance) -> np.ndarray:
+    need = _required(z, bal)
+    return (need - np.clip(need, bal.lo, bal.hi)).ravel()
+
+
+def _residual_jacobian(z: np.ndarray, bal: _Balance) -> np.ndarray:
+    """Rows of the required-generation derivative, zeroed where the
+    required generation lies inside its box."""
+    need, d_need = _required(z, bal, jac=True)
+    outside = (need < bal.lo) | (need > bal.hi)
+    return (d_need * outside[:, :, None]).reshape(need.size, -1)
+
+
+def _allocate(bal: _Balance, need: np.ndarray) -> np.ndarray:
+    """Split required bus generation (2, buses), clipped to the bus boxes,
+    across its units pro rata by range; returns (pg, qg)."""
+    span = (bal.hi - bal.lo)[:, bal.gen_bus]
+    frac = ((np.clip(need, bal.lo, bal.hi) - bal.lo)[:, bal.gen_bus]
+            / np.where(span > 0, span, 1.0))
+    return bal.gen_lo + frac * (bal.gen_hi - bal.gen_lo)
+
+
+def _gen_cost(bal: _Balance, pg: np.ndarray) -> float:
+    c2, c1, c0 = bal.cost
+    return float(np.sum(c2 * pg * pg + c1 * pg + c0))
+
+
+def _alloc_cost(z: np.ndarray, bal: _Balance) -> float:
+    return _gen_cost(bal, _allocate(bal, _required(z, bal))[0])
+
+
+def _penalized(z: np.ndarray, bal: _Balance, rho: float):
+    """alloc_cost + rho·‖r‖² and its gradient: the cost slope through the
+    pro-rata split (nonzero only where a bus's required active generation
+    lies strictly inside its box) plus 2·rho·Jᵀr.  A residual is zero
+    where its row of J is, so Jᵀr needs no mask."""
+    need, d_need = _required(z, bal, jac=True)
+    r = need - np.clip(need, bal.lo, bal.hi)
+    pg = _allocate(bal, need)[0]
+    p = need[0]
+    inside = ((p > bal.lo[0]) & (p < bal.hi[0]))[bal.gen_bus]
+    share = inside * (bal.gen_hi[0] - bal.gen_lo[0]) / np.where(
+        inside, (bal.hi[0] - bal.lo[0])[bal.gen_bus], 1.0)
+    c2, c1, _ = bal.cost
+    w = 2.0 * rho * r
+    w[0] += np.bincount(bal.gen_bus, (2.0 * c2 * pg + c1) * share, len(p))
+    value = _gen_cost(bal, pg) + rho * float(np.sum(r * r))
+    return value, w.ravel() @ d_need.reshape(w.size, -1)
+
+
+def _z_bounds(net: Network, fixed_voltage: dict[int, float] | None):
+    """Box of z: the voltage limits (a pinned voltage widened by 5e-10 so
+    that the bounded least squares stays well posed) and angles in ±π."""
+    vmin = np.array([b.vmin for b in net.buses])
+    vmax = np.array([b.vmax for b in net.buses])
+    for b_id, c_pin in (fixed_voltage or {}).items():
+        k = net.bus_index[b_id]
+        vmin[k] = math.sqrt(c_pin) - 5e-10
+        vmax[k] = math.sqrt(c_pin) + 5e-10
+    n = net.num_buses
+    return (np.concatenate([vmin, np.full(n - 1, -np.pi)]),
+            np.concatenate([vmax, np.full(n - 1, np.pi)]))
+
+
+def _push(z0, bal: _Balance, bounds, tol: float, max_nfev: int):
+    """Least-squares push of z0 onto the clipped balance equations; the
+    end point if every residual is within 10·tol, else None."""
+    fit = sopt.least_squares(_residuals, z0, jac=_residual_jacobian,
+                             bounds=bounds, args=(bal,), xtol=1e-14,
+                             ftol=1e-14, gtol=1e-14, max_nfev=max_nfev)
+    return fit.x if np.max(np.abs(fit.fun)) <= 10 * tol else None
+
+
+def _verified(net: Network, bal: _Balance, z, tol: float):
+    """The operating point of z with its allocated generation, if it passes
+    the rectangular feasibility check at `tol`."""
+    n = net.num_buses
+    vm, th = z[:n], np.zeros(n)
+    th[bal.free] = z[n:]
+    pg, qg = _allocate(bal, _required(z, bal))
+    check = jabr.evaluate_opf_point(net, vm * np.cos(th), vm * np.sin(th),
+                                    pg, qg)
+    if not check.feasible(tol):
+        return None
+    return jabr.OpfSolution(bus_ids=[b.id for b in net.buses], vm=vm,
+                            theta=th, pg=pg, qg=qg, objective=check.objective)
+
+
+def _settle(net: Network, opf: jabr.OpfSolution, *, tol: float = 1e-6,
+            fixed_voltage: dict[int, float] | None = None) -> jabr.OpfSolution | None:
+    """Push a point recovered from a (nearly) exact relaxation onto the
+    balance equations.  A recovered point meets them only to the coupling
+    slack of its relaxation, and its cost can lie below the optimum by more
+    than that; the settled point is verified like a polished one."""
+    bal = _balance(net)
+    lb, ub = _z_bounds(net, fixed_voltage)
+    z0 = np.clip(np.concatenate([opf.vm, opf.theta[bal.free]]),
+                 lb + 1e-12, ub - 1e-12)
+    try:
+        z = _push(z0, bal, (lb, ub), tol, 200)
+    except ValueError:  # also numpy's LinAlgError
+        return None
+    return None if z is None else _verified(net, bal, z, tol)
 
 
 def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
@@ -270,27 +421,16 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
     Lines are rescaled radially onto the cone surface, angles recovered along
     the tree, then (|V|, angle) are adjusted: first a least-squares push onto
     the balance equations (clamped to the bus generation boxes), optionally a
-    penalized cost descent, and a final cleanup.  Returns a verified feasible
-    point or None.
+    penalized cost descent (L-BFGS-B), and a final cleanup.  Every step is
+    given exact derivatives: the Jacobian of the clipped residuals and the
+    gradient of the penalized cost (see `_penalized`).  With `multistart`
+    the push is retried from eight flat and feeder-tilted voltage profiles
+    when the guided start fails.  Returns a verified feasible point or None.
     """
-    G, B = jabr.admittance(net)
-    Y = G + 1j * B
+    bal = _balance(net)
     n = net.num_buses
     pos = net.bus_index
-    ids = [b.id for b in net.buses]
-    vmin = np.array([b.vmin for b in net.buses])
-    vmax = np.array([b.vmax for b in net.buses])
-    if fixed_voltage:
-        # epsilon-widened so the bounded least-squares stays well posed
-        for b_id, c_pin in fixed_voltage.items():
-            k = pos[b_id]
-            vmin[k] = math.sqrt(c_pin) - 5e-10
-            vmax[k] = math.sqrt(c_pin) + 5e-10
-    pd = np.array([b.pd for b in net.buses])
-    qd = np.array([b.qd for b in net.buses])
-    pmin, pmax, qmin, qmax = bus_gen_limits(net)
-    slack = jabr._slack_bus(net)
-    islack = pos[slack]
+    lb, ub = _z_bounds(net, fixed_voltage)
 
     cii = point["cii"]
     c = np.asarray(point["c"], dtype=float).copy()
@@ -303,36 +443,15 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
             s[k] *= target / nrm
         else:
             c[k], s[k] = target, 0.0
-    vm0 = np.sqrt([max(cii[i], 1e-9) for i in ids])
-    edges = tree_edges(net, slack)
+    vm0 = np.sqrt([max(cii[b.id], 1e-9) for b in net.buses])
+    edges = tree_edges(net, bal.slack)
     th0 = np.zeros(n)
     for i, j, k in edges:
         d = math.atan2(s[k], c[k])
         th0[pos[j]] = th0[pos[i]] + d if net.lines[k].from_bus == i else th0[pos[i]] - d
 
-    free = [k for k in range(n) if k != islack]
-
-    def unpack(z):
-        vm = z[:n]
-        th = np.zeros(n)
-        th[free] = z[n:]
-        return vm, th
-
-    def injections(z):
-        vm, th = unpack(z)
-        V = vm * np.exp(1j * th)
-        S = V * np.conj(Y @ V)
-        return S.real + pd, S.imag + qd  # required bus generation
-
-    def residuals(z):
-        p_need, q_need = injections(z)
-        rp = p_need - np.clip(p_need, pmin, pmax)
-        rq = q_need - np.clip(q_need, qmin, qmax)
-        return np.concatenate([rp, rq])
-
-    lb = np.concatenate([vmin, np.full(n - 1, -np.pi)])
-    ub = np.concatenate([vmax, np.full(n - 1, np.pi)])
-    starts = [np.clip(np.concatenate([vm0, th0[free]]), lb + 1e-12, ub - 1e-12)]
+    vmin, vmax = lb[:n], ub[:n]
+    starts = [np.clip(np.concatenate([vm0, th0[bal.free]]), lb + 1e-12, ub - 1e-12)]
     if multistart:
         # the guided start can stall on a voltage floor; sweep flat and
         # feeder-tilted profiles (voltage declining with depth from slack)
@@ -343,57 +462,33 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
         for f, tilt in ((0.5, 0.0), (0.55, -0.5), (0.35, -0.4), (0.75, -0.35),
                         (0.25, 0.3), (0.9, -0.5), (0.15, 0.0), (0.85, 0.0)):
             frac = np.clip(f + tilt * (prof - 0.5), 0.02, 0.98)
-            starts.append(np.concatenate([vmin + frac * (vmax - vmin), th0[free]]))
+            starts.append(np.concatenate([vmin + frac * (vmax - vmin),
+                                          th0[bal.free]]))
 
     z = None
     for z0 in starts:
         try:
-            fit = sopt.least_squares(residuals, z0, bounds=(lb, ub), xtol=1e-14,
-                                     ftol=1e-14, gtol=1e-14, max_nfev=200)
+            z = _push(z0, bal, (lb, ub), tol, 200)
         except Exception:
             continue
-        if np.max(np.abs(residuals(fit.x))) <= 10 * tol:
-            z = fit.x
+        if z is not None:
             break
     if z is None:
         return None
 
-    def alloc_cost(z):
-        p_need, q_need = injections(z)
-        pg, qg = _allocate(net, np.clip(p_need, pmin, pmax),
-                           np.clip(q_need, qmin, qmax))
-        return sum(g.cost.value(p) for g, p in zip(net.generators, pg))
-
     if cost_pass:
-        scale = 1.0 + abs(alloc_cost(z))
-        rho = 1e5 * scale
-
-        def penalized(zz):
-            r = residuals(zz)
-            return alloc_cost(zz) + rho * float(r @ r)
-
+        cost = _alloc_cost(z, bal)
+        rho = 1e5 * (1.0 + abs(cost))
         try:
-            imp = sopt.minimize(penalized, z, method="L-BFGS-B",
-                                bounds=list(zip(lb, ub)),
+            imp = sopt.minimize(_penalized, z, args=(bal, rho), jac=True,
+                                method="L-BFGS-B", bounds=list(zip(lb, ub)),
                                 options={"maxiter": 60})
-            fit2 = sopt.least_squares(residuals, imp.x, bounds=(lb, ub),
-                                      xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                                      max_nfev=150)
-            if (np.max(np.abs(residuals(fit2.x))) <= 10 * tol
-                    and alloc_cost(fit2.x) < alloc_cost(z)):
-                z = fit2.x
+            z2 = _push(imp.x, bal, (lb, ub), tol, 150)
+            if z2 is not None and _alloc_cost(z2, bal) < cost:
+                z = z2
         except Exception:
             pass
-
-    vm, th = unpack(z)
-    p_need, q_need = injections(z)
-    pg, qg = _allocate(net, np.clip(p_need, pmin, pmax),
-                       np.clip(q_need, qmin, qmax))
-    check = jabr.evaluate_opf_point(net, vm * np.cos(th), vm * np.sin(th), pg, qg)
-    if not check.feasible(tol):
-        return None
-    return jabr.OpfSolution(bus_ids=ids, vm=vm, theta=th, pg=pg, qg=qg,
-                            objective=check.objective)
+    return _verified(net, bal, z, tol)
 
 
 # -------------------------------------------------------------- range reduction
@@ -463,6 +558,8 @@ class BnbResult:
     runtime: float
     preprocess_time: float = 0.0
     trace: list = field(default_factory=list)
+    polish_calls: int = 0     # local_polish calls made by the search
+    polish_found: int = 0     # of which returned a verified point
 
     @property
     def optimal(self) -> bool:
@@ -490,6 +587,22 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     nodes are popped together and their relaxations solved in one batched
     interior-point call.
 
+    Incumbents come from three places.  A node whose relaxation point lies
+    on the cone surface is recovered and pushed onto the balance equations
+    (`_settle`).  Other nodes are polished by `local_polish` when one is
+    due.  A polish succeeds when it gives a new incumbent and fails
+    otherwise.  While there is no incumbent, a failed polish makes the next
+    one wait `2**fails` nodes; once there is one, the polish runs at every
+    25th node.  Multistart runs only while no polish has failed since the
+    start or the last success: a point no better than the incumbent does
+    not pay for eight more starts.  Skipped polishes make no call;
+    `polish_calls` and `polish_found` count the calls made and the points
+    they returned.
+
+    A node whose relaxation ends without an answer is range-reduced under
+    the cutoff when there is an incumbent: it is pruned if that certifies
+    its box empty, and otherwise branched blindly with its parent's bound.
+
     Infeasibility is declared only on a root-relaxation infeasibility
     certificate or when the whole tree is exhausted with every leaf either
     relaxation-infeasible or shrunk below the width floor without producing
@@ -503,6 +616,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     if angle_bound_deg is not None:
         build_kwargs["angle_bound_deg"] = angle_bound_deg
 
+    polish_calls = polish_found = 0
+
     def done(status, lb, inc, nodes, root_lb, trace, ncuts):
         ub = inc.objective if inc is not None else math.inf
         rg = None
@@ -513,7 +628,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                          lower_bound=lb, gap=_rel_gap(lb, ub), nodes=nodes,
                          root_lb=root_lb, root_gap_pct=rg, cuts=ncuts,
                          runtime=time.monotonic() - t0,
-                         preprocess_time=pre_time, trace=trace)
+                         preprocess_time=pre_time, trace=trace,
+                         polish_calls=polish_calls, polish_found=polish_found)
 
     cuts: list[tighten.Cut] = []
     var_bounds = None
@@ -539,9 +655,16 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     root_lb = None
     trace = []
     exhausted_clean = True
+    fails = 0         # failed polishes since the start or the last success
+    next_polish = 0   # node count from which a polish is due again
 
     def ub_val():
         return incumbent.objective if incumbent is not None else math.inf
+
+    def cutoff():
+        """Bound at or above which a node cannot improve the incumbent by
+        more than the gap tolerance."""
+        return ub_val() - gap_tol * max(abs(ub_val()), 1e-9)
 
     def global_lb():
         vals = [entry[0] for entry in heap]
@@ -564,6 +687,29 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         if incumbent is None or cand.objective < incumbent.objective:
             incumbent = cand
 
+    def polish(point):
+        """Polish `point` if one is due: without an incumbent, 2**fails
+        nodes after the last failure; with one, every 25th node.  A polish
+        succeeds when it gives a new incumbent; only one with no failure
+        since the start or the last success multistarts."""
+        nonlocal polish_calls, polish_found, fails, next_polish
+        if incumbent is not None:
+            if nodes % 25:
+                return
+        elif nodes < next_polish:
+            return
+        polish_calls += 1
+        cand = local_polish(net, point, multistart=fails == 0,
+                            fixed_voltage=fixed_voltage)
+        polish_found += cand is not None
+        best = incumbent
+        consider(cand)
+        if incumbent is not best:
+            fails = 0
+        else:
+            fails += 1
+            next_polish = nodes + 2 ** fails
+
     while heap:
         if time_limit is not None and time.monotonic() - t0 > time_limit:
             return done(TIME_LIMIT, global_lb(), incumbent, nodes, root_lb,
@@ -578,7 +724,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         batch = []
         while heap and len(batch) < max(1, workers):
             lb_parent, _, box, depth = heapq.heappop(heap)
-            if lb_parent >= ub_val() - gap_tol * max(abs(ub_val()), 1e-9):
+            if lb_parent >= cutoff():
                 heapq.heappush(heap, (lb_parent, counter, box, depth))
                 counter += 1
                 break
@@ -599,7 +745,15 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             if sol.status == conic.INFEASIBLE:
                 continue
             if not sol.optimal:
-                # unresolved node: keep searching below it, bound unchanged
+                # unresolved node: prune it if range reduction certifies
+                # its box empty under the cutoff, else keep searching below
+                # it, bound unchanged
+                if incumbent is not None:
+                    box = range_reduction(model, box, cutoff(),
+                                          np.ones(len(net.lines)),
+                                          feastol=feastol, gaptol=gaptol)
+                    if box is None:
+                        continue
                 kids, _ = branch(net, box, _mid_point(net, box),
                                  np.ones(len(net.lines)))
                 if not kids:
@@ -615,7 +769,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                 else sol.objective
             if root_lb is None:
                 root_lb = node_lb
-            if node_lb >= ub_val() - gap_tol * max(abs(ub_val()), 1e-9):
+            if node_lb >= cutoff():
                 continue
 
             point = model.point(sol.x)
@@ -625,24 +779,22 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             if worst <= _EXACT_TOL:
                 # point is on the cone surface: recover and fathom
                 try:
-                    consider(jabr.recover_angles(net, model, sol,
-                                                 tol=10 * _EXACT_TOL))
+                    opf = jabr.recover_angles(net, model, sol,
+                                              tol=10 * _EXACT_TOL)
+                    consider(_settle(net, opf, fixed_voltage=fixed_voltage)
+                             or opf)
                 except ValueError:
                     pass
                 if incumbent is None:
-                    consider(local_polish(net, point,
-                                          fixed_voltage=fixed_voltage))
+                    polish(point)
                 if incumbent is not None and incumbent.objective <= node_lb \
                         + gap_tol * max(1.0, abs(node_lb)):
                     trace.append((nodes, node_lb, ub_val()))
                     continue
                 # recovery failed numerically; keep branching below
 
-            elif incumbent is None or nodes % 25 == 0:
-                consider(local_polish(net, point,
-                                      cost_pass=True,
-                                      multistart=incumbent is None,
-                                      fixed_voltage=fixed_voltage))
+            else:
+                polish(point)
 
             # cutoff-based range reduction pays for itself at every depth
             # on these instance sizes

@@ -176,6 +176,7 @@ def test_criterion_5_cut_validity(net2, net3):
             "chords on circle to 1e-12)")
 
 
+@pytest.mark.slow
 def test_criterion_6_solver_vs_oracles(two_bus_runs, three_bus_runs):
     """Global solver vs rectangular brute-force oracles on every 2- and
     3-bus instance; every incumbent re-verified at 1e-6."""
@@ -220,6 +221,7 @@ def library_instances():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_7_bounds_and_cuts_effect(library_instances):
     """On the regenerated radial library: bounds+cuts never lower the root
     bound, node counts drop (vs bounds-only) on at least 2 of 3, and at

@@ -1,5 +1,6 @@
 """Spatial branch-and-bound: envelopes, branching, polish, global solves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -174,6 +175,84 @@ def test_polish_fails_on_infeasible_instance(net3):
     assert cand is None
 
 
+def _polish_points(net, seeds=(0, 1, 2)):
+    """z = (|V|, free angles) near the relaxation voltages, each at least
+    1e-3 away from every clip kink of the balance residuals."""
+    res = jabr.solve_relaxation(net)
+    point = res.model.point(res.solution.x)
+    vm = np.sqrt([point["cii"][b.id] for b in net.buses])
+    bal = bnb._balance(net)
+    n = net.num_buses
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        z = np.concatenate([vm + 0.01 * rng.standard_normal(n),
+                            0.05 * rng.standard_normal(n - 1)])
+        need = bnb._required(z, bal)
+        assert np.min(np.abs(need - bal.lo)) > 1e-3
+        assert np.min(np.abs(need - bal.hi)) > 1e-3
+        out.append(z)
+    return bal, out
+
+
+def _central(f, z, h=1e-6):
+    cols = [(f(z + h * e) - f(z - h * e)) / (2 * h) for e in np.eye(len(z))]
+    return np.array(cols).T
+
+
+def _polish_networks(net3):
+    tree9 = network.spanning_tree(cases.load_case("case9", drop_charging=True), 0)
+    # a second unit with a quadratic cost at the slack bus exercises the
+    # pro-rata split of the allocation
+    extra = network.Generator(bus=1, pmin=0.5, pmax=2.0, qmin=-0.5, qmax=1.0,
+                              cost=network.CostFunction(c2=40.0, c1=300.0))
+    two_units = dataclasses.replace(net3, generators=net3.generators + (extra,))
+    return [network.scale_load(net3, 1.00, scale_p=False), tree9, two_units]
+
+
+@pytest.mark.filterwarnings("ignore:branch")
+def test_polish_derivatives_match_central_differences(net3):
+    """The analytic Jacobian of the clipped balance residuals and the
+    gradient of the penalized cost agree with central differences."""
+    slopes = outside = 0
+    for net in _polish_networks(net3):
+        bal, points = _polish_points(net)
+        for z in points:
+            J = bnb._residual_jacobian(z, bal)
+            fd = _central(lambda zz: bnb._residuals(zz, bal), z)
+            np.testing.assert_allclose(J, fd, rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(J)))
+            rho = 1e5 * (1.0 + abs(bnb._alloc_cost(z, bal)))
+            _, grad = bnb._penalized(z, bal, rho)
+            fd = _central(lambda zz: np.array([bnb._penalized(zz, bal, rho)[0]]), z)[0]
+            np.testing.assert_allclose(grad, fd, rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(grad)))
+            # the cost-only gradient, where the pro-rata slope is not
+            # swamped by the penalty
+            _, grad = bnb._penalized(z, bal, 0.0)
+            fd = _central(lambda zz: np.array([bnb._alloc_cost(zz, bal)]), z)[0]
+            np.testing.assert_allclose(grad, fd, rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(grad)))
+            need = bnb._required(z, bal)
+            slopes += int(np.any(((need[0] > bal.lo[0])
+                                  & (need[0] < bal.hi[0]))[bal.gen_bus]))
+            outside += int(np.any(bnb._residuals(z, bal) != 0))
+    assert slopes and outside  # both terms of the gradient were exercised
+
+
+def test_settle_meets_the_balance_equations(net3):
+    """A recovered exact point is pushed onto the balance rows well below
+    the 1e-6 acceptance tolerance."""
+    scaled = network.scale_load(net3, 0.95, scale_p=False)
+    res = jabr.solve_relaxation(scaled)
+    settled = bnb._settle(scaled, res.opf)
+    assert settled is not None
+    check = jabr.evaluate_opf_point(scaled, settled.e, settled.f,
+                                    settled.pg, settled.qg)
+    assert check.max_violation < 1e-9
+    assert settled.objective == pytest.approx(res.objective, rel=1e-5)
+
+
 # ------------------------------------------------------------------ obbt
 
 def test_range_reduction_shrinks_and_keeps_optimum(net2):
@@ -247,6 +326,26 @@ def test_global_certifies_infeasible(net3):
     assert jabr.solve_relaxation(scaled).solution.optimal
 
 
+def test_polish_backs_off_without_an_incumbent(net3, monkeypatch):
+    """On an infeasible instance every polish fails: each failure doubles
+    the wait to the next one, and only the first call multistarts."""
+    calls = []
+    polish = bnb.local_polish
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("multistart", True))
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(bnb, "local_polish", counted)
+    scaled = network.scale_load(net3, 1.04, scale_p=False)
+    res = bnb.solve_global(scaled, gap_tol=2e-3, time_limit=120)
+    assert res.status == bnb.INFEASIBLE
+    assert res.nodes == 57
+    assert 1 <= len(calls) <= math.ceil(math.log2(res.nodes)) + 2
+    assert sum(calls) == 1
+    assert (res.polish_calls, res.polish_found) == (len(calls), 0)
+
+
 def test_global_root_lb_matches_relaxation(net2):
     """Root lower bound equals the relaxation value."""
     scaled = network.scale_load(net2, 1.00)
@@ -309,6 +408,7 @@ def test_cuts_never_change_the_global_value(net2):
     assert with_cuts.objective == pytest.approx(without.objective, rel=3 * tol)
 
 
+@pytest.mark.slow
 def test_matches_closed_form_on_random_two_bus():
     """Verdict/value agreement with the two-bus closed form on 200 random
     instances: infeasible stays infeasible, values agree at the gap tol."""

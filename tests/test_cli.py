@@ -152,6 +152,15 @@ def test_solve_global_golden(capsys, case2_path):
     assert doc["gap_percent"] == pytest.approx(21.44, abs=0.5)
 
 
+def test_solve_reports_polish_counts(capsys, case2_path):
+    code, out, _ = run(capsys, ["solve", "--case", case2_path,
+                                "--gamma", "1.00", "--gap", "2e-3"])
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert isinstance(doc["polish_calls"], int)
+    assert 1 <= doc["polish_found"] <= doc["polish_calls"]
+
+
 def test_solve_infeasible_distinct_exit(capsys, case2_path):
     code, out, _ = run(capsys, ["solve", "--case", case2_path,
                                 "--gamma", "1.02", "--gap", "2e-3",
