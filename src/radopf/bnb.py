@@ -30,6 +30,7 @@ TIME_LIMIT = "time-limit"
 
 _WIDTH_TOL = 1e-6   # interval width below which a variable is not branched
 _EXACT_TOL = 1e-6   # relative coupling slack accepted as on-surface
+_FEAS_TOL = 1e-6    # rectangular violation accepted for an incumbent
 
 
 @dataclass
@@ -321,13 +322,22 @@ def _residual_jacobian(z: np.ndarray, bal: _Balance) -> np.ndarray:
     return (d_need * outside[:, :, None]).reshape(need.size, -1)
 
 
-def _allocate(bal: _Balance, need: np.ndarray) -> np.ndarray:
+def _allocate(bal: _Balance, need: np.ndarray,
+              base: np.ndarray | None = None) -> np.ndarray:
     """Split required bus generation (2, buses), clipped to the bus boxes,
-    across its units pro rata by range; returns (pg, qg)."""
-    span = (bal.hi - bal.lo)[:, bal.gen_bus]
-    frac = ((np.clip(need, bal.lo, bal.hi) - bal.lo)[:, bal.gen_bus]
-            / np.where(span > 0, span, 1.0))
-    return bal.gen_lo + frac * (bal.gen_hi - bal.gen_lo)
+    across its units; returns (pg, qg).  Each bus's shortfall from the
+    `base` split (2, generators) is shared by the room each unit has toward
+    its bound, so a base that meets the requirement is kept and the default
+    base, every unit at its floor, gives the split pro rata by range."""
+    base = bal.gen_lo if base is None else np.clip(base, bal.gen_lo, bal.gen_hi)
+    nb = need.shape[1]
+    short = np.clip(need, bal.lo, bal.hi) - np.array(
+        [np.bincount(bal.gen_bus, row, nb) for row in base])
+    room = np.where((short > 0)[:, bal.gen_bus], bal.gen_hi - base,
+                    base - bal.gen_lo)
+    total = np.array([np.bincount(bal.gen_bus, row, nb) for row in room])
+    frac = short / np.where(total > 0, total, 1.0)
+    return base + frac[:, bal.gen_bus] * room
 
 
 def _gen_cost(bal: _Balance, pg: np.ndarray) -> float:
@@ -381,13 +391,14 @@ def _push(z0, bal: _Balance, bounds, tol: float, max_nfev: int):
     return fit.x if np.max(np.abs(fit.fun)) <= 10 * tol else None
 
 
-def _verified(net: Network, bal: _Balance, z, tol: float):
-    """The operating point of z with its allocated generation, if it passes
-    the rectangular feasibility check at `tol`."""
+def _verified(net: Network, bal: _Balance, z, tol: float, base=None):
+    """The operating point of z with its generation allocated (from the
+    `base` split, if given), if it passes the rectangular feasibility check
+    at `tol`."""
     n = net.num_buses
     vm, th = z[:n], np.zeros(n)
     th[bal.free] = z[n:]
-    pg, qg = _allocate(bal, _required(z, bal))
+    pg, qg = _allocate(bal, _required(z, bal), base)
     check = jabr.evaluate_opf_point(net, vm * np.cos(th), vm * np.sin(th),
                                     pg, qg)
     if not check.feasible(tol):
@@ -396,26 +407,30 @@ def _verified(net: Network, bal: _Balance, z, tol: float):
                             theta=th, pg=pg, qg=qg, objective=check.objective)
 
 
-def _settle(net: Network, opf: jabr.OpfSolution, *, tol: float = 1e-6,
+def _settle(net: Network, opf: jabr.OpfSolution, bal: _Balance,
             fixed_voltage: dict[int, float] | None = None) -> jabr.OpfSolution | None:
     """Push a point recovered from a (nearly) exact relaxation onto the
     balance equations.  A recovered point meets them only to the coupling
     slack of its relaxation, and its cost can lie below the optimum by more
-    than that; the settled point is verified like a polished one."""
-    bal = _balance(net)
+    than that.  Only the voltages move; the units keep the relaxation's
+    split, which is cost-optimal between units at a bus, up to the small
+    shift that the settled requirement asks.  The settled point is verified
+    like a polished one."""
     lb, ub = _z_bounds(net, fixed_voltage)
     z0 = np.clip(np.concatenate([opf.vm, opf.theta[bal.free]]),
                  lb + 1e-12, ub - 1e-12)
     try:
-        z = _push(z0, bal, (lb, ub), tol, 200)
+        z = _push(z0, bal, (lb, ub), _FEAS_TOL, 200)
     except ValueError:  # also numpy's LinAlgError
         return None
-    return None if z is None else _verified(net, bal, z, tol)
+    return None if z is None else _verified(
+        net, bal, z, _FEAS_TOL, np.array([opf.pg, opf.qg]))
 
 
 def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
-                 multistart: bool = True, tol: float = 1e-6,
-                 fixed_voltage: dict[int, float] | None = None) -> jabr.OpfSolution | None:
+                 multistart: bool = True, tol: float = _FEAS_TOL,
+                 fixed_voltage: dict[int, float] | None = None,
+                 bal: _Balance | None = None) -> jabr.OpfSolution | None:
     """Project a relaxation point onto the feasible set and locally improve.
 
     Lines are rescaled radially onto the cone surface, angles recovered along
@@ -425,9 +440,10 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
     given exact derivatives: the Jacobian of the clipped residuals and the
     gradient of the penalized cost (see `_penalized`).  With `multistart`
     the push is retried from eight flat and feeder-tilted voltage profiles
-    when the guided start fails.  Returns a verified feasible point or None.
+    when the guided start fails.  `bal` is the network's `_balance`, built
+    here when not given.  Returns a verified feasible point or None.
     """
-    bal = _balance(net)
+    bal = bal if bal is not None else _balance(net)
     n = net.num_buses
     pos = net.bus_index
     lb, ub = _z_bounds(net, fixed_voltage)
@@ -589,15 +605,17 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
 
     Incumbents come from three places.  A node whose relaxation point lies
     on the cone surface is recovered and pushed onto the balance equations
-    (`_settle`).  Other nodes are polished by `local_polish` when one is
-    due.  A polish succeeds when it gives a new incumbent and fails
-    otherwise.  While there is no incumbent, a failed polish makes the next
-    one wait `2**fails` nodes; once there is one, the polish runs at every
-    25th node.  Multistart runs only while no polish has failed since the
-    start or the last success: a point no better than the incumbent does
-    not pay for eight more starts.  Skipped polishes make no call;
-    `polish_calls` and `polish_found` count the calls made and the points
-    they returned.
+    (`_settle`), keeping the relaxation's split between units at a bus; the
+    raw recovered point is tried when the push fails.  Neither is tried
+    when the recovered cost cannot beat the incumbent.  Other nodes are
+    polished by `local_polish` when one is due.  A polish succeeds when it
+    gives a new incumbent and fails otherwise.  While there is no
+    incumbent, a failed polish makes the next one wait `2**fails` nodes;
+    once there is one, the polish runs at every 25th node.  Multistart
+    runs only while no polish has failed since the start or the last
+    success: a point no better than the incumbent does not pay for eight
+    more starts.  Skipped polishes make no call; `polish_calls` and
+    `polish_found` count the calls made and the points they returned.
 
     A node whose relaxation ends without an answer is range-reduced under
     the cutoff when there is an incumbent: it is pruned if that certifies
@@ -647,6 +665,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         return done(INFEASIBLE, math.inf, None, 0, None, [], 0)
 
     prop = _Propagator(net, **build_kwargs)
+    bal = _balance(net)
     root = NodeBox.root(net, var_bounds, fixed_voltage)
     heap = [(-math.inf, 0, root, 0)]
     counter = 1
@@ -677,7 +696,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         if cand is None:
             return
         check = jabr.evaluate_opf_point(net, cand.e, cand.f, cand.pg, cand.qg)
-        if not check.feasible(1e-6):
+        if not check.feasible(_FEAS_TOL):
             return
         if fixed_voltage:
             pos = net.bus_index
@@ -700,7 +719,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             return
         polish_calls += 1
         cand = local_polish(net, point, multistart=fails == 0,
-                            fixed_voltage=fixed_voltage)
+                            fixed_voltage=fixed_voltage, bal=bal)
         polish_found += cand is not None
         best = incumbent
         consider(cand)
@@ -781,8 +800,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                 try:
                     opf = jabr.recover_angles(net, model, sol,
                                               tol=10 * _EXACT_TOL)
-                    consider(_settle(net, opf, fixed_voltage=fixed_voltage)
-                             or opf)
+                    if opf.objective < ub_val():
+                        consider(_settle(net, opf, bal, fixed_voltage) or opf)
                 except ValueError:
                     pass
                 if incumbent is None:

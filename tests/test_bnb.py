@@ -245,7 +245,7 @@ def test_settle_meets_the_balance_equations(net3):
     the 1e-6 acceptance tolerance."""
     scaled = network.scale_load(net3, 0.95, scale_p=False)
     res = jabr.solve_relaxation(scaled)
-    settled = bnb._settle(scaled, res.opf)
+    settled = bnb._settle(scaled, res.opf, bnb._balance(scaled))
     assert settled is not None
     check = jabr.evaluate_opf_point(scaled, settled.e, settled.f,
                                     settled.pg, settled.qg)
@@ -299,6 +299,21 @@ def test_global_exact_short_circuit(net2):
     res = bnb.solve_global(scaled, gap_tol=1e-4)
     assert res.optimal and res.nodes == 1
     assert res.gap <= 1e-4
+
+
+def test_global_fathoms_an_exact_node_with_two_units(net3):
+    """Two units of different cost share the generator bus.  The settled
+    point of the exact root keeps the relaxation's split, cheap unit first,
+    so the root is fathomed at the relaxation value."""
+    units = tuple(network.Generator(bus=1, pmin=0.75, pmax=2.75, qmin=-0.5,
+                                    qmax=2.5, cost=network.CostFunction(c1=c1))
+                  for c1 in (400.0, 600.0))
+    scaled = network.scale_load(dataclasses.replace(net3, generators=units),
+                                0.95, scale_p=False)
+    res = bnb.solve_global(scaled, gap_tol=1e-4)
+    assert res.optimal and res.nodes == 1
+    assert res.objective == pytest.approx(res.root_lb, rel=1e-6)
+    assert res.incumbent.pg[1] == pytest.approx(0.75)
 
 
 def test_global_fixed_voltage_experiment(net2):
