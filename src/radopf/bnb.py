@@ -31,6 +31,7 @@ TIME_LIMIT = "time-limit"
 _WIDTH_TOL = 1e-6   # interval width below which a variable is not branched
 _EXACT_TOL = 1e-6   # relative coupling slack accepted as on-surface
 _FEAS_TOL = 1e-6    # rectangular violation accepted for an incumbent
+_BATCH = 4          # best-first nodes whose relaxations are solved together
 
 
 @dataclass
@@ -510,9 +511,8 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
 # -------------------------------------------------------------- range reduction
 
 def range_reduction(model: jabr.JabrModel, box: NodeBox, incumbent: float,
-                    slacks: np.ndarray, *, max_vars: int = 2,
-                    feastol: float = 1e-8,
-                    gaptol: float = 1e-8) -> NodeBox | None:
+                    slacks: np.ndarray, *,
+                    max_vars: int = 2) -> NodeBox | None:
     """Optimization-based shrink of the most promising intervals of `box`
     over its node model `model`, optionally under the incumbent cost cutoff;
     returns None when the box empties.
@@ -541,8 +541,7 @@ def range_reduction(model: jabr.JabrModel, box: NodeBox, incumbent: float,
         variables.append(model.cii[net.buses[idx].id] if kind == "cii"
                          else (model.c if kind == "c" else model.s)[idx])
     try:
-        pairs = tighten.min_max(model, variables, feastol=feastol,
-                                gaptol=gaptol)
+        pairs = tighten.min_max(model, variables)
     except tighten.RelaxationInfeasible:
         return None
     out = box.copy()
@@ -593,15 +592,12 @@ def _rel_gap(lb: float, ub: float) -> float:
 def solve_global(net: Network, *, gap_tol: float = 1e-4,
                  time_limit: float | None = None, node_limit: int | None = None,
                  use_cuts: bool = True, use_bounds: bool = True,
-                 workers: int = 1,
-                 fixed_voltage: dict[int, float] | None = None,
-                 angle_bound_deg: float | None = None,
-                 feastol: float = 1e-8, gaptol: float = 1e-8) -> BnbResult:
+                 fixed_voltage: dict[int, float] | None = None) -> BnbResult:
     """Best-first spatial branch-and-bound to certified relative gap.
 
-    `workers` is a batch size, not a thread count: that many best-first
-    nodes are popped together and their relaxations solved in one batched
-    interior-point call.
+    Up to `_BATCH` best-first nodes are popped together and their
+    relaxations solved in one batched interior-point call; a batch never
+    takes more nodes than `node_limit` has left.
 
     Incumbents come from three places.  A node whose relaxation point lies
     on the cone surface is recovered and pushed onto the balance equations
@@ -620,6 +616,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     A node whose relaxation ends without an answer is range-reduced under
     the cutoff when there is an incumbent: it is pruned if that certifies
     its box empty, and otherwise branched blindly with its parent's bound.
+    A solved node that is neither fathomed nor branchable keeps its bound
+    in the reported lower bound, so the search then ends `gap-limit`.
 
     Infeasibility is declared only on a root-relaxation infeasibility
     certificate or when the whole tree is exhausted with every leaf either
@@ -628,11 +626,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     """
     net.require_radial()
     t0 = time.monotonic()
-    build_kwargs = {}
-    if fixed_voltage:
-        build_kwargs["fixed_voltage"] = fixed_voltage
-    if angle_bound_deg is not None:
-        build_kwargs["angle_bound_deg"] = angle_bound_deg
+    build_kwargs = {"fixed_voltage": fixed_voltage} if fixed_voltage else {}
 
     polish_calls = polish_found = 0
 
@@ -654,11 +648,9 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     pre_time = 0.0
     try:
         if use_bounds and use_cuts:
-            var_bounds, cuts = tighten.run_algorithm1(
-                net, feastol=feastol, gaptol=gaptol, **build_kwargs)
+            var_bounds, cuts = tighten.run_algorithm1(net, **build_kwargs)
         elif use_bounds:
-            var_bounds = tighten.compute_bounds(
-                net, feastol=feastol, gaptol=gaptol, **build_kwargs)
+            var_bounds = tighten.compute_bounds(net, **build_kwargs)
         pre_time = time.monotonic() - t0
     except tighten.RelaxationInfeasible:
         pre_time = time.monotonic() - t0
@@ -674,6 +666,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     root_lb = None
     trace = []
     exhausted_clean = True
+    floor = math.inf  # least bound of the solved nodes dropped unbranched
     fails = 0         # failed polishes since the start or the last success
     next_polish = 0   # node count from which a polish is due again
 
@@ -686,10 +679,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         return ub_val() - gap_tol * max(abs(ub_val()), 1e-9)
 
     def global_lb():
-        vals = [entry[0] for entry in heap]
-        if incumbent is not None:
-            vals.append(incumbent.objective)
-        return min(vals) if vals else ub_val()
+        return min([entry[0] for entry in heap] + [floor, ub_val()])
 
     def consider(cand: jabr.OpfSolution | None):
         nonlocal incumbent
@@ -737,11 +727,12 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             return done(GAP_LIMIT, global_lb(), incumbent, nodes, root_lb,
                         trace, len(cuts))
 
-        # pop a batch of up to `workers` best-first nodes and solve their
+        # pop a batch of up to _BATCH best-first nodes and solve their
         # relaxations in one batched call; results are folded back in
         # deterministic (bound-sorted) order
         batch = []
-        while heap and len(batch) < max(1, workers):
+        while heap and len(batch) < _BATCH and (
+                node_limit is None or nodes + len(batch) < node_limit):
             lb_parent, _, box, depth = heapq.heappop(heap)
             if lb_parent >= cutoff():
                 heapq.heappush(heap, (lb_parent, counter, box, depth))
@@ -756,8 +747,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             break
         models = [node_relaxation(net, box, cuts, **build_kwargs)
                   for _, box, _ in batch]
-        sols = conic.solve_batch([m.program for m in models],
-                                 feastol=feastol, gaptol=gaptol)
+        sols = conic.solve_batch([m.program for m in models])
 
         for (lb_parent, box, depth), model, sol in zip(batch, models, sols):
             nodes += 1
@@ -769,8 +759,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                 # it, bound unchanged
                 if incumbent is not None:
                     box = range_reduction(model, box, cutoff(),
-                                          np.ones(len(net.lines)),
-                                          feastol=feastol, gaptol=gaptol)
+                                          np.ones(len(net.lines)))
                     if box is None:
                         continue
                 kids, _ = branch(net, box, _mid_point(net, box),
@@ -817,15 +806,16 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
 
             # cutoff-based range reduction pays for itself at every depth
             # on these instance sizes
-            box = range_reduction(model, box, ub_val(), slacks,
-                                  feastol=feastol, gaptol=gaptol)
+            box = range_reduction(model, box, ub_val(), slacks)
             if box is None:
                 trace.append((nodes, node_lb, ub_val()))
                 continue
 
             kids, _ = branch(net, box, point, slacks)
             if not kids:
-                # coupling violated but nothing branchable: width floor hit
+                # nothing branchable: the width floor is hit, or the point
+                # is on the surface but gave no incumbent to fathom it
+                floor = min(floor, node_lb)
                 trace.append((nodes, node_lb, ub_val()))
                 continue
             for kid in kids:
@@ -839,11 +829,11 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
 
     lb = global_lb()
     if incumbent is not None:
-        if _rel_gap(lb, ub_val()) <= gap_tol or not heap:
-            return done(GLOBAL_OPTIMAL, min(lb, ub_val()), incumbent, nodes,
-                        root_lb, trace, len(cuts))
+        if _rel_gap(lb, ub_val()) <= gap_tol:
+            return done(GLOBAL_OPTIMAL, lb, incumbent, nodes, root_lb, trace,
+                        len(cuts))
         return done(GAP_LIMIT, lb, incumbent, nodes, root_lb, trace, len(cuts))
-    if exhausted_clean:
+    if exhausted_clean and floor == math.inf:
         return done(INFEASIBLE, math.inf, None, nodes, root_lb, trace, len(cuts))
     return done(GAP_LIMIT, lb, None, nodes, root_lb, trace, len(cuts))
 

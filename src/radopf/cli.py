@@ -140,8 +140,7 @@ def cmd_solve(args) -> int:
         fixed = {int(k): float(v) for k, v in fixed.items()}
     gres = bnb.solve_global(net, gap_tol=args.gap, time_limit=args.time_limit,
                             use_cuts=not args.no_cuts,
-                            use_bounds=not args.no_obbt,
-                            workers=args.workers, fixed_voltage=fixed)
+                            use_bounds=not args.no_obbt, fixed_voltage=fixed)
     doc = _report(net, args.gamma, res, gres)
     print(json.dumps(doc, indent=2))
     if gres.status == bnb.INFEASIBLE:
@@ -282,10 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--time-limit", type=float, default=None)
     sp.add_argument("--no-cuts", action="store_true")
     sp.add_argument("--no-obbt", action="store_true")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="batch size: best-first nodes whose relaxations are "
-                         "solved together in one interior-point call (not "
-                         "threads)")
     sp.add_argument("--fix-voltage", default=None,
                     help='JSON map bus -> squared voltage, e.g. \'{"1":0.874}\'')
     sp.set_defaults(func=cmd_solve)

@@ -309,7 +309,6 @@ def add_cost_cap(model: JabrModel, cap: float):
 
 
 def solve_relaxation(net: Network, *, refine: bool = True, tol: float = 1e-6,
-                     feastol: float = 1e-8, gaptol: float = 1e-8,
                      **build_kwargs) -> RelaxationResult:
     """Solve the SOCP relaxation, then try to certify it exact.
 
@@ -321,7 +320,7 @@ def solve_relaxation(net: Network, *, refine: bool = True, tol: float = 1e-6,
     verdict is `exact` only when a recovered point actually exists.
     """
     model = build_relaxation(net, **build_kwargs)
-    sol = conic.solve(model.program, feastol=feastol, gaptol=gaptol)
+    sol = conic.solve(model.program)
     res = RelaxationResult(model=model, solution=sol)
     if not sol.optimal:
         return res
@@ -334,8 +333,7 @@ def solve_relaxation(net: Network, *, refine: bool = True, tol: float = 1e-6,
         override = np.zeros(model2.program.num_vars)
         for v in model2.cii.values():
             override[v] = 1.0
-        sol2 = conic.solve(model2.program, feastol=feastol, gaptol=gaptol,
-                           objective_override=override)
+        sol2 = conic.solve(model2.program, objective_override=override)
         if sol2.optimal:
             ex2 = check_exactness(model2, sol2, tol)
             if ex2.exact:

@@ -144,8 +144,8 @@ def apply_to_model(model: jabr.JabrModel, bounds=None, cuts=()):
                       [-cut.a_c, -cut.a_s], -cut.rhs)
 
 
-def min_max(model: jabr.JabrModel, variables, *, feastol: float = 1e-8,
-            gaptol: float = 1e-8) -> list[tuple[float | None, float | None]]:
+def min_max(model: jabr.JabrModel,
+            variables) -> list[tuple[float | None, float | None]]:
     """Minimum and maximum of each variable over the model's relaxation.
 
     The program is compiled once and every direction (minimize, then
@@ -160,7 +160,7 @@ def min_max(model: jabr.JabrModel, variables, *, feastol: float = 1e-8,
     for var, sense in directions:
         overrides.append(np.zeros(prog.num_vars))
         overrides[-1][var] = sense
-    sols = conic.solve_batch(prog, overrides, feastol=feastol, gaptol=gaptol)
+    sols = conic.solve_batch(prog, overrides)
     vals = []
     for (var, sense), sol in zip(directions, sols):
         if sol.status == conic.INFEASIBLE:
@@ -175,15 +175,14 @@ def min_max(model: jabr.JabrModel, variables, *, feastol: float = 1e-8,
 _PAD = 1e-7
 
 
-def _tighten_loop(net: Network, with_cuts: bool, feastol: float,
-                  gaptol: float, **build_kwargs) -> tuple[VarBounds, list[Cut]]:
+def _tighten_loop(net: Network, with_cuts: bool,
+                  **build_kwargs) -> tuple[VarBounds, list[Cut]]:
     bounds = VarBounds.implied(net)
     cuts: list[Cut] = []
     for k in range(len(net.lines)):
         model = jabr.build_relaxation(net, **build_kwargs)
         apply_to_model(model, bounds, cuts)
-        pairs = min_max(model, [model.c[k], model.s[k]], feastol=feastol,
-                        gaptol=gaptol)
+        pairs = min_max(model, [model.c[k], model.s[k]])
         for lo, hi, (vmin, vmax) in zip((bounds.c_lo, bounds.s_lo),
                                         (bounds.c_hi, bounds.s_hi), pairs):
             if vmin is not None:
@@ -197,20 +196,19 @@ def _tighten_loop(net: Network, with_cuts: bool, feastol: float,
     return bounds, cuts
 
 
-def compute_bounds(net: Network, *, feastol: float = 1e-8, gaptol: float = 1e-8,
-                   **build_kwargs) -> VarBounds:
+def compute_bounds(net: Network, **build_kwargs) -> VarBounds:
     """Tightened per-line boxes from four relaxation solves per line, boxes
     accumulating in input-file line order."""
     net.require_radial()
-    return _tighten_loop(net, False, feastol, gaptol, **build_kwargs)[0]
+    return _tighten_loop(net, False, **build_kwargs)[0]
 
 
-def run_algorithm1(net: Network, *, feastol: float = 1e-8, gaptol: float = 1e-8,
+def run_algorithm1(net: Network,
                    **build_kwargs) -> tuple[VarBounds, list[Cut]]:
     """Full sequential pass: per line, tighten the box, then add the secant
     cut (when the box pokes inside the inner circle) before moving on."""
     net.require_radial()
-    return _tighten_loop(net, True, feastol, gaptol, **build_kwargs)
+    return _tighten_loop(net, True, **build_kwargs)
 
 
 def cuts_csv(cuts: list[Cut]) -> str:

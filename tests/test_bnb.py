@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,19 +305,38 @@ def test_global_exact_short_circuit(net2):
     assert res.gap <= 1e-4
 
 
+def _two_units(net3):
+    """case3 at γ=0.95 with its unit split into two of different cost."""
+    units = tuple(network.Generator(bus=1, pmin=0.75, pmax=2.75, qmin=-0.5,
+                                    qmax=2.5, cost=network.CostFunction(c1=c1))
+                  for c1 in (400.0, 600.0))
+    return network.scale_load(dataclasses.replace(net3, generators=units),
+                              0.95, scale_p=False)
+
+
 def test_global_fathoms_an_exact_node_with_two_units(net3):
     """Two units of different cost share the generator bus.  The settled
     point of the exact root keeps the relaxation's split, cheap unit first,
     so the root is fathomed at the relaxation value."""
-    units = tuple(network.Generator(bus=1, pmin=0.75, pmax=2.75, qmin=-0.5,
-                                    qmax=2.5, cost=network.CostFunction(c1=c1))
-                  for c1 in (400.0, 600.0))
-    scaled = network.scale_load(dataclasses.replace(net3, generators=units),
-                                0.95, scale_p=False)
-    res = bnb.solve_global(scaled, gap_tol=1e-4)
+    res = bnb.solve_global(_two_units(net3), gap_tol=1e-4)
     assert res.optimal and res.nodes == 1
     assert res.objective == pytest.approx(res.root_lb, rel=1e-6)
     assert res.incumbent.pg[1] == pytest.approx(0.75)
+
+
+def test_unbranchable_node_keeps_its_bound(net3, monkeypatch):
+    """The exact root of the two-unit case gives no incumbent when angle
+    recovery fails; the polish finds a dearer point, and the root can be
+    neither fathomed nor branched.  Its bound must stay in the lower bound,
+    so the search may not certify the polished point."""
+    def fail(*args, **kwargs):
+        raise ValueError("recovery failed")
+
+    monkeypatch.setattr(bnb.jabr, "recover_angles", fail)
+    res = bnb.solve_global(_two_units(net3), gap_tol=1e-4)
+    assert res.status == bnb.GAP_LIMIT
+    assert res.lower_bound == pytest.approx(res.root_lb, rel=1e-9)
+    assert res.objective > res.lower_bound * (1 + 1e-3)
 
 
 def test_global_fixed_voltage_experiment(net2):
@@ -388,21 +411,47 @@ def test_incumbents_all_verified(net2):
     assert check.max_violation < 1e-6
 
 
-def test_workers_same_answer(net3):
-    scaled = network.scale_load(net3, 1.00, scale_p=False)
-    a = bnb.solve_global(scaled, gap_tol=2e-3, workers=1)
-    b = bnb.solve_global(scaled, gap_tol=2e-3, workers=4)
-    assert a.optimal and b.optimal
-    assert a.objective == pytest.approx(b.objective, rel=2e-3)
-
-
 def test_batched_search_does_not_stop_at_a_fathomed_pop(net2):
     """A batch popped up to a fathomable node still pushes children below
     the cutoff; the search must go on to pop them."""
     scaled = network.scale_load(net2, 1.00)
-    res = bnb.solve_global(scaled, gap_tol=2e-3, workers=5)
+    res = bnb.solve_global(scaled, gap_tol=2e-3)
     assert res.status == bnb.GLOBAL_OPTIMAL
     assert res.gap <= 2e-3
+
+
+def test_node_limit_is_exact(net2):
+    """A batch never takes more nodes than the limit has left."""
+    scaled = network.scale_load(net2, 1.00)
+    res = bnb.solve_global(scaled, gap_tol=1e-9, node_limit=5)
+    assert res.status == bnb.GAP_LIMIT
+    assert res.nodes == 5
+
+
+_THREADS_CHILD = """
+from radopf import bnb, cases, network
+n2, n3 = cases.load_case("case2_two_gen"), cases.load_case("case3_one_gen")
+for net in (network.scale_load(n2, 1.00),
+            network.scale_load(n3, 1.03, scale_p=False)):
+    r = bnb.solve_global(net, gap_tol=9e-4)
+    print(r.status, r.nodes, r.objective.hex(), r.lower_bound.hex())
+"""
+
+
+def test_answer_does_not_depend_on_blas_threads():
+    """The same search under one and two BLAS threads, each in a child
+    process of its own, ends with the same status, node count and bits."""
+    src = str(Path(bnb.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout.splitlines())
+    assert len(outs[0]) == 2
+    assert outs[0] == outs[1]
 
 
 def test_time_limit_status(net2):
