@@ -515,34 +515,51 @@ def range_reduction(model: jabr.JabrModel, box: NodeBox, incumbent: float,
                     max_vars: int = 2) -> NodeBox | None:
     """Optimization-based shrink of the most promising intervals of `box`
     over its node model `model`, optionally under the incumbent cost cutoff;
-    returns None when the box empties.
+    returns None when the box empties.  `range_reduction_batch` of one
+    node."""
+    return range_reduction_batch([(model, box, incumbent, slacks)],
+                                 max_vars=max_vars)[0]
 
-    The model gains the cutoff row.  All min/max directions are solved in
-    one batch by `tighten.min_max`; the box is updated after the sweep, not
-    between solves, which keeps the sweep order-independent.
+
+def range_reduction_batch(jobs, *,
+                          max_vars: int = 2) -> list[NodeBox | None]:
+    """Range reduction of several nodes, each job a (model, box, incumbent,
+    slacks) tuple; returns one reduced box per job, None where it empties.
+
+    Each model gains its cutoff row, and the intervals of up to `max_vars`
+    of the widest variables of its worst coupling go to one
+    `tighten.min_max_batch` call that solves every direction of every node.
+    A box is updated after the sweep, not between solves, which keeps the
+    sweep order-independent.
     """
-    net = model.net
-    if not len(net.lines):
-        return box
-    worst = int(np.argmax(slacks))
-    pos = net.bus_index
-    ln = net.lines[worst]
-    targets = [("cii", pos[ln.from_bus]), ("cii", pos[ln.to_bus]),
-               ("c", worst), ("s", worst)]
-    targets.sort(key=lambda t: box.interval(*t)[0] - box.interval(*t)[1])
-    if math.isfinite(incumbent):
-        jabr.add_cost_cap(model, incumbent + 1e-6 * (1 + abs(incumbent)))
-    wide, variables = [], []
-    for kind, idx in targets[:max_vars]:
-        lo, hi = box.interval(kind, idx)
-        if hi - lo <= _WIDTH_TOL:
-            continue
-        wide.append((kind, idx))
-        variables.append(model.cii[net.buses[idx].id] if kind == "cii"
-                         else (model.c if kind == "c" else model.s)[idx])
-    try:
-        pairs = tighten.min_max(model, variables)
-    except tighten.RelaxationInfeasible:
+    wides, bounded = [], []
+    for model, box, incumbent, slacks in jobs:
+        net = model.net
+        if math.isfinite(incumbent):
+            jabr.add_cost_cap(model, incumbent + 1e-6 * (1 + abs(incumbent)))
+        targets = []
+        if len(net.lines):
+            worst = int(np.argmax(slacks))
+            ln = net.lines[worst]
+            pos = net.bus_index
+            targets = [("cii", pos[ln.from_bus]), ("cii", pos[ln.to_bus]),
+                       ("c", worst), ("s", worst)]
+            targets.sort(key=lambda t: box.interval(*t)[0] - box.interval(*t)[1])
+        wide = [(kind, idx) for kind, idx in targets[:max_vars]
+                if box.interval(kind, idx)[1] - box.interval(kind, idx)[0]
+                > _WIDTH_TOL]
+        wides.append(wide)
+        bounded.append((model, [model.cii[net.buses[idx].id] if kind == "cii"
+                                else (model.c if kind == "c" else model.s)[idx]
+                                for kind, idx in wide]))
+    return [_reduced(box, wide, pairs) for (_, box, *_), wide, pairs
+            in zip(jobs, wides, tighten.min_max_batch(bounded))]
+
+
+def _reduced(box: NodeBox, wide, pairs) -> NodeBox | None:
+    """`box` with the intervals `wide` cut to their (min, max) `pairs`,
+    padded outward; None when the relaxation or an interval is empty."""
+    if pairs is None:
         return None
     out = box.copy()
     for (kind, idx), (vmin, vmax) in zip(wide, pairs):
@@ -574,7 +591,7 @@ class BnbResult:
     preprocess_time: float = 0.0
     trace: list = field(default_factory=list)
     polish_calls: int = 0     # local_polish calls made by the search
-    polish_found: int = 0     # of which returned a verified point
+    polish_found: int = 0     # of which gave a new incumbent
 
     @property
     def optimal(self) -> bool:
@@ -595,9 +612,18 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                  fixed_voltage: dict[int, float] | None = None) -> BnbResult:
     """Best-first spatial branch-and-bound to certified relative gap.
 
-    Up to `_BATCH` best-first nodes are popped together and their
-    relaxations solved in one batched interior-point call; a batch never
-    takes more nodes than `node_limit` has left.
+    Up to `_BATCH` best-first nodes are popped together; a batch never
+    takes more nodes than `node_limit` has left.  Their relaxations are
+    solved in one batched interior-point call, and the batch then runs in
+    three phases:
+
+    1. Per node, in bound order: an infeasible relaxation is dropped, a
+       bound at the cutoff is fathomed, an exact point is recovered and
+       settled, and the polish runs when one is due.
+    2. Every node still open is range-reduced in one call
+       (`range_reduction_batch`), under the incumbent as phase 1 left it.
+    3. Per node: a box emptied by the reduction is pruned; the others are
+       branched and their children pushed.
 
     Incumbents come from three places.  A node whose relaxation point lies
     on the cone surface is recovered and pushed onto the balance equations
@@ -610,19 +636,20 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     once there is one, the polish runs at every 25th node.  Multistart
     runs only while no polish has failed since the start or the last
     success: a point no better than the incumbent does not pay for eight
-    more starts.  Skipped polishes make no call; `polish_calls` and
-    `polish_found` count the calls made and the points they returned.
+    more starts.  Skipped polishes make no call; `polish_calls` counts the
+    calls made and `polish_found` those that gave a new incumbent.
 
     A node whose relaxation ends without an answer is range-reduced under
     the cutoff when there is an incumbent: it is pruned if that certifies
     its box empty, and otherwise branched blindly with its parent's bound.
-    A solved node that is neither fathomed nor branchable keeps its bound
-    in the reported lower bound, so the search then ends `gap-limit`.
+    A node, solved or not, that is neither pruned, fathomed nor branchable
+    keeps its bound in the reported lower bound, so the search then ends
+    `gap-limit`.
 
     Infeasibility is declared only on a root-relaxation infeasibility
-    certificate or when the whole tree is exhausted with every leaf either
-    relaxation-infeasible or shrunk below the width floor without producing
-    a feasible point.
+    certificate or when the whole tree is exhausted with every leaf
+    relaxation-infeasible, emptied by interval propagation or emptied by
+    range reduction.
     """
     net.require_radial()
     t0 = time.monotonic()
@@ -665,8 +692,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     nodes = 0
     root_lb = None
     trace = []
-    exhausted_clean = True
-    floor = math.inf  # least bound of the solved nodes dropped unbranched
+    floor = math.inf  # least bound of the open nodes dropped unbranched
     fails = 0         # failed polishes since the start or the last success
     next_polish = 0   # node count from which a polish is due again
 
@@ -710,10 +736,10 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         polish_calls += 1
         cand = local_polish(net, point, multistart=fails == 0,
                             fixed_voltage=fixed_voltage, bal=bal)
-        polish_found += cand is not None
         best = incumbent
         consider(cand)
         if incumbent is not best:
+            polish_found += 1
             fails = 0
         else:
             fails += 1
@@ -749,28 +775,17 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                   for _, box, _ in batch]
         sols = conic.solve_batch([m.program for m in models])
 
+        # phase 1, per node in bound order: verdict, fathoming, incumbents;
+        # `left` keeps (bound, box, depth, model, point, slacks, node) of
+        # the nodes still open, with point None where the IPM failed
+        left = []
         for (lb_parent, box, depth), model, sol in zip(batch, models, sols):
             nodes += 1
             if sol.status == conic.INFEASIBLE:
                 continue
             if not sol.optimal:
-                # unresolved node: prune it if range reduction certifies
-                # its box empty under the cutoff, else keep searching below
-                # it, bound unchanged
-                if incumbent is not None:
-                    box = range_reduction(model, box, cutoff(),
-                                          np.ones(len(net.lines)))
-                    if box is None:
-                        continue
-                kids, _ = branch(net, box, _mid_point(net, box),
-                                 np.ones(len(net.lines)))
-                if not kids:
-                    exhausted_clean = exhausted_clean and \
-                        box.max_width() <= 10 * _WIDTH_TOL
-                    continue
-                for kid in kids:
-                    heapq.heappush(heap, (lb_parent, counter, kid, depth + 1))
-                    counter += 1
+                left.append((lb_parent, box, depth, model, None,
+                             np.ones(len(net.lines)), nodes))
                 continue
 
             node_lb = sol.dual_objective if sol.dual_objective is not None \
@@ -803,25 +818,40 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
 
             else:
                 polish(point)
+            left.append((node_lb, box, depth, model, point, slacks, nodes))
 
-            # cutoff-based range reduction pays for itself at every depth
-            # on these instance sizes
-            box = range_reduction(model, box, ub_val(), slacks)
-            if box is None:
-                trace.append((nodes, node_lb, ub_val()))
-                continue
+        # phase 2: one range-reduction call for the open nodes, under the
+        # incumbent as phase 1 left it.  Cutoff-based reduction pays for
+        # itself at every depth on these instance sizes.  An unresolved node
+        # is reduced only under an incumbent's cutoff, and pruned if that
+        # certifies its box empty.
+        jobs = {}
+        for k, (_, box, _, model, point, slacks, _) in enumerate(left):
+            if point is not None:
+                jobs[k] = (model, box, ub_val(), slacks)
+            elif incumbent is not None:
+                jobs[k] = (model, box, cutoff(), slacks)
+        boxes = [entry[1] for entry in left]
+        for k, box in zip(jobs, range_reduction_batch(list(jobs.values()))):
+            boxes[k] = box
 
-            kids, _ = branch(net, box, point, slacks)
-            if not kids:
-                # nothing branchable: the width floor is hit, or the point
-                # is on the surface but gave no incumbent to fathom it
-                floor = min(floor, node_lb)
-                trace.append((nodes, node_lb, ub_val()))
-                continue
-            for kid in kids:
-                heapq.heappush(heap, (node_lb, counter, kid, depth + 1))
-                counter += 1
-            trace.append((nodes, node_lb, ub_val()))
+        # phase 3, per node: prune or branch.  An unresolved node is
+        # branched blindly at its box's middle with its parent's bound.
+        for (node_lb, _, depth, _, point, slacks, node), box in zip(left,
+                                                                     boxes):
+            if box is not None:
+                kids, _ = branch(net, box, _mid_point(net, box)
+                                 if point is None else point, slacks)
+                if not kids:
+                    # nothing branchable: the width floor is hit, the point
+                    # is on the surface but gave no incumbent to fathom it,
+                    # or the relaxation failed; no certificate, bound kept
+                    floor = min(floor, node_lb)
+                for kid in kids:
+                    heapq.heappush(heap, (node_lb, counter, kid, depth + 1))
+                    counter += 1
+            if point is not None:
+                trace.append((node, node_lb, ub_val()))
 
         if incumbent is not None and _rel_gap(global_lb(), ub_val()) <= gap_tol:
             return done(GLOBAL_OPTIMAL, global_lb(), incumbent, nodes,
@@ -833,7 +863,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             return done(GLOBAL_OPTIMAL, lb, incumbent, nodes, root_lb, trace,
                         len(cuts))
         return done(GAP_LIMIT, lb, incumbent, nodes, root_lb, trace, len(cuts))
-    if exhausted_clean and floor == math.inf:
+    if floor == math.inf:
         return done(INFEASIBLE, math.inf, None, nodes, root_lb, trace, len(cuts))
     return done(GAP_LIMIT, lb, None, nodes, root_lb, trace, len(cuts))
 

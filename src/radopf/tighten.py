@@ -27,10 +27,6 @@ from .network import Network
 class RelaxationInfeasible(RuntimeError):
     """The SOCP relaxation is infeasible, so the OPF itself is infeasible."""
 
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
-
 
 @dataclass
 class Ring:
@@ -146,29 +142,46 @@ def apply_to_model(model: jabr.JabrModel, bounds=None, cuts=()):
 
 def min_max(model: jabr.JabrModel,
             variables) -> list[tuple[float | None, float | None]]:
-    """Minimum and maximum of each variable over the model's relaxation.
+    """Minimum and maximum of each variable over the model's relaxation:
+    `min_max_batch` of one job.  Raises RelaxationInfeasible when the
+    relaxation is empty."""
+    pairs = min_max_batch([(model, variables)])[0]
+    if pairs is None:
+        raise RelaxationInfeasible("relaxation infeasible while bounding "
+                                   + ", ".join(model.program.names[v]
+                                               for v in variables))
+    return pairs
 
-    The program is compiled once and every direction (minimize, then
-    maximize, per variable in order) is solved in one batch.  Returns one
-    (min, max) pair per variable, None where a direction did not end
-    optimal.  Raises RelaxationInfeasible when the relaxation is empty.
+
+def min_max_batch(jobs) -> list[list[tuple[float | None, float | None]] | None]:
+    """Minimum and maximum of each variable over each job's relaxation.
+
+    `jobs` holds (model, variables) pairs.  Every direction of every job
+    (minimize, then maximize, per variable in order) is solved in one
+    `conic.solve_batch` call, which compiles each model once.  Returns one
+    entry per job: a (min, max) pair per variable, None where a direction
+    did not end optimal, or None in place of the pairs when a direction
+    certified the job's relaxation empty.
     """
-    prog = model.program
-    # +1 minimizes, -1 maximizes
-    directions = [(var, sense) for var in variables for sense in (+1, -1)]
-    overrides = []
-    for var, sense in directions:
-        overrides.append(np.zeros(prog.num_vars))
-        overrides[-1][var] = sense
-    sols = conic.solve_batch(prog, overrides)
-    vals = []
-    for (var, sense), sol in zip(directions, sols):
-        if sol.status == conic.INFEASIBLE:
-            raise RelaxationInfeasible(
-                f"relaxation infeasible while bounding {prog.names[var]}",
-                certificate=sol.certificate)
-        vals.append(sense * sol.objective if sol.optimal else None)
-    return list(zip(vals[::2], vals[1::2]))
+    progs, overrides = [], []
+    for model, variables in jobs:
+        prog = model.program
+        for var in variables:
+            for sense in (+1, -1):  # +1 minimizes, -1 maximizes
+                progs.append(prog)
+                overrides.append(np.zeros(prog.num_vars))
+                overrides[-1][var] = sense
+    sols = iter(conic.solve_batch(progs, overrides) if progs else [])
+    out = []
+    for _, variables in jobs:
+        mine = [next(sols) for _ in range(2 * len(variables))]
+        if any(sol.status == conic.INFEASIBLE for sol in mine):
+            out.append(None)
+            continue
+        vals = [sense * sol.objective if sol.optimal else None
+                for sol, sense in zip(mine, (+1, -1) * len(variables))]
+        out.append(list(zip(vals[::2], vals[1::2])))
+    return out
 
 
 # bound solves are exact only to solver tolerance; pad outward before use

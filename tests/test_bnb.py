@@ -285,6 +285,35 @@ def test_range_reduction_infeasible_cutoff_prunes(net2):
     assert red is None  # cutoff below the relaxation value empties the node
 
 
+def test_range_reduction_batch_matches_single_node_calls(net2):
+    """The root and both children of one branch, reduced in one call: the
+    child under a cutoff of 100.0 empties on its own, and each other node
+    gets the box of a call on that node alone."""
+    scaled = network.scale_load(net2, 1.00)
+    vb, cuts = tighten.run_algorithm1(scaled)
+    root = bnb.NodeBox.root(scaled, vb)
+    model = bnb.node_relaxation(scaled, root, cuts)
+    point = model.point(conic.solve(model.program).x)
+    slacks = bnb._coupling_slacks(scaled, point)
+    kids, _ = bnb.branch(scaled, root, point, slacks)
+    nodes = [(root, 570.0), (kids[0], 100.0), (kids[1], 570.0)]
+    got = bnb.range_reduction_batch(
+        [(bnb.node_relaxation(scaled, box, cuts), box, cap, slacks)
+         for box, cap in nodes])
+    assert got[1] is None
+    for (box, cap), red in zip(nodes, got):
+        alone = bnb.range_reduction(bnb.node_relaxation(scaled, box, cuts),
+                                    box, cap, slacks)
+        assert (red is None) == (alone is None)
+        if red is None:
+            continue
+        for kind in ("cii", "c", "s"):
+            for end in ("_lo", "_hi"):
+                np.testing.assert_allclose(getattr(red, kind + end),
+                                           getattr(alone, kind + end),
+                                           rtol=0, atol=1e-9)
+
+
 # ------------------------------------------------------------------ end to end
 
 def test_global_two_bus_inexact_case(net2):
@@ -337,6 +366,46 @@ def test_unbranchable_node_keeps_its_bound(net3, monkeypatch):
     assert res.status == bnb.GAP_LIMIT
     assert res.lower_bound == pytest.approx(res.root_lb, rel=1e-9)
     assert res.objective > res.lower_bound * (1 + 1e-3)
+
+
+def test_unresolved_leaf_keeps_its_bound(net3, monkeypatch):
+    """A node whose relaxation failed and that cannot be branched is a leaf
+    without a certificate: the search may not call a feasible instance
+    infeasible on it.  Every node-relaxation solve (a batch without
+    objective overrides) is made to end in `numerical_failure`."""
+    solve_batch = conic.solve_batch
+
+    def failing(progs, overrides=None, **kwargs):
+        sols = solve_batch(progs, overrides, **kwargs)
+        if overrides is None:
+            sols = [dataclasses.replace(sol, status=conic.FAILED)
+                    for sol in sols]
+        return sols
+
+    monkeypatch.setattr(conic, "solve_batch", failing)
+    monkeypatch.setattr(bnb, "_WIDTH_TOL", 10.0)
+    scaled = network.scale_load(net3, 1.03, scale_p=False)
+    res = bnb.solve_global(scaled, gap_tol=9e-4)
+    assert res.status == bnb.GAP_LIMIT
+    assert res.nodes == 1 and res.lower_bound == -math.inf
+
+
+def test_one_range_reduction_call_per_node_batch(net2, monkeypatch):
+    """After preprocessing, the search makes at most one range-reduction
+    call (a batch with objective overrides) per node-relaxation call."""
+    calls = []
+    solve_batch = conic.solve_batch
+
+    def counted(progs, overrides=None, **kwargs):
+        calls.append("node" if overrides is None else
+                     "reduce" if any(o is not None for o in overrides) else "")
+        return solve_batch(progs, overrides, **kwargs)
+
+    monkeypatch.setattr(conic, "solve_batch", counted)
+    res = bnb.solve_global(network.scale_load(net2, 1.00), gap_tol=9e-4)
+    assert res.optimal
+    search = calls[calls.index("node"):]
+    assert search.count("reduce") <= search.count("node")
 
 
 def test_global_fixed_voltage_experiment(net2):
