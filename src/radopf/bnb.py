@@ -4,10 +4,13 @@ Node relaxations keep the full SOCP (linear balance + voltage cone) and
 outer-approximate the reverse side of the coupling equality over the node's
 box: the bilinear product c_ii*c_jj is bounded below by its McCormick planes
 while c^2 and s^2 are bounded above by their secants, giving linear rows that
-shrink to the surface as boxes shrink.  Bisection branches on the variable
-contributing most to the worst coupling slack, incumbents come from a local
-polish of relaxation points in (|V|, angle) space, and every incumbent must
-pass the independent rectangular feasibility check before it is accepted.
+shrink to the surface as boxes shrink.  A node box bounds the variables of
+the network's lifted model in the model's own index layout, so relaxation,
+propagation, branching and range reduction all read it directly.  Bisection
+branches on the variable contributing most to the worst coupling slack,
+incumbents come from a local polish of relaxation points in (|V|, angle)
+space, and every incumbent must pass the independent rectangular
+feasibility check before it is accepted.
 """
 
 from __future__ import annotations
@@ -36,47 +39,30 @@ _BATCH = 4          # best-first nodes whose relaxations are solved together
 
 @dataclass
 class NodeBox:
-    """Per-variable intervals for (c_ii, c_ij, s_ij), refined by branching."""
-    cii_lo: np.ndarray
-    cii_hi: np.ndarray
-    c_lo: np.ndarray
-    c_hi: np.ndarray
-    s_lo: np.ndarray
-    s_hi: np.ndarray
+    """Interval [lo, hi] of every variable of the network's lifted model
+    (`jabr.build_relaxation`), indexed like the model's own variables
+    (`model.cii`, `model.c`, `model.s`, `model.line_vars(k)`).  The layout
+    depends only on the network, so every node model of a search shares it;
+    branching and range reduction refine the c_ii, c and s entries."""
+    lo: np.ndarray
+    hi: np.ndarray
 
     @classmethod
     def root(cls, net: Network, bounds: tighten.VarBounds | None = None,
              fixed_voltage: dict[int, float] | None = None) -> "NodeBox":
-        lo = np.array([b.vmin ** 2 for b in net.buses])
-        hi = np.array([b.vmax ** 2 for b in net.buses])
-        if fixed_voltage:
-            for k, b in enumerate(net.buses):
-                if b.id in fixed_voltage:
-                    lo[k] = hi[k] = float(fixed_voltage[b.id])
+        """The lifted program's own bounds (unit boxes, vmin²..vmax² or the
+        pinned voltage) with the line boxes of `bounds`, by default the
+        implied ones."""
+        model = jabr.build_relaxation(net, fixed_voltage=fixed_voltage)
+        lo, hi = np.array(model.program.lb), np.array(model.program.ub)
         if bounds is None:
             bounds = tighten.VarBounds.implied(net)
-        return cls(cii_lo=lo, cii_hi=hi,
-                   c_lo=bounds.c_lo.copy(), c_hi=bounds.c_hi.copy(),
-                   s_lo=bounds.s_lo.copy(), s_hi=bounds.s_hi.copy())
+        lo[model.c], hi[model.c] = bounds.c_lo, bounds.c_hi
+        lo[model.s], hi[model.s] = bounds.s_lo, bounds.s_hi
+        return cls(lo, hi)
 
     def copy(self) -> "NodeBox":
-        return NodeBox(*(a.copy() for a in
-                         (self.cii_lo, self.cii_hi, self.c_lo, self.c_hi,
-                          self.s_lo, self.s_hi)))
-
-    def interval(self, kind: str, k: int) -> tuple[float, float]:
-        lo = getattr(self, kind + "_lo")
-        hi = getattr(self, kind + "_hi")
-        return float(lo[k]), float(hi[k])
-
-    def set_interval(self, kind: str, k: int, lo: float, hi: float):
-        getattr(self, kind + "_lo")[k] = lo
-        getattr(self, kind + "_hi")[k] = hi
-
-    def max_width(self) -> float:
-        return max(float(np.max(self.cii_hi - self.cii_lo, initial=0.0)),
-                   float(np.max(self.c_hi - self.c_lo, initial=0.0)),
-                   float(np.max(self.s_hi - self.s_lo, initial=0.0)))
+        return NodeBox(self.lo.copy(), self.hi.copy())
 
 
 class _Propagator:
@@ -90,21 +76,8 @@ class _Propagator:
     """
 
     def __init__(self, net: Network, **build_kwargs):
-        self.net = net
         model = jabr.build_relaxation(net, **build_kwargs)
-        nv = model.program.num_vars
-        self.lo0 = np.full(nv, -np.inf)
-        self.hi0 = np.full(nv, np.inf)
-        for k, g in enumerate(net.generators):
-            self.lo0[model.pg[k]], self.hi0[model.pg[k]] = g.pmin, g.pmax
-            self.lo0[model.qg[k]], self.hi0[model.qg[k]] = g.qmin, g.qmax
-        pos = net.bus_index
-        self.kind = {}
-        for bus in net.buses:
-            self.kind[model.cii[bus.id]] = ("cii", pos[bus.id])
-        for k in range(len(net.lines)):
-            self.kind[model.c[k]] = ("c", k)
-            self.kind[model.s[k]] = ("s", k)
+        self.units = model.pg + model.qg
         # lossless (r=0) lines put exact zeros in balance rows; drop them so
         # the interval division below stays well defined
         self.rows = []
@@ -113,18 +86,15 @@ class _Propagator:
             self.rows.append((r.idx[keep], r.coef[keep], r.rhs))
 
     def run(self, box: NodeBox) -> NodeBox | None:
-        lo, hi = self.lo0.copy(), self.hi0.copy()
-        for v, (what, k) in self.kind.items():
-            lo[v] = getattr(box, what + "_lo")[k]
-            hi[v] = getattr(box, what + "_hi")[k]
-        lo, hi = _sweep_rows(self.rows, lo, hi)
+        """`box` with its c_ii, c and s intervals tightened, or None when the
+        sweep empties it.  The unit intervals come back unchanged: the sweep
+        may tighten them too, but writing that back would change the node
+        programs and the search's answers."""
+        lo, hi = _sweep_rows(self.rows, box.lo.copy(), box.hi.copy())
         if lo is None:
             return None
-        out = box.copy()
-        for v, (what, k) in self.kind.items():
-            getattr(out, what + "_lo")[k] = lo[v]
-            getattr(out, what + "_hi")[k] = hi[v]
-        return out
+        lo[self.units], hi[self.units] = box.lo[self.units], box.hi[self.units]
+        return NodeBox(lo, hi)
 
 
 def _sweep_rows(rows, lo, hi):
@@ -157,21 +127,18 @@ def _sweep_rows(rows, lo, hi):
 
 def node_relaxation(net: Network, box: NodeBox, cuts=(),
                     **build_kwargs) -> jabr.JabrModel:
-    """Lifted SOCP over the box plus the reverse-side outer approximation."""
+    """Lifted SOCP with the box as its variable bounds and the secant cuts,
+    plus two rows per line that outer-approximate the reverse side of its
+    coupling over the box."""
     model = jabr.build_relaxation(net, **build_kwargs)
     prog = model.program
-    for k, bus in enumerate(net.buses):
-        prog.set_bounds(model.cii[bus.id], box.cii_lo[k], box.cii_hi[k])
-    tighten.apply_to_model(model, box, cuts)
-    pos = net.bus_index
-    for k, ln in enumerate(net.lines):
-        i, j = pos[ln.from_bus], pos[ln.to_bus]
-        li, ui = box.cii_lo[i], box.cii_hi[i]
-        lj, uj = box.cii_lo[j], box.cii_hi[j]
-        lc, uc = box.c_lo[k], box.c_hi[k]
-        ls, us = box.s_lo[k], box.s_hi[k]
-        vi, vj = model.cii[ln.from_bus], model.cii[ln.to_bus]
-        vc, vs = model.c[k], model.s[k]
+    prog.lb, prog.ub = box.lo.tolist(), box.hi.tolist()
+    tighten.apply_to_model(model, cuts=cuts)
+    lo, hi = box.lo, box.hi
+    for k in range(len(net.lines)):
+        vi, vj, vc, vs = model.line_vars(k)
+        li, ui, lj, uj = lo[vi], hi[vi], lo[vj], hi[vj]
+        lc, uc, ls, us = lo[vc], hi[vc], lo[vs], hi[vs]
         rhs_sec = -(lc * uc) - (ls * us)
         # McCormick underestimate of cii*cjj <= secants of c^2 + s^2
         prog.add_ineq([vi, vj, vc, vs],
@@ -185,60 +152,39 @@ def node_relaxation(net: Network, box: NodeBox, cuts=(),
 
 # ------------------------------------------------------------------ branching
 
-_KINDS = ("cii", "c", "s")
-
-
-def _coupling_slacks(net: Network, box_point: dict) -> np.ndarray:
-    pos = net.bus_index
-    out = np.empty(len(net.lines))
-    cii, c, s = box_point["cii"], box_point["c"], box_point["s"]
-    for k, ln in enumerate(net.lines):
-        prod = cii[ln.from_bus] * cii[ln.to_bus]
-        out[k] = (prod - c[k] ** 2 - s[k] ** 2) / max(abs(prod), 1e-12)
-    return out
-
-
-def branch(net: Network, box: NodeBox, point: dict,
+def branch(model: jabr.JabrModel, box: NodeBox, x: np.ndarray,
            slacks: np.ndarray) -> tuple[list, tuple | None]:
     """Children boxes from bisecting the strongest contributor to the worst
-    coupling slack; the split point is the relaxation value clamped to the
-    middle 60% of the interval."""
-    order = np.argsort(-slacks)
-    pos = net.bus_index
-    for k in order:
+    coupling slack at the point `x` of `model`'s variables, and the
+    (variable, split) bisected; the split point is the variable's value
+    clamped to the middle 60% of its interval.  Candidates, in order, are a
+    line's from-bus c_ii, to-bus c_ii, c and s; no children when no line
+    with positive slack has one wider than the width floor."""
+    lo, hi = box.lo, box.hi
+    for k in np.argsort(-slacks):
         if slacks[k] <= 0:
             break
-        ln = net.lines[k]
-        i, j = pos[ln.from_bus], pos[ln.to_bus]
-        cands = []
-        wi = box.cii_hi[i] - box.cii_lo[i]
-        wj = box.cii_hi[j] - box.cii_lo[j]
+        vi, vj, vc, vs = model.line_vars(k)
+        cv, sv = x[vc], x[vs]
         # product gap scales with the partner value; secant gap is quadratic
-        cands.append(("cii", i, wi * abs(point["cii"][ln.to_bus]),
-                      point["cii"][ln.from_bus]))
-        cands.append(("cii", j, wj * abs(point["cii"][ln.from_bus]),
-                      point["cii"][ln.to_bus]))
-        lc, uc = box.c_lo[k], box.c_hi[k]
-        ls, us = box.s_lo[k], box.s_hi[k]
-        cv, sv = point["c"][k], point["s"][k]
-        cands.append(("c", k, (lc + uc) * cv - lc * uc - cv * cv, cv))
-        cands.append(("s", k, (ls + us) * sv - ls * us - sv * sv, sv))
+        cands = ((vi, (hi[vi] - lo[vi]) * abs(x[vj])),
+                 (vj, (hi[vj] - lo[vj]) * abs(x[vi])),
+                 (vc, (lo[vc] + hi[vc]) * cv - lo[vc] * hi[vc] - cv * cv),
+                 (vs, (lo[vs] + hi[vs]) * sv - lo[vs] * hi[vs] - sv * sv))
         best = None
-        for kind, idx, score, val in cands:
-            lo, hi = box.interval(kind, idx)
-            if hi - lo <= _WIDTH_TOL:
+        for v, score in cands:
+            if hi[v] - lo[v] <= _WIDTH_TOL:
                 continue
-            if best is None or score > best[2]:
-                best = (kind, idx, score, val)
+            if best is None or score > best[1]:
+                best = (v, score)
         if best is None:
             continue
-        kind, idx, _, val = best
-        lo, hi = box.interval(kind, idx)
-        split = min(max(val, lo + 0.2 * (hi - lo)), hi - 0.2 * (hi - lo))
+        v = best[0]
+        split = min(max(x[v], lo[v] + 0.2 * (hi[v] - lo[v])),
+                    hi[v] - 0.2 * (hi[v] - lo[v]))
         left, right = box.copy(), box.copy()
-        left.set_interval(kind, idx, lo, split)
-        right.set_interval(kind, idx, split, hi)
-        return [left, right], (kind, idx, split)
+        left.hi[v] = right.lo[v] = split
+        return [left, right], (v, split)
     return [], None
 
 
@@ -532,45 +478,35 @@ def range_reduction_batch(jobs, *,
     A box is updated after the sweep, not between solves, which keeps the
     sweep order-independent.
     """
-    wides, bounded = [], []
+    bounded = []
     for model, box, incumbent, slacks in jobs:
-        net = model.net
         if math.isfinite(incumbent):
             jabr.add_cost_cap(model, incumbent + 1e-6 * (1 + abs(incumbent)))
-        targets = []
-        if len(net.lines):
-            worst = int(np.argmax(slacks))
-            ln = net.lines[worst]
-            pos = net.bus_index
-            targets = [("cii", pos[ln.from_bus]), ("cii", pos[ln.to_bus]),
-                       ("c", worst), ("s", worst)]
-            targets.sort(key=lambda t: box.interval(*t)[0] - box.interval(*t)[1])
-        wide = [(kind, idx) for kind, idx in targets[:max_vars]
-                if box.interval(kind, idx)[1] - box.interval(kind, idx)[0]
-                > _WIDTH_TOL]
-        wides.append(wide)
-        bounded.append((model, [model.cii[net.buses[idx].id] if kind == "cii"
-                                else (model.c if kind == "c" else model.s)[idx]
-                                for kind, idx in wide]))
-    return [_reduced(box, wide, pairs) for (_, box, *_), wide, pairs
-            in zip(jobs, wides, tighten.min_max_batch(bounded))]
+        wide = []
+        if len(model.net.lines):
+            targets = sorted(model.line_vars(int(np.argmax(slacks))),
+                             key=lambda v: box.lo[v] - box.hi[v])
+            wide = [v for v in targets[:max_vars]
+                    if box.hi[v] - box.lo[v] > _WIDTH_TOL]
+        bounded.append((model, wide))
+    return [_reduced(box, wide, pairs) for (_, box, *_), (_, wide), pairs
+            in zip(jobs, bounded, tighten.min_max_batch(bounded))]
 
 
 def _reduced(box: NodeBox, wide, pairs) -> NodeBox | None:
-    """`box` with the intervals `wide` cut to their (min, max) `pairs`,
-    padded outward; None when the relaxation or an interval is empty."""
+    """`box` with the intervals of the variables `wide` cut to their
+    (min, max) `pairs`, padded outward; None when the relaxation or an
+    interval is empty."""
     if pairs is None:
         return None
     out = box.copy()
-    for (kind, idx), (vmin, vmax) in zip(wide, pairs):
-        lo, hi = box.interval(kind, idx)
+    for v, (vmin, vmax) in zip(wide, pairs):
         if vmin is not None:
-            lo = max(lo, vmin - 1e-9 * (1 + abs(vmin)))
+            out.lo[v] = max(out.lo[v], vmin - 1e-9 * (1 + abs(vmin)))
         if vmax is not None:
-            hi = min(hi, vmax + 1e-9 * (1 + abs(vmax)))
-        if lo > hi:
+            out.hi[v] = min(out.hi[v], vmax + 1e-9 * (1 + abs(vmax)))
+        if out.lo[v] > out.hi[v]:
             return None
-        out.set_interval(kind, idx, lo, hi)
     return out
 
 
@@ -612,10 +548,12 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                  fixed_voltage: dict[int, float] | None = None) -> BnbResult:
     """Best-first spatial branch-and-bound to certified relative gap.
 
-    Up to `_BATCH` best-first nodes are popped together; a batch never
-    takes more nodes than `node_limit` has left.  Their relaxations are
-    solved in one batched interior-point call, and the batch then runs in
-    three phases:
+    Each node is a `NodeBox` over the lifted model's variables.  Up to
+    `_BATCH` best-first nodes are popped together; a batch never takes more
+    nodes than `node_limit` has left.  Interval propagation tightens each
+    popped box's c_ii, c and s intervals (the unit bounds stay those of the
+    units), and the boxes' relaxations are solved in one batched
+    interior-point call.  The batch then runs in three phases:
 
     1. Per node, in bound order: an infeasible relaxation is dropped, a
        bound at the cutoff is fathomed, an exact point is recovered and
@@ -641,53 +579,22 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
 
     A node whose relaxation ends without an answer is range-reduced under
     the cutoff when there is an incumbent: it is pruned if that certifies
-    its box empty, and otherwise branched blindly with its parent's bound.
-    A node, solved or not, that is neither pruned, fathomed nor branchable
-    keeps its bound in the reported lower bound, so the search then ends
-    `gap-limit`.
+    its box empty, and otherwise branched blindly at its box's middle with
+    its parent's bound.  A node, solved or not, that is neither pruned,
+    fathomed nor branchable keeps its bound in the reported lower bound, so
+    the search then ends `gap-limit`.
 
-    Infeasibility is declared only on a root-relaxation infeasibility
-    certificate or when the whole tree is exhausted with every leaf
-    relaxation-infeasible, emptied by interval propagation or emptied by
-    range reduction.
+    Infeasibility is declared only when bound tightening finds the
+    relaxation empty before the first node (`nodes == 0`), or when the whole
+    tree is exhausted with every leaf relaxation-infeasible, emptied by
+    interval propagation or emptied by range reduction.
     """
     net.require_radial()
     t0 = time.monotonic()
     build_kwargs = {"fixed_voltage": fixed_voltage} if fixed_voltage else {}
 
-    polish_calls = polish_found = 0
-
-    def done(status, lb, inc, nodes, root_lb, trace, ncuts):
-        ub = inc.objective if inc is not None else math.inf
-        rg = None
-        if root_lb is not None and inc is not None and inc.objective:
-            rg = 100.0 * (1.0 - root_lb / inc.objective)
-        return BnbResult(status=status, incumbent=inc,
-                         objective=inc.objective if inc else None,
-                         lower_bound=lb, gap=_rel_gap(lb, ub), nodes=nodes,
-                         root_lb=root_lb, root_gap_pct=rg, cuts=ncuts,
-                         runtime=time.monotonic() - t0,
-                         preprocess_time=pre_time, trace=trace,
-                         polish_calls=polish_calls, polish_found=polish_found)
-
     cuts: list[tighten.Cut] = []
-    var_bounds = None
     pre_time = 0.0
-    try:
-        if use_bounds and use_cuts:
-            var_bounds, cuts = tighten.run_algorithm1(net, **build_kwargs)
-        elif use_bounds:
-            var_bounds = tighten.compute_bounds(net, **build_kwargs)
-        pre_time = time.monotonic() - t0
-    except tighten.RelaxationInfeasible:
-        pre_time = time.monotonic() - t0
-        return done(INFEASIBLE, math.inf, None, 0, None, [], 0)
-
-    prop = _Propagator(net, **build_kwargs)
-    bal = _balance(net)
-    root = NodeBox.root(net, var_bounds, fixed_voltage)
-    heap = [(-math.inf, 0, root, 0)]
-    counter = 1
     incumbent: jabr.OpfSolution | None = None
     nodes = 0
     root_lb = None
@@ -695,17 +602,51 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     floor = math.inf  # least bound of the open nodes dropped unbranched
     fails = 0         # failed polishes since the start or the last success
     next_polish = 0   # node count from which a polish is due again
+    polish_calls = polish_found = 0
 
     def ub_val():
         return incumbent.objective if incumbent is not None else math.inf
 
     def cutoff():
         """Bound at or above which a node cannot improve the incumbent by
-        more than the gap tolerance."""
-        return ub_val() - gap_tol * max(abs(ub_val()), 1e-9)
+        more than the gap tolerance; +inf while there is no incumbent."""
+        if incumbent is None:
+            return math.inf
+        ub = incumbent.objective
+        return ub - gap_tol * max(abs(ub), 1e-9)
 
     def global_lb():
         return min([entry[0] for entry in heap] + [floor, ub_val()])
+
+    def done(status, lb):
+        """The result at `status` and lower bound `lb`, read from the
+        search's state; every exit returns through it."""
+        rg = None
+        if root_lb is not None and incumbent is not None and incumbent.objective:
+            rg = 100.0 * (1.0 - root_lb / incumbent.objective)
+        return BnbResult(status=status, incumbent=incumbent,
+                         objective=incumbent.objective if incumbent else None,
+                         lower_bound=lb, gap=_rel_gap(lb, ub_val()),
+                         nodes=nodes, root_lb=root_lb, root_gap_pct=rg,
+                         cuts=len(cuts), runtime=time.monotonic() - t0,
+                         preprocess_time=pre_time, trace=trace,
+                         polish_calls=polish_calls, polish_found=polish_found)
+
+    var_bounds = None
+    try:
+        if use_bounds and use_cuts:
+            var_bounds, cuts = tighten.run_algorithm1(net, **build_kwargs)
+        elif use_bounds:
+            var_bounds = tighten.compute_bounds(net, **build_kwargs)
+    except tighten.RelaxationInfeasible:
+        pre_time = time.monotonic() - t0
+        return done(INFEASIBLE, math.inf)
+    pre_time = time.monotonic() - t0
+
+    prop = _Propagator(net, **build_kwargs)
+    bal = _balance(net)
+    heap = [(-math.inf, 0, NodeBox.root(net, var_bounds, fixed_voltage), 0)]
+    counter = 1
 
     def consider(cand: jabr.OpfSolution | None):
         nonlocal incumbent
@@ -722,11 +663,11 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         if incumbent is None or cand.objective < incumbent.objective:
             incumbent = cand
 
-    def polish(point):
-        """Polish `point` if one is due: without an incumbent, 2**fails
-        nodes after the last failure; with one, every 25th node.  A polish
-        succeeds when it gives a new incumbent; only one with no failure
-        since the start or the last success multistarts."""
+    def polish(model, x):
+        """Polish the point `x` of `model` if one is due: without an
+        incumbent, 2**fails nodes after the last failure; with one, every
+        25th node.  A polish succeeds when it gives a new incumbent; only one
+        with no failure since the start or the last success multistarts."""
         nonlocal polish_calls, polish_found, fails, next_polish
         if incumbent is not None:
             if nodes % 25:
@@ -734,7 +675,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         elif nodes < next_polish:
             return
         polish_calls += 1
-        cand = local_polish(net, point, multistart=fails == 0,
+        cand = local_polish(net, model.point(x), multistart=fails == 0,
                             fixed_voltage=fixed_voltage, bal=bal)
         best = incumbent
         consider(cand)
@@ -747,11 +688,9 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
 
     while heap:
         if time_limit is not None and time.monotonic() - t0 > time_limit:
-            return done(TIME_LIMIT, global_lb(), incumbent, nodes, root_lb,
-                        trace, len(cuts))
+            return done(TIME_LIMIT, global_lb())
         if node_limit is not None and nodes >= node_limit:
-            return done(GAP_LIMIT, global_lb(), incumbent, nodes, root_lb,
-                        trace, len(cuts))
+            return done(GAP_LIMIT, global_lb())
 
         # pop a batch of up to _BATCH best-first nodes and solve their
         # relaxations in one batched call; results are folded back in
@@ -776,8 +715,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         sols = conic.solve_batch([m.program for m in models])
 
         # phase 1, per node in bound order: verdict, fathoming, incumbents;
-        # `left` keeps (bound, box, depth, model, point, slacks, node) of
-        # the nodes still open, with point None where the IPM failed
+        # `left` keeps (bound, box, depth, model, x, slacks, node) of the
+        # nodes still open, with x None where the IPM failed
         left = []
         for (lb_parent, box, depth), model, sol in zip(batch, models, sols):
             nodes += 1
@@ -795,8 +734,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             if node_lb >= cutoff():
                 continue
 
-            point = model.point(sol.x)
-            slacks = _coupling_slacks(net, point)
+            slacks = model.coupling_residuals(sol.x)
             worst = float(np.max(slacks, initial=0.0))
 
             if worst <= _EXACT_TOL:
@@ -809,7 +747,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                 except ValueError:
                     pass
                 if incumbent is None:
-                    polish(point)
+                    polish(model, sol.x)
                 if incumbent is not None and incumbent.objective <= node_lb \
                         + gap_tol * max(1.0, abs(node_lb)):
                     trace.append((nodes, node_lb, ub_val()))
@@ -817,8 +755,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                 # recovery failed numerically; keep branching below
 
             else:
-                polish(point)
-            left.append((node_lb, box, depth, model, point, slacks, nodes))
+                polish(model, sol.x)
+            left.append((node_lb, box, depth, model, sol.x, slacks, nodes))
 
         # phase 2: one range-reduction call for the open nodes, under the
         # incumbent as phase 1 left it.  Cutoff-based reduction pays for
@@ -826,8 +764,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         # is reduced only under an incumbent's cutoff, and pruned if that
         # certifies its box empty.
         jobs = {}
-        for k, (_, box, _, model, point, slacks, _) in enumerate(left):
-            if point is not None:
+        for k, (_, box, _, model, x, slacks, _) in enumerate(left):
+            if x is not None:
                 jobs[k] = (model, box, ub_val(), slacks)
             elif incumbent is not None:
                 jobs[k] = (model, box, cutoff(), slacks)
@@ -837,11 +775,11 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
 
         # phase 3, per node: prune or branch.  An unresolved node is
         # branched blindly at its box's middle with its parent's bound.
-        for (node_lb, _, depth, _, point, slacks, node), box in zip(left,
+        for (node_lb, _, depth, model, x, slacks, node), box in zip(left,
                                                                      boxes):
             if box is not None:
-                kids, _ = branch(net, box, _mid_point(net, box)
-                                 if point is None else point, slacks)
+                kids, _ = branch(model, box, 0.5 * (box.lo + box.hi)
+                                 if x is None else x, slacks)
                 if not kids:
                     # nothing branchable: the width floor is hit, the point
                     # is on the surface but gave no incumbent to fathom it,
@@ -850,29 +788,15 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                 for kid in kids:
                     heapq.heappush(heap, (node_lb, counter, kid, depth + 1))
                     counter += 1
-            if point is not None:
+            if x is not None:
                 trace.append((node, node_lb, ub_val()))
 
         if incumbent is not None and _rel_gap(global_lb(), ub_val()) <= gap_tol:
-            return done(GLOBAL_OPTIMAL, global_lb(), incumbent, nodes,
-                        root_lb, trace, len(cuts))
+            return done(GLOBAL_OPTIMAL, global_lb())
 
+    # the tree is exhausted or every open node is at the cutoff; without an
+    # incumbent the heap is empty, so the bound is `floor`
     lb = global_lb()
-    if incumbent is not None:
-        if _rel_gap(lb, ub_val()) <= gap_tol:
-            return done(GLOBAL_OPTIMAL, lb, incumbent, nodes, root_lb, trace,
-                        len(cuts))
-        return done(GAP_LIMIT, lb, incumbent, nodes, root_lb, trace, len(cuts))
-    if floor == math.inf:
-        return done(INFEASIBLE, math.inf, None, nodes, root_lb, trace, len(cuts))
-    return done(GAP_LIMIT, lb, None, nodes, root_lb, trace, len(cuts))
-
-
-def _mid_point(net: Network, box: NodeBox) -> dict:
-    cii = {b.id: 0.5 * (box.cii_lo[k] + box.cii_hi[k])
-           for k, b in enumerate(net.buses)}
-    return {"cii": cii,
-            "c": 0.5 * (box.c_lo + box.c_hi),
-            "s": 0.5 * (box.s_lo + box.s_hi),
-            "pg": np.zeros(len(net.generators)),
-            "qg": np.zeros(len(net.generators))}
+    return done(GLOBAL_OPTIMAL if _rel_gap(lb, ub_val()) <= gap_tol
+                else INFEASIBLE if incumbent is None and floor == math.inf
+                else GAP_LIMIT, lb)

@@ -271,9 +271,6 @@ class ConicSolution:
     def optimal(self) -> bool:
         return self.status == OPTIMAL
 
-    def value(self, i: int) -> float:
-        return float(self.x[i])
-
 
 def solve(prog: ConicProgram, *, feastol: float = 1e-8, gaptol: float = 1e-8,
           maxiter: int = 200, objective_override=None) -> ConicSolution:

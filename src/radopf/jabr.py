@@ -34,7 +34,6 @@ class JabrModel:
     cii: dict[int, int]    # bus id -> variable
     c: list[int]           # per line, oriented from->to
     s: list[int]
-    include_cone: bool = True
 
     def line_vars(self, k: int) -> tuple[int, int, int, int]:
         ln = self.net.lines[k]
@@ -122,8 +121,7 @@ def build_relaxation(net: Network, *, fixed_voltage: dict[int, float] | None = N
             prog.add_ineq([s[k], c[k]], [1.0, -t], 0.0)
             prog.add_ineq([s[k], c[k]], [-1.0, -t], 0.0)
 
-    return JabrModel(net=net, program=prog, pg=pg, qg=qg, cii=cii, c=c, s=s,
-                     include_cone=include_cone)
+    return JabrModel(net=net, program=prog, pg=pg, qg=qg, cii=cii, c=c, s=s)
 
 
 # ------------------------------------------------------------------ exactness
@@ -132,7 +130,6 @@ def build_relaxation(net: Network, *, fixed_voltage: dict[int, float] | None = N
 class Exactness:
     exact: bool
     max_residual: float
-    residuals: np.ndarray
 
     def __str__(self):
         tag = "exact" if self.exact else "inexact"
@@ -144,9 +141,8 @@ def check_exactness(model: JabrModel, sol: conic.ConicSolution,
     """Exact iff every line sits on the cone surface to relative `tol`."""
     if not sol.optimal:
         raise ValueError(f"exactness undefined for status {sol.status}")
-    res = model.coupling_residuals(sol.x)
-    worst = float(np.max(res, initial=0.0))
-    return Exactness(exact=worst <= tol, max_residual=worst, residuals=res)
+    worst = float(np.max(model.coupling_residuals(sol.x), initial=0.0))
+    return Exactness(exact=worst <= tol, max_residual=worst)
 
 
 # -------------------------------------------------------------- opf solutions
@@ -160,7 +156,6 @@ class OpfSolution:
     pg: np.ndarray
     qg: np.ndarray
     objective: float
-    max_coupling_residual: float = 0.0
 
     @property
     def e(self) -> np.ndarray:
@@ -169,9 +164,6 @@ class OpfSolution:
     @property
     def f(self) -> np.ndarray:
         return self.vm * np.sin(self.theta)
-
-    def angle(self) -> dict[int, float]:
-        return dict(zip(self.bus_ids, self.theta))
 
 
 def _slack_bus(net: Network) -> int:
@@ -207,7 +199,7 @@ def recover_angles(net: Network, model: JabrModel, sol: conic.ConicSolution,
     qg = x[model.qg].copy()
     obj = sum(g.cost.value(p) for g, p in zip(net.generators, pg))
     return OpfSolution(bus_ids=ids, vm=vm, theta=theta, pg=pg, qg=qg,
-                       objective=obj, max_coupling_residual=ex.max_residual)
+                       objective=obj)
 
 
 @dataclass

@@ -37,10 +37,6 @@ class CostFunction:
         if self.c2 < 0:
             raise NetworkError("quadratic cost coefficient must be >= 0")
 
-    @property
-    def kind(self) -> str:
-        return "convex-quadratic" if self.c2 > 0 else "linear"
-
     def value(self, p: float) -> float:
         return self.c2 * p * p + self.c1 * p + self.c0
 

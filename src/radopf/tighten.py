@@ -127,9 +127,8 @@ def generate_cut(c_lo: float, c_hi: float, s_lo: float, s_hi: float,
 
 
 def apply_to_model(model: jabr.JabrModel, bounds=None, cuts=()):
-    """Install per-line (c, s) boxes and cuts into a freshly built lifted
-    model; `bounds` is anything with `c_lo`/`c_hi`/`s_lo`/`s_hi` arrays
-    (a `VarBounds` or a branch-and-bound node box)."""
+    """Install per-line (c, s) boxes from a `VarBounds` and cuts into a
+    freshly built lifted model."""
     prog = model.program
     if bounds is not None:
         for k in range(len(model.net.lines)):

@@ -314,8 +314,7 @@ class OracleResult:
     resolution: float
 
 
-def grid_oracle(inst: TwoBusInstance, resolution: float = 1e-4,
-                socp_numeric: bool = True) -> OracleResult:
+def grid_oracle(inst: TwoBusInstance, resolution: float = 1e-4) -> OracleResult:
     """Brute-force classification by enumeration.
 
     OPF side: walk the (c11, c22) grid restricted to cells crossed by the
@@ -326,8 +325,7 @@ def grid_oracle(inst: TwoBusInstance, resolution: float = 1e-4,
     independent of :func:`classify`.
     """
     if inst.b < 0:
-        res = grid_oracle(inst.mirrored(), resolution, socp_numeric)
-        return res
+        return grid_oracle(inst.mirrored(), resolution)
 
     n = max(2, int(round((inst.c22_max - inst.c22_min) / resolution)) + 1)
     c22 = inst.c22_min + resolution * np.arange(n)
@@ -365,14 +363,9 @@ def grid_oracle(inst: TwoBusInstance, resolution: float = 1e-4,
                 opf_value = float(cf[bf])
                 argmin = (float(c11f[okf][bf]), float(fine[okf][bf]))
 
-    socp_value = None
-    if socp_numeric:
-        from . import jabr  # local import to keep module load light
-        net = inst.to_network()
-        model = jabr.build_relaxation(net)
-        sol = conic.solve(model.program)
-        if sol.optimal:
-            socp_value = sol.objective
+    from . import jabr  # local import to keep module load light
+    sol = conic.solve(jabr.build_relaxation(inst.to_network()).program)
+    socp_value = sol.objective if sol.optimal else None
 
     tol = 2.0 * resolution * abs(inst.g) * inst.cost
     if socp_value is None:

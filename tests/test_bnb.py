@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radopf import bnb, cases, conic, jabr, network, tighten
+from radopf import bnb, cases, conic, jabr, network, tighten, twobus
 
 
 @pytest.fixture(scope="module")
@@ -42,17 +42,15 @@ def test_point_box_relaxation_is_exact(net2):
     res = jabr.solve_relaxation(scaled)
     opf = res.opf
     box = bnb.NodeBox.root(scaled)
+    lifted = jabr.build_relaxation(scaled)
     pos = scaled.bus_index
-    for k, b in enumerate(scaled.buses):
-        v = opf.vm[pos[b.id]] ** 2
-        box.cii_lo[k] = v - 1e-9
-        box.cii_hi[k] = v + 1e-9
     vi, vj = opf.vm[0], opf.vm[1]
     d = opf.theta[1] - opf.theta[0]
-    box.c_lo[0] = vi * vj * math.cos(d) - 1e-9
-    box.c_hi[0] = vi * vj * math.cos(d) + 1e-9
-    box.s_lo[0] = vi * vj * math.sin(d) - 1e-9
-    box.s_hi[0] = vi * vj * math.sin(d) + 1e-9
+    at = {lifted.cii[b.id]: opf.vm[pos[b.id]] ** 2 for b in scaled.buses}
+    at[lifted.c[0]] = vi * vj * math.cos(d)
+    at[lifted.s[0]] = vi * vj * math.sin(d)
+    for v, val in at.items():
+        box.lo[v], box.hi[v] = val - 1e-9, val + 1e-9
     model = bnb.node_relaxation(scaled, box)
     sol = conic.solve(model.program)
     assert sol.optimal
@@ -91,14 +89,16 @@ def test_propagation_sound_and_contracting(net3):
     box = bnb.NodeBox.root(scaled)
     out = prop.run(box)
     assert out is not None
+    model = res.model
     pos = scaled.bus_index
     for k, ln in enumerate(scaled.lines):
         i, j = pos[ln.from_bus], pos[ln.to_bus]
         c = opf.vm[i] * opf.vm[j] * math.cos(opf.theta[j] - opf.theta[i])
         s = opf.vm[i] * opf.vm[j] * math.sin(opf.theta[j] - opf.theta[i])
-        assert out.c_lo[k] - 1e-7 <= c <= out.c_hi[k] + 1e-7
-        assert out.s_lo[k] - 1e-7 <= s <= out.s_hi[k] + 1e-7
-        assert out.c_hi[k] - out.c_lo[k] <= box.c_hi[k] - box.c_lo[k] + 1e-12
+        vc, vs = model.c[k], model.s[k]
+        assert out.lo[vc] - 1e-7 <= c <= out.hi[vc] + 1e-7
+        assert out.lo[vs] - 1e-7 <= s <= out.hi[vs] + 1e-7
+        assert out.hi[vc] - out.lo[vc] <= box.hi[vc] - box.lo[vc] + 1e-12
 
 
 def test_propagation_handles_lossless_lines():
@@ -107,46 +107,68 @@ def test_propagation_handles_lossless_lines():
     prop = bnb._Propagator(tree)
     out = prop.run(bnb.NodeBox.root(tree))
     assert out is not None
-    assert np.all(out.c_lo <= out.c_hi) and np.all(out.s_lo <= out.s_hi)
+    assert np.all(out.lo <= out.hi)
+
+
+def test_propagation_keeps_unit_bounds(net3):
+    """Propagation writes back only the c_ii, c and s intervals: the node
+    program's bounds are the box, and its unit bounds stay those of the
+    unit although the sweep alone cuts its pmax."""
+    scaled = network.scale_load(net3, 1.00, scale_p=False)
+    prop = bnb._Propagator(scaled)
+    box = bnb.NodeBox.root(scaled, tighten.compute_bounds(scaled))
+    lo, hi = bnb._sweep_rows(prop.rows, box.lo.copy(), box.hi.copy())
+    out = prop.run(box)
+    model = bnb.node_relaxation(scaled, out)
+    assert model.program.lb == out.lo.tolist()
+    assert model.program.ub == out.hi.tolist()
+    assert scaled.generators[0].pmax == 5.5
+    assert hi[model.pg[0]] == pytest.approx(4.6185, abs=1e-4)
+    for k, g in enumerate(scaled.generators):
+        assert (out.lo[model.pg[k]], out.hi[model.pg[k]]) == (g.pmin, g.pmax)
+        assert (out.lo[model.qg[k]], out.hi[model.qg[k]]) == (g.qmin, g.qmax)
 
 
 # ------------------------------------------------------------------- branching
 
 def test_branch_partitions_parent(net2):
+    model = jabr.build_relaxation(net2)
     box = bnb.NodeBox.root(net2)
-    point = bnb._mid_point(net2, box)
-    kids, info = bnb.branch(net2, box, point, np.ones(1))
+    kids, info = bnb.branch(model, box, 0.5 * (box.lo + box.hi), np.ones(1))
     assert len(kids) == 2
-    kind, idx, split = info
-    lo, hi = box.interval(kind, idx)
+    v, split = info
+    lo, hi = box.lo[v], box.hi[v]
     assert lo < split < hi
-    assert kids[0].interval(kind, idx) == (lo, split)
-    assert kids[1].interval(kind, idx) == (split, hi)
+    assert (kids[0].lo[v], kids[0].hi[v]) == (lo, split)
+    assert (kids[1].lo[v], kids[1].hi[v]) == (split, hi)
 
 
 def test_branch_clamps_to_middle_band(net2):
+    model = jabr.build_relaxation(net2)
     box = bnb.NodeBox.root(net2)
-    point = bnb._mid_point(net2, box)
-    point["cii"] = {1: box.cii_lo[0], 2: box.cii_hi[1]}  # values at the edges
-    kids, info = bnb.branch(net2, box, point, np.ones(1))
-    kind, idx, split = info
-    lo, hi = box.interval(kind, idx)
+    x = 0.5 * (box.lo + box.hi)
+    x[model.cii[1]] = box.lo[model.cii[1]]  # values at the edges
+    x[model.cii[2]] = box.hi[model.cii[2]]
+    kids, info = bnb.branch(model, box, x, np.ones(1))
+    v, split = info
+    lo, hi = box.lo[v], box.hi[v]
     w = hi - lo
     assert lo + 0.2 * w - 1e-12 <= split <= hi - 0.2 * w + 1e-12
 
 
 def test_branch_none_when_residual_free(net2):
+    model = jabr.build_relaxation(net2)
     box = bnb.NodeBox.root(net2)
-    kids, info = bnb.branch(net2, box, bnb._mid_point(net2, box), np.zeros(1))
+    kids, info = bnb.branch(model, box, 0.5 * (box.lo + box.hi), np.zeros(1))
     assert kids == [] and info is None
 
 
 def test_branch_falls_to_cs_when_cii_pinned(net2):
     """With squared voltages pinned, branching must pick c or s."""
+    model = jabr.build_relaxation(net2)
     box = bnb.NodeBox.root(net2, fixed_voltage={1: 0.874, 2: 0.816})
-    point = bnb._mid_point(net2, box)
-    kids, info = bnb.branch(net2, box, point, np.ones(1))
-    assert info is not None and info[0] in ("c", "s")
+    kids, info = bnb.branch(model, box, 0.5 * (box.lo + box.hi), np.ones(1))
+    assert info is not None and info[0] in (model.c[0], model.s[0])
 
 
 # ----------------------------------------------------------------- local polish
@@ -265,13 +287,12 @@ def test_range_reduction_shrinks_and_keeps_optimum(net2):
     box = bnb.NodeBox.root(scaled, vb)
     model = bnb.node_relaxation(scaled, box, cuts)
     sol = conic.solve(model.program)
-    point = model.point(sol.x)
-    slacks = bnb._coupling_slacks(scaled, point)
+    slacks = model.coupling_residuals(sol.x)
     red = bnb.range_reduction(model, box, 564.9, slacks, max_vars=4)
     assert red is not None
-    assert red.max_width() <= box.max_width()
+    assert np.all(red.hi - red.lo <= box.hi - box.lo)
     # the verified optimum (cost 564.84, s = v1*v2*sin(-0.003452)) stays inside
-    assert red.s_lo[0] <= -0.002894 <= red.s_hi[0]
+    assert red.lo[model.s[0]] <= -0.002894 <= red.hi[model.s[0]]
 
 
 def test_range_reduction_infeasible_cutoff_prunes(net2):
@@ -279,8 +300,7 @@ def test_range_reduction_infeasible_cutoff_prunes(net2):
     box = bnb.NodeBox.root(scaled)
     model = bnb.node_relaxation(scaled, box)
     sol = conic.solve(model.program)
-    point = model.point(sol.x)
-    slacks = bnb._coupling_slacks(scaled, point)
+    slacks = model.coupling_residuals(sol.x)
     red = bnb.range_reduction(model, box, 100.0, slacks)
     assert red is None  # cutoff below the relaxation value empties the node
 
@@ -293,9 +313,9 @@ def test_range_reduction_batch_matches_single_node_calls(net2):
     vb, cuts = tighten.run_algorithm1(scaled)
     root = bnb.NodeBox.root(scaled, vb)
     model = bnb.node_relaxation(scaled, root, cuts)
-    point = model.point(conic.solve(model.program).x)
-    slacks = bnb._coupling_slacks(scaled, point)
-    kids, _ = bnb.branch(scaled, root, point, slacks)
+    x = conic.solve(model.program).x
+    slacks = model.coupling_residuals(x)
+    kids, _ = bnb.branch(model, root, x, slacks)
     nodes = [(root, 570.0), (kids[0], 100.0), (kids[1], 570.0)]
     got = bnb.range_reduction_batch(
         [(bnb.node_relaxation(scaled, box, cuts), box, cap, slacks)
@@ -307,11 +327,8 @@ def test_range_reduction_batch_matches_single_node_calls(net2):
         assert (red is None) == (alone is None)
         if red is None:
             continue
-        for kind in ("cii", "c", "s"):
-            for end in ("_lo", "_hi"):
-                np.testing.assert_allclose(getattr(red, kind + end),
-                                           getattr(alone, kind + end),
-                                           rtol=0, atol=1e-9)
+        np.testing.assert_allclose(red.lo, alone.lo, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(red.hi, alone.hi, rtol=0, atol=1e-9)
 
 
 # ------------------------------------------------------------------ end to end
@@ -324,6 +341,17 @@ def test_global_two_bus_inexact_case(net2):
     assert res.objective == pytest.approx(563.56, rel=5e-3)
     assert res.lower_bound <= res.objective + 1e-9
     assert res.nodes <= 500
+
+
+def test_global_infeasible_in_preprocessing():
+    """A unit floor far above what the load can take empties the relaxation
+    while its bounds are tightened: the search ends before its first node."""
+    net = twobus.TwoBusInstance(g=-1.0, b=5.0, pd=0.5, qd=0.2,
+                                pmin=100.0).to_network()
+    res = bnb.solve_global(net, gap_tol=1e-4)
+    assert res.status == bnb.INFEASIBLE and res.nodes == 0
+    assert res.lower_bound == math.inf
+    assert res.root_lb is None and res.objective is None
 
 
 def test_global_exact_short_circuit(net2):
@@ -574,24 +602,17 @@ def test_range_reduction_matches_per_direction_solves(net2, gamma,
     box = bnb.NodeBox.root(scaled, tighten.compute_bounds(scaled))
     model = bnb.node_relaxation(scaled, box)
     sol = conic.solve(model.program)
-    point = model.point(sol.x)
-    slacks = bnb._coupling_slacks(scaled, point)
+    slacks = model.coupling_residuals(sol.x)
     got = bnb.range_reduction(model, box, incumbent, slacks)
 
     ref_model = bnb.node_relaxation(scaled, box)
     if math.isfinite(incumbent):
         jabr.add_cost_cap(ref_model, incumbent + 1e-6 * (1 + abs(incumbent)))
-    worst = int(np.argmax(slacks))
-    ln = scaled.lines[worst]
-    pos = scaled.bus_index
-    targets = [("cii", pos[ln.from_bus]), ("cii", pos[ln.to_bus]),
-               ("c", worst), ("s", worst)]
-    targets.sort(key=lambda t: box.interval(*t)[0] - box.interval(*t)[1])
+    targets = sorted(ref_model.line_vars(int(np.argmax(slacks))),
+                     key=lambda v: box.lo[v] - box.hi[v])
     want = box.copy()
-    for kind, idx in targets[:2]:
-        lo, hi = box.interval(kind, idx)
-        var = (ref_model.cii[scaled.buses[idx].id] if kind == "cii"
-               else (ref_model.c if kind == "c" else ref_model.s)[idx])
+    for var in targets[:2]:
+        lo, hi = box.lo[var], box.hi[var]
         for sense in (+1, -1):
             override = np.zeros(ref_model.program.num_vars)
             override[var] = sense
@@ -601,10 +622,7 @@ def test_range_reduction_matches_per_direction_solves(net2, gamma,
             pad = 1e-9 * (1 + abs(val))
             lo, hi = (max(lo, val - pad), hi) if sense > 0 else \
                 (lo, min(hi, val + pad))
-        want.set_interval(kind, idx, lo, hi)
+        want.lo[var], want.hi[var] = lo, hi
     assert got is not None
-    for kind in ("cii", "c", "s"):
-        for end in ("_lo", "_hi"):
-            np.testing.assert_allclose(getattr(got, kind + end),
-                                       getattr(want, kind + end),
-                                       rtol=1e-7, atol=1e-7)
+    np.testing.assert_allclose(got.lo, want.lo, rtol=1e-7, atol=1e-7)
+    np.testing.assert_allclose(got.hi, want.hi, rtol=1e-7, atol=1e-7)
