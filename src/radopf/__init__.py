@@ -13,9 +13,9 @@ from .jabr import (Exactness, JabrModel, OpfResiduals, OpfSolution,
 from .twobus import (OracleResult, TwoBusClassification, TwoBusInstance,
                      alpha_beta, back_substitute, classify, effective_delta,
                      grid_oracle, sample_regions)
-from .tighten import (Cut, RelaxationInfeasible, Ring, VarBounds,
+from .tighten import (Cut, NodeBox, RelaxationInfeasible, Ring,
                       compute_bounds, generate_cut, run_algorithm1)
-from .bnb import (BnbResult, NodeBox, branch, local_polish, node_relaxation,
+from .bnb import (BnbResult, branch, local_polish, node_relaxation,
                   range_reduction, solve_global)
 from .cases import case_text, load_case
 
@@ -32,9 +32,9 @@ __all__ = [
     "OracleResult", "TwoBusClassification", "TwoBusInstance", "alpha_beta",
     "back_substitute", "classify", "effective_delta", "grid_oracle",
     "sample_regions",
-    "Cut", "RelaxationInfeasible", "Ring", "VarBounds", "compute_bounds",
+    "Cut", "NodeBox", "RelaxationInfeasible", "Ring", "compute_bounds",
     "generate_cut", "run_algorithm1",
-    "BnbResult", "NodeBox", "branch", "local_polish", "node_relaxation",
+    "BnbResult", "branch", "local_polish", "node_relaxation",
     "range_reduction", "solve_global",
     "case_text", "load_case",
     "__version__",

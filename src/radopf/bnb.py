@@ -25,6 +25,7 @@ import scipy.optimize as sopt
 
 from . import conic, jabr, tighten
 from .network import Network, bus_gen_limits, tree_edges
+from .tighten import NodeBox
 
 GLOBAL_OPTIMAL = "global-optimal"
 INFEASIBLE = "infeasible"
@@ -37,34 +38,6 @@ _FEAS_TOL = 1e-6    # rectangular violation accepted for an incumbent
 _BATCH = 4          # best-first nodes whose relaxations are solved together
 
 
-@dataclass
-class NodeBox:
-    """Interval [lo, hi] of every variable of the network's lifted model
-    (`jabr.build_relaxation`), indexed like the model's own variables
-    (`model.cii`, `model.c`, `model.s`, `model.line_vars(k)`).  The layout
-    depends only on the network, so every node model of a search shares it;
-    branching and range reduction refine the c_ii, c and s entries."""
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @classmethod
-    def root(cls, net: Network, bounds: tighten.VarBounds | None = None,
-             fixed_voltage: dict[int, float] | None = None) -> "NodeBox":
-        """The lifted program's own bounds (unit boxes, vmin²..vmax² or the
-        pinned voltage) with the line boxes of `bounds`, by default the
-        implied ones."""
-        model = jabr.build_relaxation(net, fixed_voltage=fixed_voltage)
-        lo, hi = np.array(model.program.lb), np.array(model.program.ub)
-        if bounds is None:
-            bounds = tighten.VarBounds.implied(net)
-        lo[model.c], hi[model.c] = bounds.c_lo, bounds.c_hi
-        lo[model.s], hi[model.s] = bounds.s_lo, bounds.s_hi
-        return cls(lo, hi)
-
-    def copy(self) -> "NodeBox":
-        return NodeBox(self.lo.copy(), self.hi.copy())
-
-
 class _Propagator:
     """Feasibility-based interval tightening through the balance equalities.
 
@@ -72,11 +45,10 @@ class _Propagator:
     variable by the residual range of the others; sweeping until fixpoint
     ties the (c_ii, c_ij, s_ij) intervals together, so one bisection narrows
     the whole coupled group.  Row structure is box-independent, so it is
-    extracted once per network and reused across nodes.
+    read once from the search's lifted model and reused across nodes.
     """
 
-    def __init__(self, net: Network, **build_kwargs):
-        model = jabr.build_relaxation(net, **build_kwargs)
+    def __init__(self, model: jabr.JabrModel):
         self.units = model.pg + model.qg
         # lossless (r=0) lines put exact zeros in balance rows; drop them so
         # the interval division below stays well defined
@@ -125,17 +97,15 @@ def _sweep_rows(rows, lo, hi):
     return lo, hi
 
 
-def node_relaxation(net: Network, box: NodeBox, cuts=(),
-                    **build_kwargs) -> jabr.JabrModel:
-    """Lifted SOCP with the box as its variable bounds and the secant cuts,
-    plus two rows per line that outer-approximate the reverse side of its
-    coupling over the box."""
-    model = jabr.build_relaxation(net, **build_kwargs)
+def node_relaxation(model: jabr.JabrModel, box: NodeBox,
+                    cuts=()) -> jabr.JabrModel:
+    """A copy of the lifted model with the box as its variable bounds and
+    the secant cuts (`tighten.boxed`), plus two rows per line that
+    outer-approximate the reverse side of its coupling over the box."""
+    model = tighten.boxed(model, box, cuts)
     prog = model.program
-    prog.lb, prog.ub = box.lo.tolist(), box.hi.tolist()
-    tighten.apply_to_model(model, cuts=cuts)
     lo, hi = box.lo, box.hi
-    for k in range(len(net.lines)):
+    for k in range(len(model.net.lines)):
         vi, vj, vc, vs = model.line_vars(k)
         li, ui, lj, uj = lo[vi], hi[vi], lo[vj], hi[vj]
         lc, uc, ls, us = lo[vc], hi[vc], lo[vs], hi[vs]
@@ -548,6 +518,13 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                  fixed_voltage: dict[int, float] | None = None) -> BnbResult:
     """Best-first spatial branch-and-bound to certified relative gap.
 
+    The lifted model is built once (`jabr.build_relaxation`, with the
+    pinned voltages).  With `use_bounds`, Algorithm 1 tightens the root
+    box's c and s intervals and, with `use_cuts` as well, adds the secant
+    cuts.  The cuts are built from the tightened boxes, so
+    `use_bounds=False` drops them too.  Algorithm 1, propagation and every
+    node program start from that one model.
+
     Each node is a `NodeBox` over the lifted model's variables.  Up to
     `_BATCH` best-first nodes are popped together; a batch never takes more
     nodes than `node_limit` has left.  Interval propagation tightens each
@@ -589,9 +566,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     tree is exhausted with every leaf relaxation-infeasible, emptied by
     interval propagation or emptied by range reduction.
     """
-    net.require_radial()
     t0 = time.monotonic()
-    build_kwargs = {"fixed_voltage": fixed_voltage} if fixed_voltage else {}
+    base = jabr.build_relaxation(net, fixed_voltage=fixed_voltage)
 
     cuts: list[tighten.Cut] = []
     pre_time = 0.0
@@ -632,20 +608,20 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                          preprocess_time=pre_time, trace=trace,
                          polish_calls=polish_calls, polish_found=polish_found)
 
-    var_bounds = None
+    root = NodeBox.of(base)
     try:
         if use_bounds and use_cuts:
-            var_bounds, cuts = tighten.run_algorithm1(net, **build_kwargs)
+            root, cuts = tighten.run_algorithm1(base)
         elif use_bounds:
-            var_bounds = tighten.compute_bounds(net, **build_kwargs)
+            root = tighten.compute_bounds(base)
     except tighten.RelaxationInfeasible:
         pre_time = time.monotonic() - t0
         return done(INFEASIBLE, math.inf)
     pre_time = time.monotonic() - t0
 
-    prop = _Propagator(net, **build_kwargs)
+    prop = _Propagator(base)
     bal = _balance(net)
-    heap = [(-math.inf, 0, NodeBox.root(net, var_bounds, fixed_voltage), 0)]
+    heap = [(-math.inf, 0, root)]
     counter = 1
 
     def consider(cand: jabr.OpfSolution | None):
@@ -698,32 +674,31 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         batch = []
         while heap and len(batch) < _BATCH and (
                 node_limit is None or nodes + len(batch) < node_limit):
-            lb_parent, _, box, depth = heapq.heappop(heap)
+            lb_parent, _, box = heapq.heappop(heap)
             if lb_parent >= cutoff():
-                heapq.heappush(heap, (lb_parent, counter, box, depth))
+                heapq.heappush(heap, (lb_parent, counter, box))
                 counter += 1
                 break
             box = prop.run(box)
             if box is None:
                 nodes += 1  # emptied by interval propagation
                 continue
-            batch.append((lb_parent, box, depth))
+            batch.append((lb_parent, box))
         if not batch:
             break
-        models = [node_relaxation(net, box, cuts, **build_kwargs)
-                  for _, box, _ in batch]
+        models = [node_relaxation(base, box, cuts) for _, box in batch]
         sols = conic.solve_batch([m.program for m in models])
 
         # phase 1, per node in bound order: verdict, fathoming, incumbents;
-        # `left` keeps (bound, box, depth, model, x, slacks, node) of the
-        # nodes still open, with x None where the IPM failed
+        # `left` keeps (bound, box, model, x, slacks, node) of the nodes
+        # still open, with x None where the IPM failed
         left = []
-        for (lb_parent, box, depth), model, sol in zip(batch, models, sols):
+        for (lb_parent, box), model, sol in zip(batch, models, sols):
             nodes += 1
             if sol.status == conic.INFEASIBLE:
                 continue
             if not sol.optimal:
-                left.append((lb_parent, box, depth, model, None,
+                left.append((lb_parent, box, model, None,
                              np.ones(len(net.lines)), nodes))
                 continue
 
@@ -756,7 +731,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
 
             else:
                 polish(model, sol.x)
-            left.append((node_lb, box, depth, model, sol.x, slacks, nodes))
+            left.append((node_lb, box, model, sol.x, slacks, nodes))
 
         # phase 2: one range-reduction call for the open nodes, under the
         # incumbent as phase 1 left it.  Cutoff-based reduction pays for
@@ -764,7 +739,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         # is reduced only under an incumbent's cutoff, and pruned if that
         # certifies its box empty.
         jobs = {}
-        for k, (_, box, _, model, x, slacks, _) in enumerate(left):
+        for k, (_, box, model, x, slacks, _) in enumerate(left):
             if x is not None:
                 jobs[k] = (model, box, ub_val(), slacks)
             elif incumbent is not None:
@@ -775,8 +750,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
 
         # phase 3, per node: prune or branch.  An unresolved node is
         # branched blindly at its box's middle with its parent's bound.
-        for (node_lb, _, depth, model, x, slacks, node), box in zip(left,
-                                                                     boxes):
+        for (node_lb, _, model, x, slacks, node), box in zip(left, boxes):
             if box is not None:
                 kids, _ = branch(model, box, 0.5 * (box.lo + box.hi)
                                  if x is None else x, slacks)
@@ -786,7 +760,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                     # or the relaxation failed; no certificate, bound kept
                     floor = min(floor, node_lb)
                 for kid in kids:
-                    heapq.heappush(heap, (node_lb, counter, kid, depth + 1))
+                    heapq.heappush(heap, (node_lb, counter, kid))
                     counter += 1
             if x is not None:
                 trace.append((node, node_lb, ub_val()))

@@ -153,7 +153,8 @@ def cmd_solve(args) -> int:
 def cmd_tighten(args) -> int:
     net = _load_network(args)
     try:
-        bounds, cuts = tighten.run_algorithm1(net)
+        model = jabr.build_relaxation(net)
+        box, cuts = tighten.run_algorithm1(model)
     except tighten.RelaxationInfeasible as exc:
         print(f"relaxation infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -161,7 +162,9 @@ def cmd_tighten(args) -> int:
     w = csv.writer(rows)
     w.writerow(["line", "c_lo", "c_hi", "s_lo", "s_hi"])
     for k in range(len(net.lines)):
-        w.writerow([k] + [f"{v:.10g}" for v in bounds.box(k)])
+        vc, vs = model.c[k], model.s[k]
+        w.writerow([k] + [f"{v:.10g}" for v in (box.lo[vc], box.hi[vc],
+                                                 box.lo[vs], box.hi[vs])])
     print(rows.getvalue())
     print(tighten.cuts_csv(cuts))
     return EXIT_OK
@@ -279,8 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--gap", type=float, default=1e-4)
     sp.add_argument("--time-limit", type=float, default=None)
-    sp.add_argument("--no-cuts", action="store_true")
-    sp.add_argument("--no-obbt", action="store_true")
+    sp.add_argument("--no-cuts", action="store_true",
+                    help="skip the secant cuts of Algorithm 1")
+    sp.add_argument("--no-obbt", action="store_true",
+                    help="skip Algorithm 1's bound tightening; the cuts are "
+                         "built from the tightened boxes, so this drops them "
+                         "too")
     sp.add_argument("--fix-voltage", default=None,
                     help='JSON map bus -> squared voltage, e.g. \'{"1":0.874}\'')
     sp.set_defaults(func=cmd_solve)

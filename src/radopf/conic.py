@@ -76,6 +76,17 @@ class ConicProgram:
         self.ineqs: list[_Row] = []
         self.cones: list[_Cone] = []
 
+    def copy(self) -> "ConicProgram":
+        """A program with the same data whose lists are its own: variables,
+        rows and cones added to the copy do not reach this one.  The rows
+        and cones themselves are shared."""
+        out = ConicProgram()
+        out.cost_const = self.cost_const
+        for attr in ("names", "lb", "ub", "cost", "qcost", "eqs", "ineqs",
+                     "cones"):
+            setattr(out, attr, list(getattr(self, attr)))
+        return out
+
     # ------------------------------------------------------------------ build
     @property
     def num_vars(self) -> int:
@@ -93,12 +104,6 @@ class ConicProgram:
         self.cost.append(float(cost))
         self.qcost.append(float(qcost))
         return len(self.names) - 1
-
-    def set_bounds(self, i: int, lb: float, ub: float):
-        if lb > ub:
-            raise ProgramError(f"variable {self.names[i]}: lb {lb} > ub {ub}")
-        self.lb[i] = float(lb)
-        self.ub[i] = float(ub)
 
     def add_eq(self, idx, coef, rhs: float):
         idx, coef, const = _as_term((idx, coef))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,11 @@ class JabrModel:
     cii: dict[int, int]    # bus id -> variable
     c: list[int]           # per line, oriented from->to
     s: list[int]
+
+    def copy(self) -> "JabrModel":
+        """The same layout over a copy of the program (`ConicProgram.copy`),
+        so rows, variables and cost caps added to it stay its own."""
+        return replace(self, program=self.program.copy())
 
     def line_vars(self, k: int) -> tuple[int, int, int, int]:
         ln = self.net.lines[k]
@@ -59,13 +64,10 @@ class JabrModel:
 
 
 def build_relaxation(net: Network, *, fixed_voltage: dict[int, float] | None = None,
-                     angle_bound_deg: float | None = None,
                      include_cone: bool = True) -> JabrModel:
     """SOCP relaxation of the lifted OPF for a radial network.
 
     fixed_voltage pins squared voltage magnitudes {bus id: c_ii}.
-    angle_bound_deg adds |t_i - t_j| <= bound as the linear pair
-    s <= tan(bound) c, -s <= tan(bound) c (exact on the cone surface).
     """
     net.require_radial()
     G, B = admittance(net)
@@ -114,12 +116,6 @@ def build_relaxation(net: Network, *, fixed_voltage: dict[int, float] | None = N
     if include_cone:
         for k, ln in enumerate(net.lines):
             prog.add_rotated_cone(cii[ln.from_bus], cii[ln.to_bus], [c[k], s[k]])
-
-    if angle_bound_deg is not None:
-        t = math.tan(math.radians(angle_bound_deg))
-        for k in range(len(net.lines)):
-            prog.add_ineq([s[k], c[k]], [1.0, -t], 0.0)
-            prog.add_ineq([s[k], c[k]], [-1.0, -t], 0.0)
 
     return JabrModel(net=net, program=prog, pg=pg, qg=qg, cii=cii, c=c, s=s)
 
@@ -319,7 +315,7 @@ def solve_relaxation(net: Network, *, refine: bool = True, tol: float = 1e-6,
     res.exactness = check_exactness(model, sol, tol)
     use = sol
     if not res.exactness.exact and refine:
-        model2 = build_relaxation(net, **build_kwargs)
+        model2 = model.copy()
         cap = sol.objective + 1e-7 * (1.0 + abs(sol.objective))
         add_cost_cap(model2, cap)
         override = np.zeros(model2.program.num_vars)

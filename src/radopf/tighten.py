@@ -1,13 +1,14 @@
 """SOCP-based variable bound tightening and secant valid inequalities.
 
 The lifted pair (c_ij, s_ij) of every line is confined to the annulus between
-radii R_lo = Vi_min*Vj_min and R_hi = Vi_max*Vj_max, but carries only the very
-loose implied box |c|, |s| <= R_hi.  Minimizing/maximizing each coordinate
-over the relaxation produces a much tighter box; where that box pokes inside
-the inner circle, the chord of the circle across the intrusion is a valid
-linear cut, because every cut-off point has norm below R_lo and is therefore
-infeasible.  Boxes and cuts accumulate line by line, each tightening the
-relaxation used for the next.
+radii R_lo = Vi_min*Vj_min and R_hi = Vi_max*Vj_max, but the lifted model
+bounds it only by the very loose box |c|, |s| <= R_hi.  Minimizing/maximizing
+each coordinate over the relaxation produces a much tighter box; where that
+box pokes inside the inner circle, the chord of the circle across the
+intrusion is a valid linear cut, because every cut-off point has norm below
+R_lo and is therefore infeasible.  Boxes and cuts accumulate line by line,
+each tightening the relaxation used for the next; every bound solve runs on
+a copy of one lifted model (`boxed`).
 """
 
 from __future__ import annotations
@@ -46,25 +47,23 @@ def ring_for(net: Network, k: int) -> Ring:
 
 
 @dataclass
-class VarBounds:
-    """Per-line boxes [c_lo, c_hi] x [s_lo, s_hi]."""
-    c_lo: np.ndarray
-    c_hi: np.ndarray
-    s_lo: np.ndarray
-    s_hi: np.ndarray
+class NodeBox:
+    """Interval [lo, hi] of every variable of a lifted model
+    (`jabr.build_relaxation`), indexed like the model's own variables
+    (`model.cii`, `model.c`, `model.s`, `model.line_vars(k)`).  The layout
+    depends only on the network, so Algorithm 1, interval propagation and
+    every node of a search share it; `boxed` makes it a program's bounds."""
+    lo: np.ndarray
+    hi: np.ndarray
 
     @classmethod
-    def implied(cls, net: Network) -> "VarBounds":
-        r = np.array([ring_for(net, k).r_hi for k in range(len(net.lines))])
-        return cls(c_lo=-r.copy(), c_hi=r.copy(), s_lo=-r.copy(), s_hi=r.copy())
+    def of(cls, model: jabr.JabrModel) -> "NodeBox":
+        """The program's own bounds: unit boxes, vmin²..vmax² or the pinned
+        voltage, and ±Vi_max·Vj_max on each line's c and s."""
+        return cls(np.array(model.program.lb), np.array(model.program.ub))
 
-    def box(self, k: int) -> tuple[float, float, float, float]:
-        return (float(self.c_lo[k]), float(self.c_hi[k]),
-                float(self.s_lo[k]), float(self.s_hi[k]))
-
-    def copy(self) -> "VarBounds":
-        return VarBounds(self.c_lo.copy(), self.c_hi.copy(),
-                         self.s_lo.copy(), self.s_hi.copy())
+    def copy(self) -> "NodeBox":
+        return NodeBox(self.lo.copy(), self.hi.copy())
 
 
 @dataclass
@@ -126,30 +125,21 @@ def generate_cut(c_lo: float, c_hi: float, s_lo: float, s_hi: float,
                case=case, p1=(x1, y1), p2=(x2, y2))
 
 
-def apply_to_model(model: jabr.JabrModel, bounds=None, cuts=()):
-    """Install per-line (c, s) boxes from a `VarBounds` and cuts into a
-    freshly built lifted model."""
-    prog = model.program
-    if bounds is not None:
-        for k in range(len(model.net.lines)):
-            prog.set_bounds(model.c[k], bounds.c_lo[k], bounds.c_hi[k])
-            prog.set_bounds(model.s[k], bounds.s_lo[k], bounds.s_hi[k])
+def boxed(model: jabr.JabrModel, box: NodeBox, cuts=()) -> jabr.JabrModel:
+    """A copy of `model` with the box as its variable bounds and the secant
+    cuts as rows; raises conic.ProgramError when an interval is inverted."""
+    bad = np.flatnonzero(box.lo > box.hi)
+    if bad.size:
+        v = bad[0]
+        raise conic.ProgramError(f"variable {model.program.names[v]}: "
+                                 f"lb {box.lo[v]} > ub {box.hi[v]}")
+    out = model.copy()
+    prog = out.program
+    prog.lb, prog.ub = box.lo.tolist(), box.hi.tolist()
     for cut in cuts:
-        prog.add_ineq([model.c[cut.line], model.s[cut.line]],
+        prog.add_ineq([out.c[cut.line], out.s[cut.line]],
                       [-cut.a_c, -cut.a_s], -cut.rhs)
-
-
-def min_max(model: jabr.JabrModel,
-            variables) -> list[tuple[float | None, float | None]]:
-    """Minimum and maximum of each variable over the model's relaxation:
-    `min_max_batch` of one job.  Raises RelaxationInfeasible when the
-    relaxation is empty."""
-    pairs = min_max_batch([(model, variables)])[0]
-    if pairs is None:
-        raise RelaxationInfeasible("relaxation infeasible while bounding "
-                                   + ", ".join(model.program.names[v]
-                                               for v in variables))
-    return pairs
+    return out
 
 
 def min_max_batch(jobs) -> list[list[tuple[float | None, float | None]] | None]:
@@ -187,40 +177,44 @@ def min_max_batch(jobs) -> list[list[tuple[float | None, float | None]] | None]:
 _PAD = 1e-7
 
 
-def _tighten_loop(net: Network, with_cuts: bool,
-                  **build_kwargs) -> tuple[VarBounds, list[Cut]]:
-    bounds = VarBounds.implied(net)
+def _tighten_loop(model: jabr.JabrModel,
+                  with_cuts: bool) -> tuple[NodeBox, list[Cut]]:
+    box = NodeBox.of(model)
     cuts: list[Cut] = []
-    for k in range(len(net.lines)):
-        model = jabr.build_relaxation(net, **build_kwargs)
-        apply_to_model(model, bounds, cuts)
-        pairs = min_max(model, [model.c[k], model.s[k]])
-        for lo, hi, (vmin, vmax) in zip((bounds.c_lo, bounds.s_lo),
-                                        (bounds.c_hi, bounds.s_hi), pairs):
+    for k in range(len(model.net.lines)):
+        vc, vs = model.c[k], model.s[k]
+        pairs = min_max_batch([(boxed(model, box, cuts), [vc, vs])])[0]
+        if pairs is None:
+            raise RelaxationInfeasible("relaxation infeasible while bounding "
+                                       + ", ".join(model.program.names[v]
+                                                   for v in (vc, vs)))
+        for v, (vmin, vmax) in zip((vc, vs), pairs):
             if vmin is not None:
-                lo[k] = max(lo[k], vmin - _PAD)
+                box.lo[v] = max(box.lo[v], vmin - _PAD)
             if vmax is not None:
-                hi[k] = min(hi[k], vmax + _PAD)
+                box.hi[v] = min(box.hi[v], vmax + _PAD)
         if with_cuts:
-            cut = generate_cut(*bounds.box(k), ring_for(net, k).r_lo, line=k)
+            cut = generate_cut(float(box.lo[vc]), float(box.hi[vc]),
+                               float(box.lo[vs]), float(box.hi[vs]),
+                               ring_for(model.net, k).r_lo, line=k)
             if cut is not None:
                 cuts.append(cut)
-    return bounds, cuts
+    return box, cuts
 
 
-def compute_bounds(net: Network, **build_kwargs) -> VarBounds:
-    """Tightened per-line boxes from four relaxation solves per line, boxes
-    accumulating in input-file line order."""
-    net.require_radial()
-    return _tighten_loop(net, False, **build_kwargs)[0]
+def compute_bounds(model: jabr.JabrModel) -> NodeBox:
+    """The model's box with each line's c and s intervals tightened by four
+    relaxation solves, boxes accumulating in input-file line order; every
+    other interval is the program's own."""
+    return _tighten_loop(model, False)[0]
 
 
-def run_algorithm1(net: Network,
-                   **build_kwargs) -> tuple[VarBounds, list[Cut]]:
-    """Full sequential pass: per line, tighten the box, then add the secant
-    cut (when the box pokes inside the inner circle) before moving on."""
-    net.require_radial()
-    return _tighten_loop(net, True, **build_kwargs)
+def run_algorithm1(model: jabr.JabrModel) -> tuple[NodeBox, list[Cut]]:
+    """Algorithm 1 over the model's lines in order: tighten the line's c and
+    s intervals, then add its secant cut (when the box pokes inside the
+    inner circle) before moving on.  Returns the tightened box over all of
+    the model's variables, as `compute_bounds` does, and the cuts."""
+    return _tighten_loop(model, True)
 
 
 def cuts_csv(cuts: list[Cut]) -> str:

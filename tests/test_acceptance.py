@@ -158,14 +158,16 @@ def test_criterion_5_cut_validity(net2, net3):
     rng = np.random.default_rng(0)
     n_cuts = 0
     for net in instances:
-        vb, cuts = tighten.run_algorithm1(net)
+        model = jabr.build_relaxation(net)
+        box, cuts = tighten.run_algorithm1(model)
         for cut in cuts:
             n_cuts += 1
             for x, y in (cut.p1, cut.p2):
                 r_lo = tighten.ring_for(net, cut.line).r_lo
                 assert abs(x * x + y * y - r_lo ** 2) < 1e-12
-            lo_c, hi_c = vb.c_lo[cut.line], vb.c_hi[cut.line]
-            lo_s, hi_s = vb.s_lo[cut.line], vb.s_hi[cut.line]
+            vc, vs = model.c[cut.line], model.s[cut.line]
+            lo_c, hi_c = box.lo[vc], box.hi[vc]
+            lo_s, hi_s = box.lo[vs], box.hi[vs]
             c = rng.uniform(lo_c, hi_c, 100_000)
             s = rng.uniform(lo_s, hi_s, 100_000)
             keep = c * c + s * s >= r_lo ** 2

@@ -41,8 +41,8 @@ def test_point_box_relaxation_is_exact(net2):
     scaled = network.scale_load(net2, 0.95)
     res = jabr.solve_relaxation(scaled)
     opf = res.opf
-    box = bnb.NodeBox.root(scaled)
     lifted = jabr.build_relaxation(scaled)
+    box = bnb.NodeBox.of(lifted)
     pos = scaled.bus_index
     vi, vj = opf.vm[0], opf.vm[1]
     d = opf.theta[1] - opf.theta[0]
@@ -51,7 +51,7 @@ def test_point_box_relaxation_is_exact(net2):
     at[lifted.s[0]] = vi * vj * math.sin(d)
     for v, val in at.items():
         box.lo[v], box.hi[v] = val - 1e-9, val + 1e-9
-    model = bnb.node_relaxation(scaled, box)
+    model = bnb.node_relaxation(lifted, box)
     sol = conic.solve(model.program)
     assert sol.optimal
     assert sol.objective == pytest.approx(opf.objective, rel=1e-5)
@@ -62,8 +62,8 @@ def test_root_relaxation_sandwiched(net2):
     global value."""
     scaled = network.scale_load(net2, 1.00)
     socp = jabr.solve_relaxation(scaled).objective
-    box = bnb.NodeBox.root(scaled)
-    model = bnb.node_relaxation(scaled, box)
+    base = jabr.build_relaxation(scaled)
+    model = bnb.node_relaxation(base, bnb.NodeBox.of(base))
     sol = conic.solve(model.program)
     assert socp - 1e-4 <= sol.objective <= 563.56 * 1.01
 
@@ -72,11 +72,62 @@ def test_node_relaxation_lp_variant_bounded(net2):
     """Dropping the cone leaves a finite-valued box LP under the global
     optimum (any valid relaxation bounds it)."""
     scaled = network.scale_load(net2, 1.00)
-    box = bnb.NodeBox.root(scaled, tighten.compute_bounds(scaled))
-    model = bnb.node_relaxation(scaled, box, include_cone=False)
+    box = tighten.compute_bounds(jabr.build_relaxation(scaled))
+    model = bnb.node_relaxation(
+        jabr.build_relaxation(scaled, include_cone=False), box)
     sol = conic.solve_lp(model.program)
     assert sol.optimal
     assert sol.objective <= 563.56 * 1.005
+
+
+def test_node_programs_are_independent_copies(net2):
+    """Two node programs from one base model: a cost cap on the first
+    reaches neither the base nor the second, which compiles to the bytes of
+    a fresh build with the same bounds and rows."""
+    scaled = network.scale_load(net2, 1.00)
+    base = jabr.build_relaxation(scaled)
+    before = base.program.dump()
+    root, cuts = tighten.run_algorithm1(base)
+    first = bnb.node_relaxation(base, root, cuts)
+    second = bnb.node_relaxation(base, root, cuts)
+    jabr.add_cost_cap(first, 600.0)
+    assert base.program.dump() == before
+    assert len(first.program.ineqs) == len(second.program.ineqs) + 1
+
+    fresh = jabr.build_relaxation(scaled)
+    prog = fresh.program
+    prog.lb, prog.ub = root.lo.tolist(), root.hi.tolist()
+    for row in second.program.ineqs:
+        prog.add_ineq(row.idx, row.coef, row.rhs)
+    n = len(second.program._objective())
+    got = second.program._constraints(n)
+    want = prog._constraints(n)
+    for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
+        assert a.tobytes() == b.tobytes()
+    assert (got[2].l, list(got[2].q)) == (want[2].l, list(want[2].q))
+
+
+def test_one_build_per_solve(net2, monkeypatch):
+    """A global search and a refined relaxation build the lifted model
+    once."""
+    builds = []
+    real = jabr.build_relaxation
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jabr, "build_relaxation", counted)
+    scaled = network.scale_load(net2, 1.00)
+    res = bnb.solve_global(scaled, gap_tol=9e-4)
+    assert res.optimal and res.nodes > 1 and len(builds) == 1
+    builds.clear()
+    res = bnb.solve_global(net2, gap_tol=9e-4,
+                           fixed_voltage={1: 0.874, 2: 0.816})
+    assert res.optimal and len(builds) == 1
+    builds.clear()
+    relax = jabr.solve_relaxation(scaled)
+    assert relax.verdict == "inexact" and len(builds) == 1
 
 
 # ---------------------------------------------------------------- propagation
@@ -85,8 +136,9 @@ def test_propagation_sound_and_contracting(net3):
     scaled = network.scale_load(net3, 0.95, scale_p=False)
     res = jabr.solve_relaxation(scaled)
     opf = res.opf
-    prop = bnb._Propagator(scaled)
-    box = bnb.NodeBox.root(scaled)
+    base = jabr.build_relaxation(scaled)
+    prop = bnb._Propagator(base)
+    box = bnb.NodeBox.of(base)
     out = prop.run(box)
     assert out is not None
     model = res.model
@@ -104,8 +156,8 @@ def test_propagation_sound_and_contracting(net3):
 def test_propagation_handles_lossless_lines():
     base = cases.load_case("case9", drop_charging=True)
     tree = network.spanning_tree(base, 0)
-    prop = bnb._Propagator(tree)
-    out = prop.run(bnb.NodeBox.root(tree))
+    base = jabr.build_relaxation(tree)
+    out = bnb._Propagator(base).run(bnb.NodeBox.of(base))
     assert out is not None
     assert np.all(out.lo <= out.hi)
 
@@ -115,11 +167,12 @@ def test_propagation_keeps_unit_bounds(net3):
     program's bounds are the box, and its unit bounds stay those of the
     unit although the sweep alone cuts its pmax."""
     scaled = network.scale_load(net3, 1.00, scale_p=False)
-    prop = bnb._Propagator(scaled)
-    box = bnb.NodeBox.root(scaled, tighten.compute_bounds(scaled))
+    base = jabr.build_relaxation(scaled)
+    prop = bnb._Propagator(base)
+    box = tighten.compute_bounds(base)
     lo, hi = bnb._sweep_rows(prop.rows, box.lo.copy(), box.hi.copy())
     out = prop.run(box)
-    model = bnb.node_relaxation(scaled, out)
+    model = bnb.node_relaxation(base, out)
     assert model.program.lb == out.lo.tolist()
     assert model.program.ub == out.hi.tolist()
     assert scaled.generators[0].pmax == 5.5
@@ -133,7 +186,7 @@ def test_propagation_keeps_unit_bounds(net3):
 
 def test_branch_partitions_parent(net2):
     model = jabr.build_relaxation(net2)
-    box = bnb.NodeBox.root(net2)
+    box = bnb.NodeBox.of(model)
     kids, info = bnb.branch(model, box, 0.5 * (box.lo + box.hi), np.ones(1))
     assert len(kids) == 2
     v, split = info
@@ -145,7 +198,7 @@ def test_branch_partitions_parent(net2):
 
 def test_branch_clamps_to_middle_band(net2):
     model = jabr.build_relaxation(net2)
-    box = bnb.NodeBox.root(net2)
+    box = bnb.NodeBox.of(model)
     x = 0.5 * (box.lo + box.hi)
     x[model.cii[1]] = box.lo[model.cii[1]]  # values at the edges
     x[model.cii[2]] = box.hi[model.cii[2]]
@@ -158,15 +211,15 @@ def test_branch_clamps_to_middle_band(net2):
 
 def test_branch_none_when_residual_free(net2):
     model = jabr.build_relaxation(net2)
-    box = bnb.NodeBox.root(net2)
+    box = bnb.NodeBox.of(model)
     kids, info = bnb.branch(model, box, 0.5 * (box.lo + box.hi), np.zeros(1))
     assert kids == [] and info is None
 
 
 def test_branch_falls_to_cs_when_cii_pinned(net2):
     """With squared voltages pinned, branching must pick c or s."""
-    model = jabr.build_relaxation(net2)
-    box = bnb.NodeBox.root(net2, fixed_voltage={1: 0.874, 2: 0.816})
+    model = jabr.build_relaxation(net2, fixed_voltage={1: 0.874, 2: 0.816})
+    box = bnb.NodeBox.of(model)
     kids, info = bnb.branch(model, box, 0.5 * (box.lo + box.hi), np.ones(1))
     assert info is not None and info[0] in (model.c[0], model.s[0])
 
@@ -283,9 +336,9 @@ def test_settle_meets_the_balance_equations(net3):
 
 def test_range_reduction_shrinks_and_keeps_optimum(net2):
     scaled = network.scale_load(net2, 1.00)
-    vb, cuts = tighten.run_algorithm1(scaled)
-    box = bnb.NodeBox.root(scaled, vb)
-    model = bnb.node_relaxation(scaled, box, cuts)
+    base = jabr.build_relaxation(scaled)
+    box, cuts = tighten.run_algorithm1(base)
+    model = bnb.node_relaxation(base, box, cuts)
     sol = conic.solve(model.program)
     slacks = model.coupling_residuals(sol.x)
     red = bnb.range_reduction(model, box, 564.9, slacks, max_vars=4)
@@ -297,8 +350,9 @@ def test_range_reduction_shrinks_and_keeps_optimum(net2):
 
 def test_range_reduction_infeasible_cutoff_prunes(net2):
     scaled = network.scale_load(net2, 1.00)
-    box = bnb.NodeBox.root(scaled)
-    model = bnb.node_relaxation(scaled, box)
+    base = jabr.build_relaxation(scaled)
+    box = bnb.NodeBox.of(base)
+    model = bnb.node_relaxation(base, box)
     sol = conic.solve(model.program)
     slacks = model.coupling_residuals(sol.x)
     red = bnb.range_reduction(model, box, 100.0, slacks)
@@ -310,19 +364,19 @@ def test_range_reduction_batch_matches_single_node_calls(net2):
     child under a cutoff of 100.0 empties on its own, and each other node
     gets the box of a call on that node alone."""
     scaled = network.scale_load(net2, 1.00)
-    vb, cuts = tighten.run_algorithm1(scaled)
-    root = bnb.NodeBox.root(scaled, vb)
-    model = bnb.node_relaxation(scaled, root, cuts)
+    base = jabr.build_relaxation(scaled)
+    root, cuts = tighten.run_algorithm1(base)
+    model = bnb.node_relaxation(base, root, cuts)
     x = conic.solve(model.program).x
     slacks = model.coupling_residuals(x)
     kids, _ = bnb.branch(model, root, x, slacks)
     nodes = [(root, 570.0), (kids[0], 100.0), (kids[1], 570.0)]
     got = bnb.range_reduction_batch(
-        [(bnb.node_relaxation(scaled, box, cuts), box, cap, slacks)
+        [(bnb.node_relaxation(base, box, cuts), box, cap, slacks)
          for box, cap in nodes])
     assert got[1] is None
     for (box, cap), red in zip(nodes, got):
-        alone = bnb.range_reduction(bnb.node_relaxation(scaled, box, cuts),
+        alone = bnb.range_reduction(bnb.node_relaxation(base, box, cuts),
                                     box, cap, slacks)
         assert (red is None) == (alone is None)
         if red is None:
@@ -599,13 +653,14 @@ def test_range_reduction_matches_per_direction_solves(net2, gamma,
     """The batched sweep gives the box of a reference loop that solves
     every direction on its own."""
     scaled = network.scale_load(net2, gamma)
-    box = bnb.NodeBox.root(scaled, tighten.compute_bounds(scaled))
-    model = bnb.node_relaxation(scaled, box)
+    base = jabr.build_relaxation(scaled)
+    box = tighten.compute_bounds(base)
+    model = bnb.node_relaxation(base, box)
     sol = conic.solve(model.program)
     slacks = model.coupling_residuals(sol.x)
     got = bnb.range_reduction(model, box, incumbent, slacks)
 
-    ref_model = bnb.node_relaxation(scaled, box)
+    ref_model = bnb.node_relaxation(base, box)
     if math.isfinite(incumbent):
         jabr.add_cost_cap(ref_model, incumbent + 1e-6 * (1 + abs(incumbent)))
     targets = sorted(ref_model.line_vars(int(np.argmax(slacks))),

@@ -253,14 +253,16 @@ def _compile_case(name):
         return p
     if name == "2-bus node with cost cap":
         net = network.scale_load(cases.load_case("case2_two_gen"), 1.0)
-        model = bnb.node_relaxation(net, bnb.NodeBox.root(net))
+        base = jabr.build_relaxation(net)
+        model = bnb.node_relaxation(base, bnb.NodeBox.of(base))
         jabr.add_cost_cap(model, 600.0)
         return model.program
     tree9 = network.spanning_tree(cases.load_case("case9", drop_charging=True))
     if name == "case9 tree":
         return jabr.build_relaxation(tree9).program
     # quadratic costs: the cap adds its own epigraph cone
-    model = bnb.node_relaxation(tree9, bnb.NodeBox.root(tree9))
+    base = jabr.build_relaxation(tree9)
+    model = bnb.node_relaxation(base, bnb.NodeBox.of(base))
     jabr.add_cost_cap(model, 6000.0)
     return model.program
 

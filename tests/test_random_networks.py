@@ -108,8 +108,9 @@ def test_orientation_flip_invariance_random(seed):
 def test_bounds_and_cuts_valid_on_random_tree(seed):
     rng = np.random.default_rng(4000 + seed)
     net = random_tree(rng)
+    model = jabr.build_relaxation(net)
     try:
-        vb, cuts = tighten.run_algorithm1(net)
+        box, cuts = tighten.run_algorithm1(model)
     except tighten.RelaxationInfeasible:
         return
     res = jabr.solve_relaxation(net)
@@ -121,8 +122,9 @@ def test_bounds_and_cuts_valid_on_random_tree(seed):
         d = res.opf.theta[j] - res.opf.theta[i]
         c = res.opf.vm[i] * res.opf.vm[j] * math.cos(d)
         s = res.opf.vm[i] * res.opf.vm[j] * math.sin(d)
-        assert vb.c_lo[k] - 1e-7 <= c <= vb.c_hi[k] + 1e-7, k
-        assert vb.s_lo[k] - 1e-7 <= s <= vb.s_hi[k] + 1e-7, k
+        vc, vs = model.c[k], model.s[k]
+        assert box.lo[vc] - 1e-7 <= c <= box.hi[vc] + 1e-7, k
+        assert box.lo[vs] - 1e-7 <= s <= box.hi[vs] + 1e-7, k
     for cut in cuts:
         i, j = pos[net.lines[cut.line].from_bus], pos[net.lines[cut.line].to_bus]
         d = res.opf.theta[j] - res.opf.theta[i]

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from radopf import cases, conic, jabr, network, tighten
-from radopf.tighten import Ring, VarBounds, generate_cut, ring_for
+from radopf.tighten import NodeBox, Ring, generate_cut, ring_for
+
+
+def line_box(model, box, k):
+    """(c_lo, c_hi, s_lo, s_hi) of line k."""
+    vc, vs = model.c[k], model.s[k]
+    return (float(box.lo[vc]), float(box.hi[vc]),
+            float(box.lo[vs]), float(box.hi[vs]))
 
 
 # frozen via corner-norm arithmetic, re-derived in-test as the oracle
@@ -100,15 +107,16 @@ def test_ring_from_network():
 
 def test_implied_bounds():
     net = cases.load_case("case2_two_gen")
-    vb = VarBounds.implied(net)
-    assert vb.box(0) == pytest.approx((-1.21, 1.21, -1.21, 1.21))
+    model = jabr.build_relaxation(net)
+    box = NodeBox.of(model)
+    assert line_box(model, box, 0) == pytest.approx((-1.21, 1.21, -1.21, 1.21))
 
 
 def test_compute_bounds_two_bus():
     """Bounds tighten well inside the implied box and exclude c <= 0."""
     net = cases.load_case("case2_two_gen")
-    vb = tighten.compute_bounds(net)
-    c_lo, c_hi, s_lo, s_hi = vb.box(0)
+    model = jabr.build_relaxation(net)
+    c_lo, c_hi, s_lo, s_hi = line_box(model, tighten.compute_bounds(model), 0)
     assert c_lo > 0.0
     assert -1.21 < s_lo < s_hi < 1.21
     assert c_hi <= 1.21 + 1e-6
@@ -120,36 +128,38 @@ def test_zero_load_net_s_bounds_contain_zero():
         generators=(network.Generator(1, 0.0, 1.0, -1.0, 1.0,
                                       network.CostFunction(c1=1.0)),),
         lines=(network.Line(1, 2, 0.01, 0.05),))
-    vb = tighten.compute_bounds(net)
-    _, _, s_lo, s_hi = vb.box(0)
+    model = jabr.build_relaxation(net)
+    _, _, s_lo, s_hi = line_box(model, tighten.compute_bounds(model), 0)
     assert s_lo <= 0.0 <= s_hi
 
 
 def test_bounds_are_valid_for_feasible_points():
     """An exactly recovered OPF point stays inside the tightened boxes."""
     net = network.scale_load(cases.load_case("case2_two_gen"), 0.95)
-    vb, cuts = tighten.run_algorithm1(net)
+    model = jabr.build_relaxation(net)
+    box, cuts = tighten.run_algorithm1(model)
+    c_lo, c_hi, s_lo, s_hi = line_box(model, box, 0)
     res = jabr.solve_relaxation(net)
     opf = res.opf
     vi, vj = opf.vm[0], opf.vm[1]
     d = opf.theta[1] - opf.theta[0]
     c, s = vi * vj * np.cos(d), vi * vj * np.sin(d)
-    assert vb.c_lo[0] - 1e-9 <= c <= vb.c_hi[0] + 1e-9
-    assert vb.s_lo[0] - 1e-9 <= s <= vb.s_hi[0] + 1e-9
+    assert c_lo - 1e-9 <= c <= c_hi + 1e-9
+    assert s_lo - 1e-9 <= s <= s_hi + 1e-9
     for cut in cuts:
         assert cut.satisfied(c, s)
 
 
 def test_run_algorithm1_two_bus_single_cut():
     net = cases.load_case("case2_two_gen")
-    vb, cuts = tighten.run_algorithm1(net)
+    _, cuts = tighten.run_algorithm1(jabr.build_relaxation(net))
     assert len(cuts) <= 1
 
 
 def test_run_algorithm1_radial_case9_cut_count():
     base = cases.load_case("case9", drop_charging=True)
     tree = network.spanning_tree(base, 0)
-    vb, cuts = tighten.run_algorithm1(tree)
+    _, cuts = tighten.run_algorithm1(jabr.build_relaxation(tree))
     assert len(cuts) <= len(tree.lines)
     assert 1 <= len(cuts)
 
@@ -162,17 +172,18 @@ def test_run_algorithm1_radial_case14_cut_count():
     for seed in (0, 1, 3):
         tree = network.spanning_tree(base, seed)
         assert len(tree.lines) == 13
-        _, cuts = tighten.run_algorithm1(tree)
+        _, cuts = tighten.run_algorithm1(jabr.build_relaxation(tree))
         assert len(cuts) <= 13
         counts.append(len(cuts))
     assert max(counts) >= 1
 
 
 def test_idempotent_rerun():
-    net = cases.load_case("case3_one_gen")
-    a = tighten.run_algorithm1(net)
-    b = tighten.run_algorithm1(net)
-    assert np.allclose(a[0].c_lo, b[0].c_lo) and np.allclose(a[0].s_hi, b[0].s_hi)
+    model = jabr.build_relaxation(cases.load_case("case3_one_gen"))
+    a = tighten.run_algorithm1(model)
+    b = tighten.run_algorithm1(model)
+    assert np.allclose(a[0].lo[model.c], b[0].lo[model.c]) and \
+        np.allclose(a[0].hi[model.s], b[0].hi[model.s])
     assert [(c.a_c, c.a_s, c.rhs) for c in a[1]] == [(c.a_c, c.a_s, c.rhs) for c in b[1]]
 
 
@@ -181,49 +192,61 @@ def test_tightening_never_cuts_relaxation_optimum():
     for gamma in (0.95, 1.00):
         net = network.scale_load(cases.load_case("case2_two_gen"), gamma)
         plain = jabr.solve_relaxation(net).objective
-        vb, cuts = tighten.run_algorithm1(net)
         model = jabr.build_relaxation(net)
-        tighten.apply_to_model(model, vb, cuts)
-        sol = conic.solve(model.program)
+        box, cuts = tighten.run_algorithm1(model)
+        sol = conic.solve(tighten.boxed(model, box, cuts).program)
         assert sol.objective == pytest.approx(plain, rel=1e-6)
+
+
+def test_boxed_rejects_an_inverted_box():
+    model = jabr.build_relaxation(cases.load_case("case2_two_gen"))
+    box = NodeBox.of(model)
+    box.lo[model.c[0]], box.hi[model.c[0]] = 0.9, 0.8
+    with pytest.raises(conic.ProgramError):
+        tighten.boxed(model, box)
 
 
 def test_infeasible_relaxation_propagates():
     net = network.scale_load(cases.load_case("case2_two_gen"), 2.93)
     with pytest.raises(tighten.RelaxationInfeasible):
-        tighten.compute_bounds(net)
+        tighten.compute_bounds(jabr.build_relaxation(net))
 
 
 def test_cuts_csv():
     net = cases.load_case("case2_two_gen")
-    _, cuts = tighten.run_algorithm1(net)
+    _, cuts = tighten.run_algorithm1(jabr.build_relaxation(net))
     text = tighten.cuts_csv(cuts)
     assert text.splitlines()[0] == "line,a_c,a_s,rhs,case,x1,y1,x2,y2"
 
 
 def _reference_algorithm1(net):
-    """Algorithm 1 with every direction solved on its own."""
-    bounds = VarBounds.implied(net)
+    """Algorithm 1 with every direction solved on its own, each on a fresh
+    build with the box and cuts so far installed row by row."""
+    model = jabr.build_relaxation(net)
+    bounds = NodeBox.of(model)
     cuts = []
     for k in range(len(net.lines)):
         vals = {}
-        for what, sense in (("c", 1), ("c", -1), ("s", 1), ("s", -1)):
-            model = jabr.build_relaxation(net)
-            tighten.apply_to_model(model, bounds, cuts)
-            override = np.zeros(model.program.num_vars)
-            override[(model.c if what == "c" else model.s)[k]] = sense
-            sol = conic.solve(model.program, objective_override=override)
-            vals[what, sense] = sense * sol.objective if sol.optimal else None
+        for var, sense in ((model.c[k], 1), (model.c[k], -1),
+                           (model.s[k], 1), (model.s[k], -1)):
+            fresh = jabr.build_relaxation(net)
+            prog = fresh.program
+            prog.lb, prog.ub = bounds.lo.tolist(), bounds.hi.tolist()
+            for cut in cuts:
+                prog.add_ineq([fresh.c[cut.line], fresh.s[cut.line]],
+                              [-cut.a_c, -cut.a_s], -cut.rhs)
+            override = np.zeros(prog.num_vars)
+            override[var] = sense
+            sol = conic.solve(prog, objective_override=override)
+            vals[var, sense] = sense * sol.objective if sol.optimal else None
         pad = tighten._PAD
-        if vals["c", 1] is not None:
-            bounds.c_lo[k] = max(bounds.c_lo[k], vals["c", 1] - pad)
-        if vals["c", -1] is not None:
-            bounds.c_hi[k] = min(bounds.c_hi[k], vals["c", -1] + pad)
-        if vals["s", 1] is not None:
-            bounds.s_lo[k] = max(bounds.s_lo[k], vals["s", 1] - pad)
-        if vals["s", -1] is not None:
-            bounds.s_hi[k] = min(bounds.s_hi[k], vals["s", -1] + pad)
-        cut = generate_cut(*bounds.box(k), ring_for(net, k).r_lo, line=k)
+        for var in (model.c[k], model.s[k]):
+            if vals[var, 1] is not None:
+                bounds.lo[var] = max(bounds.lo[var], vals[var, 1] - pad)
+            if vals[var, -1] is not None:
+                bounds.hi[var] = min(bounds.hi[var], vals[var, -1] + pad)
+        cut = generate_cut(*line_box(model, bounds, k), ring_for(net, k).r_lo,
+                           line=k)
         if cut is not None:
             cuts.append(cut)
     return bounds, cuts
@@ -237,9 +260,9 @@ def test_algorithm1_matches_per_direction_solves(name, gamma):
     solves each direction on its own."""
     net = network.scale_load(cases.load_case(name), gamma,
                              scale_p=name != "case3_one_gen")
-    got_b, got_c = tighten.run_algorithm1(net)
+    got_b, got_c = tighten.run_algorithm1(jabr.build_relaxation(net))
     want_b, want_c = _reference_algorithm1(net)
-    for field in ("c_lo", "c_hi", "s_lo", "s_hi"):
+    for field in ("lo", "hi"):
         np.testing.assert_allclose(getattr(got_b, field),
                                    getattr(want_b, field), rtol=1e-7,
                                    atol=1e-7)
