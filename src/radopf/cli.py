@@ -55,6 +55,7 @@ def _report(net, gamma, relax_result, bnb_result=None) -> dict:
         "exactness": relax_result.verdict,
         "max_cone_residual": (relax_result.exactness.max_residual
                               if relax_result.exactness else None),
+        "ipm_iterations": relax_result.ipm_iterations,
     }
     if bnb_result is not None:
         trace = bnb_result.trace

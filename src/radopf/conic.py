@@ -4,7 +4,10 @@ A :class:`ConicProgram` collects variables with box bounds, linear equalities
 and inequalities, rotated-cone couplings ``|z|^2 <= u*w`` and an objective
 ``c'x + sum_i q_i x_i^2 + const``.  :func:`solve` compiles the program to the
 standard conic form and runs the in-repo interior-point method; the diagonal
-quadratic terms are lifted into a single rotated-cone epigraph.
+quadratic terms are lifted into a single rotated-cone epigraph
+``|(sqrt(q_i) x_i)|^2 <= (t/g) * g``, with the scale g read from the
+variables' bounds so that both sides of the cone are of one size
+(`ConicProgram.epigraph_cone`).
 """
 
 from __future__ import annotations
@@ -119,6 +122,31 @@ class ConicProgram:
         a constant, or a tuple (idx, coef[, const])."""
         self.cones.append(_Cone(_as_term(u), _as_term(w), [_as_term(t) for t in zs]))
 
+    def epigraph_cone(self, t: int, terms) -> _Cone:
+        """The cone ``t >= sum_i q_i x_i^2`` over the (variable, q) pairs in
+        `terms`, written ``|(sqrt(q_i) x_i)|^2 <= (t/g) * g``; pairs with
+        q = 0 add no row.
+
+        The scale ``g = sqrt(sum_i q_i max(lb_i^2, ub_i^2))``, over the terms
+        whose bounds are finite (1 when there are none), is the square root
+        of the largest value the sum reaches on the box.  Dividing t by it
+        keeps the cone's two sides on one scale: with ``|z|^2 <= t * 1`` and
+        t in the thousands they differ by ~1e3, and the interior-point
+        method takes short steps for most of its iterations.  The set is the
+        same for every g > 0.
+        """
+        pairs = [(i, qi) for i, qi in terms if qi > 0]
+        idx = np.array([i for i, _ in pairs], dtype=int)
+        q = np.array([qi for _, qi in pairs], dtype=float)
+        reach = np.maximum(np.square(np.array(self.lb)[idx]),
+                           np.square(np.array(self.ub)[idx]))
+        bounded = np.isfinite(reach)
+        g = float(np.sqrt(q[bounded] @ reach[bounded])) or 1.0
+        return _Cone((np.array([t]), np.array([1.0 / g]), 0.0),
+                     (np.empty(0, dtype=int), np.empty(0), g),
+                     [(np.array([i]), np.array([np.sqrt(qi)]), 0.0)
+                      for i, qi in zip(idx, q)])
+
     # ------------------------------------------------------------- inspection
     def objective_value(self, x: np.ndarray) -> float:
         c = np.asarray(self.cost)
@@ -186,7 +214,9 @@ class ConicProgram:
 
     def _objective(self, objective_override=None):
         """Objective row of the standard form; the program's own objective
-        lifts its quadratic terms into one extra epigraph column."""
+        lifts its quadratic terms into one extra epigraph column t, whose
+        cone `_constraints` builds with `epigraph_cone` (t is divided by a
+        scale read from the bounds, so that the cone's two sides match)."""
         n = self.num_vars
         if objective_override is not None:
             c = np.zeros(n)
@@ -228,11 +258,7 @@ class ConicProgram:
 
         cones = list(self.cones)
         if ncols > n:
-            roots = [(np.array([i]), np.array([np.sqrt(qi)]), 0.0)
-                     for i, qi in enumerate(self.qcost) if qi > 0]
-            cones.append(_Cone((np.array([n]), np.array([1.0]), 0.0),
-                               (np.empty(0, dtype=int), np.empty(0), 1.0),
-                               roots))
+            cones.append(self.epigraph_cone(n, enumerate(self.qcost)))
         # (u+w)/2 >= |((u-w)/2, z...)| is the SOC form of |z|^2 <= u*w; per
         # cone its rows are top, mid and one per z term, built positive in C
         # and negated as a block, since rows enter as s = h - Gx

@@ -261,6 +261,7 @@ class RelaxationResult:
     exactness: Exactness | None = None
     opf: OpfSolution | None = None
     refined: conic.ConicSolution | None = None
+    ipm_iterations: int = 0   # first solve plus the refine solve, if run
 
     @property
     def status(self) -> str:
@@ -278,8 +279,11 @@ class RelaxationResult:
 
 
 def add_cost_cap(model: JabrModel, cap: float):
-    """Constrain generation cost <= cap inside the model's program
-    (quadratic terms go through a rotated-cone epigraph)."""
+    """Constrain generation cost <= cap inside the model's program.
+
+    The quadratic terms go through a new epigraph variable and
+    `ConicProgram.epigraph_cone`, the builder of the objective's own lift, so
+    the cone is scaled from the units' current bounds in the same way."""
     prog = model.program
     net = model.net
     lin_idx = list(model.pg)
@@ -288,9 +292,7 @@ def add_cost_cap(model: JabrModel, cap: float):
     quads = [(v, g.cost.c2) for v, g in zip(model.pg, net.generators) if g.cost.c2 > 0]
     if quads:
         t = prog.add_var("cost_epi", 0.0)
-        prog.add_rotated_cone(
-            t, (np.empty(0, dtype=int), np.empty(0), 1.0),
-            [(np.array([v]), np.array([math.sqrt(q)]), 0.0) for v, q in quads])
+        prog.cones.append(prog.epigraph_cone(t, quads))
         lin_idx.append(t)
         lin_coef.append(1.0)
     prog.add_ineq(lin_idx, lin_coef, rhs)
@@ -309,7 +311,8 @@ def solve_relaxation(net: Network, *, refine: bool = True, tol: float = 1e-6,
     """
     model = build_relaxation(net, **build_kwargs)
     sol = conic.solve(model.program)
-    res = RelaxationResult(model=model, solution=sol)
+    res = RelaxationResult(model=model, solution=sol,
+                           ipm_iterations=sol.iterations)
     if not sol.optimal:
         return res
     res.exactness = check_exactness(model, sol, tol)
@@ -322,6 +325,7 @@ def solve_relaxation(net: Network, *, refine: bool = True, tol: float = 1e-6,
         for v in model2.cii.values():
             override[v] = 1.0
         sol2 = conic.solve(model2.program, objective_override=override)
+        res.ipm_iterations += sol2.iterations
         if sol2.optimal:
             ex2 = check_exactness(model2, sol2, tol)
             if ex2.exact:

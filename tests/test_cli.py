@@ -29,6 +29,21 @@ def test_relax_golden(capsys, case2_path):
     assert doc["exactness"] == "inexact"
 
 
+def test_relax_reports_ipm_iterations(capsys):
+    """`ipm_iterations` counts the first solve plus the refine solve: the
+    inexact 2-bus γ=1.00 runs both, the exact γ=0.98 only the first."""
+    from radopf import jabr, network
+    base = cases.load_case("case2_two_gen")
+    for gamma, refined in (("1.0", True), ("0.98", False)):
+        code, out, _ = run(capsys, ["relax", "--case", "case2_two_gen",
+                                    "--gamma", gamma])
+        assert code == cli.EXIT_OK
+        res = jabr.solve_relaxation(network.scale_load(base, float(gamma)))
+        first = res.solution.iterations
+        assert json.loads(out)["ipm_iterations"] == res.ipm_iterations
+        assert (res.ipm_iterations > first) == refined and first > 0
+
+
 def test_relax_accepts_builtin_name(capsys):
     code, out, _ = run(capsys, ["relax", "--case", "case2_two_gen", "--gamma", "0.13"])
     assert code == cli.EXIT_OK

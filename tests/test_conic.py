@@ -211,11 +211,7 @@ def _constraints_by_rows(prog, ncols):
     q_sizes = []
     cones = list(prog.cones)
     if ncols > n:
-        roots = [(np.array([i]), np.array([np.sqrt(qi)]), 0.0)
-                 for i, qi in enumerate(prog.qcost) if qi > 0]
-        cones.append(conic._Cone((np.array([n]), np.array([1.0]), 0.0),
-                                 (np.empty(0, dtype=int), np.empty(0), 1.0),
-                                 roots))
+        cones.append(prog.epigraph_cone(n, enumerate(prog.qcost)))
     for cone in cones:
         iu, cu, du = cone.u
         iw, cw, dw = cone.w
@@ -281,6 +277,80 @@ def test_compile_matches_row_by_row(name):
             assert g.shape == w.shape and g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
         assert (got[2].l, got[2].q) == (want[2].l, want[2].q)
+
+
+def _epigraph_slack(prog, ncols, point):
+    """s0 - |s1..| of the last cone block of h - G·point (> 0 inside)."""
+    G, h, dims, _, _ = prog._constraints(ncols)
+    s = (h - G @ point)[-dims.q[-1]:]
+    return s[0] - np.linalg.norm(s[1:])
+
+
+def _epigraph_program(unbounded):
+    """Two quadratic terms, one of them with an infinite bound unless every
+    bound is finite, and a variable with q = 0 between them."""
+    p = conic.ConicProgram()
+    p.add_var("a", -1.0, 2.0, cost=1.0, qcost=0.5)
+    p.add_var("flat", -3.0, 3.0, cost=2.0)
+    p.add_var("b", 0.0, 1.5, qcost=2.0)
+    if unbounded:
+        p.add_var("c", 0.0, qcost=3.0)
+    return p
+
+
+def _cost_cap_program(unbounded):
+    """A case9 tree node with a cost cap; the second unit's cost is linear
+    and, unless every bound is finite, the first unit has no upper limit."""
+    import dataclasses
+    from radopf import cases, jabr, network
+    net = network.spanning_tree(cases.load_case("case9", drop_charging=True))
+    gens = list(net.generators)
+    gens[1] = dataclasses.replace(
+        gens[1], cost=dataclasses.replace(gens[1].cost, c2=0.0))
+    if unbounded:
+        gens[0] = dataclasses.replace(gens[0], pmax=np.inf)
+    model = jabr.build_relaxation(dataclasses.replace(net,
+                                                      generators=tuple(gens)))
+    jabr.add_cost_cap(model, 6000.0)
+    prog = model.program
+    q = np.zeros(prog.num_vars)
+    q[model.pg] = [g.cost.c2 for g in gens]
+    return prog, q
+
+
+@pytest.mark.parametrize("unbounded", [False, True])
+def test_balanced_epigraph_is_the_same_set(unbounded):
+    """Points (x, t) just above sum q_i x_i^2 lie inside the compiled
+    epigraph cone and points just below lie outside, for the objective's
+    lift and for `jabr.add_cost_cap`; q = 0 variables add no row."""
+    rng = np.random.default_rng(0)
+    prog = _epigraph_program(unbounded)
+    cap, q_cap = _cost_cap_program(unbounded)
+    # (program, standard-form columns, q per column); t is the last column
+    for p, ncols, q in ((prog, prog.num_vars + 1, np.append(prog.qcost, 0.0)),
+                        (cap, cap.num_vars, q_cap)):
+        t = ncols - 1
+        assert p._constraints(ncols)[2].q[-1] == 2 + np.count_nonzero(q)
+        for x in (*rng.uniform(-2.0, 3.0, size=(6, ncols)), np.zeros(ncols)):
+            f = q @ (x * x)
+            for t_val, inside in ((f * (1 + 1e-9) + 1e-12, True),
+                                  (f * (1 - 1e-9) - 1e-12, False)):
+                x[t] = t_val
+                assert (_epigraph_slack(p, ncols, x) > 0) == inside
+
+
+def test_epigraph_scale_from_finite_bounds():
+    """g is sqrt(sum q_i max(lb_i^2, ub_i^2)) over finitely bounded terms,
+    and 1 when no term has finite bounds."""
+    prog = _epigraph_program(unbounded=True)
+    cone = prog.epigraph_cone(prog.num_vars, enumerate(prog.qcost))
+    g = np.sqrt(0.5 * 2.0 ** 2 + 2.0 * 1.5 ** 2)
+    assert cone.w[2] == pytest.approx(g) and cone.u[1][0] == pytest.approx(1 / g)
+    assert [int(iz[0]) for iz, _, _ in cone.zs] == [0, 2, 3]
+    free = conic.ConicProgram()
+    free.add_var("y", qcost=4.0)
+    cone = free.epigraph_cone(1, [(0, 4.0)])
+    assert cone.w[2] == 1.0 and cone.u[1][0] == 1.0
 
 
 # ------------------------------------------------------------ kernel checks

@@ -213,3 +213,30 @@ def test_case14_tree_relaxation_answers(case14, tree, gamma):
     for k in dims.q:
         assert z[off] >= np.linalg.norm(z[off + 1:off + k])
         off += k
+
+
+SWEEP_GAMMAS = [round(0.80 + 0.02 * k, 2) for k in range(16)]
+
+
+@pytest.mark.parametrize("tree", [0, 2])
+def test_case9_recovered_points_meet_the_tolerance(tree):
+    """Over the load sweep 0.80..1.10 on a case9 spanning tree, every
+    relaxation certified exact recovers a point that the rectangular oracle
+    accepts to 1e-6."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # charging/tap/shift zeroed
+        base = network.spanning_tree(
+            cases.load_case("case9", drop_charging=True), tree)
+    misses, exact = [], 0
+    for gamma in SWEEP_GAMMAS:
+        net = network.scale_load(base, gamma)
+        opf = jabr.solve_relaxation(net).opf
+        if opf is None:
+            continue
+        exact += 1
+        viol = jabr.evaluate_opf_point(net, opf.e, opf.f, opf.pg,
+                                       opf.qg).max_violation
+        if viol > 1e-6:
+            misses.append((gamma, viol))
+    assert exact > 0
+    assert not misses
