@@ -20,14 +20,16 @@ is paid once for all members still running.
 
 Each iteration eliminates the ``z`` block of the Newton system through the NT
 scaling ``W``: with ``Gt = W^{-1} G`` only the ``(n+p)``-square matrix
-``[[Gt'Gt, A'], [A, 0]]`` of each member is factored, and every solve is
-refined against the full system in the scaled coordinates ``W z``.  Small
-programs keep that matrix dense and LU-factor it through LAPACK (`_Dense`);
-from `_SPARSE_FROM` reduced rows on, ``[A; G]``, ``Gt`` and the matrix are
-kept in compressed sparse form on a fixed pattern and factored by SuperLU
-(`_Sparse`).  Second-order cones of equal size are stacked, so the scaling
-and the cone algebra are whole-array operations over (member, block) with no
-loop over cones.
+``[[Gt'Gt, A'], [A, 0]]`` of each member is factored, up one regularization
+ladder where the plain factorization fails, and every solve is refined
+against the full system in the scaled coordinates ``W z`` (`_Storage`).
+Small programs keep that matrix dense and LU-factor it through LAPACK
+(`_Dense`); from `_SPARSE_FROM` reduced rows on, ``[A; G]``, ``Gt`` and the
+matrix are kept in compressed sparse form on a fixed pattern and factored by
+SuperLU (`_Sparse`); each supplies only the factorization, the unrefined
+solve and the product with the full matrix.  Second-order cones of equal
+size are stacked, so the scaling and the cone algebra are whole-array
+operations over (member, block) with no loop over cones.
 """
 
 from __future__ import annotations
@@ -266,63 +268,45 @@ def _jsolve(lam, v, dims):
     return out
 
 
-class _KKT:
-    """LU factors of the reduced matrices [[Gt'Gt, A'], [A, 0]], Gt = W^{-1} G,
-    one per member.
+class _Storage:
+    """The shared half of `_Dense` and `_Sparse`: factors of each member's
+    reduced matrix [[Gt'Gt, A'], [A, 0]], Gt = W^{-1} G, up one
+    regularization ladder, and one refined solve.
 
-    `B` stacks ``[A; Gt]`` of each member, shape (members, p + m, n), and
-    `ok` marks the members whose factorization succeeded.  `solve` takes the
-    right-hand sides ``[r_x; r_y; W^{-1} r_z]`` of the full Newton systems
-    ``[[0, A', G'], [A, 0, 0], [G, 0, -W^2]]`` and returns ``[x; y; W z]``:
-    the reduced solve eliminates ``W z = Gt x - W^{-1} r_z``, and two
-    refinement steps run against the unregularized full system in these
-    scaled coordinates, ``[[0, A', Gt'], [A, 0, 0], [Gt, 0, -I]]``, which
-    needs no W.
+    `ok` marks the members with factors.  `solve` takes the right-hand sides
+    ``[r_x; r_y; W^{-1} r_z]`` of the full Newton systems ``[[0, A', G'],
+    [A, 0, 0], [G, 0, -W^2]]`` and returns ``[x; y; W z]``: the reduced
+    solve eliminates ``W z = Gt x - W^{-1} r_z``, and two refinement steps
+    run against the unregularized full system in these scaled coordinates,
+    ``[[0, A', Gt'], [A, 0, 0], [Gt, 0, -I]]``, which needs no W.  A member
+    without factors solves to NaN.  A storage class supplies `_lu(data)`,
+    the factors of one member's matrix data or None, `_reduced(r)`, the
+    unrefined solve, and `_full(u)`, the product of the full matrix less
+    its -I block with u; `diag` locates the diagonal in the data.
     """
 
-    def __init__(self, B, n, p, K=None):
-        """`K`, if given, holds the A blocks of the reduced matrices and
-        receives their Gt'Gt blocks."""
-        self.B, self.BT, self.n, self.k = B, B.transpose(0, 2, 1), n, n + p
-        self.Gt, self.GtT = B[:, p:], self.BT[:, :, p:]
-        if K is None:
-            K = np.zeros((len(B), n + p, n + p))
-            K[:, :n, n:] = self.BT[:, :, :p]
-            K[:, n:, :n] = B[:, :p]
-        np.matmul(self.GtT, self.Gt, out=K[:, :n, :n])
-        self.factors = []
-        self.ok = np.ones(len(B), dtype=bool)
-        for i, Ki in enumerate(K):
-            lu, piv, info = dgetrf(Ki)
-            if info or not np.isfinite(lu).all():
-                try:
-                    lu, piv = self._regularized(Ki, n)
-                except FloatingPointError:
-                    self.ok[i] = False
-            self.factors.append((lu, piv))
+    def _factor(self, data):
+        """Factor the matrix data of each member (one row each), up the
+        ladder where the plain factorization fails; returns self."""
+        self.factors = [self._lu(d) or self._regularized(d) for d in data]
+        self.ok = np.array([lu is not None for lu in self.factors], dtype=bool)
+        return self
 
-    @staticmethod
-    def _regularized(K, n):
-        """Factor K + delta*scale*diag(I, -I) up the regularization ladder."""
-        shift = np.full(len(K), -(1.0 + np.abs(K).max()))
-        shift[:n] *= -1.0
+    def _regularized(self, data):
+        """Factors of K + delta*(1 + max|K|)*diag(I, -I) for the first delta
+        of the ladder that gives some; None for non-finite data."""
+        scale = 1.0 + np.abs(data).max()
+        if not np.isfinite(scale):
+            return None
+        shift = np.full(len(self.diag), -scale)
+        shift[:self.n] = scale
         for delta in _REG_LADDER:
-            lu, piv, info = dgetrf(K + np.diag(delta * shift))
-            if not info and np.isfinite(lu).all():
-                return lu, piv
-        raise FloatingPointError("KKT factorization failed")
-
-    def _reduced(self, r):
-        """Solve the full systems without refinement; row j of r[i] is the
-        j-th right-hand side of member i."""
-        n, k = self.n, self.k
-        # row-major per member is column-major for LAPACK: solved in place
-        red = r[..., :k].copy()
-        red[..., :n] += r[..., k:] @ self.Gt
-        for (lu, piv), rhs in zip(self.factors, red):
-            dgetrs(lu, piv, rhs.T, overwrite_b=1)
-        return np.concatenate((red, red[..., :n] @ self.GtT - r[..., k:]),
-                              axis=-1)
+            reg = data.copy()
+            reg.flat[self.diag] += delta * shift
+            lu = self._lu(reg)
+            if lu is not None:
+                return lu
+        return None
 
     def solve(self, r):
         """Solve for right-hand sides (members, rows), or (members, count,
@@ -330,11 +314,10 @@ class _KKT:
         vector = r.ndim == 2
         if vector:
             r = r[:, None]
+        k = self.n + self.p
         u = self._reduced(r)
-        n, k = self.n, self.k
         for _ in range(2):
-            res = r - np.concatenate((u[..., n:] @ self.B,
-                                      u[..., :n] @ self.BT), axis=-1)
+            res = r - self._full(u)
             res[..., k:] += u[..., k:]
             u += self._reduced(res)
         return u[:, 0] if vector else u
@@ -351,13 +334,15 @@ class _KKT:
 _SPARSE_FROM = 200
 
 
-class _Dense:
-    """`[A; G]` and the reduced matrices of the members as dense arrays.
+class _Dense(_Storage):
+    """`[A; G]` and the reduced matrices of the members as dense arrays,
+    each factored by LAPACK's LU.
 
     `BG1` is ``[A; 0; G]``, which multiplies ``[y; tau; z]`` in the
     residuals (a view when shared); `Ghr` holds ``[G, h, r_z]``, scaled by
-    W^{-1} in one pass into `B` under A; the reduced matrices `K` keep their
-    A blocks, and each factorization rewrites only the Gt'Gt block.
+    W^{-1} in one pass into `Bhr` under A; the reduced matrices `K` keep
+    their A blocks, and each factorization rewrites only the Gt'Gt block
+    and views ``[A; Gt]`` of `Bhr` as `B`, Gt as `Gt`, and their transposes.
     """
 
     def __init__(self, A, G, h, dims, count):
@@ -370,17 +355,18 @@ class _Dense:
         self.Ghr = np.empty((count, m, n + 2))
         self.Ghr[:, :, :n] = G
         self.Ghr[:, :, n] = h
-        self.B = np.zeros((count, p + m, n + 2))
-        self.B[:, :p, :n] = A
-        self.B[:, p:, :n] = G
+        self.Bhr = np.zeros((count, p + m, n + 2))
+        self.Bhr[:, :p, :n] = A
+        self.Bhr[:, p:, :n] = G
         self.K = np.zeros((count, n + p, n + p))
-        self.K[:, :n, n:] = self.B[:, :p, :n].transpose(0, 2, 1)
-        self.K[:, n:, :n] = self.B[:, :p, :n]
+        self.K[:, :n, n:] = self.Bhr[:, :p, :n].transpose(0, 2, 1)
+        self.K[:, n:, :n] = self.Bhr[:, :p, :n]
+        self.diag = np.arange(n + p) * (n + p + 1)
 
     def __getitem__(self, rows):
         """The members in `rows`."""
         out = copy.copy(self)
-        for key in ("BG1", "Ghr", "B", "K"):
+        for key in ("BG1", "Ghr", "Bhr", "K"):
             setattr(out, key, getattr(self, key)[rows])
         return out
 
@@ -389,15 +375,43 @@ class _Dense:
         return np.matvec(self.BG1, x), np.vecmat(yz, self.BG1)
 
     def factor(self, scal=None, rz=None):
-        """Factors of the reduced matrices for the scaling `scal`, and
-        ``W^{-1} [h, r_z]`` of each member, (members, m, 2); without a
-        scaling W = I and no scaled columns."""
+        """Factor the reduced matrices for the scaling `scal`; returns self
+        and ``W^{-1} [h, r_z]`` of each member, (members, m, 2).  Without a
+        scaling W = I and there are no scaled columns."""
         n, p = self.n, self.p
-        if scal is None:
-            return _KKT(self.B[:, :, :n], n, p, self.K), None
-        self.Ghr[:, :, n + 1] = rz
-        scal.apply_inv(self.Ghr, out=self.B[:, p:])
-        return _KKT(self.B[:, :, :n], n, p, self.K), self.B[:, p:, n:]
+        hrs = None
+        if scal is not None:
+            self.Ghr[:, :, n + 1] = rz
+            scal.apply_inv(self.Ghr, out=self.Bhr[:, p:])
+            hrs = self.Bhr[:, p:, n:]
+        self.B = self.Bhr[:, :, :n]
+        self.BT = self.B.transpose(0, 2, 1)
+        self.Gt, self.GtT = self.B[:, p:], self.BT[:, :, p:]
+        np.matmul(self.GtT, self.Gt, out=self.K[:, :n, :n])
+        return self._factor(self.K), hrs
+
+    @staticmethod
+    def _lu(data):
+        lu, piv, info = dgetrf(data)
+        return None if info or not np.isfinite(lu).all() else (lu, piv)
+
+    def _reduced(self, r):
+        n, k = self.n, self.n + self.p
+        # row-major per member is column-major for LAPACK: solved in place
+        red = r[..., :k].copy()
+        red[..., :n] += r[..., k:] @ self.Gt
+        for lu, rhs in zip(self.factors, red):
+            if lu is None:
+                rhs[:] = np.nan
+            else:
+                dgetrs(*lu, rhs.T, overwrite_b=1)
+        return np.concatenate((red, red[..., :n] @ self.GtT - r[..., k:]),
+                              axis=-1)
+
+    def _full(self, u):
+        n = self.n
+        return np.concatenate((u[..., n:] @ self.B, u[..., :n] @ self.BT),
+                              axis=-1)
 
 
 def _runs(lengths):
@@ -425,10 +439,10 @@ def _on(mats, data):
     return out
 
 
-class _Sparse:
+class _Sparse(_Storage):
     """`[A; G]`, `Gt` and the reduced matrices of the members in compressed
     sparse form, on one pattern fixed for the call and shared by the members
-    (the union of their nonzeros).
+    (the union of their nonzeros), each member factored by SuperLU.
 
     The pattern of Gt = W^{-1} G closes G's row pattern over each cone
     block, where W^{-1} is dense; on the orthant it is G's own.  `BG` holds
@@ -439,10 +453,11 @@ class _Sparse:
     products of two Gt entries of one row (`pa`, `pb`), in segments that
     start at `pairs`, and lands at `kpos` in the CSC data of the reduced
     matrices.  `Kd` holds that data per member with the A blocks in place,
-    and `diag` locates its diagonal.  `B`, `Gt` and `K` are the pattern
-    templates of ``[A; Gt]`` and ``Gt``, each with its transpose, and of the
-    reduced matrices (a 1-tuple); `mats` holds ``[A; 0; G]`` and its
-    transpose of each member on its data.
+    and `diag` locates its diagonal.  `Bpat`, `Gtpat` and `Kpat` are the
+    pattern templates of ``[A; Gt]`` and ``Gt``, each with its transpose,
+    and of the reduced matrices (a 1-tuple); `mats` holds ``[A; 0; G]`` and
+    its transpose of each member on its data; a factorization puts ``[A;
+    Gt]`` and ``Gt`` of each member on their templates as `B` and `Gt`.
     """
 
     def __init__(self, A, G, h, dims, count):
@@ -462,8 +477,9 @@ class _Sparse:
         self.BG = np.concatenate((A[:, arow, acol], G[:, row, col]), axis=1)
         bg1 = _csr(np.concatenate((aptr, na + gptr)), bcol, (p + 1 + m, n))
         self.mats = [_on(bg1, d) for d in self.BG]
-        self.B = _csr(np.concatenate((aptr[:-1], na + gptr)), bcol, (p + m, n))
-        self.Gt = _csr(gptr, col, (m, n))
+        self.Bpat = _csr(np.concatenate((aptr[:-1], na + gptr)), bcol,
+                         (p + m, n))
+        self.Gtpat = _csr(gptr, col, (m, n))
 
         # each row's block: its first row, its size, and where its row of
         # W^{-1} starts in the data of `_winv`
@@ -486,7 +502,7 @@ class _Sparse:
         akeys = (acol * k + n + arow, (n + arow) * k + acol)
         keys = np.unique(np.concatenate((pkey, np.arange(k) * (k + 1))
                                         + akeys))
-        self.K = (sparse.csc_matrix(
+        self.Kpat = (sparse.csc_matrix(
             (np.zeros(len(keys)), keys % k,
              np.searchsorted(keys, np.arange(k + 1) * k)), shape=(k, k)),)
         self.diag = np.searchsorted(keys, np.arange(k) * (k + 1))
@@ -524,9 +540,9 @@ class _Sparse:
             axis=1)
 
     def factor(self, scal=None, rz=None):
-        """Factors of the reduced matrices for the scaling `scal`, and
-        ``W^{-1} [h, r_z]`` of each member, (members, m, 2); without a
-        scaling W = I and no scaled columns."""
+        """Factor the reduced matrices for the scaling `scal`; returns self
+        and ``W^{-1} [h, r_z]`` of each member, (members, m, 2).  Without a
+        scaling W = I and there are no scaled columns."""
         na = self.na
         bd = np.empty((len(self.Kd), self.BG.shape[1]))
         bd[:, :na] = self.BG[:, :na]
@@ -540,81 +556,40 @@ class _Sparse:
             hrs = scal.apply_inv(np.stack((self.h, rz), axis=-1))
         self.Kd[:, self.kpos] = np.add.reduceat(
             gt[:, self.pa] * gt[:, self.pb], self.pairs, axis=1)
-        return _SparseKKT(self, bd), hrs
+        self.B = [_on(self.Bpat, d) for d in bd]
+        self.Gt = [_on(self.Gtpat, d[na:]) for d in bd]
+        return self._factor(self.Kd), hrs
 
+    def _lu(self, data):
+        if not np.isfinite(data).all():
+            return None
+        try:
+            lu = splu(*_on(self.Kpat, data))
+        except RuntimeError:
+            return None
+        return lu if np.isfinite(lu.U.data).all() else None
 
-def _splu(K):
-    """SuperLU factors of K, or None when SuperLU finds it singular or its
-    factors are not finite."""
-    try:
-        lu = splu(K)
-    except RuntimeError:
-        return None
-    return lu if np.isfinite(lu.U.data).all() else None
-
-
-class _SparseKKT:
-    """SuperLU factors of the reduced matrices of `_Sparse`, one per member,
-    for the data `bd` of ``[A; Gt]``; the interface of `_KKT`: `ok` marks
-    the members whose factorization succeeded, and `solve` takes and returns
-    the same vectors, refined by the same two steps (NaN for a member
-    without factors)."""
-
-    def __init__(self, lin, bd):
-        self.n, self.k = lin.n, lin.n + lin.p
-        self.B = [_on(lin.B, d) for d in bd]
-        self.Gt = [_on(lin.Gt, d[lin.na:]) for d in bd]
-        self.factors = []
-        self.ok = np.ones(len(bd), dtype=bool)
-        for i, data in enumerate(lin.Kd):
-            lu = None
-            if np.isfinite(data).all():
-                lu = _splu(*_on(lin.K, data))
-                if lu is None:
-                    lu = self._regularized(lin, data)
-            self.ok[i] = lu is not None
-            self.factors.append(lu)
-
-    def _regularized(self, lin, data):
-        """Factor K + delta*scale*diag(I, -I) up the regularization ladder."""
-        shift = np.full(self.k, -(1.0 + np.abs(data).max()))
-        shift[:self.n] *= -1.0
-        for delta in _REG_LADDER:
-            reg = data.copy()
-            reg[lin.diag] += delta * shift
-            lu = _splu(*_on(lin.K, reg))
-            if lu is not None:
-                return lu
-        return None
-
-    def solve(self, r):
-        """Solve for right-hand sides (members, rows), or (members, count,
-        rows) with several per member."""
-        vector = r.ndim == 2
-        if vector:
-            r = r[:, None]
-        n, k = self.n, self.k
+    def _reduced(self, r):
+        n, k = self.n, self.n + self.p
         out = np.empty_like(r)
-        for i, (lu, (B, BT), (Gt, GtT)) in enumerate(
-                zip(self.factors, self.B, self.Gt)):
+        for i, (lu, (Gt, GtT)) in enumerate(zip(self.factors, self.Gt)):
             if lu is None:
                 out[i] = np.nan
                 continue
+            v = r[i].T
+            red = v[:k].copy()
+            red[:n] += GtT @ v[k:]
+            x = lu.solve(red)
+            out[i] = np.concatenate((x, Gt @ x[:n] - v[k:])).T
+        return out
 
-            def reduced(v):
-                red = v[:k].copy()
-                red[:n] += GtT @ v[k:]
-                x = lu.solve(red)
-                return np.concatenate((x, Gt @ x[:n] - v[k:]))
-
-            ri = r[i].T
-            u = reduced(ri)
-            for _ in range(2):
-                res = ri - np.concatenate((BT @ u[n:], B @ u[:n]))
-                res[k:] += u[k:]
-                u += reduced(res)
-            out[i] = u.T
-        return out[:, 0] if vector else out
+    def _full(self, u):
+        n = self.n
+        out = np.empty_like(u)
+        for i, (B, BT) in enumerate(self.B):
+            v = u[i].T
+            out[i] = np.concatenate((BT @ v[n:], B @ v[:n])).T
+        return out
 
 
 def conelp(c, G, h, dims, A=None, b=None,

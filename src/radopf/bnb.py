@@ -299,26 +299,26 @@ def _z_bounds(net: Network, fixed_voltage: dict[int, float] | None):
             np.concatenate([vmax, np.full(n - 1, np.pi)]))
 
 
-def _push(z0, bal: _Balance, bounds, tol: float, max_nfev: int):
+def _push(z0, bal: _Balance, bounds, max_nfev: int):
     """Least-squares push of z0 onto the clipped balance equations; the
-    end point if every residual is within 10·tol, else None."""
+    end point if every residual is within 10·_FEAS_TOL, else None."""
     fit = sopt.least_squares(_residuals, z0, jac=_residual_jacobian,
                              bounds=bounds, args=(bal,), xtol=1e-14,
                              ftol=1e-14, gtol=1e-14, max_nfev=max_nfev)
-    return fit.x if np.max(np.abs(fit.fun)) <= 10 * tol else None
+    return fit.x if np.max(np.abs(fit.fun)) <= 10 * _FEAS_TOL else None
 
 
-def _verified(net: Network, bal: _Balance, z, tol: float, base=None):
+def _verified(net: Network, bal: _Balance, z, base=None):
     """The operating point of z with its generation allocated (from the
     `base` split, if given), if it passes the rectangular feasibility check
-    at `tol`."""
+    at `_FEAS_TOL`."""
     n = net.num_buses
     vm, th = z[:n], np.zeros(n)
     th[bal.free] = z[n:]
     pg, qg = _allocate(bal, _required(z, bal), base)
     check = jabr.evaluate_opf_point(net, vm * np.cos(th), vm * np.sin(th),
                                     pg, qg)
-    if not check.feasible(tol):
+    if not check.feasible(_FEAS_TOL):
         return None
     return jabr.OpfSolution(bus_ids=[b.id for b in net.buses], vm=vm,
                             theta=th, pg=pg, qg=qg, objective=check.objective)
@@ -337,15 +337,15 @@ def _settle(net: Network, opf: jabr.OpfSolution, bal: _Balance,
     z0 = np.clip(np.concatenate([opf.vm, opf.theta[bal.free]]),
                  lb + 1e-12, ub - 1e-12)
     try:
-        z = _push(z0, bal, (lb, ub), _FEAS_TOL, 200)
+        z = _push(z0, bal, (lb, ub), 200)
     except ValueError:  # also numpy's LinAlgError
         return None
     return None if z is None else _verified(
-        net, bal, z, _FEAS_TOL, np.array([opf.pg, opf.qg]))
+        net, bal, z, np.array([opf.pg, opf.qg]))
 
 
 def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
-                 multistart: bool = True, tol: float = _FEAS_TOL,
+                 multistart: bool = True,
                  fixed_voltage: dict[int, float] | None = None,
                  bal: _Balance | None = None) -> jabr.OpfSolution | None:
     """Project a relaxation point onto the feasible set and locally improve.
@@ -401,7 +401,7 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
     z = None
     for z0 in starts:
         try:
-            z = _push(z0, bal, (lb, ub), tol, 200)
+            z = _push(z0, bal, (lb, ub), 200)
         except Exception:
             continue
         if z is not None:
@@ -416,12 +416,12 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
             imp = sopt.minimize(_penalized, z, args=(bal, rho), jac=True,
                                 method="L-BFGS-B", bounds=list(zip(lb, ub)),
                                 options={"maxiter": 60})
-            z2 = _push(imp.x, bal, (lb, ub), tol, 150)
+            z2 = _push(imp.x, bal, (lb, ub), 150)
             if z2 is not None and _alloc_cost(z2, bal) < cost:
                 z = z2
         except Exception:
             pass
-    return _verified(net, bal, z, tol)
+    return _verified(net, bal, z)
 
 
 # -------------------------------------------------------------- range reduction

@@ -456,6 +456,56 @@ def test_reduced_kkt_matches_full_system_block_sparse():
     _check_reduced_solves(rng, A, G, l, q, 1e4)
 
 
+# A program whose reduced matrix [[G'G, A'], [A, 0]] is exactly singular:
+# G'G = I and a duplicated equality row.  The data are small integers, so the
+# plain elimination meets an exact zero pivot.
+_SINGULAR_A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+_SINGULAR_G = np.vstack((np.eye(3), np.zeros((2, 3))))
+
+
+def _singular_storage(impl, members):
+    """`impl` over copies of the singular program; a member given as False
+    has an infinite entry in G instead, inside the pattern of the others, so
+    that the sparse pattern stays theirs."""
+    count = len(members)
+    G = np.repeat(_SINGULAR_G[None], count, axis=0)
+    G[~np.array(members), 0, 0] = np.inf
+    dims = _ipm.make_dims(3, [2])
+    return impl(np.repeat(_SINGULAR_A[None], count, axis=0), G,
+                np.zeros((count, dims.m)), dims, count)
+
+
+@pytest.mark.parametrize("impl", [_ipm._Dense, _ipm._Sparse])
+def test_regularization_ladder_and_failed_member(impl, monkeypatch):
+    """An exactly singular reduced matrix fails the plain factorization and
+    is factored on the regularization ladder, on both storage formats; the
+    refined solve of a consistent system then meets the unregularized full
+    system.  A member with non-finite data has no factors and solves to
+    NaN, and leaves the other member's solve as it is alone."""
+    A, G = _SINGULAR_A, _SINGULAR_G
+    M = np.block([[np.zeros((3, 3)), A.T, G.T],
+                  [A, np.zeros((2, 7))],
+                  [G, np.zeros((5, 2)), -np.eye(5)]])
+    rhs = M @ np.random.default_rng(0).normal(size=10)
+    with monkeypatch.context() as patch:
+        patch.setattr(_ipm, "_REG_LADDER", ())
+        kkt, _ = _singular_storage(impl, [True]).factor()
+        assert not kkt.ok.any()
+        assert np.isnan(kkt.solve(rhs[None])).all()
+
+    kkt, _ = _singular_storage(impl, [True]).factor()
+    assert kkt.ok.all()
+    alone = kkt.solve(rhs[None])[0]
+    assert np.linalg.norm(M @ alone - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    with np.errstate(invalid="ignore"):
+        kkt, _ = _singular_storage(impl, [True, False]).factor()
+        both = kkt.solve(np.stack((rhs, rhs)))
+    assert kkt.ok.tolist() == [True, False]
+    assert np.array_equal(both[0], alone)
+    assert np.isnan(both[1]).all()
+
+
 def _max_step_reference(v, dv, l, q):
     """Cone-by-cone step length: sup of alpha >= 0 with v + alpha*dv in K."""
     alpha = np.inf
