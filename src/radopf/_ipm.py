@@ -49,6 +49,11 @@ FAILED = "numerical_failure"
 
 # step-back factor keeping iterates strictly interior
 _STEP = 0.99
+# stopping test: residuals within FEASTOL and relative gap within GAPTOL end
+# a member `optimal`; one still running after MAXITER iterations fails.
+# `_conelp_core` reads them at each call.
+FEASTOL = GAPTOL = 1e-8
+MAXITER = 200
 # static regularization tried, in order, when the plain factorization fails
 _REG_LADDER = (1e-12, 1e-10, 1e-8)
 
@@ -592,10 +597,9 @@ class _Sparse(_Storage):
         return out
 
 
-def conelp(c, G, h, dims, A=None, b=None,
-           feastol=1e-8, gaptol=1e-8, maxiter=200):
-    """Solve a batch of conic LPs; returns one result dict per member, each
-    with its status and certificates.
+def conelp(c, G, h, dims, A, b):
+    """Solve a batch of conic LPs to `FEASTOL` and `GAPTOL`; returns one
+    result dict per member, each with its status and certificates.
 
     Row i of `c` (members, n) belongs to member i; `h` and `b` are one row
     for every member or one row per member, and `G` and `A` are both one
@@ -609,8 +613,7 @@ def conelp(c, G, h, dims, A=None, b=None,
     # iterates near the cone boundary may overflow or divide by zero; the
     # solver detects non-finite values itself and stops on them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        outs = _conelp_core(c / c_scale[:, None], G, h, dims, A, b, feastol,
-                            gaptol, maxiter)
+        outs = _conelp_core(c / c_scale[:, None], G, h, dims, A, b)
     for out, scale in zip(outs, c_scale.tolist()):
         for key in ("pobj", "dobj", "gap"):
             if out[key] is not None:
@@ -656,11 +659,11 @@ class _Members:
             setattr(self, key, val[rows])
 
 
-def _conelp_core(c, G, h, dims, A, b, feastol, gaptol, maxiter):
+def _conelp_core(c, G, h, dims, A, b):
     count, n = c.shape
     m = dims.m
-    G = np.asarray(G, dtype=float)
-    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float)
+    feastol, gaptol = FEASTOL, GAPTOL
+    G, A = (np.asarray(M, dtype=float) for M in (G, A))
     G, A = (M[None] if M.ndim == 2 else M for M in (G, A))
     p = A.shape[1]
     k = n + p
@@ -670,7 +673,7 @@ def _conelp_core(c, G, h, dims, A, b, feastol, gaptol, maxiter):
     z0, s0 = k + 1, k + m + 2
     dims1 = make_dims(dims.l + 1, dims.q)
     h = _rows(h, count)
-    b = _rows(np.zeros(0) if b is None else b, count)
+    b = _rows(b, count)
     # [c; b; 0; h], aligned with [x; y; tau; z]
     cbh = np.concatenate((c, b, np.zeros((count, 1)), h), axis=1)
     e = _unit(dims)
@@ -723,7 +726,7 @@ def _conelp_core(c, G, h, dims, A, b, feastol, gaptol, maxiter):
                                   info=info[j])
             out[i] = _result(FAILED, it, **fields)
 
-    for it in range(1, maxiter + 1):
+    for it in range(1, MAXITER + 1):
         X, cbh = act.X, act.cbh
         x, yz, s = X[:, :n], X[:, n:s0 - 1], X[:, s0:]
         tau, kappa, T = X[:, k], X[:, s0 - 1], X[:, k:z0]

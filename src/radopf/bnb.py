@@ -36,6 +36,7 @@ _WIDTH_TOL = 1e-6   # interval width below which a variable is not branched
 _EXACT_TOL = 1e-6   # relative coupling slack accepted as on-surface
 _FEAS_TOL = 1e-6    # rectangular violation accepted for an incumbent
 _BATCH = 4          # best-first nodes whose relaxations are solved together
+_OBBT_VARS = 2      # worst-line variables range-reduced per node
 
 
 class _Propagator:
@@ -344,21 +345,21 @@ def _settle(net: Network, opf: jabr.OpfSolution, bal: _Balance,
         net, bal, z, np.array([opf.pg, opf.qg]))
 
 
-def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
-                 multistart: bool = True,
+def local_polish(net: Network, point: dict, *, multistart: bool = True,
                  fixed_voltage: dict[int, float] | None = None,
                  bal: _Balance | None = None) -> jabr.OpfSolution | None:
     """Project a relaxation point onto the feasible set and locally improve.
 
     Lines are rescaled radially onto the cone surface, angles recovered along
-    the tree, then (|V|, angle) are adjusted: first a least-squares push onto
-    the balance equations (clamped to the bus generation boxes), optionally a
-    penalized cost descent (L-BFGS-B), and a final cleanup.  Every step is
+    the tree (`jabr.tree_angles`), then (|V|, angle) are adjusted: first a
+    least-squares push onto the balance equations (clamped to the bus
+    generation boxes), then a penalized cost descent (L-BFGS-B) that is kept
+    when its pushed end point costs less, and a final cleanup.  Every step is
     given exact derivatives: the Jacobian of the clipped residuals and the
     gradient of the penalized cost (see `_penalized`).  With `multistart`
-    the push is retried from eight flat and feeder-tilted voltage profiles
-    when the guided start fails.  `bal` is the network's `_balance`, built
-    here when not given.  Returns a verified feasible point or None.
+    the push is retried from a flat and a feeder-tilted voltage profile when
+    the guided start fails.  `bal` is the network's `_balance`, built here
+    when not given.  Returns a verified feasible point or None.
     """
     bal = bal if bal is not None else _balance(net)
     n = net.num_buses
@@ -377,23 +378,18 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
         else:
             c[k], s[k] = target, 0.0
     vm0 = np.sqrt([max(cii[b.id], 1e-9) for b in net.buses])
-    edges = tree_edges(net, bal.slack)
-    th0 = np.zeros(n)
-    for i, j, k in edges:
-        d = math.atan2(s[k], c[k])
-        th0[pos[j]] = th0[pos[i]] + d if net.lines[k].from_bus == i else th0[pos[i]] - d
+    th0 = jabr.tree_angles(net, c, s)
 
     vmin, vmax = lb[:n], ub[:n]
     starts = [np.clip(np.concatenate([vm0, th0[bal.free]]), lb + 1e-12, ub - 1e-12)]
     if multistart:
-        # the guided start can stall on a voltage floor; sweep flat and
-        # feeder-tilted profiles (voltage declining with depth from slack)
+        # the guided start can stall on a voltage floor; try a flat and a
+        # feeder-tilted profile (voltage declining with depth from slack)
         depth = np.zeros(n)
-        for i, j, _ in edges:
+        for i, j, _ in tree_edges(net, bal.slack):
             depth[pos[j]] = depth[pos[i]] + 1
         prof = depth / max(depth.max(), 1.0)
-        for f, tilt in ((0.5, 0.0), (0.55, -0.5), (0.35, -0.4), (0.75, -0.35),
-                        (0.25, 0.3), (0.9, -0.5), (0.15, 0.0), (0.85, 0.0)):
+        for f, tilt in ((0.5, 0.0), (0.55, -0.5)):
             frac = np.clip(f + tilt * (prof - 0.5), 0.02, 0.98)
             starts.append(np.concatenate([vmin + frac * (vmax - vmin),
                                           th0[bal.free]]))
@@ -409,40 +405,36 @@ def local_polish(net: Network, point: dict, *, cost_pass: bool = True,
     if z is None:
         return None
 
-    if cost_pass:
-        cost = _alloc_cost(z, bal)
-        rho = 1e5 * (1.0 + abs(cost))
-        try:
-            imp = sopt.minimize(_penalized, z, args=(bal, rho), jac=True,
-                                method="L-BFGS-B", bounds=list(zip(lb, ub)),
-                                options={"maxiter": 60})
-            z2 = _push(imp.x, bal, (lb, ub), 150)
-            if z2 is not None and _alloc_cost(z2, bal) < cost:
-                z = z2
-        except Exception:
-            pass
+    cost = _alloc_cost(z, bal)
+    rho = 1e5 * (1.0 + abs(cost))
+    try:
+        imp = sopt.minimize(_penalized, z, args=(bal, rho), jac=True,
+                            method="L-BFGS-B", bounds=list(zip(lb, ub)),
+                            options={"maxiter": 60})
+        z2 = _push(imp.x, bal, (lb, ub), 150)
+        if z2 is not None and _alloc_cost(z2, bal) < cost:
+            z = z2
+    except Exception:
+        pass
     return _verified(net, bal, z)
 
 
 # -------------------------------------------------------------- range reduction
 
 def range_reduction(model: jabr.JabrModel, box: NodeBox, incumbent: float,
-                    slacks: np.ndarray, *,
-                    max_vars: int = 2) -> NodeBox | None:
+                    slacks: np.ndarray) -> NodeBox | None:
     """Optimization-based shrink of the most promising intervals of `box`
     over its node model `model`, optionally under the incumbent cost cutoff;
     returns None when the box empties.  `range_reduction_batch` of one
     node."""
-    return range_reduction_batch([(model, box, incumbent, slacks)],
-                                 max_vars=max_vars)[0]
+    return range_reduction_batch([(model, box, incumbent, slacks)])[0]
 
 
-def range_reduction_batch(jobs, *,
-                          max_vars: int = 2) -> list[NodeBox | None]:
+def range_reduction_batch(jobs) -> list[NodeBox | None]:
     """Range reduction of several nodes, each job a (model, box, incumbent,
     slacks) tuple; returns one reduced box per job, None where it empties.
 
-    Each model gains its cutoff row, and the intervals of up to `max_vars`
+    Each model gains its cutoff row, and the intervals of up to `_OBBT_VARS`
     of the widest variables of its worst coupling go to one
     `tighten.min_max_batch` call that solves every direction of every node.
     A box is updated after the sweep, not between solves, which keeps the
@@ -456,7 +448,7 @@ def range_reduction_batch(jobs, *,
         if len(model.net.lines):
             targets = sorted(model.line_vars(int(np.argmax(slacks))),
                              key=lambda v: box.lo[v] - box.hi[v])
-            wide = [v for v in targets[:max_vars]
+            wide = [v for v in targets[:_OBBT_VARS]
                     if box.hi[v] - box.lo[v] > _WIDTH_TOL]
         bounded.append((model, wide))
     return [_reduced(box, wide, pairs) for (_, box, *_), (_, wide), pairs
@@ -550,7 +542,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     incumbent, a failed polish makes the next one wait `2**fails` nodes;
     once there is one, the polish runs at every 25th node.  Multistart
     runs only while no polish has failed since the start or the last
-    success: a point no better than the incumbent does not pay for eight
+    success: a point no better than the incumbent does not pay for two
     more starts.  Skipped polishes make no call; `polish_calls` counts the
     calls made and `polish_found` those that gave a new incumbent.
 

@@ -176,8 +176,12 @@ def cmd_genlib(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     manifest = []
     for name in args.cases:
-        base = cases.load_case(name, drop_charging=True) if name in cases._ALL \
-            else network.parse_case(open(name).read(), name=name, drop_charging=True)
+        if name in cases._ALL:
+            base = cases.load_case(name, drop_charging=True)
+        else:
+            with open(name) as fh:
+                base = network.parse_case(fh.read(), name=name,
+                                          drop_charging=True)
         for seed in range(args.seeds):
             tree = network.spanning_tree(base, seed)
             if args.overshoot_gen is not None:

@@ -303,28 +303,23 @@ class ConicSolution:
         return self.status == OPTIMAL
 
 
-def solve(prog: ConicProgram, *, feastol: float = 1e-8, gaptol: float = 1e-8,
-          maxiter: int = 200, objective_override=None) -> ConicSolution:
+def solve(prog: ConicProgram, *, objective_override=None) -> ConicSolution:
     """Solve the program; on `optimal` the returned point satisfies all
-    constraints to `feastol` and closes the relative duality gap to `gaptol`."""
-    return solve_batch(prog, [objective_override], feastol=feastol,
-                       gaptol=gaptol, maxiter=maxiter)[0]
+    constraints to `_ipm.FEASTOL` and closes the relative duality gap to
+    `_ipm.GAPTOL`."""
+    return solve_batch([prog], [objective_override])[0]
 
 
-def solve_batch(progs, overrides=None, *, feastol: float = 1e-8,
-                gaptol: float = 1e-8, maxiter: int = 200) -> list[ConicSolution]:
-    """Solve a batch of members in as few interior-point calls as their
-    shapes allow; returns one solution per member, in order.
+def solve_batch(progs, overrides=None) -> list[ConicSolution]:
+    """Solve a list of programs, one member each, in as few interior-point
+    calls as their shapes allow; returns one solution per member, in order.
 
-    `progs` is either one program, solved once per objective override in
-    `overrides`, or a list of programs, one member each, with `overrides`
-    (if given) aligned to it.  An override of None keeps the program's own
-    objective.  Each program is compiled once; members whose compiled
-    shapes agree share one batched `conelp` call, in which every member runs
-    its own iterates and ends as its own one-member solve would.
+    `overrides`, if given, is aligned to `progs`: an objective per member,
+    or None to keep the program's own.  A program listed for several
+    members is compiled once; members whose compiled shapes agree share one
+    batched `conelp` call, in which every member runs its own iterates and
+    ends as its own one-member solve would.
     """
-    if isinstance(progs, ConicProgram):
-        progs = [progs] * len(overrides)
     if overrides is None:
         overrides = [None] * len(progs)
     compiled, groups = {}, {}
@@ -344,7 +339,7 @@ def solve_batch(progs, overrides=None, *, feastol: float = 1e-8,
         if len({key for _, key, _ in members}) > 1:
             G, h, A, b = (np.stack([d[j] for d in data]) for j in (0, 1, 3, 4))
         res = _ipm.conelp(np.array([c for _, _, c in members]), G, h, dims,
-                          A, b, feastol=feastol, gaptol=gaptol, maxiter=maxiter)
+                          A, b)
         for (i, _, _), r in zip(members, res):
             sols[i] = _solution(progs[i], overrides[i], r)
     return sols
@@ -369,10 +364,10 @@ def _solution(prog: ConicProgram, override, res) -> ConicSolution:
         certificate=res["certificate"])
 
 
-def solve_lp(prog: ConicProgram, **opts) -> ConicSolution:
+def solve_lp(prog: ConicProgram) -> ConicSolution:
     """Solve a program that must contain no cones or quadratic costs."""
     if prog.cones:
         raise ProgramError("solve_lp: program has cone constraints")
     if any(q > 0 for q in prog.qcost):
         raise ProgramError("solve_lp: program has quadratic costs")
-    return solve(prog, **opts)
+    return solve(prog)

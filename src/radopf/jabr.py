@@ -63,8 +63,8 @@ class JabrModel:
         }
 
 
-def build_relaxation(net: Network, *, fixed_voltage: dict[int, float] | None = None,
-                     include_cone: bool = True) -> JabrModel:
+def build_relaxation(net: Network, *,
+                     fixed_voltage: dict[int, float] | None = None) -> JabrModel:
     """SOCP relaxation of the lifted OPF for a radial network.
 
     fixed_voltage pins squared voltage magnitudes {bus id: c_ii}.
@@ -113,9 +113,8 @@ def build_relaxation(net: Network, *, fixed_voltage: dict[int, float] | None = N
         prog.add_eq(p_idx, p_coef, bus.pd)
         prog.add_eq(q_idx, q_coef, bus.qd)
 
-    if include_cone:
-        for k, ln in enumerate(net.lines):
-            prog.add_rotated_cone(cii[ln.from_bus], cii[ln.to_bus], [c[k], s[k]])
+    for k, ln in enumerate(net.lines):
+        prog.add_rotated_cone(cii[ln.from_bus], cii[ln.to_bus], [c[k], s[k]])
 
     return JabrModel(net=net, program=prog, pg=pg, qg=qg, cii=cii, c=c, s=s)
 
@@ -167,29 +166,35 @@ def _slack_bus(net: Network) -> int:
     return gen_buses[0] if gen_buses else net.buses[0].id
 
 
+def tree_angles(net: Network, c, s) -> np.ndarray:
+    """Bus angles, in bus order, of the per-line pairs (c, s): the tree is
+    walked from the slack bus (lowest generator bus id, angle 0), and each
+    line adds atan2(s, c) from its from-bus to its to-bus.  A bus the walk
+    does not reach gets NaN."""
+    pos = net.bus_index
+    theta = np.full(net.num_buses, np.nan)
+    slack = _slack_bus(net)
+    theta[pos[slack]] = 0.0
+    for i, j, k in tree_edges(net, slack):
+        # flow-balance rows imply s = v_f v_t sin(t_to - t_from)
+        delta = math.atan2(s[k], c[k])
+        theta[pos[j]] = theta[pos[i]] + delta if net.lines[k].from_bus == i else theta[pos[i]] - delta
+    return theta
+
+
 def recover_angles(net: Network, model: JabrModel, sol: conic.ConicSolution,
                    tol: float = 1e-6) -> OpfSolution:
-    """Map an exact (surface) relaxation solution back to voltages/angles.
-
-    Angles are assigned by walking the tree from the slack bus (lowest
-    generator bus id, angle 0).  Inexact solutions are refused: off the cone
-    surface the lifted point has no consistent voltage phasor.
+    """Map an exact (surface) relaxation solution back to voltages/angles
+    (`tree_angles`).  Inexact solutions are refused: off the cone surface
+    the lifted point has no consistent voltage phasor.
     """
     ex = check_exactness(model, sol, tol)
     if not ex.exact:
         raise ValueError(f"cannot recover angles from inexact solution ({ex})")
     x = sol.x
     ids = [b.id for b in net.buses]
-    pos = {b: k for k, b in enumerate(ids)}
     vm = np.array([math.sqrt(max(x[model.cii[b]], 0.0)) for b in ids])
-
-    theta = np.full(len(ids), np.nan)
-    slack = _slack_bus(net)
-    theta[pos[slack]] = 0.0
-    for i, j, k in tree_edges(net, slack):
-        # flow-balance rows imply s = v_f v_t sin(t_to - t_from)
-        delta = math.atan2(x[model.s[k]], x[model.c[k]])
-        theta[pos[j]] = theta[pos[i]] + delta if net.lines[k].from_bus == i else theta[pos[i]] - delta
+    theta = tree_angles(net, x[model.c], x[model.s])
 
     pg = x[model.pg].copy()
     qg = x[model.qg].copy()
@@ -298,8 +303,9 @@ def add_cost_cap(model: JabrModel, cap: float):
     prog.add_ineq(lin_idx, lin_coef, rhs)
 
 
-def solve_relaxation(net: Network, *, refine: bool = True, tol: float = 1e-6,
-                     **build_kwargs) -> RelaxationResult:
+def solve_relaxation(net: Network, *, refine: bool = True,
+                     fixed_voltage: dict[int, float] | None = None
+                     ) -> RelaxationResult:
     """Solve the SOCP relaxation, then try to certify it exact.
 
     The relaxation optimum can sit on a face whose interior points are off
@@ -308,14 +314,15 @@ def solve_relaxation(net: Network, *, refine: bool = True, tol: float = 1e-6,
     total squared voltage minimized - which slides along the optimal face
     toward the surface; exactness is then re-checked on that point.  The
     verdict is `exact` only when a recovered point actually exists.
+    Exactness is judged at `check_exactness`'s default tolerance.
     """
-    model = build_relaxation(net, **build_kwargs)
+    model = build_relaxation(net, fixed_voltage=fixed_voltage)
     sol = conic.solve(model.program)
     res = RelaxationResult(model=model, solution=sol,
                            ipm_iterations=sol.iterations)
     if not sol.optimal:
         return res
-    res.exactness = check_exactness(model, sol, tol)
+    res.exactness = check_exactness(model, sol)
     use = sol
     if not res.exactness.exact and refine:
         model2 = model.copy()
@@ -327,14 +334,14 @@ def solve_relaxation(net: Network, *, refine: bool = True, tol: float = 1e-6,
         sol2 = conic.solve(model2.program, objective_override=override)
         res.ipm_iterations += sol2.iterations
         if sol2.optimal:
-            ex2 = check_exactness(model2, sol2, tol)
+            ex2 = check_exactness(model2, sol2)
             if ex2.exact:
                 res.refined = sol2
                 res.exactness = ex2
                 model, use = model2, sol2
     if res.exactness.exact:
         try:
-            res.opf = recover_angles(net, model, use, tol)
+            res.opf = recover_angles(net, model, use)
         except ValueError:
             res.opf = None
     return res

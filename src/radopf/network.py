@@ -378,17 +378,12 @@ def spanning_tree(net: Network, seed: int = 0) -> Network:
     return tree
 
 
-def scale_load(net: Network, gamma: float, *, scale_p: bool = True,
-               scale_q: bool = True, bus_ids=None) -> Network:
-    """Multiply selected loads by gamma (> 0)."""
+def scale_load(net: Network, gamma: float, *,
+               scale_p: bool = True) -> Network:
+    """Multiply every bus's reactive load, and with `scale_p` its active
+    load, by gamma (> 0)."""
     if gamma <= 0:
         raise NetworkError("gamma must be positive")
-    chosen = set(bus_ids) if bus_ids is not None else None
-    buses = []
-    for b in net.buses:
-        if chosen is not None and b.id not in chosen:
-            buses.append(b)
-            continue
-        buses.append(replace(b, pd=b.pd * gamma if scale_p else b.pd,
-                             qd=b.qd * gamma if scale_q else b.qd))
-    return replace(net, buses=tuple(buses))
+    return replace(net, buses=tuple(
+        replace(b, pd=b.pd * gamma if scale_p else b.pd, qd=b.qd * gamma)
+        for b in net.buses))

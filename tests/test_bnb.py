@@ -73,8 +73,9 @@ def test_node_relaxation_lp_variant_bounded(net2):
     optimum (any valid relaxation bounds it)."""
     scaled = network.scale_load(net2, 1.00)
     box = tighten.compute_bounds(jabr.build_relaxation(scaled))
-    model = bnb.node_relaxation(
-        jabr.build_relaxation(scaled, include_cone=False), box)
+    base = jabr.build_relaxation(scaled)
+    base.program.cones.clear()
+    model = bnb.node_relaxation(base, box)
     sol = conic.solve_lp(model.program)
     assert sol.optimal
     assert sol.objective <= 563.56 * 1.005
@@ -240,8 +241,7 @@ def test_polish_keeps_exact_point(net3):
     """Feeding an already-exact relaxation point returns (essentially) it."""
     scaled = network.scale_load(net3, 0.95, scale_p=False)
     res = jabr.solve_relaxation(scaled)
-    cand = bnb.local_polish(scaled, res.model.point(res.solution.x),
-                            cost_pass=False)
+    cand = bnb.local_polish(scaled, res.model.point(res.solution.x))
     assert cand is not None
     assert cand.objective == pytest.approx(res.objective, rel=1e-4)
 
@@ -334,14 +334,15 @@ def test_settle_meets_the_balance_equations(net3):
 
 # ------------------------------------------------------------------ obbt
 
-def test_range_reduction_shrinks_and_keeps_optimum(net2):
+def test_range_reduction_shrinks_and_keeps_optimum(net2, monkeypatch):
+    monkeypatch.setattr(bnb, "_OBBT_VARS", 4)
     scaled = network.scale_load(net2, 1.00)
     base = jabr.build_relaxation(scaled)
     box, cuts = tighten.run_algorithm1(base)
     model = bnb.node_relaxation(base, box, cuts)
     sol = conic.solve(model.program)
     slacks = model.coupling_residuals(sol.x)
-    red = bnb.range_reduction(model, box, 564.9, slacks, max_vars=4)
+    red = bnb.range_reduction(model, box, 564.9, slacks)
     assert red is not None
     assert np.all(red.hi - red.lo <= box.hi - box.lo)
     # the verified optimum (cost 564.84, s = v1*v2*sin(-0.003452)) stays inside

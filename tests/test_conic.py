@@ -605,6 +605,27 @@ def _assert_same_as_alone(batch, alone):
                                                 abs=1e-9)
 
 
+def test_stopping_constants_are_read_at_each_call(monkeypatch):
+    """`_ipm.FEASTOL`, `GAPTOL` and `MAXITER` are read when a solve runs,
+    not bound when the module loads: loosened tolerances end the same
+    program `optimal` sooner, to the looser residuals, and an iteration cap
+    ends it `numerical_failure` at the cap."""
+    p = _cone_program(np.random.default_rng(3))
+    tight = conic.solve(p)
+    assert tight.optimal
+    monkeypatch.setattr(_ipm, "FEASTOL", 1e-4)
+    monkeypatch.setattr(_ipm, "GAPTOL", 1e-4)
+    loose = conic.solve(p)
+    assert loose.optimal
+    assert loose.iterations < tight.iterations
+    assert max(loose.primal_residual, loose.dual_residual,
+               loose.duality_gap) <= 1e-4
+    monkeypatch.setattr(_ipm, "MAXITER", 3)
+    capped = conic.solve(p)
+    assert capped.status == conic.FAILED
+    assert capped.iterations == 3
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_directions_match_one_member_solves(seed):
     """Every min/max direction of one program, solved in one batch, ends
@@ -618,7 +639,7 @@ def test_batch_directions_match_one_member_solves(seed):
             o = np.zeros(p.num_vars)
             o[i] = sense
             overrides.append(o)
-    sols = conic.solve_batch(p, overrides)
+    sols = conic.solve_batch([p] * len(overrides), overrides)
     assert len({s.iterations for s in sols}) > 1
     for o, sol in zip(overrides, sols):
         _assert_same_as_alone(sol, conic.solve(p, objective_override=o))

@@ -1,9 +1,16 @@
-"""The benchmark's tracer wraps radopf functions by name; they must exist."""
+"""The benchmark's own code calls radopf by name; those names and the
+keywords it passes must exist.  The tests only read `perfbench/`."""
 
+import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_traced_function_exists():
@@ -16,3 +23,67 @@ def test_every_traced_function_exists():
     for module, attr, _ in tracing.TARGETS:
         assert module.__name__.startswith("radopf."), module
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def _radopf_calls(tree):
+    """(call node, module name, attribute) of every call `m.f(...)` in the
+    parsed file whose `m` is imported by `from radopf import m`."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "radopf"
+               for alias in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in modules):
+            yield node, node.func.value.id, node.func.attr
+
+
+def _forwarded(tree, call):
+    """Keyword names that reach `call` through a `**kw` of the function
+    around it: the keywords that the file's calls of that function pass
+    beyond the function's own parameters."""
+    names = {kw.value.id for kw in call.keywords
+             if kw.arg is None and isinstance(kw.value, ast.Name)}
+    out = set()
+    for fn in ast.walk(tree):
+        if (isinstance(fn, ast.FunctionDef) and fn.args.kwarg is not None
+                and fn.args.kwarg.arg in names
+                and any(node is call for node in ast.walk(fn))):
+            own = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+            out |= {kw.arg for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == fn.name
+                    for kw in node.keywords
+                    if kw.arg is not None and kw.arg not in own}
+    return out
+
+
+def test_benchmark_calls_bind_to_current_signatures():
+    """Every direct call that `perfbench/*.py` makes to a radopf module
+    function binds to the function's current signature, with the keywords
+    written at the call and those forwarded to it (`_solve_pair` passes
+    `scale_p` to `network.scale_load`).  A removed parameter or function
+    that the benchmark still uses would make every benchmark run fail."""
+    checked = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for call, module, attr in _radopf_calls(tree):
+            where = f"{path.name}:{call.lineno} {module}.{attr}"
+            fn = getattr(importlib.import_module(f"radopf.{module}"), attr,
+                         None)
+            assert callable(fn), where
+            positional = [None] * len(call.args)
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                positional = []
+            keywords = {kw.arg for kw in call.keywords if kw.arg is not None}
+            keywords |= _forwarded(tree, call)
+            try:
+                inspect.signature(fn).bind_partial(
+                    *positional, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                pytest.fail(f"{where}: {exc}")
+            checked.add((module, attr, frozenset(keywords)))
+    assert ("network", "scale_load", frozenset({"scale_p"})) in checked
+    assert ("bnb", "solve_global", frozenset({"gap_tol", "fixed_voltage"})) \
+        in checked
