@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize as sopt
 
 from . import conic, jabr, tighten
 from .network import Network, bus_gen_limits, tree_edges
@@ -303,9 +302,11 @@ def _z_bounds(net: Network, fixed_voltage: dict[int, float] | None):
 def _push(z0, bal: _Balance, bounds, max_nfev: int):
     """Least-squares push of z0 onto the clipped balance equations; the
     end point if every residual is within 10·_FEAS_TOL, else None."""
-    fit = sopt.least_squares(_residuals, z0, jac=_residual_jacobian,
-                             bounds=bounds, args=(bal,), xtol=1e-14,
-                             ftol=1e-14, gtol=1e-14, max_nfev=max_nfev)
+    # deferred so that runs which never polish or settle skip its import
+    from scipy.optimize import least_squares
+    fit = least_squares(_residuals, z0, jac=_residual_jacobian,
+                        bounds=bounds, args=(bal,), xtol=1e-14,
+                        ftol=1e-14, gtol=1e-14, max_nfev=max_nfev)
     return fit.x if np.max(np.abs(fit.fun)) <= 10 * _FEAS_TOL else None
 
 
@@ -398,23 +399,24 @@ def local_polish(net: Network, point: dict, *, multistart: bool = True,
     for z0 in starts:
         try:
             z = _push(z0, bal, (lb, ub), 200)
-        except Exception:
+        except ValueError:  # also numpy's LinAlgError
             continue
         if z is not None:
             break
     if z is None:
         return None
 
+    from scipy.optimize import minimize
     cost = _alloc_cost(z, bal)
     rho = 1e5 * (1.0 + abs(cost))
     try:
-        imp = sopt.minimize(_penalized, z, args=(bal, rho), jac=True,
-                            method="L-BFGS-B", bounds=list(zip(lb, ub)),
-                            options={"maxiter": 60})
+        imp = minimize(_penalized, z, args=(bal, rho), jac=True,
+                       method="L-BFGS-B", bounds=list(zip(lb, ub)),
+                       options={"maxiter": 60})
         z2 = _push(imp.x, bal, (lb, ub), 150)
         if z2 is not None and _alloc_cost(z2, bal) < cost:
             z = z2
-    except Exception:
+    except ValueError:
         pass
     return _verified(net, bal, z)
 

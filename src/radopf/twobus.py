@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import conic
+from . import conic, jabr
 from .network import Bus, CostFunction, Generator, Line, Network
 
 INF = float("inf")
@@ -363,7 +363,6 @@ def grid_oracle(inst: TwoBusInstance, resolution: float = 1e-4) -> OracleResult:
                 opf_value = float(cf[bf])
                 argmin = (float(c11f[okf][bf]), float(fine[okf][bf]))
 
-    from . import jabr  # local import to keep module load light
     sol = conic.solve(jabr.build_relaxation(inst.to_network()).program)
     socp_value = sol.objective if sol.optimal else None
 

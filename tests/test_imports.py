@@ -1,0 +1,61 @@
+"""What a fresh process loads: relaxation, tightening, the two-bus analysis
+and the CLI's relax command never import scipy.optimize; the first local
+polish imports it and gives the same point as a polish in a warm process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from radopf import bnb, cases, jabr, network
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RELAX_ONLY = """
+import sys
+from radopf import cases, cli, jabr, network, tighten, twobus
+net = network.scale_load(cases.load_case("case2_two_gen"), 1.01)
+assert jabr.solve_relaxation(net).solution.optimal
+tighten.run_algorithm1(jabr.build_relaxation(net))
+inst = twobus.TwoBusInstance(g=-3.8156, b=19.0782, pd=1.05, qd=0.228,
+                             c11_min=0.81, c11_max=1.21,
+                             c22_min=0.81, c22_max=1.21)
+assert twobus.classify(inst).verdict == twobus.grid_oracle(inst).verdict
+assert cli.main(["relax", "--case", "case2_two_gen"]) == cli.EXIT_OK
+print("scipy.optimize" in sys.modules)
+"""
+
+FIRST_POLISH = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_imports import polish_case2
+assert "scipy.optimize" not in sys.modules
+print(polish_case2().objective.hex())
+"""
+
+
+def polish_case2():
+    """Local polish of the 2-bus γ = 1.00 relaxation point."""
+    net = network.scale_load(cases.load_case("case2_two_gen"), 1.00)
+    res = jabr.solve_relaxation(net, refine=False)
+    return bnb.local_polish(net, res.model.point(res.solution.x))
+
+
+def _fresh(code: str) -> str:
+    """Last stdout line of `code` run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    return run.stdout.strip().splitlines()[-1]
+
+
+def test_relaxation_only_work_never_loads_scipy_optimize():
+    assert _fresh(RELAX_ONLY) == "False"
+
+
+def test_first_polish_in_a_fresh_process_matches_a_warm_one():
+    cand = polish_case2()
+    assert cand is not None
+    tests = str(Path(__file__).resolve().parent)
+    assert _fresh(FIRST_POLISH.format(tests=tests)) == cand.objective.hex()
