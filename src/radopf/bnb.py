@@ -559,7 +559,16 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     relaxation empty before the first node (`nodes == 0`), or when the whole
     tree is exhausted with every leaf relaxation-infeasible, emptied by
     interval propagation or emptied by range reduction.
+
+    Every unit needs finite bounds: the polish splits a bus's generation by
+    its units' ranges, and a node box is finite.  A unit with an infinite
+    bound raises `ValueError`.
     """
+    for k, g in enumerate(net.generators):
+        if not all(map(math.isfinite, (g.pmin, g.pmax, g.qmin, g.qmax))):
+            raise ValueError(f"unit {k} at bus {g.bus} has an infinite bound "
+                             f"(p in [{g.pmin}, {g.pmax}], "
+                             f"q in [{g.qmin}, {g.qmax}])")
     t0 = time.monotonic()
     base = jabr.build_relaxation(net, fixed_voltage=fixed_voltage)
 

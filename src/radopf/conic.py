@@ -154,26 +154,25 @@ class ConicProgram:
         return float(c @ x + q @ (x * x) + self.cost_const)
 
     def max_violation(self, x: np.ndarray) -> float:
-        """Worst constraint violation at x, computed from the raw data."""
-        worst = 0.0
+        """Worst constraint violation at x, computed from the raw data; a
+        residual that is not finite (a NaN from a NaN coordinate) reads as
+        an infinite violation."""
         lb = np.asarray(self.lb)
         ub = np.asarray(self.ub)
         finite_l = lb > -INF
         finite_u = ub < INF
-        if np.any(finite_l):
-            worst = max(worst, float(np.max(lb[finite_l] - x[finite_l], initial=0.0)))
-        if np.any(finite_u):
-            worst = max(worst, float(np.max(x[finite_u] - ub[finite_u], initial=0.0)))
-        for row in self.eqs:
-            worst = max(worst, abs(float(row.coef @ x[row.idx]) - row.rhs))
-        for row in self.ineqs:
-            worst = max(worst, float(row.coef @ x[row.idx]) - row.rhs)
+        parts = [lb[finite_l] - x[finite_l], x[finite_u] - ub[finite_u],
+                 [abs(float(row.coef @ x[row.idx]) - row.rhs) for row in self.eqs],
+                 [float(row.coef @ x[row.idx]) - row.rhs for row in self.ineqs]]
         for cone in self.cones:
             u = self._term_value(cone.u, x)
             w = self._term_value(cone.w, x)
             z2 = sum(self._term_value(t, x) ** 2 for t in cone.zs)
-            worst = max(worst, -u, -w, z2 - u * w)
-        return worst
+            parts.append([-u, -w, z2 - u * w])
+        worst = np.concatenate(parts)
+        if not np.all(np.isfinite(worst)):
+            return INF
+        return float(np.max(worst, initial=0.0))
 
     @staticmethod
     def _term_value(term, x):

@@ -214,11 +214,13 @@ class OpfResiduals:
 
     @property
     def max_violation(self) -> float:
-        parts = [np.max(np.abs(self.flow_p), initial=0.0),
-                 np.max(np.abs(self.flow_q), initial=0.0),
-                 np.max(self.voltage, initial=0.0),
-                 np.max(self.gen_bounds, initial=0.0)]
-        return float(max(parts))
+        """Largest violation over the families; a residual that is not
+        finite (a NaN from a NaN coordinate) reads as an infinite one."""
+        parts = np.concatenate((np.abs(self.flow_p), np.abs(self.flow_q),
+                                self.voltage, self.gen_bounds))
+        if not np.all(np.isfinite(parts)):
+            return math.inf
+        return float(np.max(parts, initial=0.0))
 
     def feasible(self, tol: float = 1e-6) -> bool:
         return self.max_violation <= tol
@@ -250,8 +252,8 @@ def evaluate_opf_point(net: Network, e: np.ndarray, f: np.ndarray,
 
     gb = np.zeros(max(len(net.generators), 1))
     for k, g in enumerate(net.generators):
-        gb[k] = max(g.pmin - pg[k], pg[k] - g.pmax,
-                    g.qmin - qg[k], qg[k] - g.qmax, 0.0)
+        gb[k] = np.max([g.pmin - pg[k], pg[k] - g.pmax,
+                        g.qmin - qg[k], qg[k] - g.qmax, 0.0])
     obj = sum(g.cost.value(p) for g, p in zip(net.generators, pg))
     return OpfResiduals(flow_p=flow_p, flow_q=flow_q, voltage=volt,
                         gen_bounds=gb[:len(net.generators)], objective=obj)

@@ -63,7 +63,12 @@ class TwoBusInstance:
                        qmin=-self.qmax, qmax=-self.qmin)
 
     def to_network(self) -> Network:
-        """Equivalent 2-bus Network (for cross-checks against the solvers)."""
+        """Equivalent 2-bus Network (for cross-checks against the solvers).
+
+        An absent unit bound becomes a ±1e6 stand-in, because the global
+        search (`bnb.solve_global`) needs a finite box on every unit.
+        `grid_oracle` does not use the stand-ins: it solves the relaxation
+        on the instance's own bounds."""
         den = self.g ** 2 + self.b ** 2
         r, x = -self.g / den, self.b / den
         return Network(
@@ -105,14 +110,24 @@ def alpha_beta(inst: TwoBusInstance) -> tuple[float, float]:
             (inst.g * inst.pd - inst.b * inst.qd) / den)
 
 
+def _generation(inst: TwoBusInstance, a: float, be: float, diff):
+    """(p1g, q1g) on the eliminated system at c11 - c22 = diff, for the
+    instance's constants (a, be) = `alpha_beta(inst)`."""
+    return (-inst.g * diff - inst.g * be + inst.b * a,
+            inst.b * diff + inst.b * be + inst.g * a)
+
+
+def _curve(a: float, be: float, c22):
+    """c11 along the OPF-feasible curve of the constants (a, be)."""
+    return c22 - 2.0 * be + (a * a + be * be) / c22
+
+
 def back_substitute(inst: TwoBusInstance, c11, c22):
     """Recover (p1g, q1g, c12, s12) on the eliminated system from (c11, c22)."""
     a, be = alpha_beta(inst)
     s12 = -a * np.ones_like(np.asarray(c22, dtype=float))
     c12 = np.asarray(c22, dtype=float) - be
-    diff = np.asarray(c11, dtype=float) - c22
-    p1g = -inst.g * diff - inst.g * be + inst.b * a
-    q1g = inst.b * diff + inst.b * be + inst.g * a
+    p1g, q1g = _generation(inst, a, be, np.asarray(c11, dtype=float) - c22)
     if np.ndim(c11) == 0:
         return float(p1g), float(q1g), float(c12), float(s12)
     return p1g, q1g, c12, s12
@@ -131,14 +146,7 @@ def effective_delta(inst: TwoBusInstance) -> float:
 
 def hyperbola_c11(inst: TwoBusInstance, c22):
     """c11 along the OPF-feasible curve for c22 > 0."""
-    a, be = alpha_beta(inst)
-    c22 = np.asarray(c22, dtype=float)
-    return c22 - 2.0 * be + (a * a + be * be) / c22
-
-
-def _p1g_at_diff(inst: TwoBusInstance, diff: float) -> float:
-    a, be = alpha_beta(inst)
-    return -inst.g * diff - inst.g * be + inst.b * a
+    return _curve(*alpha_beta(inst), np.asarray(c22, dtype=float))
 
 
 def _socp_feasible(inst: TwoBusInstance, delta: float) -> bool:
@@ -213,7 +221,7 @@ def classify(inst: TwoBusInstance) -> TwoBusClassification:
         cls.notes.append("relaxation optimizer is a box corner off the curve")
 
     d_star = max(delta, diff_u)
-    cls.socp_value = inst.cost * _p1g_at_diff(inst, d_star)
+    cls.socp_value = inst.cost * _generation(inst, a, be, d_star)[0]
     _flag_upper_bounds(cls, inst, d_star)
     if inst.c11_max - inst.c22_max >= d_star:
         cls.c_r = (inst.c22_max + d_star, inst.c22_max)
@@ -271,7 +279,7 @@ def classify(inst: TwoBusInstance) -> TwoBusClassification:
         return cls
 
     diff_opf = float(hyperbola_c11(inst, cand)) - cand
-    cls.opf_value = inst.cost * _p1g_at_diff(inst, diff_opf)
+    cls.opf_value = inst.cost * _generation(inst, a, be, diff_opf)[0]
     _flag_upper_bounds(cls, inst, diff_opf)
     tol = _TIE * max(1.0, abs(d_star))
     if diff_opf <= d_star + tol:
@@ -295,8 +303,7 @@ def _flag_upper_bounds(cls: TwoBusClassification, inst: TwoBusInstance, diff: fl
     generation bound (not part of the closed form)."""
     if cls.upper_bound_caveat:
         return
-    p1 = _p1g_at_diff(inst, diff)
-    q1 = inst.b * diff + inst.b * cls.beta + inst.g * cls.alpha
+    p1, q1 = _generation(inst, cls.alpha, cls.beta, diff)
     if p1 > inst.pmax + 1e-9 or q1 > inst.qmax + 1e-9:
         cls.upper_bound_caveat = True
         cls.notes.append("upper generation bounds bind; closed form not valid")
@@ -321,49 +328,63 @@ def grid_oracle(inst: TwoBusInstance, resolution: float = 1e-4) -> OracleResult:
     feasible curve (the problem is two-dimensional after elimination, so this
     is exhaustive up to the grid resolution) and keep points whose
     back-substituted generation respects the bounds.  SOCP side: solve the
-    relaxation of the equivalent network with the conic solver.  Entirely
-    independent of :func:`classify`.
+    relaxation of the equivalent network with the conic solver, on the
+    instance's own unit bounds: an absent bound is infinite and adds no row,
+    where `to_network`'s finite stand-in would add an inequality 1e6 away
+    from the data that the interior-point method has to centre against.
+    Entirely independent of :func:`classify`.
     """
     if inst.b < 0:
         return grid_oracle(inst.mirrored(), resolution)
 
+    a, be = alpha_beta(inst)
+
+    def in_units(p1, q1):
+        return ((p1 >= inst.pmin) & (p1 <= inst.pmax)
+                & (q1 >= inst.qmin) & (q1 <= inst.qmax))
+
     n = max(2, int(round((inst.c22_max - inst.c22_min) / resolution)) + 1)
     c22 = inst.c22_min + resolution * np.arange(n)
     c22 = c22[c22 <= inst.c22_max + 1e-15]
-    curve = hyperbola_c11(inst, c22)
+    curve = _curve(a, be, c22)
     snapped = np.round(curve / resolution) * resolution
-    keep = (np.abs(snapped - curve) <= resolution / 2 + 1e-15) \
-        & (snapped >= inst.c11_min - 1e-12) & (snapped <= inst.c11_max + 1e-12)
+    keep = np.flatnonzero(
+        (np.abs(snapped - curve) <= resolution / 2 + 1e-15)
+        & (snapped >= inst.c11_min - 1e-12) & (snapped <= inst.c11_max + 1e-12))
+    c11k, c22k = snapped[keep], c22[keep]
+    p1, q1 = _generation(inst, a, be, c11k - c22k)
+    ok = np.flatnonzero(in_units(p1, q1))
     opf_value = None
     argmin = None
-    if np.any(keep):
-        p1, q1, _, _ = back_substitute(inst, snapped[keep], c22[keep])
-        ok = (p1 >= inst.pmin) & (p1 <= inst.pmax) & (q1 >= inst.qmin) & (q1 <= inst.qmax)
-        if np.any(ok):
-            costs = inst.cost * p1[ok]
-            best = int(np.argmin(costs))
-            opf_value = float(costs[best])
-            argmin = (float(snapped[keep][ok][best]), float(c22[keep][ok][best]))
-            # re-enumerate densely around the winning cell, exactly on the
-            # curve this time: the coarse half-cell acceptance can be
-            # optimistic by several cells where the curve grazes a bound,
-            # so the window reaches well below the coarse argmin and the
-            # refined value replaces the coarse one whenever it exists
-            c22_best = argmin[1]
-            fine = np.linspace(max(c22_best - 100 * resolution, inst.c22_min),
-                               min(c22_best + 100 * resolution, inst.c22_max), 80001)
-            c11f = hyperbola_c11(inst, fine)
-            p1f, q1f, _, _ = back_substitute(inst, c11f, fine)
-            okf = ((c11f >= inst.c11_min) & (c11f <= inst.c11_max)
-                   & (p1f >= inst.pmin) & (p1f <= inst.pmax)
-                   & (q1f >= inst.qmin) & (q1f <= inst.qmax))
-            if np.any(okf):
-                cf = inst.cost * p1f[okf]
-                bf = int(np.argmin(cf))
-                opf_value = float(cf[bf])
-                argmin = (float(c11f[okf][bf]), float(fine[okf][bf]))
+    if ok.size:
+        costs = inst.cost * p1[ok]
+        best = int(np.argmin(costs))
+        opf_value = float(costs[best])
+        argmin = (float(c11k[ok[best]]), float(c22k[ok[best]]))
+        # re-enumerate densely around the winning cell, exactly on the
+        # curve this time: the coarse half-cell acceptance can be
+        # optimistic by several cells where the curve grazes a bound,
+        # so the window reaches well below the coarse argmin and the
+        # refined value replaces the coarse one whenever it exists
+        c22_best = argmin[1]
+        fine = np.linspace(max(c22_best - 100 * resolution, inst.c22_min),
+                           min(c22_best + 100 * resolution, inst.c22_max), 80001)
+        c11f = _curve(a, be, fine)
+        p1f, q1f = _generation(inst, a, be, c11f - fine)
+        okf = np.flatnonzero((c11f >= inst.c11_min) & (c11f <= inst.c11_max)
+                             & in_units(p1f, q1f))
+        if okf.size:
+            cf = inst.cost * p1f[okf]
+            bf = int(np.argmin(cf))
+            opf_value = float(cf[bf])
+            argmin = (float(c11f[okf[bf]]), float(fine[okf[bf]]))
 
-    sol = conic.solve(jabr.build_relaxation(inst.to_network()).program)
+    model = jabr.build_relaxation(inst.to_network())
+    prog = model.program
+    p, q = model.pg[0], model.qg[0]
+    prog.lb[p], prog.ub[p] = inst.pmin, inst.pmax
+    prog.lb[q], prog.ub[q] = inst.qmin, inst.qmax
+    sol = conic.solve(prog)
     socp_value = sol.objective if sol.optimal else None
 
     tol = 2.0 * resolution * abs(inst.g) * inst.cost

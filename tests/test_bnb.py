@@ -508,6 +508,24 @@ def test_global_three_bus_values(net3):
         assert res.objective == pytest.approx(want, rel=5e-3)
 
 
+def test_global_rejects_an_infinite_unit_bound():
+    """The search needs a finite box on every unit.  On this two-bus
+    instance with its unit's own infinite bounds, the polish split gave a
+    NaN reactive output and the search certified a value below the closed
+    form's optimum; now it refuses the network, naming the unit."""
+    inst = twobus.TwoBusInstance(
+        g=-5.901872998866605, b=6.0282363206777285, pd=-9.59015439152895,
+        qd=0.843268820449862, pmin=-2.858254129506409,
+        c11_min=0.8346431056489167, c11_max=1.251351010394668,
+        c22_min=0.8479499432725236, c22_max=1.294920134300117)
+    net = inst.to_network()
+    unit = dataclasses.replace(net.generators[0], pmin=inst.pmin,
+                               pmax=inst.pmax, qmin=inst.qmin,
+                               qmax=inst.qmax)
+    with pytest.raises(ValueError, match="unit 0 at bus 1"):
+        bnb.solve_global(dataclasses.replace(net, generators=(unit,)))
+
+
 def test_global_certifies_infeasible(net3):
     scaled = network.scale_load(net3, 1.04, scale_p=False)
     res = bnb.solve_global(scaled, gap_tol=2e-3, time_limit=120)

@@ -125,6 +125,16 @@ def test_weak_duality_and_feasibility(seed):
     assert sol.dual_objective <= sol.objective + 1e-8 * (1 + abs(sol.objective))
 
 
+def test_max_violation_of_a_nan_point_is_inf():
+    p = conic.ConicProgram()
+    for i in range(3):
+        p.add_var(f"x{i}", 0.0, 1.0)
+    p.add_eq([0, 1], [1.0, 1.0], 1.0)
+    p.add_rotated_cone(0, 1, [2])
+    assert p.max_violation(np.array([0.5, 0.5, 0.1])) == 0.0
+    assert p.max_violation(np.array([0.5, 0.5, np.nan])) == np.inf
+
+
 def test_deterministic_resolve():
     rng = np.random.default_rng(7)
     p, *_ = _random_lp(rng)

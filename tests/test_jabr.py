@@ -79,6 +79,21 @@ def test_recover_angles_exact_case(net2):
     assert opf.objective == pytest.approx(res.objective, rel=1e-5)
 
 
+@pytest.mark.parametrize("coord", ["pg", "qg", "vm"])
+def test_nan_coordinate_is_infeasible(net2, coord):
+    """A NaN in a candidate reads as an infinite violation, whichever
+    family's residual it lands in."""
+    scaled = network.scale_load(net2, 0.98)
+    opf = jabr.solve_relaxation(scaled).opf
+    pt = {"pg": opf.pg.copy(), "qg": opf.qg.copy(), "vm": opf.vm.copy()}
+    pt[coord][-1] = np.nan
+    check = jabr.evaluate_opf_point(scaled, pt["vm"] * np.cos(opf.theta),
+                                    pt["vm"] * np.sin(opf.theta),
+                                    pt["pg"], pt["qg"])
+    assert check.max_violation == np.inf
+    assert not check.feasible()
+
+
 def test_recover_angles_refuses_inexact(net2):
     scaled = network.scale_load(net2, 1.00)
     model = jabr.build_relaxation(scaled)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from radopf import twobus
+from radopf import jabr, twobus
 from radopf.twobus import TwoBusInstance, alpha_beta, back_substitute, classify
 
 
@@ -271,14 +271,62 @@ def test_classifier_matches_grid_oracle(seed):
 def test_grid_oracle_socp_matches_closed_form():
     """Numeric relaxation optimum equals the projected-geometry value."""
     rng = np.random.default_rng(5)
-    for _ in range(10):
+    for _ in range(50):
         inst = sample_instance(rng)
         cls = classify(inst)
         orc = twobus.grid_oracle(inst, resolution=1e-3)
         if cls.socp_value is None:
             assert orc.socp_value is None
         else:
-            assert orc.socp_value == pytest.approx(cls.socp_value, rel=1e-5)
+            assert orc.socp_value == pytest.approx(cls.socp_value, rel=1e-6)
+
+
+def test_grid_oracle_relaxation_has_no_rows_for_absent_unit_bounds(monkeypatch):
+    """The oracle solves the relaxation on the instance's own unit bounds:
+    the four absent ones add no row, where `to_network`'s stand-ins add
+    one each."""
+    inst = make_inst()
+    real, seen = twobus.conic.solve, []
+    monkeypatch.setattr(twobus.conic, "solve",
+                        lambda prog: seen.append(prog) or real(prog))
+    twobus.grid_oracle(inst, resolution=1e-3)
+    (prog,) = seen
+
+    def rows(p):
+        return p._compile()[3].l
+
+    stand_ins = jabr.build_relaxation(inst.to_network()).program
+    assert rows(prog) == rows(stand_ins) - 4
+
+
+# (verdict, opf_value, argmin) of the enumeration, as float.hex: unbounded
+# exact, an inexact one with a binding pmin, and a mirrored (b < 0) one
+# with a qmax
+PINNED_ORACLE = [
+    (dict(g=-3.8156, b=19.0782, pd=1.05, qd=0.228),
+     ("exact", "0x1.0f69f6b35ec0dp+0",
+      ("0x1.2fc02cc3dedbcp+0", "0x1.23c36113404ebp+0"))),
+    (dict(g=-5.901872998866605, b=6.0282363206777285, pd=-9.59015439152895,
+          qd=0.843268820449862, pmin=-2.858254129506409,
+          c11_min=0.8346431056489167, c11_max=1.251351010394668,
+          c22_min=0.8479499432725236, c22_max=1.294920134300117),
+     ("inexact", "-0x1.6cbd129943792p+1",
+      ("0x1.ab565758b913ep-1", "0x1.23e391ee4aeeap+0"))),
+    (dict(g=-1.6655043562053486, b=-13.143819368549435,
+          pd=-0.7827353374284054, qd=-1.4584026418979472,
+          qmax=-0.9716313924985834, c11_min=0.769178719089283,
+          c11_max=1.2186447018835003, c22_min=0.8611486671241328,
+          c22_max=1.1605992454634941),
+     ("exact", "-0x1.8371cdc4847c3p-1",
+      ("0x1.37f91876c9035p+0", "0x1.ffbb2d2470e04p-1"))),
+]
+
+
+@pytest.mark.parametrize("kw,want", PINNED_ORACLE)
+def test_grid_oracle_enumeration_is_pinned(kw, want):
+    orc = twobus.grid_oracle(TwoBusInstance(**kw))
+    assert (orc.verdict, orc.opf_value.hex(),
+            tuple(v.hex() for v in orc.argmin)) == want
 
 
 def test_to_network_round_trip_admittance():
