@@ -135,10 +135,16 @@ def cmd_classify2bus(args) -> int:
 
 def cmd_solve(args) -> int:
     net = _load_network(args)
-    res = jabr.solve_relaxation(net)
-    fixed = json.loads(args.fix_voltage) if args.fix_voltage else None
-    if fixed:
-        fixed = {int(k): float(v) for k, v in fixed.items()}
+    fixed = None
+    if args.fix_voltage:
+        try:
+            doc = json.loads(args.fix_voltage)
+            fixed = jabr.checked_pins(net, {int(k): v for k, v in doc.items()})
+        except (AttributeError, TypeError, ValueError) as exc:
+            print(f"bad --fix-voltage (a JSON map bus -> squared voltage "
+                  f"is wanted): {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    res = jabr.solve_relaxation(net, fixed_voltage=fixed)
     gres = bnb.solve_global(net, gap_tol=args.gap, time_limit=args.time_limit,
                             use_cuts=not args.no_cuts,
                             use_bounds=not args.no_obbt, fixed_voltage=fixed)

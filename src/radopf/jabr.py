@@ -63,15 +63,40 @@ class JabrModel:
         }
 
 
+def checked_pins(net: Network,
+                 fixed_voltage: dict[int, float] | None) -> dict[int, float]:
+    """The pins {bus id: squared voltage} as floats; raises ValueError for
+    a bus that is not in the network or a pin outside the bus's
+    [vmin², vmax²]."""
+    pins = {}
+    for b_id, pin in (fixed_voltage or {}).items():
+        if b_id not in net.bus_index:
+            raise ValueError(f"fixed voltage for bus {b_id}, which is not "
+                             "in the network")
+        bus = net.bus(b_id)
+        pins[b_id] = float(pin)
+        if not bus.vmin ** 2 <= pins[b_id] <= bus.vmax ** 2:
+            raise ValueError(f"fixed voltage {pin} at bus {b_id} is outside "
+                             f"[{bus.vmin ** 2}, {bus.vmax ** 2}]")
+    return pins
+
+
 def build_relaxation(net: Network, *,
                      fixed_voltage: dict[int, float] | None = None) -> JabrModel:
     """SOCP relaxation of the lifted OPF for a radial network.
 
-    fixed_voltage pins squared voltage magnitudes {bus id: c_ii}.
+    fixed_voltage pins squared voltage magnitudes {bus id: c_ii}; a pin for
+    a bus that is not in the network, or outside the bus's [vmin², vmax²],
+    raises ValueError.
+
+    Each line's c and s are free: the cone c² + s² <= c_ii·c_jj and the
+    c_ii bounds already hold them inside |c|, |s| <= Vi_max·Vj_max, so that
+    box never binds here and only slows the interior-point method.  The box
+    is where bound tightening starts, so `tighten.NodeBox.of` writes it.
     """
     net.require_radial()
     G, B = admittance(net)
-    idx = net.bus_index
+    pins = checked_pins(net, fixed_voltage)
     prog = conic.ConicProgram()
 
     pg, qg = [], []
@@ -84,15 +109,14 @@ def build_relaxation(net: Network, *,
     cii = {}
     for bus in net.buses:
         lo, hi = bus.vmin ** 2, bus.vmax ** 2
-        if fixed_voltage and bus.id in fixed_voltage:
-            lo = hi = float(fixed_voltage[bus.id])
+        if bus.id in pins:
+            lo = hi = pins[bus.id]
         cii[bus.id] = prog.add_var(f"c[{bus.id}]", lo, hi)
 
     c, s = [], []
-    for k, ln in enumerate(net.lines):
-        rmax = net.bus(ln.from_bus).vmax * net.bus(ln.to_bus).vmax
-        c.append(prog.add_var(f"c[{ln.from_bus},{ln.to_bus}]", -rmax, rmax))
-        s.append(prog.add_var(f"s[{ln.from_bus},{ln.to_bus}]", -rmax, rmax))
+    for ln in net.lines:
+        c.append(prog.add_var(f"c[{ln.from_bus},{ln.to_bus}]"))
+        s.append(prog.add_var(f"s[{ln.from_bus},{ln.to_bus}]"))
 
     # flow balance; the j==i admittance term sits on c_ii
     for bi, bus in enumerate(net.buses):

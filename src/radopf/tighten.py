@@ -1,8 +1,9 @@
 """SOCP-based variable bound tightening and secant valid inequalities.
 
 The lifted pair (c_ij, s_ij) of every line is confined to the annulus between
-radii R_lo = Vi_min*Vj_min and R_hi = Vi_max*Vj_max, but the lifted model
-bounds it only by the very loose box |c|, |s| <= R_hi.  Minimizing/maximizing
+radii R_lo = Vi_min*Vj_min and R_hi = Vi_max*Vj_max.  The lifted model leaves
+c and s free (its cone already implies the box), and a search starts from
+the very loose box |c|, |s| <= R_hi (`NodeBox.of`).  Minimizing/maximizing
 each coordinate over the relaxation produces a much tighter box; where that
 box pokes inside the inner circle, the chord of the circle across the
 intrusion is a valid linear cut, because every cut-off point has norm below
@@ -58,9 +59,17 @@ class NodeBox:
 
     @classmethod
     def of(cls, model: jabr.JabrModel) -> "NodeBox":
-        """The program's own bounds: unit boxes, vmin²..vmax² or the pinned
-        voltage, and ±Vi_max·Vj_max on each line's c and s."""
-        return cls(np.array(model.program.lb), np.array(model.program.ub))
+        """The program's own bounds (unit boxes, vmin²..vmax² or the pinned
+        voltage), with ±Vi_max·Vj_max on each line's c and s, which the
+        lifted model leaves free.  The cone implies that box, so it does not
+        bind at the root; after tightening and branching it does."""
+        box = cls(np.array(model.program.lb), np.array(model.program.ub))
+        net = model.net
+        for k, ln in enumerate(net.lines):
+            rmax = net.bus(ln.from_bus).vmax * net.bus(ln.to_bus).vmax
+            pair = [model.c[k], model.s[k]]
+            box.lo[pair], box.hi[pair] = -rmax, rmax
+        return box
 
     def copy(self) -> "NodeBox":
         return NodeBox(self.lo.copy(), self.hi.copy())

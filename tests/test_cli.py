@@ -190,6 +190,25 @@ def test_solve_fixed_voltage(capsys, case2_path):
     assert code == cli.EXIT_OK
     doc = json.loads(out)
     assert doc["global_objective"] == pytest.approx(573.82, rel=5e-3)
+    # the reported relaxation is the pinned one, and so is the gap
+    assert doc["socp_objective"] == pytest.approx(503.37, rel=5e-3)
+    assert doc["gap_percent"] == pytest.approx(
+        100.0 * (1.0 - doc["socp_objective"] / doc["global_objective"]))
+
+
+@pytest.mark.parametrize("pins,words", [
+    ('{"1": 0.874', "JSON"),
+    ('[0.874]', "JSON"),
+    ('{"one": 0.874}', "JSON"),
+    ('{"7": 0.874}', "bus 7"),
+    ('{"1": 1.5}', "[0.81"),
+])
+def test_solve_rejects_a_bad_fix_voltage(capsys, case2_path, pins, words):
+    code, out, err = run(capsys, ["solve", "--case", case2_path,
+                                  "--fix-voltage", pins])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "--fix-voltage" in err and words in err
 
 
 def test_tighten_outputs_bounds_and_cuts(capsys, case2_path):

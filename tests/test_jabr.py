@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from radopf import cases, conic, jabr, network
+from radopf import cases, conic, jabr, network, tighten
 
 TWO_BUS_SOCP = {0.13: 459.00, 0.80: 459.00, 0.98: 496.96, 1.00: 501.46,
                 1.01: 503.76, 1.02: 506.07, 2.92: 1608.75}
@@ -179,6 +179,19 @@ def test_relaxation_contains_feasible_points(net2):
     assert model.program.max_violation(x) < 1e-6
 
 
+@pytest.mark.parametrize("pins,match", [
+    ({7: 0.9}, "bus 7"),
+    ({1: 1.5}, r"bus 1 is outside \[0.81, 1.21"),
+    ({2: 0.80}, r"bus 2 is outside \[0.81, 1.21"),
+    ({2: float("nan")}, "outside"),
+])
+def test_fixed_voltage_must_name_a_bus_and_lie_in_its_range(net2, pins, match):
+    with pytest.raises(ValueError, match=match):
+        jabr.build_relaxation(net2, fixed_voltage=pins)
+    with pytest.raises(ValueError, match=match):
+        jabr.solve_relaxation(net2, fixed_voltage=pins)
+
+
 def test_non_radial_rejected():
     net = cases.load_case("case9", drop_charging=True)
     with pytest.raises(network.NetworkError, match="radial"):
@@ -255,3 +268,52 @@ def test_case9_recovered_points_meet_the_tolerance(tree):
             misses.append((gamma, viol))
     assert exact > 0
     assert not misses
+
+
+def _lean_cases():
+    """(label, network) of case2, case3 and the case9/case14 trees at three
+    load levels each."""
+    net2, net3 = cases.load_case("case2_two_gen"), cases.load_case("case3_one_gen")
+    out = [(f"case2 g{g}", network.scale_load(net2, g)) for g in (0.90, 1.00, 1.01)]
+    out += [(f"case3 g{g}", network.scale_load(net3, g, scale_p=False))
+            for g in (0.95, 1.00, 1.03)]
+    for name in ("case9", "case14"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # charging/tap/shift zeroed
+            tree = network.spanning_tree(cases.load_case(name, drop_charging=True))
+        out += [(f"{name} g{g}", network.scale_load(tree, g)) for g in (0.80, 0.95, 1.05)]
+    return out
+
+
+def test_lifted_model_has_no_line_pair_box():
+    """The lifted model leaves every c and s free: it compiles to exactly
+    four orthant rows per line fewer than the same model under the search's
+    root box, and nothing else differs in shape."""
+    for label, net in _lean_cases()[::3]:
+        model = jabr.build_relaxation(net)
+        for k in range(len(net.lines)):
+            for v in (model.c[k], model.s[k]):
+                assert model.program.lb[v] == -np.inf
+                assert model.program.ub[v] == np.inf
+        boxed = tighten.boxed(model, tighten.NodeBox.of(model))
+        lean_G, lean_dims = model.program._compile()[1:4:2]
+        box_G, box_dims = boxed.program._compile()[1:4:2]
+        assert box_dims.l - lean_dims.l == 4 * len(net.lines), label
+        assert list(box_dims.q) == list(lean_dims.q), label
+        assert box_G.shape[0] - lean_G.shape[0] == 4 * len(net.lines), label
+
+
+def test_lean_relaxation_stays_in_the_line_box_and_keeps_its_value():
+    """The cone and the c_ii bounds imply |c|, |s| <= Vi_max*Vj_max, so the
+    lean program's optimum lies in that box and its value is the boxed
+    program's."""
+    for label, net in _lean_cases():
+        model = jabr.build_relaxation(net)
+        lean = conic.solve(model.program)
+        ref = conic.solve(tighten.boxed(model, tighten.NodeBox.of(model)).program)
+        assert lean.status == ref.status == conic.OPTIMAL, label
+        assert lean.objective == pytest.approx(ref.objective, rel=1e-6), label
+        for k in range(len(net.lines)):
+            reach = tighten.ring_for(net, k).r_hi * (1 + 1e-8)
+            assert abs(lean.x[model.c[k]]) <= reach, label
+            assert abs(lean.x[model.s[k]]) <= reach, label

@@ -1,11 +1,12 @@
 """Bound tightening and secant valid inequalities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from radopf import cases, conic, jabr, network, tighten
+from radopf import bnb, cases, conic, jabr, network, tighten
 from radopf.tighten import NodeBox, Ring, generate_cut, ring_for
 
 
@@ -110,6 +111,59 @@ def test_implied_bounds():
     model = jabr.build_relaxation(net)
     box = NodeBox.of(model)
     assert line_box(model, box, 0) == pytest.approx((-1.21, 1.21, -1.21, 1.21))
+
+
+def _box_cases():
+    """(label, network, pins) for case2, case3 and a case9 tree, each
+    unpinned and with its first bus pinned inside its voltage range."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # charging/tap/shift zeroed
+        tree9 = network.spanning_tree(cases.load_case("case9", drop_charging=True), 0)
+    out = []
+    for label, net in (("case2", cases.load_case("case2_two_gen")),
+                       ("case3", cases.load_case("case3_one_gen")),
+                       ("case9 tree", tree9)):
+        bus = net.buses[0]
+        out += [(label, net, None),
+                (f"{label} pinned", net, {bus.id: bus.vmin * bus.vmax})]
+    return out
+
+
+def test_node_box_of_puts_the_line_box_on_every_pair():
+    """NodeBox.of writes -+Vi_max*Vj_max on each line's c and s, which the
+    lifted model leaves free, and the program's own bounds elsewhere."""
+    for label, net, pins in _box_cases():
+        model = jabr.build_relaxation(net, fixed_voltage=pins)
+        box = NodeBox.of(model)
+        pair = model.c + model.s
+        for k in range(len(net.lines)):
+            r_hi = ring_for(net, k).r_hi
+            for v in (model.c[k], model.s[k]):
+                assert (box.lo[v], box.hi[v]) == (-r_hi, r_hi), label
+        rest = np.setdiff1d(np.arange(model.program.num_vars), pair)
+        assert np.array_equal(box.lo[rest], np.array(model.program.lb)[rest])
+        assert np.array_equal(box.hi[rest], np.array(model.program.ub)[rest])
+
+
+def test_node_program_matches_one_with_the_line_box_set_explicitly():
+    """A node program built from NodeBox.of compiles to the same arrays as
+    one from a model whose c/s bounds were written into the program."""
+    for label, net, pins in _box_cases():
+        base = jabr.build_relaxation(net, fixed_voltage=pins)
+        _, cuts = tighten.run_algorithm1(base)
+        ref = base.copy()
+        prog = ref.program
+        for k in range(len(net.lines)):
+            r_hi = ring_for(net, k).r_hi
+            for v in (ref.c[k], ref.s[k]):
+                prog.lb[v], prog.ub[v] = -r_hi, r_hi
+        ref_box = NodeBox(np.array(prog.lb), np.array(prog.ub))
+        got = bnb.node_relaxation(base, NodeBox.of(base), cuts).program._compile()
+        want = bnb.node_relaxation(ref, ref_box, cuts).program._compile()
+        for a, b in zip(got, want):
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), label
+        assert (got[3].l, got[3].q) == (want[3].l, want[3].q), label
 
 
 def test_compute_bounds_two_bus():
