@@ -752,11 +752,13 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             boxes[k] = box
 
         # phase 3, per node: prune or branch.  An unresolved node is
-        # branched blindly at its box's middle with its parent's bound.
+        # branched blindly at its box's middle with its parent's bound; the
+        # free cost epigraph has no middle, and `branch` does not read it.
         for (node_lb, _, model, x, slacks, node), box in zip(left, boxes):
             if box is not None:
-                kids, _ = branch(model, box, 0.5 * (box.lo + box.hi)
-                                 if x is None else x, slacks)
+                with np.errstate(invalid="ignore"):
+                    mid = 0.5 * (box.lo + box.hi)
+                kids, _ = branch(model, box, mid if x is None else x, slacks)
                 if not kids:
                     # nothing branchable: the width floor is hit, the point
                     # is on the surface but gave no incumbent to fathom it,

@@ -94,9 +94,6 @@ def cmd_relax(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.step <= 0:
-        print("step must be positive", file=sys.stderr)
-        return EXIT_USAGE
     base = _load_network(argparse.Namespace(**{**vars(args), "gamma": None}))
     rows = []
     g = args.gamma_from
@@ -250,6 +247,19 @@ def cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
+def _range_error(args) -> str | None:
+    """One line on the first of --step and --resolution (which must be
+    positive) and --gap (which must not be negative) that `args` holds out
+    of range, or None; a NaN is out of every range."""
+    for name, ok, want in (("step", lambda v: v > 0, "positive"),
+                           ("resolution", lambda v: v > 0, "positive"),
+                           ("gap", lambda v: v >= 0, "non-negative")):
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            return f"--{name} must be {want}, not {value}"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="radopf",
                                 description="Radial-network OPF toolkit")
@@ -345,6 +355,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    error = _range_error(args)
+    if error:
+        print(error, file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (network.ParseError, network.NetworkError, FileNotFoundError,

@@ -1,13 +1,13 @@
-"""Second-order cone programs with convex-quadratic objectives.
+"""Second-order cone programs with linear objectives.
 
 A :class:`ConicProgram` collects variables with box bounds, linear equalities
 and inequalities, rotated-cone couplings ``|z|^2 <= u*w`` and an objective
-``c'x + sum_i q_i x_i^2 + const``.  :func:`solve` compiles the program to the
-standard conic form and runs the in-repo interior-point method; the diagonal
-quadratic terms are lifted into a single rotated-cone epigraph
-``|(sqrt(q_i) x_i)|^2 <= (t/g) * g``, with the scale g read from the
-variables' bounds so that both sides of the cone are of one size
-(`ConicProgram.epigraph_cone`).
+``c'x + const``.  :func:`solve` compiles the program to the standard conic
+form, over exactly the program's variables, and runs the in-repo
+interior-point method.  A convex quadratic cost is modelled by its caller as
+a variable t with cost 1 and the epigraph cone ``t >= sum_i q_i x_i^2``
+(`ConicProgram.epigraph_cone`), which is scaled from the variables' bounds so
+that both sides of the cone are of one size.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class ConicProgram:
         self.lb: list[float] = []
         self.ub: list[float] = []
         self.cost: list[float] = []
-        self.qcost: list[float] = []
         self.cost_const = 0.0
         self.eqs: list[_Row] = []
         self.ineqs: list[_Row] = []
@@ -85,8 +84,7 @@ class ConicProgram:
         and cones themselves are shared."""
         out = ConicProgram()
         out.cost_const = self.cost_const
-        for attr in ("names", "lb", "ub", "cost", "qcost", "eqs", "ineqs",
-                     "cones"):
+        for attr in ("names", "lb", "ub", "cost", "eqs", "ineqs", "cones"):
             setattr(out, attr, list(getattr(self, attr)))
         return out
 
@@ -96,16 +94,13 @@ class ConicProgram:
         return len(self.names)
 
     def add_var(self, name: str, lb: float = -INF, ub: float = INF,
-                cost: float = 0.0, qcost: float = 0.0) -> int:
+                cost: float = 0.0) -> int:
         if lb > ub:
             raise ProgramError(f"variable {name}: lb {lb} > ub {ub}")
-        if qcost < 0:
-            raise ProgramError(f"variable {name}: negative quadratic cost")
         self.names.append(name)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.cost.append(float(cost))
-        self.qcost.append(float(qcost))
         return len(self.names) - 1
 
     def add_eq(self, idx, coef, rhs: float):
@@ -123,9 +118,9 @@ class ConicProgram:
         self.cones.append(_Cone(_as_term(u), _as_term(w), [_as_term(t) for t in zs]))
 
     def epigraph_cone(self, t: int, terms) -> _Cone:
-        """The cone ``t >= sum_i q_i x_i^2`` over the (variable, q) pairs in
-        `terms`, written ``|(sqrt(q_i) x_i)|^2 <= (t/g) * g``; pairs with
-        q = 0 add no row.
+        """Add the cone ``t >= sum_i q_i x_i^2`` over the (variable, q) pairs
+        in `terms`, written ``|(sqrt(q_i) x_i)|^2 <= (t/g) * g``, and return
+        it; pairs with q = 0 add no row.
 
         The scale ``g = sqrt(sum_i q_i max(lb_i^2, ub_i^2))``, over the terms
         whose bounds are finite (1 when there are none), is the square root
@@ -142,16 +137,15 @@ class ConicProgram:
                            np.square(np.array(self.ub)[idx]))
         bounded = np.isfinite(reach)
         g = float(np.sqrt(q[bounded] @ reach[bounded])) or 1.0
-        return _Cone((np.array([t]), np.array([1.0 / g]), 0.0),
-                     (np.empty(0, dtype=int), np.empty(0), g),
-                     [(np.array([i]), np.array([np.sqrt(qi)]), 0.0)
-                      for i, qi in zip(idx, q)])
+        self.cones.append(_Cone((np.array([t]), np.array([1.0 / g]), 0.0),
+                                (np.empty(0, dtype=int), np.empty(0), g),
+                                [(np.array([i]), np.array([np.sqrt(qi)]), 0.0)
+                                 for i, qi in zip(idx, q)]))
+        return self.cones[-1]
 
     # ------------------------------------------------------------- inspection
     def objective_value(self, x: np.ndarray) -> float:
-        c = np.asarray(self.cost)
-        q = np.asarray(self.qcost)
-        return float(c @ x + q @ (x * x) + self.cost_const)
+        return float(np.asarray(self.cost) @ x + self.cost_const)
 
     def max_violation(self, x: np.ndarray) -> float:
         """Worst constraint violation at x, computed from the raw data; a
@@ -184,7 +178,7 @@ class ConicProgram:
         out = [f"vars {self.num_vars}"]
         for i, name in enumerate(self.names):
             out.append(f"  {name}: in [{self.lb[i]}, {self.ub[i]}]"
-                       f" cost {self.cost[i]} qcost {self.qcost[i]}")
+                       f" cost {self.cost[i]}")
 
         def expr(idx, coef):
             return " + ".join(f"{c:g}*{self.names[i]}" for i, c in zip(idx, coef))
@@ -208,30 +202,19 @@ class ConicProgram:
 
     # ---------------------------------------------------------------- compile
     def _compile(self, objective_override=None):
-        c = self._objective(objective_override)
-        return (c, *self._constraints(len(c)), self.num_vars)
+        return (self._objective(objective_override), *self._constraints(),
+                self.num_vars)
 
     def _objective(self, objective_override=None):
-        """Objective row of the standard form; the program's own objective
-        lifts its quadratic terms into one extra epigraph column t, whose
-        cone `_constraints` builds with `epigraph_cone` (t is divided by a
-        scale read from the bounds, so that the cone's two sides match)."""
-        n = self.num_vars
-        if objective_override is not None:
-            c = np.zeros(n)
-            c[:] = objective_override
-            return c
-        lift = any(q > 0 for q in self.qcost)
-        c = np.zeros(n + 1 if lift else n)
-        c[:n] = self.cost
-        if lift:
-            c[n] = 1.0
+        """Objective row of the standard form: the override, if given, or
+        the program's own costs."""
+        c = np.zeros(self.num_vars)
+        c[:] = self.cost if objective_override is None else objective_override
         return c
 
-    def _constraints(self, ncols):
-        """(G, h, dims, A, b) of the standard form over `ncols` columns; one
-        column past the variables is the quadratic epigraph.  Every matrix is
-        filled by index scatter from zeros."""
+    def _constraints(self):
+        """(G, h, dims, A, b) of the standard form over the program's
+        variables.  Every matrix is filled by index scatter from zeros."""
         n = self.num_vars
         lb, ub = np.array(self.lb), np.array(self.ub)
         free = lb != ub
@@ -249,22 +232,19 @@ class ConicProgram:
             M[r, i] = v
             M[np.arange(len(linear), len(linear) + len(cols)), cols] = vals
 
-        A = np.zeros((len(self.eqs) + len(fixed), ncols))
+        A = np.zeros((len(self.eqs) + len(fixed), n))
         scatter(A, self.eqs, fixed, np.ones(len(fixed)))
         b = np.concatenate(([r.rhs for r in self.eqs], lb[fixed]))
         l = len(self.ineqs) + len(bvar)
         h_lin = np.concatenate(([r.rhs for r in self.ineqs], bound_h))
 
-        cones = list(self.cones)
-        if ncols > n:
-            cones.append(self.epigraph_cone(n, enumerate(self.qcost)))
         # (u+w)/2 >= |((u-w)/2, z...)| is the SOC form of |z|^2 <= u*w; per
         # cone its rows are top, mid and one per z term, built positive in C
         # and negated as a block, since rows enter as s = h - Gx
-        q_sizes = [2 + len(cone.zs) for cone in cones]
+        q_sizes = [2 + len(cone.zs) for cone in self.cones]
         heads = np.cumsum(q_sizes) - q_sizes
         u, w, z, h_cone = [], [], [], []
-        for head, cone in zip(heads, cones):
+        for head, cone in zip(heads, self.cones):
             (iu, cu, du), (iw, cw, dw) = cone.u, cone.w
             u.append((head, iu, 0.5 * cu))
             w.append((head, iw, 0.5 * cw))
@@ -272,7 +252,7 @@ class ConicProgram:
             h_cone += [0.5 * (du + dw), 0.5 * (du - dw)]
             h_cone += [dz for _, _, dz in cone.zs]
         (ru, iu, cu), (rw, iw, cw), (rz, iz, cz) = map(_entries, (u, w, z))
-        G = np.zeros((l + sum(q_sizes), ncols))
+        G = np.zeros((l + sum(q_sizes), n))
         scatter(G, self.ineqs, bvar, 1.0 - 2.0 * lower)
         C = G[l:]
         C[ru, iu] += cu
@@ -323,13 +303,12 @@ def solve_batch(progs, overrides=None) -> list[ConicSolution]:
         overrides = [None] * len(progs)
     compiled, groups = {}, {}
     for i, (prog, override) in enumerate(zip(progs, overrides)):
-        c = prog._objective(override)
-        key = (id(prog), len(c))
+        key = id(prog)
         if key not in compiled:
-            compiled[key] = prog._constraints(len(c))
+            compiled[key] = prog._constraints()
         G, _, dims, A, _ = compiled[key]
         shape = (G.shape, A.shape, dims.l, tuple(dims.q))
-        groups.setdefault(shape, []).append((i, key, c))
+        groups.setdefault(shape, []).append((i, key, prog._objective(override)))
 
     sols = [None] * len(progs)
     for members in groups.values():
@@ -345,8 +324,7 @@ def solve_batch(progs, overrides=None) -> list[ConicSolution]:
 
 
 def _solution(prog: ConicProgram, override, res) -> ConicSolution:
-    n = prog.num_vars
-    x = res["x"][:n] if res["x"] is not None else None
+    x = res["x"]
     offset = prog.cost_const if override is None else 0.0
     if res["status"] == OPTIMAL and x is not None:
         if override is None:
@@ -364,9 +342,7 @@ def _solution(prog: ConicProgram, override, res) -> ConicSolution:
 
 
 def solve_lp(prog: ConicProgram) -> ConicSolution:
-    """Solve a program that must contain no cones or quadratic costs."""
+    """Solve a program that must contain no cones."""
     if prog.cones:
         raise ProgramError("solve_lp: program has cone constraints")
-    if any(q > 0 for q in prog.qcost):
-        raise ProgramError("solve_lp: program has quadratic costs")
     return solve(prog)

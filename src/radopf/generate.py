@@ -13,8 +13,9 @@ from .network import Network, admittance, bus_gen_limits
 
 def perturb(net: Network, raise_fraction: float) -> Network:
     """Raise generation lower bounds toward the dispatch that the relaxation
-    chooses, which starts making those bounds bind."""
-    res = jabr.solve_relaxation(net)
+    chooses, which starts making those bounds bind.  Only the first solve's
+    dispatch is read, so the relaxation runs without its refine re-solve."""
+    res = jabr.solve_relaxation(net, refine=False)
     if not res.solution.optimal:
         return net
     pg = res.solution.x[res.model.pg]

@@ -7,6 +7,11 @@ nonconvexity collapses into the coupling ``c_ij^2 + s_ij^2 = c_ii c_jj``.
 Relaxing the coupling to ``<=`` yields the SOCP solved here.  On trees an
 exact (surface) solution can be mapped back to bus voltages and angles.
 
+The quadratic part of the generation cost is a model variable t, the last
+one, with cost 1 and the epigraph cone ``t >= sum_k c2_k pg_k^2``
+(`conic.ConicProgram.epigraph_cone`); the program's objective is linear, and
+a cost cap is the single row ``sum_k c1_k pg_k + t <= cap - sum_k c0_k``.
+
 One directed variable pair is created per line; the mirrored orientation is
 implied by ``c_ji = c_ij`` and ``s_ji = -s_ij`` at model-build time.
 """
@@ -34,6 +39,7 @@ class JabrModel:
     cii: dict[int, int]    # bus id -> variable
     c: list[int]           # per line, oriented from->to
     s: list[int]
+    t: int | None          # cost epigraph, None when every cost is linear
 
     def copy(self) -> "JabrModel":
         """The same layout over a copy of the program (`ConicProgram.copy`),
@@ -102,7 +108,7 @@ def build_relaxation(net: Network, *,
     pg, qg = [], []
     for k, gen in enumerate(net.generators):
         pg.append(prog.add_var(f"pg{k}", gen.pmin, gen.pmax,
-                               cost=gen.cost.c1, qcost=gen.cost.c2))
+                               cost=gen.cost.c1))
         qg.append(prog.add_var(f"qg{k}", gen.qmin, gen.qmax))
         prog.cost_const += gen.cost.c0
 
@@ -117,6 +123,10 @@ def build_relaxation(net: Network, *,
     for ln in net.lines:
         c.append(prog.add_var(f"c[{ln.from_bus},{ln.to_bus}]"))
         s.append(prog.add_var(f"s[{ln.from_bus},{ln.to_bus}]"))
+
+    quads = [(v, gen.cost.c2) for v, gen in zip(pg, net.generators)
+             if gen.cost.c2 > 0]
+    t = prog.add_var("cost_epi", cost=1.0) if quads else None
 
     # flow balance; the j==i admittance term sits on c_ii
     for bi, bus in enumerate(net.buses):
@@ -139,8 +149,11 @@ def build_relaxation(net: Network, *,
 
     for k, ln in enumerate(net.lines):
         prog.add_rotated_cone(cii[ln.from_bus], cii[ln.to_bus], [c[k], s[k]])
+    if quads:
+        prog.epigraph_cone(t, quads)
 
-    return JabrModel(net=net, program=prog, pg=pg, qg=qg, cii=cii, c=c, s=s)
+    return JabrModel(net=net, program=prog, pg=pg, qg=qg, cii=cii, c=c, s=s,
+                     t=t)
 
 
 # ------------------------------------------------------------------ exactness
@@ -310,23 +323,12 @@ class RelaxationResult:
 
 
 def add_cost_cap(model: JabrModel, cap: float):
-    """Constrain generation cost <= cap inside the model's program.
-
-    The quadratic terms go through a new epigraph variable and
-    `ConicProgram.epigraph_cone`, the builder of the objective's own lift, so
-    the cone is scaled from the units' current bounds in the same way."""
+    """Constrain generation cost <= cap inside the model's program: one row
+    that holds the program's own objective (c1 on each unit, 1 on the cost
+    epigraph t, the constant sum of c0) at or below cap."""
     prog = model.program
-    net = model.net
-    lin_idx = list(model.pg)
-    lin_coef = [g.cost.c1 for g in net.generators]
-    rhs = cap - sum(g.cost.c0 for g in net.generators)
-    quads = [(v, g.cost.c2) for v, g in zip(model.pg, net.generators) if g.cost.c2 > 0]
-    if quads:
-        t = prog.add_var("cost_epi", 0.0)
-        prog.cones.append(prog.epigraph_cone(t, quads))
-        lin_idx.append(t)
-        lin_coef.append(1.0)
-    prog.add_ineq(lin_idx, lin_coef, rhs)
+    idx = np.flatnonzero(prog.cost)
+    prog.add_ineq(idx, np.asarray(prog.cost)[idx], cap - prog.cost_const)
 
 
 def solve_relaxation(net: Network, *, refine: bool = True,

@@ -51,7 +51,8 @@ def ring_for(net: Network, k: int) -> Ring:
 class NodeBox:
     """Interval [lo, hi] of every variable of a lifted model
     (`jabr.build_relaxation`), indexed like the model's own variables
-    (`model.cii`, `model.c`, `model.s`, `model.line_vars(k)`).  The layout
+    (`model.cii`, `model.c`, `model.s`, `model.line_vars(k)`, `model.t`).
+    Every program a search solves has exactly those columns.  The layout
     depends only on the network, so Algorithm 1, interval propagation and
     every node of a search share it; `boxed` makes it a program's bounds."""
     lo: np.ndarray
@@ -60,9 +61,10 @@ class NodeBox:
     @classmethod
     def of(cls, model: jabr.JabrModel) -> "NodeBox":
         """The program's own bounds (unit boxes, vmin²..vmax² or the pinned
-        voltage), with ±Vi_max·Vj_max on each line's c and s, which the
-        lifted model leaves free.  The cone implies that box, so it does not
-        bind at the root; after tightening and branching it does."""
+        voltage, a free cost epigraph t), with ±Vi_max·Vj_max on each
+        line's c and s, which the lifted model leaves free.  The cone
+        implies that box, so it does not bind at the root; after tightening
+        and branching it does."""
         box = cls(np.array(model.program.lb), np.array(model.program.ub))
         net = model.net
         for k, ln in enumerate(net.lines):

@@ -210,8 +210,10 @@ def test_criterion_6_solver_vs_oracles(two_bus_runs, three_bus_runs):
 
 @pytest.fixture(scope="module")
 def library_instances():
-    """Three frozen radial instances regenerated from the standard meshed
-    systems (reactive floors pushed past the relaxation dispatch)."""
+    """Three radial instances rebuilt on every run from spanning trees of
+    the standard meshed systems: each pushes one unit's reactive floor past
+    the dispatch of a relaxation solve (`raise_reactive_floor`), so a change
+    to the relaxation can change the instances themselves."""
     out = []
     base9 = cases.load_case("case9", drop_charging=True)
     tree9 = network.spanning_tree(base9, 0)

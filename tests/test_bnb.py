@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,12 +101,31 @@ def test_node_programs_are_independent_copies(net2):
     prog.lb, prog.ub = root.lo.tolist(), root.hi.tolist()
     for row in second.program.ineqs:
         prog.add_ineq(row.idx, row.coef, row.rhs)
-    n = len(second.program._objective())
-    got = second.program._constraints(n)
-    want = prog._constraints(n)
+    got = second.program._constraints()
+    want = prog._constraints()
     for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
         assert a.tobytes() == b.tobytes()
     assert (got[2].l, list(got[2].q)) == (want[2].l, list(want[2].q))
+
+
+def test_search_programs_have_the_model_columns(monkeypatch):
+    """Every program a search on a case9 tree solves, from Algorithm 1 to
+    range reduction, compiles to exactly the lifted model's columns, so a
+    node box covers all of them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # charging/tap/shift zeroed
+        net = network.spanning_tree(cases.load_case("case9",
+                                                    drop_charging=True))
+    n = jabr.build_relaxation(net).program.num_vars
+    solve_batch, columns = conic.solve_batch, set()
+
+    def spy(progs, overrides=None):
+        columns.update(p._constraints()[0].shape[1] for p in progs)
+        return solve_batch(progs, overrides)
+
+    monkeypatch.setattr(conic, "solve_batch", spy)
+    res = bnb.solve_global(net, gap_tol=1e-2, node_limit=8)
+    assert res.nodes > 0 and columns == {n}
 
 
 def test_one_build_per_solve(net2, monkeypatch):

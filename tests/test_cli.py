@@ -265,6 +265,25 @@ def test_genlib_manifest(capsys, tmp_path):
         assert len(net.lines) == net.num_buses - 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["genlib", "--cases", "case9", "--step", "0"],
+    ["genlib", "--cases", "case9", "--step", "-0.05"],
+    ["plotdata", "--instance", "inst.json", "--resolution", "0"],
+    ["solve", "--case", "case2_two_gen", "--gap", "-1"],
+], ids=["genlib-step-0", "genlib-step-negative", "plotdata-resolution-0",
+        "solve-gap-negative"])
+def test_out_of_range_option_is_a_usage_error(capsys, tmp_path, argv):
+    """A zero or negative step or resolution, or a negative gap, is refused
+    with one line on stderr before any work: no output directory is made."""
+    out_dir = tmp_path / "out"
+    extra = [] if argv[0] == "solve" else ["--out", str(out_dir)]
+    code, out, err = run(capsys, argv + extra)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and len(err.splitlines()) == 1
+    assert argv[-2] in err
+    assert not out_dir.exists()
+
+
 def test_missing_case_file_data_error(capsys):
     code, _, err = run(capsys, ["relax", "--case", "/nonexistent/case.m"])
     assert code == cli.EXIT_DATA

@@ -58,26 +58,23 @@ def test_unbounded():
 
 
 def test_quadratic_objective_epigraph():
-    """min (x-1)^2 over [-5,5] via the diagonal quadratic lift."""
+    """min (x-1)^2 over [-5,5] through a cost-1 epigraph variable t >= x^2."""
     p = conic.ConicProgram()
-    p.add_var("x", -5.0, 5.0, cost=-2.0, qcost=1.0)
+    x = p.add_var("x", -5.0, 5.0, cost=-2.0)
+    p.epigraph_cone(p.add_var("t", cost=1.0), [(x, 1.0)])
     p.cost_const = 1.0
     sol = conic.solve(p)
     assert sol.optimal
     assert sol.objective == pytest.approx(0.0, abs=1e-6)
 
 
-def test_solve_lp_rejects_cones_and_quadratics():
+def test_solve_lp_rejects_cones():
     p = conic.ConicProgram()
     x = p.add_var("x", 0.0, 1.0)
     y = p.add_var("y", 0.0, 1.0)
     p.add_rotated_cone(x, y, [y])
     with pytest.raises(conic.ProgramError):
         conic.solve_lp(p)
-    q = conic.ConicProgram()
-    q.add_var("x", qcost=1.0)
-    with pytest.raises(conic.ProgramError):
-        conic.solve_lp(q)
 
 
 def _random_lp(rng, n=8, m=5):
@@ -187,14 +184,14 @@ def test_random_feasible_lp_never_infeasible(seed):
 
 # ------------------------------------------------------------ compile
 
-def _constraints_by_rows(prog, ncols):
+def _constraints_by_rows(prog):
     """(G, h, dims, A, b) built one dense row at a time: the reference for
     the scatter in `ConicProgram._constraints`."""
     n = prog.num_vars
     A_rows, b_vals, G_rows, h_vals = [], [], [], []
 
     def row_of(idx, coef):
-        r = np.zeros(ncols)
+        r = np.zeros(n)
         r[idx] = coef
         return r
 
@@ -219,16 +216,13 @@ def _constraints_by_rows(prog, ncols):
             h_vals.append(-prog.lb[i])
     l = len(G_rows)
     q_sizes = []
-    cones = list(prog.cones)
-    if ncols > n:
-        cones.append(prog.epigraph_cone(n, enumerate(prog.qcost)))
-    for cone in cones:
+    for cone in prog.cones:
         iu, cu, du = cone.u
         iw, cw, dw = cone.w
-        top = np.zeros(ncols)
+        top = np.zeros(n)
         top[iu] += 0.5 * cu
         top[iw] += 0.5 * cw
-        mid = np.zeros(ncols)
+        mid = np.zeros(n)
         mid[iu] += 0.5 * cu
         mid[iw] -= 0.5 * cw
         G_rows += [-top, -mid]
@@ -237,8 +231,8 @@ def _constraints_by_rows(prog, ncols):
             G_rows.append(-row_of(iz, cz))
             h_vals.append(dz)
         q_sizes.append(2 + len(cone.zs))
-    A = np.array(A_rows).reshape(-1, ncols) if A_rows else np.zeros((0, ncols))
-    G = np.array(G_rows).reshape(-1, ncols) if G_rows else np.zeros((0, ncols))
+    A = np.array(A_rows).reshape(-1, n) if A_rows else np.zeros((0, n))
+    G = np.array(G_rows).reshape(-1, n) if G_rows else np.zeros((0, n))
     return (G, np.array(h_vals, dtype=float), _ipm.make_dims(l, q_sizes), A,
             np.array(b_vals, dtype=float))
 
@@ -247,15 +241,16 @@ def _compile_case(name):
     from radopf import bnb, cases, jabr, network
     if name == "hand-built":
         p = conic.ConicProgram()
-        p.add_var("a", -1.0, 2.0, cost=1.0, qcost=0.5)
+        p.add_var("a", -1.0, 2.0, cost=1.0)
         p.add_var("fixed", 0.25, 0.25)
         p.add_var("free", cost=-1.0)
-        p.add_var("lower", 0.0, qcost=2.0)
+        p.add_var("lower", 0.0)
         p.add_var("upper", ub=3.0)
         p.add_eq([0, 2], [1.0, 1.0], 1.0)
         p.add_ineq([2, 3, 4], [1.0, -2.0, 0.5], 4.0)
         p.add_rotated_cone(0, (np.array([3]), np.array([2.0]), 1.0),
                            [2, (np.array([1, 4]), np.array([1.0, -1.0]), 0.5)])
+        p.epigraph_cone(p.add_var("t", cost=1.0), [(0, 0.5), (3, 2.0)])
         return p
     if name == "2-bus node with cost cap":
         net = network.scale_load(cases.load_case("case2_two_gen"), 1.0)
@@ -266,7 +261,7 @@ def _compile_case(name):
     tree9 = network.spanning_tree(cases.load_case("case9", drop_charging=True))
     if name == "case9 tree":
         return jabr.build_relaxation(tree9).program
-    # quadratic costs: the cap adds its own epigraph cone
+    # quadratic costs: the model's epigraph column and cone, and the cap row
     base = jabr.build_relaxation(tree9)
     model = bnb.node_relaxation(base, bnb.NodeBox.of(base))
     jabr.add_cost_cap(model, 6000.0)
@@ -276,41 +271,44 @@ def _compile_case(name):
 @pytest.mark.parametrize("name", ["case9 tree", "2-bus node with cost cap",
                                   "case9 node with cost cap", "hand-built"])
 def test_compile_matches_row_by_row(name):
-    """The scattered standard form is bit-identical to a row-by-row build,
-    for the program's own objective (a quadratic epigraph column in all but
-    the 2-bus node) and for an override."""
+    """The scattered standard form is bit-identical to a row-by-row build;
+    all but the 2-bus node carry a quadratic epigraph column and cone."""
     prog = _compile_case(name)
-    for ncols in {len(prog._objective()), prog.num_vars}:
-        got = prog._constraints(ncols)
-        want = _constraints_by_rows(prog, ncols)
-        for g, w in zip(got[:2] + got[3:], want[:2] + want[3:]):
-            assert g.shape == w.shape and g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
-        assert (got[2].l, got[2].q) == (want[2].l, want[2].q)
+    got = prog._constraints()
+    want = _constraints_by_rows(prog)
+    for g, w in zip(got[:2] + got[3:], want[:2] + want[3:]):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    assert (got[2].l, got[2].q) == (want[2].l, want[2].q)
 
 
-def _epigraph_slack(prog, ncols, point):
+def _epigraph_slack(prog, point):
     """s0 - |s1..| of the last cone block of h - G·point (> 0 inside)."""
-    G, h, dims, _, _ = prog._constraints(ncols)
+    G, h, dims, _, _ = prog._constraints()
     s = (h - G @ point)[-dims.q[-1]:]
     return s[0] - np.linalg.norm(s[1:])
 
 
 def _epigraph_program(unbounded):
-    """Two quadratic terms, one of them with an infinite bound unless every
-    bound is finite, and a variable with q = 0 between them."""
+    """An epigraph cone, over a last variable t, of two quadratic terms, one
+    of them with an infinite bound unless every bound is finite, and a
+    variable with q = 0 between them; returns the program and q per
+    variable."""
     p = conic.ConicProgram()
-    p.add_var("a", -1.0, 2.0, cost=1.0, qcost=0.5)
+    q = [0.5, 0.0, 2.0] + [3.0] * unbounded
+    p.add_var("a", -1.0, 2.0, cost=1.0)
     p.add_var("flat", -3.0, 3.0, cost=2.0)
-    p.add_var("b", 0.0, 1.5, qcost=2.0)
+    p.add_var("b", 0.0, 1.5)
     if unbounded:
-        p.add_var("c", 0.0, qcost=3.0)
-    return p
+        p.add_var("c", 0.0)
+    p.epigraph_cone(p.add_var("t", cost=1.0), enumerate(q))
+    return p, np.append(q, 0.0)
 
 
 def _cost_cap_program(unbounded):
-    """A case9 tree node with a cost cap; the second unit's cost is linear
-    and, unless every bound is finite, the first unit has no upper limit."""
+    """A case9 tree model with a cost cap; the second unit's cost is linear
+    and, unless every bound is finite, the first unit has no upper limit.
+    The model's epigraph t is its last variable."""
     import dataclasses
     from radopf import cases, jabr, network
     net = network.spanning_tree(cases.load_case("case9", drop_charging=True))
@@ -331,35 +329,32 @@ def _cost_cap_program(unbounded):
 @pytest.mark.parametrize("unbounded", [False, True])
 def test_balanced_epigraph_is_the_same_set(unbounded):
     """Points (x, t) just above sum q_i x_i^2 lie inside the compiled
-    epigraph cone and points just below lie outside, for the objective's
-    lift and for `jabr.add_cost_cap`; q = 0 variables add no row."""
+    epigraph cone and points just below lie outside, for a hand-built
+    epigraph and for the lifted model's under `jabr.add_cost_cap`; q = 0
+    variables add no row."""
     rng = np.random.default_rng(0)
-    prog = _epigraph_program(unbounded)
-    cap, q_cap = _cost_cap_program(unbounded)
-    # (program, standard-form columns, q per column); t is the last column
-    for p, ncols, q in ((prog, prog.num_vars + 1, np.append(prog.qcost, 0.0)),
-                        (cap, cap.num_vars, q_cap)):
-        t = ncols - 1
-        assert p._constraints(ncols)[2].q[-1] == 2 + np.count_nonzero(q)
-        for x in (*rng.uniform(-2.0, 3.0, size=(6, ncols)), np.zeros(ncols)):
+    # (program, q per column); t is the last column and its cone the last
+    for p, q in (_epigraph_program(unbounded), _cost_cap_program(unbounded)):
+        n = p.num_vars
+        assert p._constraints()[2].q[-1] == 2 + np.count_nonzero(q)
+        for x in (*rng.uniform(-2.0, 3.0, size=(6, n)), np.zeros(n)):
             f = q @ (x * x)
             for t_val, inside in ((f * (1 + 1e-9) + 1e-12, True),
                                   (f * (1 - 1e-9) - 1e-12, False)):
-                x[t] = t_val
-                assert (_epigraph_slack(p, ncols, x) > 0) == inside
+                x[n - 1] = t_val
+                assert (_epigraph_slack(p, x) > 0) == inside
 
 
 def test_epigraph_scale_from_finite_bounds():
     """g is sqrt(sum q_i max(lb_i^2, ub_i^2)) over finitely bounded terms,
     and 1 when no term has finite bounds."""
-    prog = _epigraph_program(unbounded=True)
-    cone = prog.epigraph_cone(prog.num_vars, enumerate(prog.qcost))
+    cone = _epigraph_program(unbounded=True)[0].cones[-1]
     g = np.sqrt(0.5 * 2.0 ** 2 + 2.0 * 1.5 ** 2)
     assert cone.w[2] == pytest.approx(g) and cone.u[1][0] == pytest.approx(1 / g)
     assert [int(iz[0]) for iz, _, _ in cone.zs] == [0, 2, 3]
     free = conic.ConicProgram()
-    free.add_var("y", qcost=4.0)
-    cone = free.epigraph_cone(1, [(0, 4.0)])
+    y = free.add_var("y")
+    cone = free.epigraph_cone(free.add_var("t", cost=1.0), [(y, 4.0)])
     assert cone.w[2] == 1.0 and cone.u[1][0] == 1.0
 
 

@@ -317,3 +317,51 @@ def test_lean_relaxation_stays_in_the_line_box_and_keeps_its_value():
             reach = tighten.ring_for(net, k).r_hi * (1 + 1e-8)
             assert abs(lean.x[model.c[k]]) <= reach, label
             assert abs(lean.x[model.s[k]]) <= reach, label
+
+
+def _case9_tree():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # charging/tap/shift zeroed
+        return network.spanning_tree(cases.load_case("case9", drop_charging=True))
+
+
+def test_cost_epigraph_is_the_last_variable():
+    """On a case9 tree, whose units have quadratic costs, the cost epigraph
+    t is the model's last variable: free, with cost 1, without a bound row,
+    and with the last cone, over every unit's pg."""
+    model = jabr.build_relaxation(_case9_tree())
+    prog = model.program
+    t = model.t
+    assert t == prog.num_vars - 1 and prog.cost[t] == 1.0
+    assert (prog.lb[t], prog.ub[t]) == (-np.inf, np.inf)
+    G, _, dims, A, _ = prog._constraints()
+    assert not np.any(G[:dims.l, t]) and not np.any(A[:, t])
+    cone = prog.cones[-1]
+    assert list(cone.u[0]) == [t]
+    assert [int(iz[0]) for iz, _, _ in cone.zs] == model.pg
+
+
+def test_cost_cap_is_one_row():
+    """`add_cost_cap` adds one inequality row, the model's objective at most
+    the cap, and no variable or cone."""
+    model = jabr.build_relaxation(_case9_tree())
+    prog = model.program
+    n, rows, cones = prog.num_vars, len(prog.ineqs), len(prog.cones)
+    jabr.add_cost_cap(model, 6000.0)
+    assert (prog.num_vars, len(prog.ineqs), len(prog.cones)) == (n, rows + 1,
+                                                                 cones)
+    row = prog.ineqs[-1]
+    x = np.random.default_rng(0).uniform(-1.0, 2.0, n)
+    assert row.coef @ x[row.idx] - row.rhs == pytest.approx(
+        prog.objective_value(x) - 6000.0, rel=1e-12)
+
+
+def test_linear_costs_have_no_cost_epigraph(net2):
+    """With every cost linear the model has no epigraph variable or cone,
+    and a cost cap is the row of the units' linear costs."""
+    model = jabr.build_relaxation(net2)
+    assert model.t is None
+    assert len(model.program.cones) == len(net2.lines)
+    jabr.add_cost_cap(model, 600.0)
+    assert list(model.program.ineqs[-1].idx) == [
+        v for v, g in zip(model.pg, net2.generators) if g.cost.c1]
