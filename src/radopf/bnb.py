@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conic, jabr, tighten
-from .network import Network, bus_gen_limits, tree_edges
+from .network import Network, NetworkError, bus_gen_limits, tree_edges
 from .tighten import NodeBox
 
 GLOBAL_OPTIMAL = "global-optimal"
@@ -239,22 +239,22 @@ def _residual_jacobian(z: np.ndarray, bal: _Balance) -> np.ndarray:
     return (d_need * outside[:, :, None]).reshape(need.size, -1)
 
 
-def _allocate(bal: _Balance, need: np.ndarray,
-              base: np.ndarray | None = None) -> np.ndarray:
+def _allocate(bal: _Balance, need: np.ndarray, base: np.ndarray):
     """Split required bus generation (2, buses), clipped to the bus boxes,
-    across its units; returns (pg, qg).  Each bus's shortfall from the
-    `base` split (2, generators) is shared by the room each unit has toward
-    its bound, so a base that meets the requirement is kept and the default
-    base, every unit at its floor, gives the split pro rata by range."""
-    base = bal.gen_lo if base is None else np.clip(base, bal.gen_lo, bal.gen_hi)
+    across its units from the `base` split (2, generators), which lies in
+    the unit boxes.  Each bus's shortfall from its summed base is shared by
+    the room each unit has toward the bound it moves to, so a base that
+    meets the requirement is kept, and a base at the floors gives the split
+    pro rata by range.  Returns (pg, qg) and each unit's share `room /
+    Σroom`, the slope of its output in the clipped requirement."""
     nb = need.shape[1]
     short = np.clip(need, bal.lo, bal.hi) - np.array(
         [np.bincount(bal.gen_bus, row, nb) for row in base])
     room = np.where((short > 0)[:, bal.gen_bus], bal.gen_hi - base,
                     base - bal.gen_lo)
     total = np.array([np.bincount(bal.gen_bus, row, nb) for row in room])
-    frac = short / np.where(total > 0, total, 1.0)
-    return base + frac[:, bal.gen_bus] * room
+    share = room / np.where(total > 0, total, 1.0)[:, bal.gen_bus]
+    return base + short[:, bal.gen_bus] * share, share
 
 
 def _gen_cost(bal: _Balance, pg: np.ndarray) -> float:
@@ -262,25 +262,25 @@ def _gen_cost(bal: _Balance, pg: np.ndarray) -> float:
     return float(np.sum(c2 * pg * pg + c1 * pg + c0))
 
 
-def _alloc_cost(z: np.ndarray, bal: _Balance) -> float:
-    return _gen_cost(bal, _allocate(bal, _required(z, bal))[0])
+def _alloc_cost(z: np.ndarray, bal: _Balance, base: np.ndarray) -> float:
+    (pg, _), _ = _allocate(bal, _required(z, bal), base)
+    return _gen_cost(bal, pg)
 
 
-def _penalized(z: np.ndarray, bal: _Balance, rho: float):
-    """alloc_cost + rho·‖r‖² and its gradient: the cost slope through the
-    pro-rata split (nonzero only where a bus's required active generation
-    lies strictly inside its box) plus 2·rho·Jᵀr.  A residual is zero
-    where its row of J is, so Jᵀr needs no mask."""
+def _penalized(z: np.ndarray, bal: _Balance, base: np.ndarray, rho: float):
+    """alloc_cost + rho·‖r‖² and its gradient: the cost slope through each
+    unit's share of its bus (nonzero only where a bus's required active
+    generation lies strictly inside its box) plus 2·rho·Jᵀr.  A residual
+    is zero where its row of J is, so Jᵀr needs no mask."""
     need, d_need = _required(z, bal, jac=True)
     r = need - np.clip(need, bal.lo, bal.hi)
-    pg = _allocate(bal, need)[0]
+    (pg, _), share = _allocate(bal, need, base)
     p = need[0]
     inside = ((p > bal.lo[0]) & (p < bal.hi[0]))[bal.gen_bus]
-    share = inside * (bal.gen_hi[0] - bal.gen_lo[0]) / np.where(
-        inside, (bal.hi[0] - bal.lo[0])[bal.gen_bus], 1.0)
     c2, c1, _ = bal.cost
     w = 2.0 * rho * r
-    w[0] += np.bincount(bal.gen_bus, (2.0 * c2 * pg + c1) * share, len(p))
+    w[0] += np.bincount(bal.gen_bus, (2.0 * c2 * pg + c1) * inside * share[0],
+                        len(p))
     value = _gen_cost(bal, pg) + rho * float(np.sum(r * r))
     return value, w.ravel() @ d_need.reshape(w.size, -1)
 
@@ -302,7 +302,7 @@ def _z_bounds(net: Network, fixed_voltage: dict[int, float] | None):
 def _push(z0, bal: _Balance, bounds, max_nfev: int):
     """Least-squares push of z0 onto the clipped balance equations; the
     end point if every residual is within 10·_FEAS_TOL, else None."""
-    # deferred so that runs which never polish or settle skip its import
+    # deferred so that runs which never polish skip its import
     from scipy.optimize import least_squares
     fit = least_squares(_residuals, z0, jac=_residual_jacobian,
                         bounds=bounds, args=(bal,), xtol=1e-14,
@@ -310,40 +310,20 @@ def _push(z0, bal: _Balance, bounds, max_nfev: int):
     return fit.x if np.max(np.abs(fit.fun)) <= 10 * _FEAS_TOL else None
 
 
-def _verified(net: Network, bal: _Balance, z, base=None):
-    """The operating point of z with its generation allocated (from the
-    `base` split, if given), if it passes the rectangular feasibility check
-    at `_FEAS_TOL`."""
+def _verified(net: Network, bal: _Balance, z, base: np.ndarray):
+    """The operating point of z with its generation allocated from the
+    `base` split, if it passes the rectangular feasibility check at
+    `_FEAS_TOL`."""
     n = net.num_buses
     vm, th = z[:n], np.zeros(n)
     th[bal.free] = z[n:]
-    pg, qg = _allocate(bal, _required(z, bal), base)
+    (pg, qg), _ = _allocate(bal, _required(z, bal), base)
     check = jabr.evaluate_opf_point(net, vm * np.cos(th), vm * np.sin(th),
                                     pg, qg)
     if not check.feasible(_FEAS_TOL):
         return None
     return jabr.OpfSolution(bus_ids=[b.id for b in net.buses], vm=vm,
                             theta=th, pg=pg, qg=qg, objective=check.objective)
-
-
-def _settle(net: Network, opf: jabr.OpfSolution, bal: _Balance,
-            fixed_voltage: dict[int, float] | None = None) -> jabr.OpfSolution | None:
-    """Push a point recovered from a (nearly) exact relaxation onto the
-    balance equations.  A recovered point meets them only to the coupling
-    slack of its relaxation, and its cost can lie below the optimum by more
-    than that.  Only the voltages move; the units keep the relaxation's
-    split, which is cost-optimal between units at a bus, up to the small
-    shift that the settled requirement asks.  The settled point is verified
-    like a polished one."""
-    lb, ub = _z_bounds(net, fixed_voltage)
-    z0 = np.clip(np.concatenate([opf.vm, opf.theta[bal.free]]),
-                 lb + 1e-12, ub - 1e-12)
-    try:
-        z = _push(z0, bal, (lb, ub), 200)
-    except ValueError:  # also numpy's LinAlgError
-        return None
-    return None if z is None else _verified(
-        net, bal, z, np.array([opf.pg, opf.qg]))
 
 
 def local_polish(net: Network, point: dict, *, multistart: bool = True,
@@ -357,15 +337,20 @@ def local_polish(net: Network, point: dict, *, multistart: bool = True,
     generation boxes), then a penalized cost descent (L-BFGS-B) that is kept
     when its pushed end point costs less, and a final cleanup.  Every step is
     given exact derivatives: the Jacobian of the clipped residuals and the
-    gradient of the penalized cost (see `_penalized`).  With `multistart`
-    the push is retried from a flat and a feeder-tilted voltage profile when
-    the guided start fails.  `bal` is the network's `_balance`, built here
-    when not given.  Returns a verified feasible point or None.
+    gradient of the penalized cost (see `_penalized`).  Generation is
+    allocated from the point's own unit split (`pg`, `qg` clipped into the
+    unit boxes, see `_allocate`), so units at one bus keep the relaxation's
+    split up to the shift that the pushed requirement asks.  With
+    `multistart` the push is retried from a flat and a feeder-tilted voltage
+    profile when the guided start fails.  `bal` is the network's
+    `_balance`, built here when not given.  Returns a verified feasible
+    point or None.
     """
     bal = bal if bal is not None else _balance(net)
     n = net.num_buses
     pos = net.bus_index
     lb, ub = _z_bounds(net, fixed_voltage)
+    base = np.clip([point["pg"], point["qg"]], bal.gen_lo, bal.gen_hi)
 
     cii = point["cii"]
     c = np.asarray(point["c"], dtype=float).copy()
@@ -407,18 +392,18 @@ def local_polish(net: Network, point: dict, *, multistart: bool = True,
         return None
 
     from scipy.optimize import minimize
-    cost = _alloc_cost(z, bal)
+    cost = _alloc_cost(z, bal, base)
     rho = 1e5 * (1.0 + abs(cost))
     try:
-        imp = minimize(_penalized, z, args=(bal, rho), jac=True,
+        imp = minimize(_penalized, z, args=(bal, base, rho), jac=True,
                        method="L-BFGS-B", bounds=list(zip(lb, ub)),
                        options={"maxiter": 60})
         z2 = _push(imp.x, bal, (lb, ub), 150)
-        if z2 is not None and _alloc_cost(z2, bal) < cost:
+        if z2 is not None and _alloc_cost(z2, bal, base) < cost:
             z = z2
     except ValueError:
         pass
-    return _verified(net, bal, z)
+    return _verified(net, bal, z, base)
 
 
 # -------------------------------------------------------------- range reduction
@@ -527,26 +512,26 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     interior-point call.  The batch then runs in three phases:
 
     1. Per node, in bound order: an infeasible relaxation is dropped, a
-       bound at the cutoff is fathomed, an exact point is recovered and
-       settled, and the polish runs when one is due.
+       bound at the cutoff is fathomed, the polish runs when one is due,
+       and a bound that the polish's incumbent brought to the cutoff is
+       fathomed.
     2. Every node still open is range-reduced in one call
        (`range_reduction_batch`), under the incumbent as phase 1 left it.
     3. Per node: a box emptied by the reduction is pruned; the others are
        branched and their children pushed.
 
-    Incumbents come from three places.  A node whose relaxation point lies
-    on the cone surface is recovered and pushed onto the balance equations
-    (`_settle`), keeping the relaxation's split between units at a bus; the
-    raw recovered point is tried when the push fails.  Neither is tried
-    when the recovered cost cannot beat the incumbent.  Other nodes are
-    polished by `local_polish` when one is due.  A polish succeeds when it
-    gives a new incumbent and fails otherwise.  While there is no
-    incumbent, a failed polish makes the next one wait `2**fails` nodes;
-    once there is one, the polish runs at every 25th node.  Multistart
-    runs only while no polish has failed since the start or the last
-    success: a point no better than the incumbent does not pay for two
-    more starts.  Skipped polishes make no call; `polish_calls` counts the
-    calls made and `polish_found` those that gave a new incumbent.
+    Incumbents come only from `local_polish`.  A node whose relaxation
+    point lies on the cone surface is polished at once, without extra
+    starts, and its recovered point (`jabr.recover_angles`) is tried when
+    the polish finds none.  Other nodes are polished when one is due.  A
+    polish succeeds when it gives a new incumbent and fails otherwise.
+    While there is no incumbent, a failed polish makes the next one of a
+    node off the surface wait `2**fails` nodes; once there is one, such a
+    polish runs at every 25th node.  Multistart runs only while no polish
+    has failed since the start or the last success: a point no better than
+    the incumbent does not pay for two more starts.  Skipped polishes make
+    no call; `polish_calls` counts the calls made and `polish_found` those
+    that gave a new incumbent.
 
     A node whose relaxation ends without an answer is range-reduced under
     the cutoff when there is an incumbent: it is pruned if that certifies
@@ -560,15 +545,15 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     tree is exhausted with every leaf relaxation-infeasible, emptied by
     interval propagation or emptied by range reduction.
 
-    Every unit needs finite bounds: the polish splits a bus's generation by
-    its units' ranges, and a node box is finite.  A unit with an infinite
-    bound raises `ValueError`.
+    Every unit needs finite bounds: the polish shares a bus's generation by
+    its units' room toward their bounds, and a node box is finite.  A unit
+    with an infinite bound raises `NetworkError`.
     """
     for k, g in enumerate(net.generators):
         if not all(map(math.isfinite, (g.pmin, g.pmax, g.qmin, g.qmax))):
-            raise ValueError(f"unit {k} at bus {g.bus} has an infinite bound "
-                             f"(p in [{g.pmin}, {g.pmax}], "
-                             f"q in [{g.qmin}, {g.qmax}])")
+            raise NetworkError(f"unit {k} at bus {g.bus} has an infinite "
+                               f"bound (p in [{g.pmin}, {g.pmax}], "
+                               f"q in [{g.qmin}, {g.qmax}])")
     t0 = time.monotonic()
     base = jabr.build_relaxation(net, fixed_voltage=fixed_voltage)
 
@@ -642,20 +627,27 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         if incumbent is None or cand.objective < incumbent.objective:
             incumbent = cand
 
-    def polish(model, x):
-        """Polish the point `x` of `model` if one is due: without an
-        incumbent, 2**fails nodes after the last failure; with one, every
-        25th node.  A polish succeeds when it gives a new incumbent; only one
-        with no failure since the start or the last success multistarts."""
+    def polish(model, sol, exact):
+        """Polish the point of `sol` in `model` if one is due: on the cone
+        surface (`exact`) at once and without extra starts, falling back to
+        the recovered point; otherwise, without an incumbent, 2**fails
+        nodes after the last failure, and with one, every 25th node.  A
+        polish succeeds when it gives a new incumbent; only one with no
+        failure since the start or the last success multistarts."""
         nonlocal polish_calls, polish_found, fails, next_polish
-        if incumbent is not None:
-            if nodes % 25:
-                return
-        elif nodes < next_polish:
+        if not exact and (nodes % 25 if incumbent is not None
+                          else nodes < next_polish):
             return
         polish_calls += 1
-        cand = local_polish(net, model.point(x), multistart=fails == 0,
+        cand = local_polish(net, model.point(sol.x),
+                            multistart=fails == 0 and not exact,
                             fixed_voltage=fixed_voltage, bal=bal)
+        if cand is None and exact:
+            try:
+                cand = jabr.recover_angles(net, model, sol,
+                                           tol=10 * _EXACT_TOL)
+            except ValueError:
+                pass
         best = incumbent
         consider(cand)
         if incumbent is not best:
@@ -713,27 +705,10 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                 continue
 
             slacks = model.coupling_residuals(sol.x)
-            worst = float(np.max(slacks, initial=0.0))
-
-            if worst <= _EXACT_TOL:
-                # point is on the cone surface: recover and fathom
-                try:
-                    opf = jabr.recover_angles(net, model, sol,
-                                              tol=10 * _EXACT_TOL)
-                    if opf.objective < ub_val():
-                        consider(_settle(net, opf, bal, fixed_voltage) or opf)
-                except ValueError:
-                    pass
-                if incumbent is None:
-                    polish(model, sol.x)
-                if incumbent is not None and incumbent.objective <= node_lb \
-                        + gap_tol * max(1.0, abs(node_lb)):
-                    trace.append((nodes, node_lb, ub_val()))
-                    continue
-                # recovery failed numerically; keep branching below
-
-            else:
-                polish(model, sol.x)
+            polish(model, sol, np.max(slacks, initial=0.0) <= _EXACT_TOL)
+            if node_lb >= cutoff():
+                trace.append((nodes, node_lb, ub_val()))
+                continue
             left.append((node_lb, box, model, sol.x, slacks, nodes))
 
         # phase 2: one range-reduction call for the open nodes, under the

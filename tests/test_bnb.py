@@ -275,12 +275,18 @@ def test_polish_fails_on_infeasible_instance(net3):
 
 
 def _polish_points(net, seeds=(0, 1, 2)):
-    """z = (|V|, free angles) near the relaxation voltages, each at least
-    1e-3 away from every clip kink of the balance residuals."""
+    """The relaxation's unit split, clipped into the unit boxes, and
+    z = (|V|, free angles) near the relaxation voltages, each at least 1e-3
+    away from every clip kink of the balance residuals and, at a bus whose
+    required active generation lies inside its box, from the kink of the
+    cost where that requirement equals the bus's summed active split (the
+    reactive split does not enter the cost)."""
     res = jabr.solve_relaxation(net)
     point = res.model.point(res.solution.x)
     vm = np.sqrt([point["cii"][b.id] for b in net.buses])
     bal = bnb._balance(net)
+    base = np.clip([point["pg"], point["qg"]], bal.gen_lo, bal.gen_hi)
+    summed = np.bincount(bal.gen_bus, base[0], net.num_buses)
     n = net.num_buses
     out = []
     for seed in seeds:
@@ -290,8 +296,11 @@ def _polish_points(net, seeds=(0, 1, 2)):
         need = bnb._required(z, bal)
         assert np.min(np.abs(need - bal.lo)) > 1e-3
         assert np.min(np.abs(need - bal.hi)) > 1e-3
+        inside = (need[0] > bal.lo[0]) & (need[0] < bal.hi[0])
+        assert np.min(np.abs(need[0] - summed)[inside],
+                      initial=np.inf) > 1e-3
         out.append(z)
-    return bal, out
+    return bal, base, out
 
 
 def _central(f, z, h=1e-6):
@@ -302,11 +311,13 @@ def _central(f, z, h=1e-6):
 def _polish_networks(net3):
     tree9 = network.spanning_tree(cases.load_case("case9", drop_charging=True), 0)
     # a second unit with a quadratic cost at the slack bus exercises the
-    # pro-rata split of the allocation
+    # split of the allocation between units; its relaxation split sits at
+    # the floors, the two-unit case3 at γ=1.00 has one off them
     extra = network.Generator(bus=1, pmin=0.5, pmax=2.0, qmin=-0.5, qmax=1.0,
                               cost=network.CostFunction(c2=40.0, c1=300.0))
     two_units = dataclasses.replace(net3, generators=net3.generators + (extra,))
-    return [network.scale_load(net3, 1.00, scale_p=False), tree9, two_units]
+    return [network.scale_load(net3, 1.00, scale_p=False), tree9, two_units,
+            _two_units(net3, 1.00)]
 
 
 @pytest.mark.filterwarnings("ignore:branch")
@@ -315,21 +326,23 @@ def test_polish_derivatives_match_central_differences(net3):
     gradient of the penalized cost agree with central differences."""
     slopes = outside = 0
     for net in _polish_networks(net3):
-        bal, points = _polish_points(net)
+        bal, base, points = _polish_points(net)
         for z in points:
             J = bnb._residual_jacobian(z, bal)
             fd = _central(lambda zz: bnb._residuals(zz, bal), z)
             np.testing.assert_allclose(J, fd, rtol=1e-6,
                                        atol=1e-6 * np.max(np.abs(J)))
-            rho = 1e5 * (1.0 + abs(bnb._alloc_cost(z, bal)))
-            _, grad = bnb._penalized(z, bal, rho)
-            fd = _central(lambda zz: np.array([bnb._penalized(zz, bal, rho)[0]]), z)[0]
+            rho = 1e5 * (1.0 + abs(bnb._alloc_cost(z, bal, base)))
+            _, grad = bnb._penalized(z, bal, base, rho)
+            fd = _central(lambda zz: np.array(
+                [bnb._penalized(zz, bal, base, rho)[0]]), z)[0]
             np.testing.assert_allclose(grad, fd, rtol=1e-6,
                                        atol=1e-6 * np.max(np.abs(grad)))
-            # the cost-only gradient, where the pro-rata slope is not
-            # swamped by the penalty
-            _, grad = bnb._penalized(z, bal, 0.0)
-            fd = _central(lambda zz: np.array([bnb._alloc_cost(zz, bal)]), z)[0]
+            # the cost-only gradient, where the slope through the split is
+            # not swamped by the penalty
+            _, grad = bnb._penalized(z, bal, base, 0.0)
+            fd = _central(lambda zz: np.array(
+                [bnb._alloc_cost(zz, bal, base)]), z)[0]
             np.testing.assert_allclose(grad, fd, rtol=1e-6,
                                        atol=1e-6 * np.max(np.abs(grad)))
             need = bnb._required(z, bal)
@@ -339,17 +352,31 @@ def test_polish_derivatives_match_central_differences(net3):
     assert slopes and outside  # both terms of the gradient were exercised
 
 
-def test_settle_meets_the_balance_equations(net3):
-    """A recovered exact point is pushed onto the balance rows well below
-    the 1e-6 acceptance tolerance."""
+def test_polish_of_an_exact_point_meets_the_balance_equations(net3):
+    """A single-start polish of an exact relaxation point lands on the
+    balance rows well below the 1e-6 acceptance tolerance, at the
+    relaxation's cost."""
     scaled = network.scale_load(net3, 0.95, scale_p=False)
     res = jabr.solve_relaxation(scaled)
-    settled = bnb._settle(scaled, res.opf, bnb._balance(scaled))
-    assert settled is not None
-    check = jabr.evaluate_opf_point(scaled, settled.e, settled.f,
-                                    settled.pg, settled.qg)
+    cand = bnb.local_polish(scaled, res.model.point(res.solution.x),
+                            multistart=False)
+    assert cand is not None
+    check = jabr.evaluate_opf_point(scaled, cand.e, cand.f, cand.pg, cand.qg)
     assert check.max_violation < 1e-9
-    assert settled.objective == pytest.approx(res.objective, rel=1e-5)
+    assert cand.objective == pytest.approx(res.objective, rel=1e-5)
+
+
+def test_polish_keeps_the_relaxation_split_between_units(net3):
+    """Two units of different cost share the generator bus of the inexact
+    case3 at γ=1.00.  Polished from the relaxation point, the cheap unit
+    keeps more than its floor, and the point costs at most 912; a split
+    pro rata by range gives both units 0.951 for 950.72."""
+    net = _two_units(net3, 1.00)
+    res = jabr.solve_relaxation(net, refine=False)
+    assert res.verdict == "inexact"
+    cand = bnb.local_polish(net, res.model.point(res.solution.x))
+    assert cand is not None and cand.objective <= 912.0
+    assert cand.pg[0] > net.generators[0].pmin + 1e-3
 
 
 # ------------------------------------------------------------------ obbt
@@ -437,17 +464,17 @@ def test_global_exact_short_circuit(net2):
     assert res.gap <= 1e-4
 
 
-def _two_units(net3):
-    """case3 at γ=0.95 with its unit split into two of different cost."""
+def _two_units(net3, gamma=0.95):
+    """case3 at `gamma` with its unit split into two of different cost."""
     units = tuple(network.Generator(bus=1, pmin=0.75, pmax=2.75, qmin=-0.5,
                                     qmax=2.5, cost=network.CostFunction(c1=c1))
                   for c1 in (400.0, 600.0))
     return network.scale_load(dataclasses.replace(net3, generators=units),
-                              0.95, scale_p=False)
+                              gamma, scale_p=False)
 
 
 def test_global_fathoms_an_exact_node_with_two_units(net3):
-    """Two units of different cost share the generator bus.  The settled
+    """Two units of different cost share the generator bus.  The polished
     point of the exact root keeps the relaxation's split, cheap unit first,
     so the root is fathomed at the relaxation value."""
     res = bnb.solve_global(_two_units(net3), gap_tol=1e-4)
@@ -458,13 +485,22 @@ def test_global_fathoms_an_exact_node_with_two_units(net3):
 
 def test_unbranchable_node_keeps_its_bound(net3, monkeypatch):
     """The exact root of the two-unit case gives no incumbent when angle
-    recovery fails; the polish finds a dearer point, and the root can be
-    neither fathomed nor branched.  Its bound must stay in the lower bound,
-    so the search may not certify the polished point."""
+    recovery fails and the polish splits from the units' floors: that
+    polish finds a dearer point, and the root can be neither fathomed nor
+    branched.  Its bound must stay in the lower bound, so the search may
+    not certify the polished point."""
     def fail(*args, **kwargs):
         raise ValueError("recovery failed")
 
+    polish = bnb.local_polish
+
+    def from_floors(net, point, **kwargs):
+        floors = {"pg": [g.pmin for g in net.generators],
+                  "qg": [g.qmin for g in net.generators]}
+        return polish(net, {**point, **floors}, **kwargs)
+
     monkeypatch.setattr(bnb.jabr, "recover_angles", fail)
+    monkeypatch.setattr(bnb, "local_polish", from_floors)
     res = bnb.solve_global(_two_units(net3), gap_tol=1e-4)
     assert res.status == bnb.GAP_LIMIT
     assert res.lower_bound == pytest.approx(res.root_lb, rel=1e-9)

@@ -211,6 +211,29 @@ def test_solve_rejects_a_bad_fix_voltage(capsys, case2_path, pins, words):
     assert "--fix-voltage" in err and words in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["sweep", "--gamma-from", "1.0", "--gamma-to", "1.0", "--step", "0.1",
+     "--solve"],
+], ids=["solve", "sweep-solve"])
+def test_global_solve_of_an_infinite_unit_bound_is_a_data_error(
+        capsys, tmp_path, argv):
+    """The global solver refuses a unit with an infinite bound; the CLI
+    reports that as a data error in one line on stderr, not a traceback."""
+    import dataclasses
+    from radopf import network
+    net = cases.load_case("case2_two_gen")
+    unit = dataclasses.replace(net.generators[0], pmax=float("inf"))
+    p = tmp_path / "case2_inf.json"
+    p.write_text(network.network_to_json(
+        dataclasses.replace(net, generators=(unit,) + net.generators[1:])))
+    assert "Infinity" in p.read_text()
+    code, out, err = run(capsys, argv[:1] + ["--case", str(p)] + argv[1:])
+    assert code == cli.EXIT_DATA
+    assert out == "" and len(err.splitlines()) == 1
+    assert "unit 0 at bus 1 has an infinite bound" in err
+
+
 def test_tighten_outputs_bounds_and_cuts(capsys, case2_path):
     code, out, _ = run(capsys, ["tighten", "--case", case2_path])
     assert code == cli.EXIT_OK

@@ -631,6 +631,32 @@ def test_stopping_constants_are_read_at_each_call(monkeypatch):
     assert capped.iterations == 3
 
 
+def test_blocked_corrector_is_retaken(monkeypatch):
+    """A corrector step blocked near the cone boundary is retaken as a
+    plain centering-biased step.  Each iteration measures two steps,
+    predictor then corrector; blocking the corrector of iteration 4 of the
+    2-bus γ=1.00 relaxation costs one more step measurement, for the
+    retake, and the solve still ends at the unblocked optimum."""
+    from radopf import cases, jabr, network
+    net = network.scale_load(cases.load_case("case2_two_gen"), 1.00)
+    max_step = _ipm._max_step
+    calls = {False: 0, True: 0}
+
+    def blocking(V, D, dims):
+        calls[block] += 1
+        out = max_step(V, D, dims)
+        return np.full_like(out, 1e-6) if block and calls[True] == 8 else out
+
+    monkeypatch.setattr(_ipm, "_max_step", blocking)
+    block = False
+    free = jabr.solve_relaxation(net, refine=False).solution
+    block = True
+    blocked = jabr.solve_relaxation(net, refine=False).solution
+    assert calls[True] == calls[False] + 1
+    assert free.optimal and blocked.optimal
+    assert blocked.objective == pytest.approx(free.objective, rel=1e-8)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_directions_match_one_member_solves(seed):
     """Every min/max direction of one program, solved in one batch, ends
