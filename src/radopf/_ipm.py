@@ -16,7 +16,9 @@ One call solves a batch of programs that share the cone layout and the sizes
 ``n`` and ``p``.  Every array carries a leading member axis and every
 member keeps its own iterates, step lengths, stopping test and certificate;
 a member that ends leaves the batch, so the numpy dispatch of an iteration
-is paid once for all members still running.
+is paid once for all members still running.  A member given a finite cutoff
+and a box around its optimal points also leaves once a Lagrangian bound of
+its iterate reaches that cutoff (`conelp`).
 
 Each iteration eliminates the ``z`` block of the Newton system through the NT
 scaling ``W``: with ``Gt = W^{-1} G`` only the ``(n+p)``-square matrix
@@ -47,6 +49,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 FAILED = "numerical_failure"
+CUTOFF = "cutoff"
 
 # step-back factor keeping iterates strictly interior
 _STEP = 0.99
@@ -598,7 +601,7 @@ class _Sparse(_Storage):
         return out
 
 
-def conelp(c, G, h, dims, A, b):
+def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
     """Solve a batch of conic LPs to `FEASTOL` and `GAPTOL`; returns one
     result dict per member, each with its status and certificates.
 
@@ -608,15 +611,34 @@ def conelp(c, G, h, dims, A, b):
     (members, p, n).  The objective of each member is normalized internally
     (costs can be orders of magnitude above the constraint data in $-valued
     problems); duals and objective values are scaled back on exit.
+
+    `cutoff`, one value per member, and `box`, a pair (lo, hi) of rows like
+    `c` that holds some optimal point of each member, stop a member whose
+    optimum cannot lie below its cutoff.  With ``r = c + A'y + G'z``, every
+    iterate with z in K gives the Lagrangian bound
+    ``L = sum_i min(r_i lo_i, r_i hi_i) - b'y - h'z`` on the optimum, since
+    ``c'x = r'x - b'y - h'z + s'z`` at a feasible x (Neumaier and
+    Shcherbina, Math. Prog. 2004); an infinite side of the box on which
+    some r_i has its minimum makes L -inf.  A member whose L reaches its cutoff ends `CUTOFF`, and every
+    member reports in ``bound`` the largest L over its iterates, whatever
+    its status.  Without a finite cutoff the bound is not formed and
+    ``bound`` is -inf.
     """
     c = np.asarray(c, dtype=float).reshape(-1, np.shape(c)[-1])
     c_scale = np.maximum.reduce(np.abs(c), axis=1, initial=1.0)
+    if cutoff is not None:
+        cutoff = np.asarray(cutoff, dtype=float) / c_scale
+        if np.isfinite(cutoff).any():
+            box = tuple(_rows(side, len(c)) for side in box)
+        else:
+            cutoff = None
     # iterates near the cone boundary may overflow or divide by zero; the
     # solver detects non-finite values itself and stops on them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        outs = _conelp_core(c / c_scale[:, None], G, h, dims, A, b)
+        outs = _conelp_core(c / c_scale[:, None], G, h, dims, A, b, cutoff,
+                            box)
     for out, scale in zip(outs, c_scale.tolist()):
-        for key in ("pobj", "dobj", "gap"):
+        for key in ("pobj", "dobj", "gap", "bound"):
             if out[key] is not None:
                 out[key] *= scale
         for key in ("y", "z"):
@@ -634,7 +656,7 @@ def _result(status, iterations, info=None, **kw):
     out = dict(status=status, x=None, y=None, z=None, s=None,
                pobj=None, dobj=None, pres=np.inf, dres=np.inf,
                gap=np.inf, relgap=np.inf, iterations=iterations,
-               certificate=None)
+               certificate=None, bound=-np.inf)
     if info is not None:
         out.update(zip(_INFO, info.tolist()))
     out.update(kw)
@@ -660,7 +682,7 @@ class _Members:
             setattr(self, key, val[rows])
 
 
-def _conelp_core(c, G, h, dims, A, b):
+def _conelp_core(c, G, h, dims, A, b, cutoff, box):
     count, n = c.shape
     m = dims.m
     feastol, gaptol = FEASTOL, GAPTOL
@@ -702,7 +724,10 @@ def _conelp_core(c, G, h, dims, A, b):
         # [c; -b; 0; -h]: [A'y + G'z; A x; 0; G x] + cbh_ tau is the
         # residual with r_x negated
         cbh_=np.concatenate((c, -cbh[:, n:]), axis=1),
-        norms=norms, cert=(feastol * norms[:, 2]) ** 2)
+        norms=norms, cert=(feastol * norms[:, 2]) ** 2,
+        # the largest Lagrangian bound so far, formed only under a cutoff
+        best=np.full(count, -np.inf),
+        **({} if cutoff is None else dict(cut=cutoff, lo=box[0], hi=box[1])))
     if not kkt0.ok.all():
         for i in np.flatnonzero(~kkt0.ok):
             out[i] = _result(FAILED, it)
@@ -716,7 +741,7 @@ def _conelp_core(c, G, h, dims, A, b):
     def fail(rows):
         """Record the best iterate of each member in `rows` as a failure:
         the first one with the smallest of max(pres, dres, relgap)."""
-        for i in act.ids[rows].tolist():
+        for i, bound in zip(act.ids[rows].tolist(), act.best[rows].tolist()):
             best, fields = np.inf, {}
             for ids, Xt, info in history:
                 j = np.searchsorted(ids, i)
@@ -725,7 +750,7 @@ def _conelp_core(c, G, h, dims, A, b):
                     fields = dict(x=Xt[j, :n], y=Xt[j, n:k],
                                   z=Xt[j, z0:z0 + m], s=Xt[j, s0:],
                                   info=info[j])
-            out[i] = _result(FAILED, it, **fields)
+            out[i] = _result(FAILED, it, bound=bound, **fields)
 
     for it in range(1, MAXITER + 1):
         X, cbh = act.X, act.cbh
@@ -797,6 +822,19 @@ def _conelp_core(c, G, h, dims, A, b):
                     UNBOUNDED, it, x=xc, s=sc, pres=pres[j], dres=dres[j],
                     certificate={"kind": "dual", "x": xc, "s": sc})
             done |= rows
+        if cutoff is not None:
+            # the Lagrangian bound of each iterate (see `conelp`): a member
+            # whose bound reaches its cutoff ends, and every member that
+            # ends reports its largest bound
+            r = hr[:, :n]
+            np.fmax(act.best, (np.vecdot(r, np.where(r > 0, act.lo, act.hi))
+                               - by_hz) / tau, out=act.best)
+            rows = ~done & (act.best >= act.cut)
+            for j in np.flatnonzero(rows):
+                out[act.ids[j]] = _result(CUTOFF, it)
+            done |= rows
+            for j in np.flatnonzero(done):
+                out[act.ids[j]]["bound"] = float(act.best[j])
 
         # NT scaling and KKT factor; a scaling blow-up at the boundary or a
         # failed factorization ends the member with its best iterate

@@ -7,10 +7,11 @@ while c^2 and s^2 are bounded above by their secants, giving linear rows that
 shrink to the surface as boxes shrink.  A node box bounds the variables of
 the network's lifted model in the model's own index layout, so relaxation,
 propagation, branching and range reduction all read it directly.  Bisection
-branches on the variable contributing most to the worst coupling slack,
-incumbents come from a local polish of relaxation points in (|V|, angle)
-space, and every incumbent must pass the independent rectangular
-feasibility check before it is accepted.
+splits the variable contributing most to the worst coupling slack at the
+middle of its interval, node relaxations stop once their Lagrangian bound
+reaches the cutoff, incumbents come from a local polish of relaxation points
+in (|V|, angle) space, and every incumbent must pass the independent
+rectangular feasibility check before it is accepted.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ def branch(model: jabr.JabrModel, box: NodeBox, x: np.ndarray,
            slacks: np.ndarray) -> tuple[list, tuple | None]:
     """Children boxes from bisecting the strongest contributor to the worst
     coupling slack at the point `x` of `model`'s variables, and the
-    (variable, split) bisected; the split point is the variable's value
-    clamped to the middle 60% of its interval.  Candidates, in order, are a
-    line's from-bus c_ii, to-bus c_ii, c and s; no children when no line
-    with positive slack has one wider than the width floor."""
+    (variable, split) bisected; the split point is the middle of the
+    variable's interval, whatever its value in `x`.  Candidates, in order,
+    are a line's from-bus c_ii, to-bus c_ii, c and s; no children when no
+    line with positive slack has one wider than the width floor."""
     lo, hi = box.lo, box.hi
     for k in np.argsort(-slacks):
         if slacks[k] <= 0:
@@ -150,8 +151,7 @@ def branch(model: jabr.JabrModel, box: NodeBox, x: np.ndarray,
         if best is None:
             continue
         v = best[0]
-        split = min(max(x[v], lo[v] + 0.2 * (hi[v] - lo[v])),
-                    hi[v] - 0.2 * (hi[v] - lo[v]))
+        split = 0.5 * (lo[v] + hi[v])
         left, right = box.copy(), box.copy()
         left.hi[v] = right.lo[v] = split
         return [left, right], (v, split)
@@ -477,6 +477,7 @@ class BnbResult:
     trace: list = field(default_factory=list)
     polish_calls: int = 0     # local_polish calls made by the search
     polish_found: int = 0     # of which gave a new incumbent
+    cutoff_stops: int = 0     # node relaxations stopped at the cutoff
 
     @property
     def optimal(self) -> bool:
@@ -509,16 +510,19 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     nodes than `node_limit` has left.  Interval propagation tightens each
     popped box's c_ii, c and s intervals (the unit bounds stay those of the
     units), and the boxes' relaxations are solved in one batched
-    interior-point call.  The batch then runs in three phases:
+    interior-point call under the cutoff (`conic.solve_batch`): a
+    relaxation whose Lagrangian bound reaches the cutoff stops there, and
+    `cutoff_stops` counts those.  The batch then runs in three phases:
 
-    1. Per node, in bound order: an infeasible relaxation is dropped, a
-       bound at the cutoff is fathomed, the polish runs when one is due,
-       and a bound that the polish's incumbent brought to the cutoff is
-       fathomed.
+    1. Per node, in bound order: a relaxation that is infeasible or stopped
+       at the cutoff is dropped, a bound at the cutoff is fathomed, the
+       polish runs when one is due, and a bound that the polish's
+       incumbent brought to the cutoff is fathomed.
     2. Every node still open is range-reduced in one call
        (`range_reduction_batch`), under the incumbent as phase 1 left it.
     3. Per node: a box emptied by the reduction is pruned; the others are
-       branched and their children pushed.
+       bisected at the middle of one interval (`branch`) and their children
+       pushed.
 
     Incumbents come only from `local_polish`.  A node whose relaxation
     point lies on the cone surface is polished at once, without extra
@@ -533,10 +537,11 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     no call; `polish_calls` counts the calls made and `polish_found` those
     that gave a new incumbent.
 
-    A node whose relaxation ends without an answer is range-reduced under
-    the cutoff when there is an incumbent: it is pruned if that certifies
-    its box empty, and otherwise branched blindly at its box's middle with
-    its parent's bound.  A node, solved or not, that is neither pruned,
+    A node whose relaxation ends without an answer is pruned when the
+    largest Lagrangian bound of its iterates reaches the cutoff.  Otherwise
+    it is range-reduced under the cutoff when there is an incumbent: it is
+    pruned if that certifies its box empty, and otherwise branched blindly
+    with its parent's bound.  A node, solved or not, that is neither pruned,
     fathomed nor branchable keeps its bound in the reported lower bound, so
     the search then ends `gap-limit`.
 
@@ -566,7 +571,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     floor = math.inf  # least bound of the open nodes dropped unbranched
     fails = 0         # failed polishes since the start or the last success
     next_polish = 0   # node count from which a polish is due again
-    polish_calls = polish_found = 0
+    polish_calls = polish_found = cutoff_stops = 0
 
     def ub_val():
         return incumbent.objective if incumbent is not None else math.inf
@@ -594,7 +599,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                          nodes=nodes, root_lb=root_lb, root_gap_pct=rg,
                          cuts=len(cuts), runtime=time.monotonic() - t0,
                          preprocess_time=pre_time, trace=trace,
-                         polish_calls=polish_calls, polish_found=polish_found)
+                         polish_calls=polish_calls, polish_found=polish_found,
+                         cutoff_stops=cutoff_stops)
 
     root = NodeBox.of(base)
     try:
@@ -682,7 +688,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         if not batch:
             break
         models = [node_relaxation(base, box, cuts) for _, box in batch]
-        sols = conic.solve_batch([m.program for m in models])
+        sols = conic.solve_batch([m.program for m in models],
+                                 cutoffs=[cutoff()] * len(models))
 
         # phase 1, per node in bound order: verdict, fathoming, incumbents;
         # `left` keeps (bound, box, model, x, slacks, node) of the nodes
@@ -690,11 +697,13 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         left = []
         for (lb_parent, box), model, sol in zip(batch, models, sols):
             nodes += 1
-            if sol.status == conic.INFEASIBLE:
+            cutoff_stops += sol.status == conic.CUTOFF
+            if sol.status in (conic.INFEASIBLE, conic.CUTOFF):
                 continue
             if not sol.optimal:
-                left.append((lb_parent, box, model, None,
-                             np.ones(len(net.lines)), nodes))
+                if sol.bound < cutoff():
+                    left.append((lb_parent, box, model, None,
+                                 np.ones(len(net.lines)), nodes))
                 continue
 
             node_lb = sol.dual_objective if sol.dual_objective is not None \
@@ -727,8 +736,9 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             boxes[k] = box
 
         # phase 3, per node: prune or branch.  An unresolved node is
-        # branched blindly at its box's middle with its parent's bound; the
-        # free cost epigraph has no middle, and `branch` does not read it.
+        # branched blindly, scored at its box's middle, with its parent's
+        # bound; the free cost epigraph has no middle, and `branch` does not
+        # read it.
         for (node_lb, _, model, x, slacks, node), box in zip(left, boxes):
             if box is not None:
                 with np.errstate(invalid="ignore"):

@@ -68,6 +68,7 @@ def _report(net, gamma, relax_result, bnb_result=None) -> dict:
             "cuts": bnb_result.cuts,
             "polish_calls": bnb_result.polish_calls,
             "polish_found": bnb_result.polish_found,
+            "cutoff_stops": bnb_result.cutoff_stops,
             "root_gap_percent": bnb_result.root_gap_pct,
             "preprocess_s": round(bnb_result.preprocess_time, 3),
             "search_s": round(bnb_result.runtime - bnb_result.preprocess_time, 3),

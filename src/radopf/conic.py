@@ -7,7 +7,8 @@ form, over exactly the program's variables, and runs the in-repo
 interior-point method.  A convex quadratic cost is modelled by its caller as
 a variable t with cost 1 and the epigraph cone ``t >= sum_i q_i x_i^2``
 (`ConicProgram.epigraph_cone`), which is scaled from the variables' bounds so
-that both sides of the cone are of one size.
+that both sides of the cone are of one size.  :func:`solve_batch` can stop a
+member once a Lagrangian bound of its iterate reaches a cutoff.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ OPTIMAL = _ipm.OPTIMAL
 INFEASIBLE = _ipm.INFEASIBLE
 UNBOUNDED = _ipm.UNBOUNDED
 FAILED = _ipm.FAILED
+CUTOFF = _ipm.CUTOFF
 
 
 class ProgramError(ValueError):
@@ -66,7 +68,12 @@ class _Cone:
 
 
 class ConicProgram:
-    """Builder for a conic program over named scalar variables."""
+    """Builder for a conic program over named scalar variables.
+
+    `ranges` maps a variable to an interval that holds it at every optimum
+    of the program's own objective, narrower than its bounds.  It adds no
+    row: only the Lagrangian bound of `solve_batch` reads it.
+    """
 
     def __init__(self):
         self.names: list[str] = []
@@ -77,6 +84,7 @@ class ConicProgram:
         self.eqs: list[_Row] = []
         self.ineqs: list[_Row] = []
         self.cones: list[_Cone] = []
+        self.ranges: dict[int, tuple[float, float]] = {}
 
     def copy(self) -> "ConicProgram":
         """A program with the same data whose lists are its own: variables,
@@ -84,6 +92,7 @@ class ConicProgram:
         and cones themselves are shared."""
         out = ConicProgram()
         out.cost_const = self.cost_const
+        out.ranges = dict(self.ranges)
         for attr in ("names", "lb", "ub", "cost", "eqs", "ineqs", "cones"):
             setattr(out, attr, list(getattr(self, attr)))
         return out
@@ -129,6 +138,9 @@ class ConicProgram:
         t in the thousands they differ by ~1e3, and the interior-point
         method takes short steps for most of its iterations.  The set is the
         same for every g > 0.
+
+        When every term is bounded, t gets the range ``[0, g^2]``: t is a
+        cost the program minimizes, so at an optimum it equals the sum.
         """
         pairs = [(i, qi) for i, qi in terms if qi > 0]
         idx = np.array([i for i, _ in pairs], dtype=int)
@@ -136,7 +148,10 @@ class ConicProgram:
         reach = np.maximum(np.square(np.array(self.lb)[idx]),
                            np.square(np.array(self.ub)[idx]))
         bounded = np.isfinite(reach)
-        g = float(np.sqrt(q[bounded] @ reach[bounded])) or 1.0
+        g2 = float(q[bounded] @ reach[bounded])
+        g = float(np.sqrt(g2)) or 1.0
+        if bounded.all():
+            self.ranges[t] = (0.0, g2)
         self.cones.append(_Cone((np.array([t]), np.array([1.0 / g]), 0.0),
                                 (np.empty(0, dtype=int), np.empty(0), g),
                                 [(np.array([i]), np.array([np.sqrt(qi)]), 0.0)
@@ -276,6 +291,7 @@ class ConicSolution:
     duality_gap: float = np.inf
     iterations: int = 0
     certificate: dict | None = None
+    bound: float = -INF    # largest Lagrangian bound over the iterates
 
     @property
     def optimal(self) -> bool:
@@ -289,7 +305,7 @@ def solve(prog: ConicProgram, *, objective_override=None) -> ConicSolution:
     return solve_batch([prog], [objective_override])[0]
 
 
-def solve_batch(progs, overrides=None) -> list[ConicSolution]:
+def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
     """Solve a list of programs, one member each, in as few interior-point
     calls as their shapes allow; returns one solution per member, in order.
 
@@ -298,9 +314,20 @@ def solve_batch(progs, overrides=None) -> list[ConicSolution]:
     members is compiled once; members whose compiled shapes agree share one
     batched `conelp` call, in which every member runs its own iterates and
     ends as its own one-member solve would.
+
+    `cutoffs`, if given, is aligned to `progs` as well: a value of the
+    program's own objective, cost constant included, at or above which the
+    member's optimum is of no use; a member with an override takes none.
+    A member with a finite cutoff ends `CUTOFF` once a Lagrangian bound of
+    its iterate reaches it (`_ipm.conelp`), and reports the largest such
+    bound in `ConicSolution.bound`, whatever its status; the bound reads
+    the program's variable bounds narrowed to its `ranges`.  A group of
+    members without a finite cutoff forms no bound.
     """
     if overrides is None:
         overrides = [None] * len(progs)
+    if cutoffs is None:
+        cutoffs = [INF] * len(progs)
     compiled, groups = {}, {}
     for i, (prog, override) in enumerate(zip(progs, overrides)):
         key = id(prog)
@@ -316,11 +343,27 @@ def solve_batch(progs, overrides=None) -> list[ConicSolution]:
         G, h, dims, A, b = data[0]
         if len({key for _, key, _ in members}) > 1:
             G, h, A, b = (np.stack([d[j] for d in data]) for j in (0, 1, 3, 4))
+        # a cutoff and the ranges hold for a program's own objective only
+        cut = [cutoffs[i] - progs[i].cost_const if overrides[i] is None
+               else INF for i, _, _ in members]
+        box = None
+        if np.isfinite(cut).any():
+            box = tuple(np.stack([_bound_box(progs[i]) for i, _, _ in members],
+                                 axis=1))
         res = _ipm.conelp(np.array([c for _, _, c in members]), G, h, dims,
-                          A, b)
+                          A, b, cut, box)
         for (i, _, _), r in zip(members, res):
             sols[i] = _solution(progs[i], overrides[i], r)
     return sols
+
+
+def _bound_box(prog: ConicProgram) -> np.ndarray:
+    """(lo, hi) of the variables as the Lagrangian bound reads them: their
+    bounds narrowed to the program's `ranges`."""
+    box = np.array([prog.lb, prog.ub])
+    for v, (lo, hi) in prog.ranges.items():
+        box[:, v] = max(box[0, v], lo), min(box[1, v], hi)
+    return box
 
 
 def _solution(prog: ConicProgram, override, res) -> ConicSolution:
@@ -338,7 +381,7 @@ def _solution(prog: ConicProgram, override, res) -> ConicSolution:
         status=res["status"], x=x, objective=obj, dual_objective=dobj,
         primal_residual=res["pres"], dual_residual=res["dres"],
         duality_gap=res["relgap"], iterations=res["iterations"],
-        certificate=res["certificate"])
+        certificate=res["certificate"], bound=res["bound"] + offset)
 
 
 def solve_lp(prog: ConicProgram) -> ConicSolution:

@@ -119,9 +119,9 @@ def test_search_programs_have_the_model_columns(monkeypatch):
     n = jabr.build_relaxation(net).program.num_vars
     solve_batch, columns = conic.solve_batch, set()
 
-    def spy(progs, overrides=None):
+    def spy(progs, overrides=None, **kwargs):
         columns.update(p._constraints()[0].shape[1] for p in progs)
-        return solve_batch(progs, overrides)
+        return solve_batch(progs, overrides, **kwargs)
 
     monkeypatch.setattr(conic, "solve_batch", spy)
     res = bnb.solve_global(net, gap_tol=1e-2, node_limit=8)
@@ -217,17 +217,16 @@ def test_branch_partitions_parent(net2):
     assert (kids[1].lo[v], kids[1].hi[v]) == (split, hi)
 
 
-def test_branch_clamps_to_middle_band(net2):
+def test_branch_splits_at_the_middle(net2):
+    """The split is the middle of the chosen interval, whatever the value
+    of the point there, at either edge."""
     model = jabr.build_relaxation(net2)
     box = bnb.NodeBox.of(model)
-    x = 0.5 * (box.lo + box.hi)
-    x[model.cii[1]] = box.lo[model.cii[1]]  # values at the edges
-    x[model.cii[2]] = box.hi[model.cii[2]]
-    kids, info = bnb.branch(model, box, x, np.ones(1))
-    v, split = info
-    lo, hi = box.lo[v], box.hi[v]
-    w = hi - lo
-    assert lo + 0.2 * w - 1e-12 <= split <= hi - 0.2 * w + 1e-12
+    for edge in (box.lo, box.hi):
+        kids, info = bnb.branch(model, box, edge.copy(), np.ones(1))
+        v, split = info
+        assert box.lo[v] < box.hi[v]
+        assert split == 0.5 * (box.lo[v] + box.hi[v])
 
 
 def test_branch_none_when_residual_free(net2):
@@ -604,10 +603,79 @@ def test_polish_backs_off_without_an_incumbent(net3, monkeypatch):
     scaled = network.scale_load(net3, 1.04, scale_p=False)
     res = bnb.solve_global(scaled, gap_tol=2e-3, time_limit=120)
     assert res.status == bnb.INFEASIBLE
-    assert res.nodes == 57
+    assert res.nodes == 49
     assert 1 <= len(calls) <= math.ceil(math.log2(res.nodes)) + 2
     assert sum(calls) == 1
     assert (res.polish_calls, res.polish_found) == (len(calls), 0)
+
+
+def _ten_searches(net2, net3):
+    """The ten global searches of the benchmark's small workload: status,
+    nodes and the bits of the objective and lower bound of each, and the
+    total of relaxations stopped at the cutoff."""
+    runs = [(network.scale_load(net2, g), {})
+            for g in (0.13, 0.98, 1.00, 1.01, 2.92)]
+    runs += [(network.scale_load(net3, g, scale_p=False), {})
+             for g in (0.95, 1.00, 1.03, 1.04)]
+    runs.append((net2, {"fixed_voltage": {1: 0.874, 2: 0.816}}))
+    out, stops = [], 0
+    for net, kwargs in runs:
+        res = bnb.solve_global(net, gap_tol=9e-4, **kwargs)
+        out.append((res.status, res.nodes,
+                    None if res.objective is None else res.objective.hex(),
+                    float(res.lower_bound).hex()))
+        stops += res.cutoff_stops
+    return out, stops
+
+
+def test_cutoff_stops_change_no_answer(net2, net3, monkeypatch):
+    """Stopping node relaxations at the cutoff drops only nodes that the
+    search would drop anyway: with every cutoff forced to +inf the ten
+    searches end with the same status, nodes and bits."""
+    stopped, stops = _ten_searches(net2, net3)
+    assert stops > 0
+    solve_batch = conic.solve_batch
+
+    def uncut(progs, overrides=None, cutoffs=None):
+        return solve_batch(progs, overrides)
+
+    monkeypatch.setattr(conic, "solve_batch", uncut)
+    assert _ten_searches(net2, net3) == (stopped, 0)
+
+
+def test_failed_node_is_pruned_by_its_bound(net2, monkeypatch):
+    """A node relaxation that fails with its largest Lagrangian bound at
+    the cutoff is pruned before range reduction.  Every node relaxation
+    stopped at the cutoff is made to read `numerical_failure`, keeping its
+    bound: the search reaches the same answer without reducing any of
+    those nodes."""
+    scaled = network.scale_load(net2, 1.00)
+    want = bnb.solve_global(scaled, gap_tol=9e-4)
+    assert want.cutoff_stops > 0
+    # the programs themselves are kept, so that no id is reused
+    solve_batch, failed, reduced = conic.solve_batch, [], []
+
+    def failing(progs, overrides=None, cutoffs=None):
+        sols = solve_batch(progs, overrides, cutoffs)
+        for k, sol in enumerate(sols):
+            if sol.status == conic.CUTOFF:
+                failed.append(progs[k])
+                sols[k] = dataclasses.replace(sol, status=conic.FAILED)
+        return sols
+
+    reduce = bnb.range_reduction_batch
+
+    def spy(jobs):
+        reduced.extend(model.program for model, *_ in jobs)
+        return reduce(jobs)
+
+    monkeypatch.setattr(conic, "solve_batch", failing)
+    monkeypatch.setattr(bnb, "range_reduction_batch", spy)
+    res = bnb.solve_global(scaled, gap_tol=9e-4)
+    assert len(failed) == want.cutoff_stops and res.cutoff_stops == 0
+    assert not {id(p) for p in failed} & {id(p) for p in reduced}
+    assert (res.status, res.nodes, res.objective) == (
+        want.status, want.nodes, want.objective)
 
 
 def test_global_root_lb_matches_relaxation(net2):

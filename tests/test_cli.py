@@ -176,6 +176,16 @@ def test_solve_reports_polish_counts(capsys, case2_path):
     assert 1 <= doc["polish_found"] <= doc["polish_calls"]
 
 
+def test_solve_reports_cutoff_stops(capsys, case2_path):
+    """Node relaxations stopped at the incumbent's cutoff are counted."""
+    code, out, _ = run(capsys, ["solve", "--case", case2_path,
+                                "--gamma", "1.00", "--gap", "2e-3"])
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert isinstance(doc["cutoff_stops"], int)
+    assert 1 <= doc["cutoff_stops"] < doc["nodes"]
+
+
 def test_solve_infeasible_distinct_exit(capsys, case2_path):
     code, out, _ = run(capsys, ["solve", "--case", case2_path,
                                 "--gamma", "1.02", "--gap", "2e-3",

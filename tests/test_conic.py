@@ -1,5 +1,7 @@
 """Conic solver: analytic cases, LP cross-checks, certificates, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -779,3 +781,103 @@ def test_sparse_batch_with_an_infeasible_member():
     for k in dims.q:
         assert z[off] >= np.linalg.norm(z[off + 1:off + k])
         off += k
+
+
+# ----------------------------------------------------------- cutoff stop
+
+def _node_program(cii1_hi=None, cii2_lo=None):
+    """The 2-bus γ=1.00 node program over its tightened root box, with the
+    squared voltages of buses 1 and 2 optionally cut from above and below;
+    cut to [0.81, 0.91] and [1.01, 1.21] its relaxation is empty."""
+    from radopf import bnb, cases, jabr, network, tighten
+    net = network.scale_load(cases.load_case("case2_two_gen"), 1.00)
+    base = jabr.build_relaxation(net)
+    box = tighten.compute_bounds(base)
+    if cii1_hi is not None:
+        box.hi[base.cii[1]] = cii1_hi
+    if cii2_lo is not None:
+        box.lo[base.cii[2]] = cii2_lo
+    return bnb.node_relaxation(base, box).program
+
+
+def test_cutoff_below_the_optimum_stops_with_a_valid_bound():
+    prog = _node_program()
+    opt = conic.solve(prog)
+    assert opt.optimal and opt.bound == -math.inf
+    sol = conic.solve_batch([prog], cutoffs=[opt.objective * (1 - 1e-6)])[0]
+    assert sol.status == conic.CUTOFF
+    assert sol.iterations < opt.iterations
+    assert opt.objective * (1 - 1e-6) <= sol.bound <= opt.objective
+
+
+def test_cutoff_above_the_optimum_changes_nothing():
+    prog = _node_program()
+    opt = conic.solve(prog)
+    sol = conic.solve_batch([prog], cutoffs=[opt.objective * (1 + 1e-6)])[0]
+    assert sol.optimal and sol.iterations == opt.iterations
+    assert sol.x.tobytes() == opt.x.tobytes()
+    assert sol.objective == opt.objective
+    assert sol.bound <= opt.objective * (1 + 1e-9)
+
+
+def test_batch_partners_without_a_cutoff_are_untouched():
+    """Members stopped at their cutoff leave the batch; the member without
+    one ends bit for bit as its one-member solve."""
+    progs = [_node_program(), _node_program(cii1_hi=1.01),
+             _node_program(cii1_hi=0.91, cii2_lo=1.01)]
+    alone = [conic.solve(p) for p in progs]
+    cut = alone[0].objective * (1 - 1e-6)
+    sols = conic.solve_batch(progs, cutoffs=[cut, math.inf, cut])
+    assert [s.status for s in sols] == [conic.CUTOFF, conic.OPTIMAL,
+                                        conic.CUTOFF]
+    assert sols[1].x.tobytes() == alone[1].x.tobytes()
+    assert sols[1].iterations == alone[1].iterations
+    assert sols[1].bound <= alone[1].objective * (1 + 1e-9)
+
+
+def test_infeasible_node_program_stops_before_its_certificate():
+    prog = _node_program(cii1_hi=0.91, cii2_lo=1.01)
+    farkas = conic.solve(prog)
+    assert farkas.status == conic.INFEASIBLE
+    sol = conic.solve_batch([prog], cutoffs=[563.56])[0]
+    assert sol.status == conic.CUTOFF and sol.bound >= 563.56
+    assert sol.iterations < farkas.iterations
+
+
+def test_failed_member_reports_its_largest_bound(monkeypatch):
+    """A member cut off by the iteration cap still reports the largest
+    bound of its iterates, which grows with the cap and stays below the
+    optimum."""
+    prog = _node_program()
+    opt = conic.solve(prog)
+    bounds = []
+    for cap in range(2, 7):
+        monkeypatch.setattr(_ipm, "MAXITER", cap)
+        sol = conic.solve_batch([prog], cutoffs=[1e30])[0]
+        assert sol.status == conic.FAILED
+        bounds.append(sol.bound)
+    assert math.isfinite(bounds[0])
+    assert bounds == sorted(bounds) and bounds[-1] <= opt.objective
+
+
+def test_epigraph_range_lets_the_bound_stop_a_quadratic_cost():
+    """The free cost epigraph t gets [0, Σ q·max(lb², ub²)] in the box the
+    bound reads, not as a row; without that range the bound is -inf and
+    the same cutoff cannot stop the solve.  Each line's c and s get the
+    box |c|, |s| <= vmax² that a node box gives them, which the cone
+    already implies, so the optimum is the unboxed program's."""
+    prog = _chain_program(5)
+    t = prog.num_vars - 1
+    assert prog.names[t] == "cost_epi" and prog.lb[t] == -math.inf
+    assert prog.ranges == {t: (0.0, 10.0 * 5.0 ** 2)}
+    opt = conic.solve(prog)
+    assert opt.optimal
+    for v, name in enumerate(prog.names):
+        if name.startswith(("c[", "s[")) and "," in name:
+            prog.lb[v], prog.ub[v] = -1.1 ** 2, 1.1 ** 2
+    cut = opt.objective * (1 - 1e-4)
+    sol = conic.solve_batch([prog], cutoffs=[cut])[0]
+    assert sol.status == conic.CUTOFF and cut <= sol.bound <= opt.objective
+    prog.ranges = {}
+    sol = conic.solve_batch([prog], cutoffs=[cut])[0]
+    assert sol.status != conic.CUTOFF and sol.bound == -math.inf
