@@ -4,7 +4,10 @@ Node relaxations keep the full SOCP (linear balance + voltage cone) and
 outer-approximate the reverse side of the coupling equality over the node's
 box: the bilinear product c_ii*c_jj is bounded below by its McCormick planes
 while c^2 and s^2 are bounded above by their secants, giving linear rows that
-shrink to the surface as boxes shrink.  A node box bounds the variables of
+shrink to the surface as boxes shrink.  Each line also gets its two lifted
+nonlinear cuts over the node's box (Coffrin, Hijazi and Van Hentenryck, IEEE
+TPWRS 2017), which tie its (c, s) angle range to its voltage magnitude
+ranges; range reduction reads them too.  A node box bounds the variables of
 the network's lifted model in the model's own index layout, so relaxation,
 propagation, branching and range reduction all read it directly.  Bisection
 splits the variable contributing most to the worst coupling slack at the
@@ -75,24 +78,23 @@ def _sweep_rows(rows, lo, hi):
     for _ in range(6):
         changed = False
         for idx, coef, rhs in rows:
-            terms_lo = np.where(coef > 0, coef * lo[idx], coef * hi[idx])
-            terms_hi = np.where(coef > 0, coef * hi[idx], coef * lo[idx])
-            sum_lo, sum_hi = terms_lo.sum(), terms_hi.sum()
-            for t, (j, a) in enumerate(zip(idx, coef)):
-                rest_lo = sum_lo - terms_lo[t]
-                rest_hi = sum_hi - terms_hi[t]
-                if a > 0:
-                    new_lo = (rhs - rest_hi) / a - pad
-                    new_hi = (rhs - rest_lo) / a + pad
-                else:
-                    new_lo = (rhs - rest_lo) / a - pad
-                    new_hi = (rhs - rest_hi) / a + pad
-                if new_lo > lo[j] + 1e-12 or new_hi < hi[j] - 1e-12:
-                    lo[j] = max(lo[j], new_lo)
-                    hi[j] = min(hi[j], new_hi)
-                    if lo[j] > hi[j]:
-                        return None, None
-                    changed = True
+            pos = coef > 0
+            terms_lo = np.where(pos, coef * lo[idx], coef * hi[idx])
+            terms_hi = np.where(pos, coef * hi[idx], coef * lo[idx])
+            # every term reads the row-start sums, and a row names each
+            # variable once, so the row's terms update together
+            rest_lo = terms_lo.sum() - terms_lo
+            rest_hi = terms_hi.sum() - terms_hi
+            new_lo = np.where(pos, rhs - rest_hi, rhs - rest_lo) / coef - pad
+            new_hi = np.where(pos, rhs - rest_lo, rhs - rest_hi) / coef + pad
+            hit = (new_lo > lo[idx] + 1e-12) | (new_hi < hi[idx] - 1e-12)
+            if hit.any():
+                j, new_lo, new_hi = idx[hit], new_lo[hit], new_hi[hit]
+                lo[j] = np.where(new_lo > lo[j], new_lo, lo[j])
+                hi[j] = np.where(new_hi < hi[j], new_hi, hi[j])
+                if (lo[j] > hi[j]).any():
+                    return None, None
+                changed = True
         if not changed:
             break
     return lo, hi
@@ -101,8 +103,10 @@ def _sweep_rows(rows, lo, hi):
 def node_relaxation(model: jabr.JabrModel, box: NodeBox,
                     cuts=()) -> jabr.JabrModel:
     """A copy of the lifted model with the box as its variable bounds and
-    the secant cuts (`tighten.boxed`), plus two rows per line that
-    outer-approximate the reverse side of its coupling over the box."""
+    the secant cuts (`tighten.boxed`), plus four rows per line over the
+    box: two that outer-approximate the reverse side of its coupling, and
+    its two lifted nonlinear cuts (`_lnc_rows`).  Every node of a search
+    gets the same rows, so its programs share one compiled shape."""
     model = tighten.boxed(model, box, cuts)
     prog = model.program
     lo, hi = box.lo, box.hi
@@ -118,7 +122,35 @@ def node_relaxation(model: jabr.JabrModel, box: NodeBox,
         prog.add_ineq([vi, vj, vc, vs],
                       [uj, ui, -(lc + uc), -(ls + us)],
                       ui * uj + rhs_sec)
+        for coef, rhs in _lnc_rows(li, ui, lj, uj, lc, uc, ls, us):
+            prog.add_ineq([vi, vj, vc, vs], coef, rhs)
     return model
+
+
+def _lnc_rows(li, ui, lj, uj, lc, uc, ls, us):
+    """The two lifted nonlinear cuts of one line over the box of its
+    (c_ii, c_jj, c, s), as (coefficients, rhs) of rows a'x <= rhs in that
+    variable order (Coffrin, Hijazi and Van Hentenryck, IEEE TPWRS 2017).
+
+    With voltage magnitudes in [√l, √u] at each end and the angle of (c, s)
+    in [θl, θu], which lies inside ±π/2 when lc > 0, every point of the
+    surface c² + s² = c_ii·c_jj in the box meets both.  Where lc <= 0 the
+    rows are 0 <= 1, which every point meets strictly, so the row count
+    does not depend on the box."""
+    if lc <= 0:
+        return [([0.0] * 4, 1.0)] * 2
+    vli, vui, vlj, vuj = map(math.sqrt, (li, ui, lj, uj))
+    si, sj = vli + vui, vlj + vuj
+    th_l = math.atan2(ls, lc if ls < 0 else uc)
+    th_u = math.atan2(us, lc if us > 0 else uc)
+    phi, cd = 0.5 * (th_u + th_l), math.cos(0.5 * (th_u - th_l))
+    ac, as_ = si * sj * math.cos(phi), si * sj * math.sin(phi)
+    span = vli * vlj - vui * vuj
+    # σi·σj·(c·cos φ + s·sin φ) − vj·cos δ·σj·c_ii − vi·cos δ·σi·c_jj ≥ rhs,
+    # once with the upper magnitudes as (vi, vj) and once with the lower
+    return [([ej * cd * sj, ei * cd * si, -ac, -as_], -rhs)
+            for ei, ej, rhs in ((vui, vuj, vui * vuj * cd * span),
+                                (vli, vlj, -vli * vlj * cd * span))]
 
 
 # ------------------------------------------------------------------ branching

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radopf import bnb, cases, conic, jabr, network, tighten, twobus
+from radopf import _ipm, bnb, cases, conic, jabr, network, tighten, twobus
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +108,151 @@ def test_node_programs_are_independent_copies(net2):
     assert (got[2].l, list(got[2].q)) == (want[2].l, list(want[2].q))
 
 
+def _case9_tree():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # charging/tap/shift zeroed
+        return network.spanning_tree(cases.load_case("case9",
+                                                     drop_charging=True))
+
+
+def _lifted_points(net, model, vm, th, pg, qg):
+    """Rows of lifted points, one per row of the (|V|, angle) arrays, as
+    criterion 8 lifts a point, with the cost epigraph at Σ c2·pg²."""
+    X = np.zeros((len(vm), model.program.num_vars))
+    pos = net.bus_index
+    X[:, model.pg], X[:, model.qg] = pg, qg
+    for b_id, v in model.cii.items():
+        X[:, v] = vm[:, pos[b_id]] ** 2
+    for k, ln in enumerate(net.lines):
+        i, j = pos[ln.from_bus], pos[ln.to_bus]
+        d = th[:, j] - th[:, i]
+        X[:, model.c[k]] = vm[:, i] * vm[:, j] * np.cos(d)
+        X[:, model.s[k]] = vm[:, i] * vm[:, j] * np.sin(d)
+    if model.t is not None:
+        c2 = np.array([g.cost.c2 for g in net.generators])
+        X[:, model.t] = pg ** 2 @ c2
+    return X
+
+
+@pytest.mark.parametrize("which", ["two-bus", "case9-tree"])
+def test_lifted_nonlinear_cuts_keep_every_surface_point(net2, which):
+    """Random node boxes around clusters of points of the nonconvex set:
+    each line's two lifted nonlinear cuts hold at every lifted point in the
+    box to 1e-9, and a line whose box reaches c <= 0 gets rows that every
+    point meets strictly."""
+    net = network.scale_load(net2, 1.00) if which == "two-bus" else _case9_tree()
+    model = jabr.build_relaxation(net)
+    root = bnb.NodeBox.of(model)
+    rng = np.random.default_rng(24)
+    nb, nl, m = net.num_buses, len(net.lines), 200
+    pos = net.bus_index
+    vmin = np.array([b.vmin for b in net.buses])
+    vmax = np.array([b.vmax for b in net.buses])
+    glo = np.array([[g.pmin, g.qmin] for g in net.generators])
+    ghi = np.array([[g.pmax, g.qmax] for g in net.generators])
+    walk = network.tree_edges(net, net.buses[0].id)
+    line_vars = [v for k in range(nl) for v in model.line_vars(k)]
+    seen = {"cut": 0, "void": 0}
+    for trial in range(60):
+        # a cluster of points around a random centre; every fourth one has
+        # line angles around ±π/2, so that its box mostly has c <= 0
+        spread = 10 ** rng.uniform(-3, -0.5)
+        if trial % 4:
+            centre = rng.uniform(-0.6, 0.6, nl)
+        else:
+            centre = rng.choice([-1, 1], nl) * rng.uniform(1.5, 1.9, nl)
+        vm = np.clip(rng.uniform(vmin, vmax)
+                     + spread * (vmax - vmin) * rng.uniform(-1, 1, (m, nb)),
+                     vmin, vmax)
+        d = centre + spread * rng.uniform(-1, 1, (m, nl))
+        th = np.zeros((m, nb))
+        for i, j, k in walk:
+            sign = 1.0 if net.lines[k].from_bus == i else -1.0
+            th[:, pos[j]] = th[:, pos[i]] + sign * d[:, k]
+        units = rng.uniform(glo, ghi, (m, *glo.shape))
+        X = _lifted_points(net, model, vm, th, units[:, :, 0], units[:, :, 1])
+
+        box = root.copy()
+        margin = spread * rng.uniform(0, 0.1, len(line_vars))
+        box.lo[line_vars] = np.maximum(root.lo[line_vars],
+                                       X[:, line_vars].min(axis=0) - margin)
+        box.hi[line_vars] = np.minimum(root.hi[line_vars],
+                                       X[:, line_vars].max(axis=0) + margin)
+        rows = bnb.node_relaxation(model, box).program.ineqs[-4 * nl:]
+        for k in range(nl):
+            void = box.lo[model.c[k]] <= 0
+            seen["void" if void else "cut"] += 1
+            for row in rows[4 * k + 2:4 * k + 4]:
+                excess = X[:, row.idx] @ row.coef - row.rhs
+                if void:
+                    assert excess.max() < 0
+                else:
+                    assert np.any(row.coef != 0)
+                    assert excess.max() <= 1e-9, (which, trial, k)
+    assert min(seen.values()) > 0, seen
+
+
+def _count_conelp(monkeypatch):
+    """Patch `_ipm.conelp` to count its calls into the returned list."""
+    conelp, calls = _ipm.conelp, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return conelp(*args, **kwargs)
+
+    monkeypatch.setattr(_ipm, "conelp", counted)
+    return calls
+
+
+def test_boxes_with_and_without_lifted_cuts_share_one_shape(net2,
+                                                            monkeypatch):
+    """A line whose box has c <= 0 gets two rows that bind nothing in
+    place of its lifted nonlinear cuts, so its node program compiles to the
+    shape of one whose box has them, and the two solve in one call."""
+    base = jabr.build_relaxation(network.scale_load(net2, 1.00))
+    root = bnb.NodeBox.of(base)
+    kid = root.copy()
+    kid.lo[base.c[0]] = 0.5 * kid.hi[base.c[0]]
+    progs = [bnb.node_relaxation(base, box).program for box in (root, kid)]
+    assert [any(not np.any(r.coef) for r in p.ineqs) for p in progs] \
+        == [True, False]
+    shapes = [(G.shape, A.shape, dims.l, tuple(dims.q))
+              for G, _, dims, A, _ in (p._constraints() for p in progs)]
+    assert shapes[0] == shapes[1]
+    calls = _count_conelp(monkeypatch)
+    conic.solve_batch(progs)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("use_bounds", [True, False])
+def test_node_batches_share_one_conelp_call(net2, monkeypatch, use_bounds):
+    """Every node program of a search has the same rows: each popped
+    batch's node relaxations go to one `_ipm.conelp` call, with the root
+    box tightened by Algorithm 1 or, without bounds, starting from
+    |c|, |s| <= Vi_max·Vj_max."""
+    solve_batch, per_batch = conic.solve_batch, []
+    calls = _count_conelp(monkeypatch)
+
+    def spy(progs, overrides=None, cutoffs=None):
+        if cutoffs is None:          # not a node batch
+            return solve_batch(progs, overrides)
+        before = len(calls)
+        sols = solve_batch(progs, overrides, cutoffs)
+        per_batch.append(len(calls) - before)
+        return sols
+
+    monkeypatch.setattr(conic, "solve_batch", spy)
+    res = bnb.solve_global(network.scale_load(net2, 1.00), gap_tol=9e-4,
+                           use_bounds=use_bounds)
+    assert res.optimal and len(per_batch) > 1
+    assert per_batch == [1] * len(per_batch)
+
+
 def test_search_programs_have_the_model_columns(monkeypatch):
     """Every program a search on a case9 tree solves, from Algorithm 1 to
     range reduction, compiles to exactly the lifted model's columns, so a
     node box covers all of them."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # charging/tap/shift zeroed
-        net = network.spanning_tree(cases.load_case("case9",
-                                                    drop_charging=True))
+    net = _case9_tree()
     n = jabr.build_relaxation(net).program.num_vars
     solve_batch, columns = conic.solve_batch, set()
 
@@ -603,7 +740,7 @@ def test_polish_backs_off_without_an_incumbent(net3, monkeypatch):
     scaled = network.scale_load(net3, 1.04, scale_p=False)
     res = bnb.solve_global(scaled, gap_tol=2e-3, time_limit=120)
     assert res.status == bnb.INFEASIBLE
-    assert res.nodes == 49
+    assert res.nodes == 23
     assert 1 <= len(calls) <= math.ceil(math.log2(res.nodes)) + 2
     assert sum(calls) == 1
     assert (res.polish_calls, res.polish_found) == (len(calls), 0)
