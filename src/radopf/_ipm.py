@@ -612,26 +612,24 @@ def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
     (costs can be orders of magnitude above the constraint data in $-valued
     problems); duals and objective values are scaled back on exit.
 
-    `cutoff`, one value per member, and `box`, a pair (lo, hi) of rows like
-    `c` that holds some optimal point of each member, stop a member whose
-    optimum cannot lie below its cutoff.  With ``r = c + A'y + G'z``, every
-    iterate with z in K gives the Lagrangian bound
+    `cutoff`, one value per member (+inf for none), and `box`, a pair
+    (lo, hi) of rows like `c` that holds some optimal point of each member,
+    bound every member's optimum and stop a member whose optimum cannot lie
+    below its cutoff.  With ``r = c + A'y + G'z``, every iterate with z in
+    K gives the Lagrangian bound
     ``L = sum_i min(r_i lo_i, r_i hi_i) - b'y - h'z`` on the optimum, since
     ``c'x = r'x - b'y - h'z + s'z`` at a feasible x (Neumaier and
     Shcherbina, Math. Prog. 2004); an infinite side of the box on which
-    some r_i has its minimum makes L -inf.  A member whose L reaches its cutoff ends `CUTOFF`, and every
-    member reports in ``bound`` the largest L over its iterates, whatever
-    its status.  Without a finite cutoff the bound is not formed and
-    ``bound`` is -inf.
+    some r_i has its minimum makes L -inf.  A member whose L reaches its
+    cutoff ends `CUTOFF`, and every member reports in ``bound`` the largest
+    L over its iterates, whatever its status.  Without `cutoff` the bound
+    is not formed and ``bound`` is -inf.
     """
     c = np.asarray(c, dtype=float).reshape(-1, np.shape(c)[-1])
     c_scale = np.maximum.reduce(np.abs(c), axis=1, initial=1.0)
     if cutoff is not None:
         cutoff = np.asarray(cutoff, dtype=float) / c_scale
-        if np.isfinite(cutoff).any():
-            box = tuple(_rows(side, len(c)) for side in box)
-        else:
-            cutoff = None
+        box = tuple(_rows(side, len(c)) for side in box)
     # iterates near the cone boundary may overflow or divide by zero; the
     # solver detects non-finite values itself and stops on them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -725,7 +723,7 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         # residual with r_x negated
         cbh_=np.concatenate((c, -cbh[:, n:]), axis=1),
         norms=norms, cert=(feastol * norms[:, 2]) ** 2,
-        # the largest Lagrangian bound so far, formed only under a cutoff
+        # the largest Lagrangian bound so far, formed only under cutoffs
         best=np.full(count, -np.inf),
         **({} if cutoff is None else dict(cut=cutoff, lo=box[0], hi=box[1])))
     if not kkt0.ok.all():

@@ -440,29 +440,30 @@ def local_polish(net: Network, point: dict, *, multistart: bool = True,
 
 # -------------------------------------------------------------- range reduction
 
-def range_reduction(model: jabr.JabrModel, box: NodeBox, incumbent: float,
+def range_reduction(model: jabr.JabrModel, box: NodeBox, cutoff: float,
                     slacks: np.ndarray) -> NodeBox | None:
     """Optimization-based shrink of the most promising intervals of `box`
-    over its node model `model`, optionally under the incumbent cost cutoff;
+    over its node model `model`, under the cost cutoff when it is finite;
     returns None when the box empties.  `range_reduction_batch` of one
     node."""
-    return range_reduction_batch([(model, box, incumbent, slacks)])[0]
+    return range_reduction_batch([(model, box, cutoff, slacks)])[0]
 
 
 def range_reduction_batch(jobs) -> list[NodeBox | None]:
-    """Range reduction of several nodes, each job a (model, box, incumbent,
+    """Range reduction of several nodes, each job a (model, box, cutoff,
     slacks) tuple; returns one reduced box per job, None where it empties.
 
-    Each model gains its cutoff row, and the intervals of up to `_OBBT_VARS`
-    of the widest variables of its worst coupling go to one
-    `tighten.min_max_batch` call that solves every direction of every node.
-    A box is updated after the sweep, not between solves, which keeps the
-    sweep order-independent.
+    A finite cutoff gives the model its cost cap, padded up by
+    ``1e-6 * (1 + |cutoff|)``; +inf gives none.  The intervals of up to
+    `_OBBT_VARS` of the widest variables of the worst coupling in `slacks`
+    go to one `tighten.min_max_batch` call that solves every direction of
+    every node.  A box is updated after the sweep, not between solves,
+    which keeps the sweep order-independent.
     """
     bounded = []
-    for model, box, incumbent, slacks in jobs:
-        if math.isfinite(incumbent):
-            jabr.add_cost_cap(model, incumbent + 1e-6 * (1 + abs(incumbent)))
+    for model, box, cutoff, slacks in jobs:
+        if math.isfinite(cutoff):
+            jabr.add_cost_cap(model, cutoff + 1e-6 * (1 + abs(cutoff)))
         wide = []
         if len(model.net.lines):
             targets = sorted(model.line_vars(int(np.argmax(slacks))),
@@ -544,17 +545,20 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     units), and the boxes' relaxations are solved in one batched
     interior-point call under the cutoff (`conic.solve_batch`): a
     relaxation whose Lagrangian bound reaches the cutoff stops there, and
-    `cutoff_stops` counts those.  The batch then runs in three phases:
+    `cutoff_stops` counts those.  A node's bound is the larger of its
+    parent's and the largest Lagrangian bound of its relaxation's iterates
+    (`ConicSolution.bound`), whatever the relaxation's status, and
+    `root_lb` is the root's.  The batch then runs in three phases:
 
-    1. Per node, in bound order: a relaxation that is infeasible or stopped
-       at the cutoff is dropped, a bound at the cutoff is fathomed, the
-       polish runs when one is due, and a bound that the polish's
+    1. Per node, in bound order: a node whose relaxation is infeasible or
+       stopped at the cutoff, or whose bound is at the cutoff, is dropped;
+       the polish runs when one is due, and a bound that the polish's
        incumbent brought to the cutoff is fathomed.
     2. Every node still open is range-reduced in one call
-       (`range_reduction_batch`), under the incumbent as phase 1 left it.
+       (`range_reduction_batch`), under the cutoff as phase 1 left it.
     3. Per node: a box emptied by the reduction is pruned; the others are
        bisected at the middle of one interval (`branch`) and their children
-       pushed.
+       pushed with the node's bound.
 
     Incumbents come only from `local_polish`.  A node whose relaxation
     point lies on the cone surface is polished at once, without extra
@@ -569,13 +573,11 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     no call; `polish_calls` counts the calls made and `polish_found` those
     that gave a new incumbent.
 
-    A node whose relaxation ends without an answer is pruned when the
-    largest Lagrangian bound of its iterates reaches the cutoff.  Otherwise
-    it is range-reduced under the cutoff when there is an incumbent: it is
-    pruned if that certifies its box empty, and otherwise branched blindly
-    with its parent's bound.  A node, solved or not, that is neither pruned,
-    fathomed nor branchable keeps its bound in the reported lower bound, so
-    the search then ends `gap-limit`.
+    A node whose relaxation ends without an answer goes through the same
+    phases: it is range-reduced like any open node and, unless that
+    certifies its box empty, branched blindly.  A node, solved or not, that
+    is neither pruned, fathomed nor branchable keeps its bound in the
+    reported lower bound, so the search then ends `gap-limit`.
 
     Infeasibility is declared only when bound tightening finds the
     relaxation empty before the first node (`nodes == 0`), or when the whole
@@ -730,47 +732,30 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         for (lb_parent, box), model, sol in zip(batch, models, sols):
             nodes += 1
             cutoff_stops += sol.status == conic.CUTOFF
-            if sol.status in (conic.INFEASIBLE, conic.CUTOFF):
-                continue
-            if not sol.optimal:
-                if sol.bound < cutoff():
-                    left.append((lb_parent, box, model, None,
-                                 np.ones(len(net.lines)), nodes))
-                continue
-
-            node_lb = sol.dual_objective if sol.dual_objective is not None \
-                else sol.objective
+            node_lb = max(lb_parent, sol.bound)
             if root_lb is None:
                 root_lb = node_lb
-            if node_lb >= cutoff():
+            if (sol.status in (conic.INFEASIBLE, conic.CUTOFF)
+                    or node_lb >= cutoff()):
                 continue
-
-            slacks = model.coupling_residuals(sol.x)
-            polish(model, sol, np.max(slacks, initial=0.0) <= _EXACT_TOL)
-            if node_lb >= cutoff():
-                trace.append((nodes, node_lb, ub_val()))
-                continue
-            left.append((node_lb, box, model, sol.x, slacks, nodes))
+            x, slacks = None, np.ones(len(net.lines))
+            if sol.optimal:
+                x, slacks = sol.x, model.coupling_residuals(sol.x)
+                polish(model, sol, np.max(slacks, initial=0.0) <= _EXACT_TOL)
+                if node_lb >= cutoff():
+                    trace.append((nodes, node_lb, ub_val()))
+                    continue
+            left.append((node_lb, box, model, x, slacks, nodes))
 
         # phase 2: one range-reduction call for the open nodes, under the
-        # incumbent as phase 1 left it.  Cutoff-based reduction pays for
-        # itself at every depth on these instance sizes.  An unresolved node
-        # is reduced only under an incumbent's cutoff, and pruned if that
-        # certifies its box empty.
-        jobs = {}
-        for k, (_, box, model, x, slacks, _) in enumerate(left):
-            if x is not None:
-                jobs[k] = (model, box, ub_val(), slacks)
-            elif incumbent is not None:
-                jobs[k] = (model, box, cutoff(), slacks)
-        boxes = [entry[1] for entry in left]
-        for k, box in zip(jobs, range_reduction_batch(list(jobs.values()))):
-            boxes[k] = box
+        # cutoff as phase 1 left it.  Cutoff-based reduction pays for itself
+        # at every depth on these instance sizes.
+        boxes = range_reduction_batch([(model, box, cutoff(), slacks) for
+                                       _, box, model, _, slacks, _ in left])
 
         # phase 3, per node: prune or branch.  An unresolved node is
-        # branched blindly, scored at its box's middle, with its parent's
-        # bound; the free cost epigraph has no middle, and `branch` does not
-        # read it.
+        # branched blindly, scored at its box's middle; the free cost
+        # epigraph has no middle, and `branch` does not read it.
         for (node_lb, _, model, x, slacks, node), box in zip(left, boxes):
             if box is not None:
                 with np.errstate(invalid="ignore"):

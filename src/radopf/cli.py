@@ -117,13 +117,21 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify2bus(args) -> int:
-    with open(args.instance) as fh:
+def _read_instance(path) -> twobus.TwoBusInstance | None:
+    """The two-bus instance in the JSON file at `path`, or None after one
+    `bad instance:` line on stderr when its fields make no instance."""
+    with open(path) as fh:
         doc = json.load(fh)
     try:
-        inst = twobus.TwoBusInstance(**doc)
+        return twobus.TwoBusInstance(**doc)
     except (TypeError, ValueError) as exc:
         print(f"bad instance: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_classify2bus(args) -> int:
+    inst = _read_instance(args.instance)
+    if inst is None:
         return EXIT_DATA
     cls = twobus.classify(inst)
     out = asdict(cls)
@@ -224,10 +232,11 @@ def cmd_genlib(args) -> int:
 
 def cmd_plotdata(args) -> int:
     import os
-    os.makedirs(args.out, exist_ok=True)
     if args.instance:
-        with open(args.instance) as fh:
-            inst = twobus.TwoBusInstance(**json.load(fh))
+        inst = _read_instance(args.instance)
+        if inst is None:
+            return EXIT_DATA
+        os.makedirs(args.out, exist_ok=True)
         sample = twobus.sample_regions(inst, resolution=args.resolution)
         np.savetxt(os.path.join(args.out, "hyperbola.csv"), sample.hyperbola,
                    delimiter=",", header="c11,c22", comments="")
@@ -241,6 +250,7 @@ def cmd_plotdata(args) -> int:
         print(f"wrote region data to {args.out}")
         return EXIT_OK
     net = _load_network(args)
+    os.makedirs(args.out, exist_ok=True)
     pts = generate.projection_samples(net, args.samples, args.seed or 0)
     np.savetxt(os.path.join(args.out, "projection.csv"), pts, delimiter=",",
                header="pg_first,qg_first,pg_second,feasible", comments="")
@@ -334,9 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_genlib)
 
     sp = sub.add_parser("plotdata", help="emit projection/region CSVs")
-    sp.add_argument("--instance", default=None,
-                    help="two-bus instance JSON (region plots)")
-    sp.add_argument("--case", default=None)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance", default=None,
+                        help="two-bus instance JSON (region plots)")
+    source.add_argument("--case", default=None)
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--q-only", action="store_true")
     sp.add_argument("--seed", type=int, default=None)

@@ -317,17 +317,16 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
 
     `cutoffs`, if given, is aligned to `progs` as well: a value of the
     program's own objective, cost constant included, at or above which the
-    member's optimum is of no use; a member with an override takes none.
-    A member with a finite cutoff ends `CUTOFF` once a Lagrangian bound of
-    its iterate reaches it (`_ipm.conelp`), and reports the largest such
-    bound in `ConicSolution.bound`, whatever its status; the bound reads
-    the program's variable bounds narrowed to its `ranges`.  A group of
-    members without a finite cutoff forms no bound.
+    member's optimum is of no use (+inf for none); a member with an
+    override takes none.  Every member of such a call reports in
+    `ConicSolution.bound` the largest Lagrangian bound of its iterates on
+    its program's own optimum (`_ipm.conelp`), whatever its status, and
+    ends `CUTOFF` once that bound reaches its cutoff; the bound reads the
+    program's variable bounds narrowed to its `ranges`.  A member with an
+    override, and every member of a call without `cutoffs`, reports -inf.
     """
     if overrides is None:
         overrides = [None] * len(progs)
-    if cutoffs is None:
-        cutoffs = [INF] * len(progs)
     compiled, groups = {}, {}
     for i, (prog, override) in enumerate(zip(progs, overrides)):
         key = id(prog)
@@ -343,11 +342,11 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
         G, h, dims, A, b = data[0]
         if len({key for _, key, _ in members}) > 1:
             G, h, A, b = (np.stack([d[j] for d in data]) for j in (0, 1, 3, 4))
-        # a cutoff and the ranges hold for a program's own objective only
-        cut = [cutoffs[i] - progs[i].cost_const if overrides[i] is None
-               else INF for i, _, _ in members]
-        box = None
-        if np.isfinite(cut).any():
+        cut = box = None
+        if cutoffs is not None:
+            # a cutoff and the ranges hold for a program's own objective only
+            cut = [cutoffs[i] - progs[i].cost_const if overrides[i] is None
+                   else INF for i, _, _ in members]
             box = tuple(np.stack([_bound_box(progs[i]) for i, _, _ in members],
                                  axis=1))
         res = _ipm.conelp(np.array([c for _, _, c in members]), G, h, dims,
@@ -381,7 +380,8 @@ def _solution(prog: ConicProgram, override, res) -> ConicSolution:
         status=res["status"], x=x, objective=obj, dual_objective=dobj,
         primal_residual=res["pres"], dual_residual=res["dres"],
         duality_gap=res["relgap"], iterations=res["iterations"],
-        certificate=res["certificate"], bound=res["bound"] + offset)
+        certificate=res["certificate"],
+        bound=res["bound"] + offset if override is None else -INF)
 
 
 def solve_lp(prog: ConicProgram) -> ConicSolution:

@@ -646,8 +646,9 @@ def test_unbranchable_node_keeps_its_bound(net3, monkeypatch):
 def test_unresolved_leaf_keeps_its_bound(net3, monkeypatch):
     """A node whose relaxation failed and that cannot be branched is a leaf
     without a certificate: the search may not call a feasible instance
-    infeasible on it.  Every node-relaxation solve (a batch without
-    objective overrides) is made to end in `numerical_failure`."""
+    infeasible on it, and the leaf keeps the Lagrangian bound of its
+    relaxation.  Every node-relaxation solve (a batch without objective
+    overrides) is made to end in `numerical_failure`."""
     solve_batch = conic.solve_batch
 
     def failing(progs, overrides=None, **kwargs):
@@ -662,7 +663,9 @@ def test_unresolved_leaf_keeps_its_bound(net3, monkeypatch):
     scaled = network.scale_load(net3, 1.03, scale_p=False)
     res = bnb.solve_global(scaled, gap_tol=9e-4)
     assert res.status == bnb.GAP_LIMIT
-    assert res.nodes == 1 and res.lower_bound == -math.inf
+    assert res.nodes == 1 and math.isfinite(res.lower_bound)
+    relaxed = jabr.solve_relaxation(scaled).objective
+    assert res.lower_bound <= relaxed * (1 + 1e-9)
 
 
 def test_one_range_reduction_call_per_node_batch(net2, monkeypatch):
@@ -774,7 +777,8 @@ def test_cutoff_stops_change_no_answer(net2, net3, monkeypatch):
     solve_batch = conic.solve_batch
 
     def uncut(progs, overrides=None, cutoffs=None):
-        return solve_batch(progs, overrides)
+        return solve_batch(progs, overrides,
+                           None if cutoffs is None else [math.inf] * len(progs))
 
     monkeypatch.setattr(conic, "solve_batch", uncut)
     assert _ten_searches(net2, net3) == (stopped, 0)
@@ -822,6 +826,38 @@ def test_global_root_lb_matches_relaxation(net2):
     assert res.root_lb == pytest.approx(501.46, rel=1e-3)
     assert res.root_gap_pct == pytest.approx(100 * (1 - res.root_lb / res.objective),
                                              abs=1e-6)
+
+
+def test_node_bounds_are_lagrangian_bounds(net2, monkeypatch):
+    """Every node-relaxation call passes cutoffs, so each member reports
+    its Lagrangian bound: `root_lb` is the root member's bound to the bit,
+    and an optimal member's bound never exceeds its optimum.  The optimum
+    is known to the interior-point method's relative gap only, and the
+    bound reads up to 4.5e-9 above the primal objective here."""
+    node_progs, calls = set(), []
+    relax, solve_batch = bnb.node_relaxation, conic.solve_batch
+
+    def built(*args, **kwargs):
+        model = relax(*args, **kwargs)
+        node_progs.add(id(model.program))
+        return model
+
+    def spy(progs, overrides=None, cutoffs=None):
+        sols = solve_batch(progs, overrides, cutoffs)
+        if ({id(p) for p in progs} <= node_progs
+                and all(o is None for o in overrides or ())):
+            calls.append((cutoffs, sols))
+        return sols
+
+    monkeypatch.setattr(bnb, "node_relaxation", built)
+    monkeypatch.setattr(conic, "solve_batch", spy)
+    res = bnb.solve_global(network.scale_load(net2, 1.00), gap_tol=9e-4)
+    assert res.optimal and len(calls) > 1
+    assert all(cutoffs is not None for cutoffs, _ in calls)
+    assert res.root_lb == calls[0][1][0].bound
+    solved = [sol for _, sols in calls for sol in sols if sol.optimal]
+    assert solved
+    assert all(sol.bound <= sol.objective * (1 + _ipm.GAPTOL) for sol in solved)
 
 
 def test_lower_bound_monotone_truncated(net2):

@@ -266,6 +266,30 @@ def test_plotdata_two_bus_region(capsys, tmp_path):
     assert rows[0] == "c11,c22"
 
 
+def test_plotdata_without_a_source_is_a_usage_error(capsys, tmp_path):
+    """Neither --instance nor --case is refused before any work."""
+    out_dir = tmp_path / "plots"
+    code, out, err = run(capsys, ["plotdata", "--out", str(out_dir)])
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "--instance" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("inst", [
+    {"g": 1.0, "b": 1.0, "pd": 0, "qd": 0},
+    {"g": -3.8156, "b": 19.0782, "pd": 1.05, "qd": 0.228, "vmax": 1.1},
+], ids=["g-positive", "unknown-key"])
+def test_plotdata_bad_instance_data_error(capsys, tmp_path, inst):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(inst))
+    out_dir = tmp_path / "plots"
+    code, out, err = run(capsys, ["plotdata", "--instance", str(p),
+                                  "--out", str(out_dir)])
+    assert code == cli.EXIT_DATA
+    assert out == "" and err.startswith("bad instance: ")
+    assert not out_dir.exists()
+
+
 def test_plotdata_projection(capsys, tmp_path, case2_path):
     out_dir = tmp_path / "proj"
     code, out, _ = run(capsys, ["plotdata", "--case", case2_path,

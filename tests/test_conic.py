@@ -835,6 +835,22 @@ def test_batch_partners_without_a_cutoff_are_untouched():
     assert sols[1].bound <= alone[1].objective * (1 + 1e-9)
 
 
+def test_infinite_cutoffs_still_form_the_bound():
+    """A call that passes cutoffs forms each member's bound even when every
+    cutoff is +inf, and ends the member as a call without them does.  A
+    member with an objective override reports -inf: the ranges the bound
+    reads hold for the program's own objective only."""
+    prog = _node_program()
+    opt = conic.solve(prog)
+    low = np.zeros(prog.num_vars)
+    low[prog.names.index("c[1,2]")] = 1.0
+    sols = conic.solve_batch([prog, prog], [None, low], [math.inf] * 2)
+    assert sols[0].optimal and sols[0].x.tobytes() == opt.x.tobytes()
+    assert math.isfinite(sols[0].bound)
+    assert sols[0].bound <= opt.objective * (1 + _ipm.GAPTOL)
+    assert sols[1].optimal and sols[1].bound == -math.inf
+
+
 def test_infeasible_node_program_stops_before_its_certificate():
     prog = _node_program(cii1_hi=0.91, cii2_lo=1.01)
     farkas = conic.solve(prog)
