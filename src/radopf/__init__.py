@@ -6,7 +6,7 @@ global solver."""
 from .network import (Bus, CostFunction, Generator, Line, Network,
                       NetworkError, ParseError, admittance, network_from_json,
                       network_to_json, parse_case, scale_load, spanning_tree)
-from .conic import ConicProgram, ConicSolution, ProgramError, solve, solve_lp
+from .conic import ConicProgram, ConicSolution, ProgramError, solve
 from .jabr import (Exactness, JabrModel, OpfResiduals, OpfSolution,
                    RelaxationResult, build_relaxation, check_exactness,
                    evaluate_opf_point, recover_angles, solve_relaxation)
@@ -25,7 +25,7 @@ __all__ = [
     "Bus", "CostFunction", "Generator", "Line", "Network", "NetworkError",
     "ParseError", "admittance", "parse_case", "network_from_json",
     "network_to_json", "scale_load", "spanning_tree",
-    "ConicProgram", "ConicSolution", "ProgramError", "solve", "solve_lp",
+    "ConicProgram", "ConicSolution", "ProgramError", "solve",
     "Exactness", "JabrModel", "OpfResiduals", "OpfSolution",
     "RelaxationResult", "build_relaxation", "check_exactness",
     "evaluate_opf_point", "recover_angles", "solve_relaxation",

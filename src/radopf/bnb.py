@@ -39,7 +39,6 @@ _WIDTH_TOL = 1e-6   # interval width below which a variable is not branched
 _EXACT_TOL = 1e-6   # relative coupling slack accepted as on-surface
 _FEAS_TOL = 1e-6    # rectangular violation accepted for an incumbent
 _BATCH = 4          # best-first nodes whose relaxations are solved together
-_OBBT_VARS = 2      # worst-line variables range-reduced per node
 
 
 class _Propagator:
@@ -442,10 +441,10 @@ def local_polish(net: Network, point: dict, *, multistart: bool = True,
 
 def range_reduction(model: jabr.JabrModel, box: NodeBox, cutoff: float,
                     slacks: np.ndarray) -> NodeBox | None:
-    """Optimization-based shrink of the most promising intervals of `box`
-    over its node model `model`, under the cost cutoff when it is finite;
-    returns None when the box empties.  `range_reduction_batch` of one
-    node."""
+    """Optimization-based shrink of the intervals of the worst line of
+    `box` (the largest entry of `slacks`) over its node model `model`,
+    under the cost cutoff when it is finite; returns None when the box
+    empties.  `range_reduction_batch` of one node."""
     return range_reduction_batch([(model, box, cutoff, slacks)])[0]
 
 
@@ -454,11 +453,11 @@ def range_reduction_batch(jobs) -> list[NodeBox | None]:
     slacks) tuple; returns one reduced box per job, None where it empties.
 
     A finite cutoff gives the model its cost cap, padded up by
-    ``1e-6 * (1 + |cutoff|)``; +inf gives none.  The intervals of up to
-    `_OBBT_VARS` of the widest variables of the worst coupling in `slacks`
-    go to one `tighten.min_max_batch` call that solves every direction of
-    every node.  A box is updated after the sweep, not between solves,
-    which keeps the sweep order-independent.
+    ``1e-6 * (1 + |cutoff|)``; +inf gives none.  Every variable of the
+    worst coupling in `slacks` wider than `_WIDTH_TOL` goes to one
+    `tighten.min_max_batch` call that solves every direction of every
+    node.  A box is updated after the sweep, not between solves, which
+    keeps the sweep order-independent.
     """
     bounded = []
     for model, box, cutoff, slacks in jobs:
@@ -466,9 +465,7 @@ def range_reduction_batch(jobs) -> list[NodeBox | None]:
             jabr.add_cost_cap(model, cutoff + 1e-6 * (1 + abs(cutoff)))
         wide = []
         if len(model.net.lines):
-            targets = sorted(model.line_vars(int(np.argmax(slacks))),
-                             key=lambda v: box.lo[v] - box.hi[v])
-            wide = [v for v in targets[:_OBBT_VARS]
+            wide = [v for v in model.line_vars(int(np.argmax(slacks)))
                     if box.hi[v] - box.lo[v] > _WIDTH_TOL]
         bounded.append((model, wide))
     return [_reduced(box, wide, pairs) for (_, box, *_), (_, wide), pairs
@@ -555,7 +552,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
        the polish runs when one is due, and a bound that the polish's
        incumbent brought to the cutoff is fathomed.
     2. Every node still open is range-reduced in one call
-       (`range_reduction_batch`), under the cutoff as phase 1 left it.
+       (`range_reduction_batch`) over its whole worst line, under the
+       cutoff as phase 1 left it.
     3. Per node: a box emptied by the reduction is pruned; the others are
        bisected at the middle of one interval (`branch`) and their children
        pushed with the node's bound.

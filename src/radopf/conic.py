@@ -383,9 +383,3 @@ def _solution(prog: ConicProgram, override, res) -> ConicSolution:
         certificate=res["certificate"],
         bound=res["bound"] + offset if override is None else -INF)
 
-
-def solve_lp(prog: ConicProgram) -> ConicSolution:
-    """Solve a program that must contain no cones."""
-    if prog.cones:
-        raise ProgramError("solve_lp: program has cone constraints")
-    return solve(prog)

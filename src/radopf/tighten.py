@@ -88,9 +88,6 @@ class Cut:
     p1: tuple[float, float]
     p2: tuple[float, float]
 
-    def satisfied(self, c, s, tol: float = 1e-9):
-        return self.a_c * np.asarray(c) + self.a_s * np.asarray(s) >= self.rhs - tol
-
     def violation(self, c, s):
         return self.rhs - (self.a_c * np.asarray(c) + self.a_s * np.asarray(s))
 

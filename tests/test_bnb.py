@@ -77,7 +77,7 @@ def test_node_relaxation_lp_variant_bounded(net2):
     base = jabr.build_relaxation(scaled)
     base.program.cones.clear()
     model = bnb.node_relaxation(base, box)
-    sol = conic.solve_lp(model.program)
+    sol = conic.solve(model.program)
     assert sol.optimal
     assert sol.objective <= 563.56 * 1.005
 
@@ -517,8 +517,7 @@ def test_polish_keeps_the_relaxation_split_between_units(net3):
 
 # ------------------------------------------------------------------ obbt
 
-def test_range_reduction_shrinks_and_keeps_optimum(net2, monkeypatch):
-    monkeypatch.setattr(bnb, "_OBBT_VARS", 4)
+def test_range_reduction_shrinks_and_keeps_optimum(net2):
     scaled = network.scale_load(net2, 1.00)
     base = jabr.build_relaxation(scaled)
     box, cuts = tighten.run_algorithm1(base)
@@ -567,6 +566,37 @@ def test_range_reduction_batch_matches_single_node_calls(net2):
             continue
         np.testing.assert_allclose(red.lo, alone.lo, rtol=0, atol=1e-9)
         np.testing.assert_allclose(red.hi, alone.hi, rtol=0, atol=1e-9)
+
+
+def test_range_reduction_bounds_the_whole_worst_line(net3, monkeypatch):
+    """One `min_max_batch` call bounds every variable of each node's worst
+    line that is wider than the width floor: all four on the root box, and
+    the other three once its from-bus c_ii interval is narrowed to the
+    floor around the relaxation point, which keeps its interval."""
+    scaled = network.scale_load(net3, 1.03, scale_p=False)
+    base = jabr.build_relaxation(scaled)
+    root = tighten.compute_bounds(base)
+    model = bnb.node_relaxation(base, root)
+    x = conic.solve(model.program).x
+    slacks = model.coupling_residuals(x)
+    worst = list(model.line_vars(int(np.argmax(slacks))))
+    assert np.all(root.hi[worst] - root.lo[worst] > bnb._WIDTH_TOL)
+    narrow, vi = root.copy(), worst[0]
+    narrow.lo[vi] = x[vi] - bnb._WIDTH_TOL / 4
+    narrow.hi[vi] = x[vi] + bnb._WIDTH_TOL / 4
+    asked, min_max_batch = [], tighten.min_max_batch
+
+    def spy(jobs):
+        asked.append([wide for _, wide in jobs])
+        return min_max_batch(jobs)
+
+    monkeypatch.setattr(tighten, "min_max_batch", spy)
+    got = bnb.range_reduction_batch(
+        [(bnb.node_relaxation(base, box), box, math.inf, slacks)
+         for box in (root, narrow)])
+    assert asked == [[worst, worst[1:]]]
+    assert got[1] is not None
+    assert (got[1].lo[vi], got[1].hi[vi]) == (narrow.lo[vi], narrow.hi[vi])
 
 
 # ------------------------------------------------------------------ end to end
@@ -743,7 +773,7 @@ def test_polish_backs_off_without_an_incumbent(net3, monkeypatch):
     scaled = network.scale_load(net3, 1.04, scale_p=False)
     res = bnb.solve_global(scaled, gap_tol=2e-3, time_limit=120)
     assert res.status == bnb.INFEASIBLE
-    assert res.nodes == 23
+    assert res.nodes == 19
     assert 1 <= len(calls) <= math.ceil(math.log2(res.nodes)) + 2
     assert sum(calls) == 1
     assert (res.polish_calls, res.polish_found) == (len(calls), 0)
@@ -979,10 +1009,10 @@ def test_range_reduction_matches_per_direction_solves(net2, gamma,
     ref_model = bnb.node_relaxation(base, box)
     if math.isfinite(incumbent):
         jabr.add_cost_cap(ref_model, incumbent + 1e-6 * (1 + abs(incumbent)))
-    targets = sorted(ref_model.line_vars(int(np.argmax(slacks))),
-                     key=lambda v: box.lo[v] - box.hi[v])
     want = box.copy()
-    for var in targets[:2]:
+    for var in ref_model.line_vars(int(np.argmax(slacks))):
+        if box.hi[var] - box.lo[var] <= bnb._WIDTH_TOL:
+            continue
         lo, hi = box.lo[var], box.hi[var]
         for sense in (+1, -1):
             override = np.zeros(ref_model.program.num_vars)

@@ -309,7 +309,8 @@ def test_genlib_manifest(capsys, tmp_path):
                                 "--gap", "5e-3", "--time-limit", "60",
                                 "--out", str(out_dir)])
     assert code == cli.EXIT_OK
-    manifest = list(csv.DictReader((out_dir / "manifest.csv").open()))
+    with (out_dir / "manifest.csv").open() as fh:
+        manifest = list(csv.DictReader(fh))
     assert len(manifest) >= 1
     for row in manifest:
         assert row["name"].startswith("case9_tree")

@@ -36,7 +36,7 @@ def test_lp_unit_box_corner():
     p = conic.ConicProgram()
     x = p.add_var("x", 0.0, 1.0, cost=1.0)
     y = p.add_var("y", 0.0, 1.0, cost=1.0)
-    sol = conic.solve_lp(p)
+    sol = conic.solve(p)
     assert sol.optimal
     assert sol.objective == pytest.approx(0.0, abs=1e-7)
     assert np.allclose(sol.x, 0.0, atol=1e-6)
@@ -47,7 +47,7 @@ def test_infeasible_lp_certificate():
     x = p.add_var("x", cost=1.0)
     p.add_ineq([x], [-1.0], -1.0)  # x >= 1
     p.add_ineq([x], [1.0], 0.0)    # x <= 0
-    sol = conic.solve_lp(p)
+    sol = conic.solve(p)
     assert sol.status == conic.INFEASIBLE
     assert sol.certificate is not None and sol.certificate["kind"] == "primal"
 
@@ -70,15 +70,6 @@ def test_quadratic_objective_epigraph():
     assert sol.objective == pytest.approx(0.0, abs=1e-6)
 
 
-def test_solve_lp_rejects_cones():
-    p = conic.ConicProgram()
-    x = p.add_var("x", 0.0, 1.0)
-    y = p.add_var("y", 0.0, 1.0)
-    p.add_rotated_cone(x, y, [y])
-    with pytest.raises(conic.ProgramError):
-        conic.solve_lp(p)
-
-
 def _random_lp(rng, n=8, m=5):
     A = rng.normal(size=(m, n))
     x0 = rng.uniform(0.2, 1.0, n)
@@ -97,7 +88,7 @@ def test_lp_matches_scipy(seed):
     rng = np.random.default_rng(seed)
     p, c, A, b = _random_lp(rng)
     ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0, 2)] * p.num_vars, method="highs")
-    sol = conic.solve_lp(p)
+    sol = conic.solve(p)
     assert sol.optimal and ref.status == 0
     assert sol.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
 
@@ -179,7 +170,7 @@ def test_random_feasible_lp_never_infeasible(seed):
         p.add_var(f"x{i}", 0.0, 1.0, cost=c[i])
     for k in range(m):
         p.add_eq(np.arange(n), A[k], b[k])
-    sol = conic.solve_lp(p)
+    sol = conic.solve(p)
     assert sol.status == conic.OPTIMAL
     assert sol.objective <= c @ x0 + 1e-7 * (1 + abs(c @ x0))
 

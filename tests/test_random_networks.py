@@ -130,4 +130,4 @@ def test_bounds_and_cuts_valid_on_random_tree(seed):
         d = res.opf.theta[j] - res.opf.theta[i]
         c = res.opf.vm[i] * res.opf.vm[j] * math.cos(d)
         s = res.opf.vm[i] * res.opf.vm[j] * math.sin(d)
-        assert cut.satisfied(c, s, tol=1e-7), cut
+        assert cut.violation(c, s) <= 1e-7, cut

@@ -94,7 +94,7 @@ def test_cut_validity_dense_sampling(box, r_lo):
     c = rng.uniform(box[0], box[1], 100_000)
     s = rng.uniform(box[2], box[3], 100_000)
     keep = c * c + s * s >= r_lo ** 2
-    assert np.all(cut.satisfied(c[keep], s[keep], tol=1e-9))
+    assert np.all(cut.violation(c[keep], s[keep]) <= 1e-9)
 
 
 def test_ring_from_network():
@@ -201,7 +201,7 @@ def test_bounds_are_valid_for_feasible_points():
     assert c_lo - 1e-9 <= c <= c_hi + 1e-9
     assert s_lo - 1e-9 <= s <= s_hi + 1e-9
     for cut in cuts:
-        assert cut.satisfied(c, s)
+        assert cut.violation(c, s) <= 1e-9
 
 
 def test_run_algorithm1_two_bus_single_cut():
