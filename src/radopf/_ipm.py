@@ -603,14 +603,18 @@ class _Sparse(_Storage):
 
 def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
     """Solve a batch of conic LPs to `FEASTOL` and `GAPTOL`; returns one
-    result dict per member, each with its status and certificates.
+    result dict per member: its ``status``, ``iterations``, ``x`` (the
+    optimum, a failed member's best iterate or an unbounded member's ray),
+    ``pobj`` (a failed member's objective there, else None),
+    ``certificate`` (the ray of an infeasible or unbounded member, else
+    None) and ``bound``.
 
     Row i of `c` (members, n) belongs to member i; `h` and `b` are one row
     for every member or one row per member, and `G` and `A` are both one
     matrix for every member or both stacked per member, (members, m, n) and
     (members, p, n).  The objective of each member is normalized internally
     (costs can be orders of magnitude above the constraint data in $-valued
-    problems); duals and objective values are scaled back on exit.
+    problems); ``pobj`` and ``bound`` are scaled back on exit.
 
     `cutoff`, one value per member (+inf for none), and `box`, a pair
     (lo, hi) of rows like `c` that holds some optimal point of each member,
@@ -636,12 +640,9 @@ def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
         outs = _conelp_core(c / c_scale[:, None], G, h, dims, A, b, cutoff,
                             box)
     for out, scale in zip(outs, c_scale.tolist()):
-        for key in ("pobj", "dobj", "gap", "bound"):
-            if out[key] is not None:
-                out[key] *= scale
-        for key in ("y", "z"):
-            if out[key] is not None and out["status"] in (OPTIMAL, FAILED):
-                out[key] = out[key] * scale
+        if out["pobj"] is not None:
+            out["pobj"] *= scale
+        out["bound"] *= scale
     return outs
 
 
@@ -650,13 +651,9 @@ def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
 _INFO = ("pobj", "dobj", "gap", "pres", "dres", "relgap")
 
 
-def _result(status, iterations, info=None, **kw):
-    out = dict(status=status, x=None, y=None, z=None, s=None,
-               pobj=None, dobj=None, pres=np.inf, dres=np.inf,
-               gap=np.inf, relgap=np.inf, iterations=iterations,
+def _result(status, iterations, **kw):
+    out = dict(status=status, x=None, pobj=None, iterations=iterations,
                certificate=None, bound=-np.inf)
-    if info is not None:
-        out.update(zip(_INFO, info.tolist()))
     out.update(kw)
     return out
 
@@ -745,9 +742,7 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
                 j = np.searchsorted(ids, i)
                 if j < len(ids) and ids[j] == i and info[j, 3:].max() < best:
                     best = info[j, 3:].max()
-                    fields = dict(x=Xt[j, :n], y=Xt[j, n:k],
-                                  z=Xt[j, z0:z0 + m], s=Xt[j, s0:],
-                                  info=info[j])
+                    fields = dict(x=Xt[j, :n], pobj=float(info[j, 0]))
             out[i] = _result(FAILED, it, bound=bound, **fields)
 
     for it in range(1, MAXITER + 1):
@@ -795,8 +790,7 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         if np.count_nonzero(done):
             done &= (relgap <= gaptol) | (gap <= gaptol * 1e-2)
             for j in np.flatnonzero(done):
-                out[act.ids[j]] = _result(OPTIMAL, it, info[j], x=xt[j],
-                                          y=Xt[j, n:k], z=zt[j], s=st[j])
+                out[act.ids[j]] = _result(OPTIMAL, it, x=xt[j])
         # infeasibility certificates (rays, not scaled by tau): A'y + G'z
         # and [A x; G x + s] vanish relative to -b'y - h'z and -c'x
         rows = np.vecdot(BGyz, BGyz) <= act.cert * by_hz * by_hz
@@ -806,7 +800,7 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
                 yzc = yz[j] / -by_hz[j]
                 yc, zc = yzc[:p], yzc[p + 1:]
                 out[act.ids[j]] = _result(
-                    INFEASIBLE, it, y=yc, z=zc, pres=pres[j], dres=dres[j],
+                    INFEASIBLE, it,
                     certificate={"kind": "primal", "y": yc, "z": zc})
             done |= rows
         if np.count_nonzero(cx < -1e-12):
@@ -817,7 +811,7 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
             for j in np.flatnonzero(rows):
                 xc, sc = x[j] / -cx[j], s[j] / -cx[j]
                 out[act.ids[j]] = _result(
-                    UNBOUNDED, it, x=xc, s=sc, pres=pres[j], dres=dres[j],
+                    UNBOUNDED, it, x=xc,
                     certificate={"kind": "dual", "x": xc, "s": sc})
             done |= rows
         if cutoff is not None:

@@ -188,12 +188,7 @@ def cmd_genlib(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     manifest = []
     for name in args.cases:
-        if name in cases._ALL:
-            base = cases.load_case(name, drop_charging=True)
-        else:
-            with open(name) as fh:
-                base = network.parse_case(fh.read(), name=name,
-                                          drop_charging=True)
+        base = _load_network(argparse.Namespace(case=name, drop_charging=True))
         for seed in range(args.seeds):
             tree = network.spanning_tree(base, seed)
             if args.overshoot_gen is not None:
@@ -329,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_tighten)
 
     sp = sub.add_parser("genlib", help="generate a radial instance library")
-    sp.add_argument("--cases", nargs="+", required=True)
+    sp.add_argument("--cases", nargs="+", required=True,
+                    help="case files (.m subset or .json) or built-in names")
     sp.add_argument("--seeds", type=int, default=1)
     sp.add_argument("--gamma-from", type=float, default=1.0)
     sp.add_argument("--gamma-to", type=float, default=1.0)

@@ -216,10 +216,6 @@ class ConicProgram:
         return "\n".join(out)
 
     # ---------------------------------------------------------------- compile
-    def _compile(self, objective_override=None):
-        return (self._objective(objective_override), *self._constraints(),
-                self.num_vars)
-
     def _objective(self, objective_override=None):
         """Objective row of the standard form: the override, if given, or
         the program's own costs."""
@@ -285,10 +281,6 @@ class ConicSolution:
     status: str
     x: np.ndarray | None = None
     objective: float | None = None
-    dual_objective: float | None = None
-    primal_residual: float = np.inf
-    dual_residual: float = np.inf
-    duality_gap: float = np.inf
     iterations: int = 0
     certificate: dict | None = None
     bound: float = -INF    # largest Lagrangian bound over the iterates
@@ -375,11 +367,8 @@ def _solution(prog: ConicProgram, override, res) -> ConicSolution:
             obj = float(np.asarray(override) @ x)
     else:
         obj = res["pobj"] + offset if res["pobj"] is not None else None
-    dobj = res["dobj"] + offset if res["dobj"] is not None else None
     return ConicSolution(
-        status=res["status"], x=x, objective=obj, dual_objective=dobj,
-        primal_residual=res["pres"], dual_residual=res["dres"],
-        duality_gap=res["relgap"], iterations=res["iterations"],
-        certificate=res["certificate"],
+        status=res["status"], x=x, objective=obj,
+        iterations=res["iterations"], certificate=res["certificate"],
         bound=res["bound"] + offset if override is None else -INF)
 

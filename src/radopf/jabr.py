@@ -18,8 +18,6 @@ implied by ``c_ji = c_ij`` and ``s_ji = -s_ij`` at model-build time.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -373,17 +371,3 @@ def solve_relaxation(net: Network, *, refine: bool = True,
         except ValueError:
             res.opf = None
     return res
-
-
-def lines_csv(model: JabrModel, sol: conic.ConicSolution) -> str:
-    """Per-line (c_ii, c_jj, c_ij, s_ij, residual) table for plotting."""
-    x = sol.x
-    res = model.coupling_residuals(x)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["from", "to", "cii", "cjj", "c", "s", "residual"])
-    for k, ln in enumerate(model.net.lines):
-        vi, vj, vc, vs = model.line_vars(k)
-        w.writerow([ln.from_bus, ln.to_bus, f"{x[vi]:.12g}", f"{x[vj]:.12g}",
-                    f"{x[vc]:.12g}", f"{x[vs]:.12g}", f"{res[k]:.6e}"])
-    return buf.getvalue()

@@ -323,6 +323,27 @@ def test_genlib_manifest(capsys, tmp_path):
         assert len(net.lines) == net.num_buses - 1
 
 
+def test_genlib_reads_a_json_case(capsys, tmp_path):
+    """`--cases` takes a `network_to_json` file, as `relax` and `solve`
+    take one in `--case`: a case9 spanning tree in JSON makes one library
+    row at γ = 1."""
+    from radopf import network
+    tree = network.spanning_tree(cases.load_case("case9", drop_charging=True))
+    path = tmp_path / "t9.json"
+    path.write_text(network.network_to_json(tree))
+    out_dir = tmp_path / "lib"
+    code, _, _ = run(capsys, ["genlib", "--cases", str(path),
+                              "--out", str(out_dir)])
+    assert code == cli.EXIT_OK
+    with (out_dir / "manifest.csv").open() as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["name"] == "case9_tree0_g1.00"
+    assert row["global_status"] == "global-optimal"
+    net = network.network_from_json((out_dir / (row["name"] + ".json"))
+                                    .read_text())
+    assert (net.num_buses, len(net.lines)) == (9, 8)
+
+
 @pytest.mark.parametrize("argv", [
     ["genlib", "--cases", "case9", "--step", "0"],
     ["genlib", "--cases", "case9", "--step", "-0.05"],

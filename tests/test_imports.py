@@ -1,6 +1,7 @@
 """What a fresh process loads: relaxation, tightening, the two-bus analysis
 and the CLI's relax command never import scipy.optimize; the first local
-polish imports it and gives the same point as a polish in a warm process."""
+polish imports it and gives the same point as a polish in a warm process;
+a star import binds every public name."""
 
 import os
 import subprocess
@@ -33,6 +34,12 @@ assert "scipy.optimize" not in sys.modules
 print(polish_case2().objective.hex())
 """
 
+STAR = """
+import radopf
+from radopf import *
+print([name for name in radopf.__all__ if name not in globals()])
+"""
+
 
 def polish_case2():
     """Local polish of the 2-bus γ = 1.00 relaxation point."""
@@ -59,3 +66,9 @@ def test_first_polish_in_a_fresh_process_matches_a_warm_one():
     assert cand is not None
     tests = str(Path(__file__).resolve().parent)
     assert _fresh(FIRST_POLISH.format(tests=tests)) == cand.objective.hex()
+
+
+def test_star_import_binds_every_public_name():
+    """Every name in `radopf.__all__` resolves, so a deletion that leaves
+    its name in the list fails here."""
+    assert _fresh(STAR) == "[]"

@@ -198,15 +198,6 @@ def test_non_radial_rejected():
         jabr.build_relaxation(net)
 
 
-def test_lines_csv_format(net2):
-    model = jabr.build_relaxation(net2)
-    sol = conic.solve(model.program)
-    text = jabr.lines_csv(model, sol)
-    header, row = text.strip().splitlines()
-    assert header.split(",") == ["from", "to", "cii", "cjj", "c", "s", "residual"]
-    assert row.startswith("1,2,")
-
-
 # case14 spanning trees at the edge of their infeasible load range (tree 0
 # is infeasible from 1.06, tree 1 from 1.02, tree 2 on all of 0.80..1.10),
 # where the relaxation must still end with a verdict
@@ -232,7 +223,7 @@ def test_case14_tree_relaxation_answers(case14, tree, gamma):
         return
     cert = res.solution.certificate
     assert cert is not None and cert["kind"] == "primal"
-    c, G, h, dims, A, b, _ = res.model.program._compile()
+    G, h, dims, A, b = res.model.program._constraints()
     y, z = cert["y"], cert["z"]
     assert np.linalg.norm(A.T @ y + G.T @ z) <= 1e-7
     assert b @ y + h @ z < 0
@@ -296,8 +287,8 @@ def test_lifted_model_has_no_line_pair_box():
                 assert model.program.lb[v] == -np.inf
                 assert model.program.ub[v] == np.inf
         boxed = tighten.boxed(model, tighten.NodeBox.of(model))
-        lean_G, lean_dims = model.program._compile()[1:4:2]
-        box_G, box_dims = boxed.program._compile()[1:4:2]
+        lean_G, lean_dims = model.program._constraints()[0:3:2]
+        box_G, box_dims = boxed.program._constraints()[0:3:2]
         assert box_dims.l - lean_dims.l == 4 * len(net.lines), label
         assert list(box_dims.q) == list(lean_dims.q), label
         assert box_G.shape[0] - lean_G.shape[0] == 4 * len(net.lines), label

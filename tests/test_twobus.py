@@ -293,7 +293,7 @@ def test_grid_oracle_relaxation_has_no_rows_for_absent_unit_bounds(monkeypatch):
     (prog,) = seen
 
     def rows(p):
-        return p._compile()[3].l
+        return p._constraints()[2].l
 
     stand_ins = jabr.build_relaxation(inst.to_network()).program
     assert rows(prog) == rows(stand_ins) - 4
