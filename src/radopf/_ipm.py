@@ -40,7 +40,7 @@ import copy
 import functools
 
 import numpy as np
-# eager, unlike bnb's scipy.optimize: every feeder relaxation factors with splu
+# eager: every feeder relaxation factors with splu
 from scipy import sparse
 from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse.linalg import splu

@@ -14,7 +14,9 @@ splits the variable contributing most to the worst coupling slack at the
 middle of its interval, node relaxations stop once their Lagrangian bound
 reaches the cutoff, incumbents come from a local polish of relaxation points
 in (|V|, angle) space, and every incumbent must pass the independent
-rectangular feasibility check before it is accepted.
+rectangular feasibility check before it is accepted.  The polish is a
+Newton power-flow core in numpy alone, with PV/PQ-style active-set switches
+and a projected reduced-gradient cost descent.
 """
 
 from __future__ import annotations
@@ -192,13 +194,23 @@ def branch(model: jabr.JabrModel, box: NodeBox, x: np.ndarray,
 # --------------------------------------------------------------- local polish
 #
 # The polish moves z = (|V| at every bus, angle at every bus but the slack).
-# A bus's required generation is S(V) + S_d with S = V * conj(Y V); its
-# residual is the part of that lying outside the bus generation box.  The
-# helpers take (z, bal) so that scipy can pass `bal` through `args=`.
+# A bus's required generation is S(V) + S_d with S = V * conj(Y V).  The
+# Newton core works on 3n quantities q = (|V|, required active generation,
+# required reactive generation), each in bus order and each with a box: the
+# voltage limits, a point for a pinned voltage, and the bus generation
+# boxes.  Every quantity is held or free.  A held |V| is its entry of z, and
+# a held row is the equation `required = target`.  The free |V| and the
+# angles are solved for, as many as there are held rows, and a free row
+# takes what the solution requires.
+
+_BALANCE_TOL = 1e-10  # held-row residual and box excess of a core point
+_NEWTON_ITERS = 30    # Newton iterations per solve of one active set
+_DESCENT_ITERS = 30   # accepted cost steps per polish
+
 
 @dataclass
 class _Balance:
-    """Network data of the clipped polar balance residuals, bus order."""
+    """Network data of the polar balance rows, bus order."""
     Y: np.ndarray           # complex bus admittance
     slack: int              # bus id whose angle is fixed at 0
     free: np.ndarray        # positions of the buses whose angle is in z
@@ -257,19 +269,6 @@ def _required(z: np.ndarray, bal: _Balance, jac: bool = False):
     return need, np.array([dS.real, dS.imag])
 
 
-def _residuals(z: np.ndarray, bal: _Balance) -> np.ndarray:
-    need = _required(z, bal)
-    return (need - np.clip(need, bal.lo, bal.hi)).ravel()
-
-
-def _residual_jacobian(z: np.ndarray, bal: _Balance) -> np.ndarray:
-    """Rows of the required-generation derivative, zeroed where the
-    required generation lies inside its box."""
-    need, d_need = _required(z, bal, jac=True)
-    outside = (need < bal.lo) | (need > bal.hi)
-    return (d_need * outside[:, :, None]).reshape(need.size, -1)
-
-
 def _allocate(bal: _Balance, need: np.ndarray, base: np.ndarray):
     """Split required bus generation (2, buses), clipped to the bus boxes,
     across its units from the `base` split (2, generators), which lies in
@@ -277,68 +276,187 @@ def _allocate(bal: _Balance, need: np.ndarray, base: np.ndarray):
     the room each unit has toward the bound it moves to, so a base that
     meets the requirement is kept, and a base at the floors gives the split
     pro rata by range.  Returns (pg, qg) and each unit's share `room /
-    Σroom`, the slope of its output in the clipped requirement."""
+    Σroom`, the slope of its output in the clipped requirement; where the
+    base meets a requirement at the bus floor, the upward slope."""
     nb = need.shape[1]
-    short = np.clip(need, bal.lo, bal.hi) - np.array(
+    clipped = np.clip(need, bal.lo, bal.hi)
+    short = clipped - np.array(
         [np.bincount(bal.gen_bus, row, nb) for row in base])
-    room = np.where((short > 0)[:, bal.gen_bus], bal.gen_hi - base,
-                    base - bal.gen_lo)
+    up = (short > 0) | ((short == 0) & (clipped <= bal.lo))
+    room = np.where(up[:, bal.gen_bus], bal.gen_hi - base, base - bal.gen_lo)
     total = np.array([np.bincount(bal.gen_bus, row, nb) for row in room])
     share = room / np.where(total > 0, total, 1.0)[:, bal.gen_bus]
     return base + short[:, bal.gen_bus] * share, share
 
 
-def _gen_cost(bal: _Balance, pg: np.ndarray) -> float:
-    c2, c1, c0 = bal.cost
-    return float(np.sum(c2 * pg * pg + c1 * pg + c0))
-
-
-def _alloc_cost(z: np.ndarray, bal: _Balance, base: np.ndarray) -> float:
-    (pg, _), _ = _allocate(bal, _required(z, bal), base)
-    return _gen_cost(bal, pg)
-
-
-def _penalized(z: np.ndarray, bal: _Balance, base: np.ndarray, rho: float):
-    """alloc_cost + rho·‖r‖² and its gradient: the cost slope through each
-    unit's share of its bus (nonzero only where a bus's required active
-    generation lies strictly inside its box) plus 2·rho·Jᵀr.  A residual
-    is zero where its row of J is, so Jᵀr needs no mask."""
-    need, d_need = _required(z, bal, jac=True)
-    r = need - np.clip(need, bal.lo, bal.hi)
+def _cost_slope(bal: _Balance, need: np.ndarray, base: np.ndarray):
+    """Cost of the generation allocated at `need` from `base`, and its
+    slope in each bus's required active generation: each unit's marginal
+    cost times its share of the bus."""
     (pg, _), share = _allocate(bal, need, base)
-    p = need[0]
-    inside = ((p > bal.lo[0]) & (p < bal.hi[0]))[bal.gen_bus]
-    c2, c1, _ = bal.cost
-    w = 2.0 * rho * r
-    w[0] += np.bincount(bal.gen_bus, (2.0 * c2 * pg + c1) * inside * share[0],
-                        len(p))
-    value = _gen_cost(bal, pg) + rho * float(np.sum(r * r))
-    return value, w.ravel() @ d_need.reshape(w.size, -1)
+    c2, c1, c0 = bal.cost
+    slope = np.bincount(bal.gen_bus, (2.0 * c2 * pg + c1) * share[0],
+                        need.shape[1])
+    return float(np.sum(c2 * pg * pg + c1 * pg + c0)), slope
 
 
-def _z_bounds(net: Network, fixed_voltage: dict[int, float] | None):
-    """Box of z: the voltage limits (a pinned voltage widened by 5e-10 so
-    that the bounded least squares stays well posed) and angles in ±π."""
-    vmin = np.array([b.vmin for b in net.buses])
-    vmax = np.array([b.vmax for b in net.buses])
-    for b_id, c_pin in (fixed_voltage or {}).items():
-        k = net.bus_index[b_id]
-        vmin[k] = math.sqrt(c_pin) - 5e-10
-        vmax[k] = math.sqrt(c_pin) + 5e-10
-    n = net.num_buses
-    return (np.concatenate([vmin, np.full(n - 1, -np.pi)]),
-            np.concatenate([vmax, np.full(n - 1, np.pi)]))
+@dataclass
+class _Solved:
+    """A point of the Newton core: z, its active set (`held` over the 3n
+    quantities and `target` of the 2n rows, read where held), and the
+    required generation and its derivative at z."""
+    z: np.ndarray
+    held: np.ndarray
+    target: np.ndarray
+    need: np.ndarray
+    d_need: np.ndarray
+
+    def quantities(self) -> np.ndarray:
+        """q at z, a held row at its target."""
+        n = len(self.held) // 3
+        return np.concatenate([self.z[:n], np.where(
+            self.held[n:], self.target, self.need.ravel())])
 
 
-def _push(z0, bal: _Balance, bounds, max_nfev: int):
-    """Least-squares push of z0 onto the clipped balance equations; the
-    end point if every residual is within 10·_FEAS_TOL, else None."""
-    # deferred so that runs which never polish skip its import
-    from scipy.optimize import least_squares
-    fit = least_squares(_residuals, z0, jac=_residual_jacobian,
-                        bounds=bounds, args=(bal,), xtol=1e-14,
-                        ftol=1e-14, gtol=1e-14, max_nfev=max_nfev)
-    return fit.x if np.max(np.abs(fit.fun)) <= 10 * _FEAS_TOL else None
+def _unknowns(held: np.ndarray, n: int):
+    """Masks of the held rows (2n) and of the entries of z solved for."""
+    return held[n:], np.concatenate([~held[:n], np.ones(n - 1, dtype=bool)])
+
+
+def _newton(z, held, target, bal: _Balance) -> _Solved | None:
+    """Damped Newton on the held rows over the free |V| and the angles,
+    from z, on the exact Jacobian of `_required`.  Returns the point once
+    every held row is within `_BALANCE_TOL` of its target, or None when a
+    step halved 13 times still does not reduce the residual, the Jacobian
+    is singular or the iterations run out."""
+    n = len(bal.free) + 1
+    rows, cols = _unknowns(held, n)
+    need, d_need = _required(z, bal, jac=True)
+    res = need.ravel()[rows] - target[rows]
+    for _ in range(_NEWTON_ITERS):
+        if np.max(np.abs(res), initial=0.0) <= _BALANCE_TOL:
+            return _Solved(z, held, target, need, d_need)
+        try:
+            step = np.linalg.solve(d_need.reshape(2 * n, -1)[rows][:, cols],
+                                   -res)
+        except np.linalg.LinAlgError:
+            return None
+        norm, alpha = res @ res, 1.0
+        while True:
+            trial = z.copy()
+            trial[cols] += alpha * step
+            need, d_need = _required(trial, bal, jac=True)
+            new = need.ravel()[rows] - target[rows]
+            if new @ new <= (1.0 - 1e-4 * alpha) * norm:
+                break
+            alpha *= 0.5
+            if alpha < 1e-4:
+                return None
+        z, res = trial, new
+    return None
+
+
+def _sensitivity(pt: _Solved):
+    """Derivatives (3n, held) of every quantity in the held ones, with the
+    free |V| and the angles moving so that the held rows stay met, and the
+    positions of the held quantities.  A held row's own derivative is its
+    unit column.  Raises LinAlgError when the Jacobian is singular."""
+    n = len(pt.held) // 3
+    rows, cols = _unknowns(pt.held, n)
+    J = pt.d_need.reshape(2 * n, -1)
+    H = np.flatnonzero(pt.held)
+    hv = H < n
+    T = np.zeros((2 * n - 1, len(H)))
+    T[H[hv], np.flatnonzero(hv)] = 1.0
+    rhs = np.hstack([J[rows][:, H[hv]], -np.eye(rows.sum())])
+    T[cols] = -np.linalg.solve(J[rows][:, cols], rhs)
+    return np.vstack([T[:n], J @ T]), H
+
+
+def _core(z, held, target, box, bal: _Balance) -> _Solved | None:
+    """The Newton core: solve the held rows (`_newton`); while a free
+    quantity then lies outside its box by more than `_BALANCE_TOL`, hold
+    the worst one at the bound it crossed, free the held quantity that can
+    bring it furthest back inside its own box (the strongest among
+    equals), and solve again.  This is a PV/PQ-style active-set switch;
+    at most 3n are made.  Returns the solved point or None."""
+    n = len(held) // 3
+    lo, hi = box
+    for _ in range(3 * n + 1):
+        pt = _newton(z, held, target, bal)
+        if pt is None:
+            return None
+        q = pt.quantities()
+        over = np.where(held, 0.0, np.maximum(lo - q, q - hi))
+        k = int(np.argmax(over))
+        if over[k] <= _BALANCE_TOL:
+            return pt
+        bound = lo[k] if q[k] < lo[k] else hi[k]
+        try:
+            D, H = _sensitivity(pt)
+        except np.linalg.LinAlgError:
+            return None
+        # the share of the way back to `bound` that each held quantity
+        # makes, moving toward whichever of its bounds that needs
+        room = np.where((bound - q[k]) * D[k] > 0, hi[H] - q[H], q[H] - lo[H])
+        reach = np.minimum(np.abs(D[k]) * room / abs(bound - q[k]), 1.0)
+        reach[(hi[H] <= lo[H]) | (np.abs(D[k]) < 1e-9)] = 0.0
+        if reach.max() <= 0.0:
+            return None
+        c = H[np.lexsort((np.abs(D[k]), reach))[-1]]
+        z, held, target = pt.z.copy(), held.copy(), target.copy()
+        if k < n:
+            z[k] = bound
+        else:
+            target[k - n] = bound
+        held[k], held[c] = True, False
+    return None
+
+
+def _descend(pt: _Solved, box, bal: _Balance, base) -> _Solved:
+    """Projected reduced-gradient descent of the allocated cost over the
+    held quantities (after Dommel and Tinney, IEEE Trans. PAS 1968).  A
+    trial moves them against the reduced gradient, the largest move
+    `step`, clipped to their boxes; `_core` solves it, switching the active
+    set where a free quantity leaves its box, and it is kept when its cost
+    is lower by more than rounding.  The predicted decrease cannot gate it:
+    a switch can undo part of the move.  The step doubles, up to 1, after
+    a kept trial and is quartered after a refused one.  The descent stops
+    when no trial is kept before the step or the predicted decrease is
+    negligible, or after `_DESCENT_ITERS` kept trials."""
+    n = len(pt.held) // 3
+    lo, hi = box
+    cost, slope = _cost_slope(bal, pt.need, base)
+    step = 0.1
+    for _ in range(_DESCENT_ITERS):
+        try:
+            D, H = _sensitivity(pt)
+        except np.linalg.LinAlgError:
+            break
+        g = slope @ D[n:2 * n]
+        h = pt.quantities()[H]
+        d = np.where(hi[H] > lo[H], -g, 0.0)
+        d[((h <= lo[H]) & (d < 0)) | ((h >= hi[H]) & (d > 0))] = 0.0
+        big = np.max(np.abs(d), initial=0.0)
+        hv = H < n
+        kept = None
+        while kept is None and big > 0.0 and step >= 1e-9:
+            trial = np.clip(h + (step / big) * d, lo[H], hi[H])
+            decrease = g @ (trial - h)
+            if -decrease <= 1e-12 * (1.0 + abs(cost)):
+                break
+            z, target = pt.z.copy(), pt.target.copy()
+            z[H[hv]], target[H[~hv] - n] = trial[hv], trial[~hv]
+            new = _core(z, pt.held, target, box, bal)
+            if new is not None:
+                kept = (new, *_cost_slope(bal, new.need, base))
+                if kept[1] >= cost - 1e-12 * (1.0 + abs(cost)):
+                    kept = None
+            step = min(2.0 * step, 1.0) if kept else 0.25 * step
+        if kept is None:
+            break
+        pt, cost, slope = kept
+    return pt
 
 
 def _verified(net: Network, bal: _Balance, z, base: np.ndarray):
@@ -362,26 +480,35 @@ def local_polish(net: Network, point: dict, *, multistart: bool = True,
                  bal: _Balance | None = None) -> jabr.OpfSolution | None:
     """Project a relaxation point onto the feasible set and locally improve.
 
-    Lines are rescaled radially onto the cone surface, angles recovered along
-    the tree (`jabr.tree_angles`), then (|V|, angle) are adjusted: first a
-    least-squares push onto the balance equations (clamped to the bus
-    generation boxes), then a penalized cost descent (L-BFGS-B) that is kept
-    when its pushed end point costs less, and a final cleanup.  Every step is
-    given exact derivatives: the Jacobian of the clipped residuals and the
-    gradient of the penalized cost (see `_penalized`).  Generation is
+    Lines are rescaled radially onto the cone surface and angles recovered
+    along the tree (`jabr.tree_angles`); with |V| = √c_ii this is the
+    guided start z0.  The Newton core (`_core`) solves the balance rows
+    from z0 with the slack bus's |V|, every pinned |V| and every other
+    bus's generation held: the generation at its requirement at z0 clipped
+    to the bus box, which `_allocate` splits among the bus's units.  The
+    slack bus's generation and a pinned bus's reactive generation are
+    free; where a pinned bus has no reactive room, the slack |V| is freed
+    instead.  A projected reduced-gradient descent (`_descend`) then
+    lowers the cost, each trial solved by the same core, so the point
+    returned meets the balance rows within `_BALANCE_TOL`.  Generation is
     allocated from the point's own unit split (`pg`, `qg` clipped into the
-    unit boxes, see `_allocate`), so units at one bus keep the relaxation's
-    split up to the shift that the pushed requirement asks.  With
-    `multistart` the push is retried from a flat and a feeder-tilted voltage
-    profile when the guided start fails.  `bal` is the network's
-    `_balance`, built here when not given.  Returns a verified feasible
-    point or None.
+    unit boxes, see `_allocate`), so units at one bus keep the
+    relaxation's split up to the shift that the solved requirement asks.
+    With `multistart` the core is retried from a feeder-tilted voltage
+    profile (voltage declining with depth from the slack) when the guided
+    start fails.  `bal` is the network's `_balance`, built here when not
+    given.  Returns a verified feasible point or None.
     """
     bal = bal if bal is not None else _balance(net)
     n = net.num_buses
     pos = net.bus_index
-    lb, ub = _z_bounds(net, fixed_voltage)
     base = np.clip([point["pg"], point["qg"]], bal.gen_lo, bal.gen_hi)
+    vlo = np.array([b.vmin for b in net.buses])
+    vhi = np.array([b.vmax for b in net.buses])
+    for b_id, pin in (fixed_voltage or {}).items():
+        vlo[pos[b_id]] = vhi[pos[b_id]] = math.sqrt(pin)
+    box = (np.concatenate([vlo, bal.lo.ravel()]),
+           np.concatenate([vhi, bal.hi.ravel()]))
 
     cii = point["cii"]
     c = np.asarray(point["c"], dtype=float).copy()
@@ -397,44 +524,35 @@ def local_polish(net: Network, point: dict, *, multistart: bool = True,
     vm0 = np.sqrt([max(cii[b.id], 1e-9) for b in net.buses])
     th0 = jabr.tree_angles(net, c, s)
 
-    vmin, vmax = lb[:n], ub[:n]
-    starts = [np.clip(np.concatenate([vm0, th0[bal.free]]), lb + 1e-12, ub - 1e-12)]
+    starts = [np.concatenate([np.clip(vm0, vlo, vhi), th0[bal.free]])]
     if multistart:
-        # the guided start can stall on a voltage floor; try a flat and a
-        # feeder-tilted profile (voltage declining with depth from slack)
+        # the generation held at the guided start can lie beyond what any
+        # voltage profile near it carries; try a feeder-tilted profile
         depth = np.zeros(n)
         for i, j, _ in tree_edges(net, bal.slack):
             depth[pos[j]] = depth[pos[i]] + 1
         prof = depth / max(depth.max(), 1.0)
-        for f, tilt in ((0.5, 0.0), (0.55, -0.5)):
-            frac = np.clip(f + tilt * (prof - 0.5), 0.02, 0.98)
-            starts.append(np.concatenate([vmin + frac * (vmax - vmin),
-                                          th0[bal.free]]))
+        frac = np.clip(0.55 - 0.5 * (prof - 0.5), 0.02, 0.98)
+        starts.append(np.concatenate([vlo + frac * (vhi - vlo),
+                                      th0[bal.free]]))
 
-    z = None
-    for z0 in starts:
-        try:
-            z = _push(z0, bal, (lb, ub), 200)
-        except ValueError:  # also numpy's LinAlgError
-            continue
-        if z is not None:
-            break
-    if z is None:
+    # held: each pinned |V|, and every row but the slack bus's two and the
+    # reactive row of a pinned bus with reactive room; the slack |V| too
+    # when that makes the rows as many as the unknowns
+    sk = pos[bal.slack]
+    held = np.concatenate([vlo == vhi, np.ones(2 * n, dtype=bool)])
+    held[2 * n:] &= ~(held[:n] & (bal.hi[1] > bal.lo[1]))
+    held[[n + sk, 2 * n + sk]] = False
+    if held[n:].sum() == (~held[:n]).sum() + n - 2:
+        held[sk] = True
+    if held[n:].sum() != (~held[:n]).sum() + n - 1:
         return None
-
-    from scipy.optimize import minimize
-    cost = _alloc_cost(z, bal, base)
-    rho = 1e5 * (1.0 + abs(cost))
-    try:
-        imp = minimize(_penalized, z, args=(bal, base, rho), jac=True,
-                       method="L-BFGS-B", bounds=list(zip(lb, ub)),
-                       options={"maxiter": 60})
-        z2 = _push(imp.x, bal, (lb, ub), 150)
-        if z2 is not None and _alloc_cost(z2, bal, base) < cost:
-            z = z2
-    except ValueError:
-        pass
-    return _verified(net, bal, z, base)
+    for z0 in starts:
+        target = np.clip(_required(z0, bal), bal.lo, bal.hi).ravel()
+        pt = _core(z0, held, target, box, bal)
+        if pt is not None:
+            return _verified(net, bal, _descend(pt, box, bal, base).z, base)
+    return None
 
 
 # -------------------------------------------------------------- range reduction
@@ -567,7 +685,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     node off the surface wait `2**fails` nodes; once there is one, such a
     polish runs at every 25th node.  Multistart runs only while no polish
     has failed since the start or the last success: a point no better than
-    the incumbent does not pay for two more starts.  Skipped polishes make
+    the incumbent does not pay for one more start.  Skipped polishes make
     no call; `polish_calls` counts the calls made and `polish_found` those
     that gave a new incumbent.
 
@@ -624,7 +742,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
         search's state; every exit returns through it."""
         rg = None
         if root_lb is not None and incumbent is not None and incumbent.objective:
-            rg = 100.0 * (1.0 - root_lb / incumbent.objective)
+            ub = incumbent.objective
+            rg = 100.0 * (ub - root_lb) / abs(ub)
         return BnbResult(status=status, incumbent=incumbent,
                          objective=incumbent.objective if incumbent else None,
                          lower_bound=lb, gap=_rel_gap(lb, ub_val()),

@@ -204,8 +204,9 @@ def cmd_genlib(args) -> int:
                 gres = bnb.solve_global(net, gap_tol=args.gap,
                                         time_limit=args.time_limit)
                 gap = None
-                if gres.objective and res.objective:
-                    gap = 100.0 * (1.0 - res.objective / gres.objective)
+                if gres.objective:
+                    gap = 100.0 * ((gres.objective - res.objective)
+                                   / abs(gres.objective))
                 tag = f"{net.name}_tree{seed}_g{g:.2f}"
                 with open(os.path.join(args.out, tag + ".json"), "w") as fh:
                     fh.write(network.network_to_json(net))

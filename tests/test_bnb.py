@@ -413,7 +413,7 @@ def test_polish_fails_on_infeasible_instance(net3):
 def _polish_points(net, seeds=(0, 1, 2)):
     """The relaxation's unit split, clipped into the unit boxes, and
     z = (|V|, free angles) near the relaxation voltages, each at least 1e-3
-    away from every clip kink of the balance residuals and, at a bus whose
+    away from every bound of the bus generation boxes and, at a bus whose
     required active generation lies inside its box, from the kink of the
     cost where that requirement equals the bus's summed active split (the
     reactive split does not enter the cost)."""
@@ -458,34 +458,59 @@ def _polish_networks(net3):
 
 @pytest.mark.filterwarnings("ignore:branch")
 def test_polish_derivatives_match_central_differences(net3):
-    """The analytic Jacobian of the clipped balance residuals and the
-    gradient of the penalized cost agree with central differences."""
-    slopes = outside = 0
+    """The exact Jacobian of the required generation, the Newton core's
+    sensitivities of every quantity to the held ones, and the reduced
+    gradient of the allocated cost agree with central differences.  The
+    held set is the core's start: the slack |V| and every row but the slack
+    bus's, each row held at its value at z, so z solves it; a perturbed
+    held set is solved again by `_newton`.  The cost reads the bus boxes
+    widened by 10, so that no requirement at these points is clipped."""
+    slopes = 0
     for net in _polish_networks(net3):
         bal, base, points = _polish_points(net)
+        wide = dataclasses.replace(bal, lo=bal.lo - 10.0, hi=bal.hi + 10.0)
+        n = net.num_buses
+        sk = net.bus_index[bal.slack]
+        held = np.ones(3 * n, dtype=bool)
+        held[:n] = False
+        held[[sk, n + sk, 2 * n + sk]] = [True, False, False]
         for z in points:
-            J = bnb._residual_jacobian(z, bal)
-            fd = _central(lambda zz: bnb._residuals(zz, bal), z)
+            need, d_need = bnb._required(z, bal, jac=True)
+            J = d_need.reshape(2 * n, -1)
+            fd = _central(lambda zz: bnb._required(zz, bal).ravel(), z)
             np.testing.assert_allclose(J, fd, rtol=1e-6,
                                        atol=1e-6 * np.max(np.abs(J)))
-            rho = 1e5 * (1.0 + abs(bnb._alloc_cost(z, bal, base)))
-            _, grad = bnb._penalized(z, bal, base, rho)
-            fd = _central(lambda zz: np.array(
-                [bnb._penalized(zz, bal, base, rho)[0]]), z)[0]
-            np.testing.assert_allclose(grad, fd, rtol=1e-6,
-                                       atol=1e-6 * np.max(np.abs(grad)))
-            # the cost-only gradient, where the slope through the split is
-            # not swamped by the penalty
-            _, grad = bnb._penalized(z, bal, base, 0.0)
-            fd = _central(lambda zz: np.array(
-                [bnb._alloc_cost(zz, bal, base)]), z)[0]
-            np.testing.assert_allclose(grad, fd, rtol=1e-6,
-                                       atol=1e-6 * np.max(np.abs(grad)))
-            need = bnb._required(z, bal)
-            slopes += int(np.any(((need[0] > bal.lo[0])
-                                  & (need[0] < bal.hi[0]))[bal.gen_bus]))
-            outside += int(np.any(bnb._residuals(z, bal) != 0))
-    assert slopes and outside  # both terms of the gradient were exercised
+            pt = bnb._Solved(z, held, need.ravel(), need, d_need)
+            D, H = bnb._sensitivity(pt)
+            g = bnb._cost_slope(wide, need, base)[1] @ D[n:2 * n]
+
+            def solved(h):
+                zz, target = z.copy(), need.ravel().copy()
+                zz[H[H < n]], target[H[H >= n] - n] = h[H < n], h[H >= n]
+                p = bnb._newton(zz, held, target, bal)
+                return np.append(p.quantities(),
+                                 bnb._cost_slope(wide, p.need, base)[0])
+
+            fd = _central(solved, pt.quantities()[H])
+            np.testing.assert_allclose(D, fd[:-1], rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(D)))
+            np.testing.assert_allclose(g, fd[-1], rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(g)))
+            slopes += int(np.any(g != 0))
+    assert slopes  # the cost gradient was exercised
+
+
+def test_polish_of_two_bus_meets_the_rows_at_no_more_cost(net2):
+    """On 2-bus γ = 1.00 the polish of the relaxation point meets every
+    row within 1e-9, and costs at most the 565.30096 that the former
+    least-squares polish found."""
+    scaled = network.scale_load(net2, 1.00)
+    res = jabr.solve_relaxation(scaled, refine=False)
+    cand = bnb.local_polish(scaled, res.model.point(res.solution.x))
+    assert cand is not None
+    check = jabr.evaluate_opf_point(scaled, cand.e, cand.f, cand.pg, cand.qg)
+    assert check.max_violation <= 1e-9
+    assert cand.objective <= 565.30096 * (1 + 1e-9)
 
 
 def test_polish_of_an_exact_point_meets_the_balance_equations(net3):
@@ -856,6 +881,17 @@ def test_global_root_lb_matches_relaxation(net2):
     assert res.root_lb == pytest.approx(501.46, rel=1e-3)
     assert res.root_gap_pct == pytest.approx(100 * (1 - res.root_lb / res.objective),
                                              abs=1e-6)
+
+
+def test_root_gap_is_not_negative_at_a_negative_cost():
+    """The root gap is (objective − root bound) over |objective|, so it
+    keeps its sign when the optimum costs less than zero."""
+    inst = twobus.TwoBusInstance(g=-1, b=5, pd=-0.5, qd=0.2, pmin=-0.49)
+    res = bnb.solve_global(inst.to_network(), gap_tol=1e-6)
+    assert res.optimal and res.objective < 0
+    assert res.root_gap_pct >= 0
+    assert res.root_gap_pct == pytest.approx(
+        100 * (res.objective - res.root_lb) / abs(res.objective), abs=1e-12)
 
 
 def test_node_bounds_are_lagrangian_bounds(net2, monkeypatch):

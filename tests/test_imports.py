@@ -1,8 +1,10 @@
-"""What a fresh process loads: relaxation, tightening, the two-bus analysis
-and the CLI's relax command never import scipy.optimize; the first local
-polish imports it and gives the same point as a polish in a warm process;
-a star import binds every public name."""
+"""What a fresh process loads: no module in `src/radopf` imports
+scipy.optimize, and no run loads it, whether relaxation, tightening, the
+two-bus analysis, the CLI's relax command, a local polish or a global
+search; the first polish in a fresh process gives the same point as one
+in a warm process; a star import binds every public name."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -31,7 +33,17 @@ import sys
 sys.path.insert(0, {tests!r})
 from test_imports import polish_case2
 assert "scipy.optimize" not in sys.modules
-print(polish_case2().objective.hex())
+hexed = polish_case2().objective.hex()
+assert "scipy.optimize" not in sys.modules
+print(hexed)
+"""
+
+GLOBAL_SEARCH = """
+import sys
+from radopf import bnb, cases, network
+net = network.scale_load(cases.load_case("case2_two_gen"), 1.00)
+assert bnb.solve_global(net, gap_tol=9e-4).optimal
+print("scipy.optimize" in sys.modules)
 """
 
 STAR = """
@@ -66,6 +78,28 @@ def test_first_polish_in_a_fresh_process_matches_a_warm_one():
     assert cand is not None
     tests = str(Path(__file__).resolve().parent)
     assert _fresh(FIRST_POLISH.format(tests=tests)) == cand.objective.hex()
+
+
+def test_global_search_never_loads_scipy_optimize():
+    assert _fresh(GLOBAL_SEARCH) == "False"
+
+
+def test_no_source_module_imports_scipy_optimize():
+    """A static scan: no import statement in `src/radopf` names
+    scipy.optimize, at module level or inside a function."""
+    found = []
+    for path in sorted((ROOT / "src" / "radopf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name == "scipy.optimize"
+                      or name.startswith("scipy.optimize.")]
+    assert found == []
 
 
 def test_star_import_binds_every_public_name():
