@@ -475,84 +475,90 @@ def _verified(net: Network, bal: _Balance, z, base: np.ndarray):
                             theta=th, pg=pg, qg=qg, objective=check.objective)
 
 
-def local_polish(net: Network, point: dict, *, multistart: bool = True,
-                 fixed_voltage: dict[int, float] | None = None,
-                 bal: _Balance | None = None) -> jabr.OpfSolution | None:
-    """Project a relaxation point onto the feasible set and locally improve.
+def local_polish(model: jabr.JabrModel,
+                 x: np.ndarray) -> jabr.OpfSolution | None:
+    """Project the point `x` of the lifted model `model` onto the feasible
+    set and locally improve it; the search's only source of incumbents.
 
     Lines are rescaled radially onto the cone surface and angles recovered
     along the tree (`jabr.tree_angles`); with |V| = √c_ii this is the
-    guided start z0.  The Newton core (`_core`) solves the balance rows
-    from z0 with the slack bus's |V|, every pinned |V| and every other
-    bus's generation held: the generation at its requirement at z0 clipped
-    to the bus box, which `_allocate` splits among the bus's units.  The
-    slack bus's generation and a pinned bus's reactive generation are
-    free; where a pinned bus has no reactive room, the slack |V| is freed
-    instead.  A projected reduced-gradient descent (`_descend`) then
-    lowers the cost, each trial solved by the same core, so the point
-    returned meets the balance rows within `_BALANCE_TOL`.  Generation is
-    allocated from the point's own unit split (`pg`, `qg` clipped into the
-    unit boxes, see `_allocate`), so units at one bus keep the
-    relaxation's split up to the shift that the solved requirement asks.
-    With `multistart` the core is retried from a feeder-tilted voltage
-    profile (voltage declining with depth from the slack) when the guided
-    start fails.  `bal` is the network's `_balance`, built here when not
-    given.  Returns a verified feasible point or None.
+    guided start z0.  A bus whose c_ii column has equal bounds in the
+    model's program is pinned, since the model is built with its pins
+    (`jabr.build_relaxation`), and its |V| is held at the root of the pin.
+    The Newton core (`_core`) solves the balance rows from z0 with the
+    slack bus's |V|, every pinned |V| and every other bus's generation
+    held: the generation at its requirement at z0 clipped to the bus box,
+    which `_allocate` splits among the bus's units.  The slack bus's
+    generation and a pinned bus's reactive generation are free; where a
+    pinned bus has no reactive room, the slack |V| is freed instead.  A
+    projected reduced-gradient descent (`_descend`) then lowers the cost,
+    each trial solved by the same core, so the point returned meets the
+    balance rows within `_BALANCE_TOL`.  Generation is allocated from the
+    point's own unit split (`pg`, `qg` clipped into the unit boxes, see
+    `_allocate`), so units at one bus keep the relaxation's split up to the
+    shift that the solved requirement asks.  When the guided start fails,
+    the core is retried from a feeder-tilted voltage profile (voltage
+    declining with depth from the slack).  When neither start solves, the
+    guided start itself is checked; on the cone surface that is the point
+    of angle recovery along the tree with its generation allocated as
+    above, so the balance rows hold at every generator bus.  Returns a
+    point that passes the rectangular check at `_FEAS_TOL`, or None.
     """
-    bal = bal if bal is not None else _balance(net)
+    net = model.net
+    bal = _balance(net)
     n = net.num_buses
     pos = net.bus_index
-    base = np.clip([point["pg"], point["qg"]], bal.gen_lo, bal.gen_hi)
+    cols = [model.cii[b.id] for b in net.buses]
+    cii = x[cols]
+    base = np.clip([x[model.pg], x[model.qg]], bal.gen_lo, bal.gen_hi)
     vlo = np.array([b.vmin for b in net.buses])
     vhi = np.array([b.vmax for b in net.buses])
-    for b_id, pin in (fixed_voltage or {}).items():
-        vlo[pos[b_id]] = vhi[pos[b_id]] = math.sqrt(pin)
+    lb = np.array(model.program.lb)[cols]
+    pinned = lb == np.array(model.program.ub)[cols]
+    vlo[pinned] = vhi[pinned] = np.sqrt(lb[pinned])
     box = (np.concatenate([vlo, bal.lo.ravel()]),
            np.concatenate([vhi, bal.hi.ravel()]))
 
-    cii = point["cii"]
-    c = np.asarray(point["c"], dtype=float).copy()
-    s = np.asarray(point["s"], dtype=float).copy()
+    c, s = x[model.c], x[model.s]
     for k, ln in enumerate(net.lines):
-        target = math.sqrt(max(cii[ln.from_bus] * cii[ln.to_bus], 0.0))
+        target = math.sqrt(max(cii[pos[ln.from_bus]] * cii[pos[ln.to_bus]],
+                               0.0))
         nrm = math.hypot(c[k], s[k])
         if nrm > 1e-12:
             c[k] *= target / nrm
             s[k] *= target / nrm
         else:
             c[k], s[k] = target, 0.0
-    vm0 = np.sqrt([max(cii[b.id], 1e-9) for b in net.buses])
     th0 = jabr.tree_angles(net, c, s)
 
-    starts = [np.concatenate([np.clip(vm0, vlo, vhi), th0[bal.free]])]
-    if multistart:
-        # the generation held at the guided start can lie beyond what any
-        # voltage profile near it carries; try a feeder-tilted profile
-        depth = np.zeros(n)
-        for i, j, _ in tree_edges(net, bal.slack):
-            depth[pos[j]] = depth[pos[i]] + 1
-        prof = depth / max(depth.max(), 1.0)
-        frac = np.clip(0.55 - 0.5 * (prof - 0.5), 0.02, 0.98)
-        starts.append(np.concatenate([vlo + frac * (vhi - vlo),
-                                      th0[bal.free]]))
+    # the generation held at the guided start can lie beyond what any
+    # voltage profile near it carries; then try a feeder-tilted profile
+    depth = np.zeros(n)
+    for i, j, _ in tree_edges(net, bal.slack):
+        depth[pos[j]] = depth[pos[i]] + 1
+    prof = depth / max(depth.max(), 1.0)
+    frac = np.clip(0.55 - 0.5 * (prof - 0.5), 0.02, 0.98)
+    guided = np.concatenate([np.clip(np.sqrt(np.maximum(cii, 1e-9)), vlo, vhi),
+                             th0[bal.free]])
+    tilted = np.concatenate([vlo + frac * (vhi - vlo), th0[bal.free]])
 
     # held: each pinned |V|, and every row but the slack bus's two and the
     # reactive row of a pinned bus with reactive room; the slack |V| too
     # when that makes the rows as many as the unknowns
     sk = pos[bal.slack]
-    held = np.concatenate([vlo == vhi, np.ones(2 * n, dtype=bool)])
+    held = np.concatenate([pinned, np.ones(2 * n, dtype=bool)])
     held[2 * n:] &= ~(held[:n] & (bal.hi[1] > bal.lo[1]))
     held[[n + sk, 2 * n + sk]] = False
     if held[n:].sum() == (~held[:n]).sum() + n - 2:
         held[sk] = True
     if held[n:].sum() != (~held[:n]).sum() + n - 1:
         return None
-    for z0 in starts:
+    for z0 in (guided, tilted):
         target = np.clip(_required(z0, bal), bal.lo, bal.hi).ravel()
         pt = _core(z0, held, target, box, bal)
         if pt is not None:
             return _verified(net, bal, _descend(pt, box, bal, base).z, base)
-    return None
+    return _verified(net, bal, guided, base)
 
 
 # -------------------------------------------------------------- range reduction
@@ -676,18 +682,16 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
        bisected at the middle of one interval (`branch`) and their children
        pushed with the node's bound.
 
-    Incumbents come only from `local_polish`.  A node whose relaxation
-    point lies on the cone surface is polished at once, without extra
-    starts, and its recovered point (`jabr.recover_angles`) is tried when
-    the polish finds none.  Other nodes are polished when one is due.  A
-    polish succeeds when it gives a new incumbent and fails otherwise.
-    While there is no incumbent, a failed polish makes the next one of a
-    node off the surface wait `2**fails` nodes; once there is one, such a
-    polish runs at every 25th node.  Multistart runs only while no polish
-    has failed since the start or the last success: a point no better than
-    the incumbent does not pay for one more start.  Skipped polishes make
-    no call; `polish_calls` counts the calls made and `polish_found` those
-    that gave a new incumbent.
+    Incumbents come only from `local_polish` of a node's relaxation point
+    in the lifted model (node programs have its columns); a polished point
+    is kept when it is cheaper than the incumbent.  A node whose relaxation
+    point lies on the cone surface is polished at once.  Other nodes are
+    polished when one is due: while there is no incumbent, a failed polish
+    makes the next one wait `2**fails` nodes; once there is one, the polish
+    runs at every 25th node.  A polish succeeds when it gives a new
+    incumbent and fails otherwise.  Skipped polishes make no call;
+    `polish_calls` counts the calls made and `polish_found` those that gave
+    a new incumbent.
 
     A node whose relaxation ends without an answer goes through the same
     phases: it is range-reduced like any open node and, unless that
@@ -765,49 +769,22 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     pre_time = time.monotonic() - t0
 
     prop = _Propagator(base)
-    bal = _balance(net)
     heap = [(-math.inf, 0, root)]
     counter = 1
 
-    def consider(cand: jabr.OpfSolution | None):
-        nonlocal incumbent
-        if cand is None:
-            return
-        check = jabr.evaluate_opf_point(net, cand.e, cand.f, cand.pg, cand.qg)
-        if not check.feasible(_FEAS_TOL):
-            return
-        if fixed_voltage:
-            pos = net.bus_index
-            for b_id, pin in fixed_voltage.items():
-                if abs(cand.vm[pos[b_id]] ** 2 - pin) > 1e-7:
-                    return
-        if incumbent is None or cand.objective < incumbent.objective:
-            incumbent = cand
-
-    def polish(model, sol, exact):
-        """Polish the point of `sol` in `model` if one is due: on the cone
-        surface (`exact`) at once and without extra starts, falling back to
-        the recovered point; otherwise, without an incumbent, 2**fails
-        nodes after the last failure, and with one, every 25th node.  A
-        polish succeeds when it gives a new incumbent; only one with no
-        failure since the start or the last success multistarts."""
-        nonlocal polish_calls, polish_found, fails, next_polish
+    def polish(x, exact):
+        """Polish the point `x` if one is due: on the cone surface
+        (`exact`) at once; otherwise, without an incumbent, 2**fails nodes
+        after the last failure, and with one, every 25th node.  A polish
+        succeeds when it gives a new incumbent."""
+        nonlocal incumbent, polish_calls, polish_found, fails, next_polish
         if not exact and (nodes % 25 if incumbent is not None
                           else nodes < next_polish):
             return
         polish_calls += 1
-        cand = local_polish(net, model.point(sol.x),
-                            multistart=fails == 0 and not exact,
-                            fixed_voltage=fixed_voltage, bal=bal)
-        if cand is None and exact:
-            try:
-                cand = jabr.recover_angles(net, model, sol,
-                                           tol=10 * _EXACT_TOL)
-            except ValueError:
-                pass
-        best = incumbent
-        consider(cand)
-        if incumbent is not best:
+        cand = local_polish(base, x)
+        if cand is not None and cand.objective < ub_val():
+            incumbent = cand
             polish_found += 1
             fails = 0
         else:
@@ -858,7 +835,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             x, slacks = None, np.ones(len(net.lines))
             if sol.optimal:
                 x, slacks = sol.x, model.coupling_residuals(sol.x)
-                polish(model, sol, np.max(slacks, initial=0.0) <= _EXACT_TOL)
+                polish(x, np.max(slacks, initial=0.0) <= _EXACT_TOL)
                 if node_lb >= cutoff():
                     trace.append((nodes, node_lb, ub_val()))
                     continue

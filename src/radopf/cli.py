@@ -30,7 +30,7 @@ def _load_network(args) -> network.Network:
     if args.case in cases._ALL:
         net = cases.load_case(args.case, drop_charging=getattr(args, "drop_charging", False))
     else:
-        with open(args.case) as fh:
+        with open(args.case, encoding="utf-8") as fh:
             text = fh.read()
         if args.case.endswith(".json"):
             net = network.network_from_json(text)
@@ -77,10 +77,10 @@ def _report(net, gamma, relax_result, bnb_result=None) -> dict:
                             for n, lb, ub in
                             trace[::max(1, len(trace) // 20)]],
         })
-        if (relax_result.objective is not None and bnb_result.objective
-                and bnb_result.objective > 0):
-            out["gap_percent"] = 100.0 * (1.0 - relax_result.objective
-                                          / bnb_result.objective)
+        obj = bnb_result.objective
+        if relax_result.objective is not None and obj:
+            out["gap_percent"] = (100.0 * (obj - relax_result.objective)
+                                  / abs(obj))
     return out
 
 
@@ -255,15 +255,17 @@ def cmd_plotdata(args) -> int:
 
 
 def _range_error(args) -> str | None:
-    """One line on the first of --step and --resolution (which must be
-    positive) and --gap (which must not be negative) that `args` holds out
-    of range, or None; a NaN is out of every range."""
+    """One line on the first of --step, --resolution and --time-limit
+    (which must be positive) and --gap (which must not be negative) that
+    `args` holds out of range, or None; a NaN is out of every range."""
     for name, ok, want in (("step", lambda v: v > 0, "positive"),
                            ("resolution", lambda v: v > 0, "positive"),
+                           ("time_limit", lambda v: v > 0, "positive"),
                            ("gap", lambda v: v >= 0, "non-negative")):
         value = getattr(args, name, None)
         if value is not None and not ok(value):
-            return f"--{name} must be {want}, not {value}"
+            flag = name.replace("_", "-")
+            return f"--{flag} must be {want}, not {value}"
     return None
 
 
@@ -370,8 +372,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (network.ParseError, network.NetworkError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (network.ParseError, network.NetworkError, OSError,
+            UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -57,15 +57,6 @@ class JabrModel:
             out[k] = (prod - x[vc] ** 2 - x[vs] ** 2) / max(prod, 1e-12)
         return out
 
-    def point(self, x: np.ndarray) -> dict:
-        return {
-            "pg": x[self.pg].copy(),
-            "qg": x[self.qg].copy(),
-            "cii": {b: x[v] for b, v in self.cii.items()},
-            "c": x[self.c].copy(),
-            "s": x[self.s].copy(),
-        }
-
 
 def checked_pins(net: Network,
                  fixed_voltage: dict[int, float] | None) -> dict[int, float]:
@@ -166,13 +157,12 @@ class Exactness:
         return f"{tag}(max residual {self.max_residual:.3e})"
 
 
-def check_exactness(model: JabrModel, sol: conic.ConicSolution,
-                    tol: float = 1e-6) -> Exactness:
-    """Exact iff every line sits on the cone surface to relative `tol`."""
+def check_exactness(model: JabrModel, sol: conic.ConicSolution) -> Exactness:
+    """Exact iff every line sits on the cone surface to relative 1e-6."""
     if not sol.optimal:
         raise ValueError(f"exactness undefined for status {sol.status}")
     worst = float(np.max(model.coupling_residuals(sol.x), initial=0.0))
-    return Exactness(exact=worst <= tol, max_residual=worst)
+    return Exactness(exact=worst <= 1e-6, max_residual=worst)
 
 
 # -------------------------------------------------------------- opf solutions
@@ -217,13 +207,13 @@ def tree_angles(net: Network, c, s) -> np.ndarray:
     return theta
 
 
-def recover_angles(net: Network, model: JabrModel, sol: conic.ConicSolution,
-                   tol: float = 1e-6) -> OpfSolution:
+def recover_angles(net: Network, model: JabrModel,
+                   sol: conic.ConicSolution) -> OpfSolution:
     """Map an exact (surface) relaxation solution back to voltages/angles
     (`tree_angles`).  Inexact solutions are refused: off the cone surface
     the lifted point has no consistent voltage phasor.
     """
-    ex = check_exactness(model, sol, tol)
+    ex = check_exactness(model, sol)
     if not ex.exact:
         raise ValueError(f"cannot recover angles from inexact solution ({ex})")
     x = sol.x
@@ -340,7 +330,7 @@ def solve_relaxation(net: Network, *, refine: bool = True,
     total squared voltage minimized - which slides along the optimal face
     toward the surface; exactness is then re-checked on that point.  The
     verdict is `exact` only when a recovered point actually exists.
-    Exactness is judged at `check_exactness`'s default tolerance.
+    Exactness is judged at `check_exactness`'s tolerance.
     """
     model = build_relaxation(net, fixed_voltage=fixed_voltage)
     sol = conic.solve(model.program)

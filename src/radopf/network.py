@@ -326,14 +326,21 @@ def network_to_json(net: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
+    """The network of a `network_to_json` document; raises ParseError on a
+    missing key, a wrong type or an unknown field."""
     doc = json.loads(text)
-    return Network(
-        buses=tuple(Bus(**b) for b in doc["buses"]),
-        generators=tuple(Generator(**{**g, "cost": CostFunction(**g["cost"])})
-                         for g in doc["generators"]),
-        lines=tuple(Line(**ln) for ln in doc["lines"]),
-        base_mva=doc.get("base_mva", 100.0),
-        name=doc.get("name", "case"))
+    try:
+        return Network(
+            buses=tuple(Bus(**b) for b in doc["buses"]),
+            generators=tuple(
+                Generator(**{**g, "cost": CostFunction(**g["cost"])})
+                for g in doc["generators"]),
+            lines=tuple(Line(**ln) for ln in doc["lines"]),
+            base_mva=doc.get("base_mva", 100.0),
+            name=doc.get("name", "case"))
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad network JSON: {type(exc).__name__}: "
+                         f"{exc}") from exc
 
 
 # ----------------------------------------------------------------- operations

@@ -386,7 +386,7 @@ def test_branch_falls_to_cs_when_cii_pinned(net2):
 def test_polish_returns_verified_point(net2):
     scaled = network.scale_load(net2, 1.00)
     res = jabr.solve_relaxation(scaled, refine=False)
-    cand = bnb.local_polish(scaled, res.model.point(res.solution.x))
+    cand = bnb.local_polish(res.model, res.solution.x)
     assert cand is not None
     check = jabr.evaluate_opf_point(scaled, cand.e, cand.f, cand.pg, cand.qg)
     assert check.max_violation < 1e-6
@@ -397,7 +397,7 @@ def test_polish_keeps_exact_point(net3):
     """Feeding an already-exact relaxation point returns (essentially) it."""
     scaled = network.scale_load(net3, 0.95, scale_p=False)
     res = jabr.solve_relaxation(scaled)
-    cand = bnb.local_polish(scaled, res.model.point(res.solution.x))
+    cand = bnb.local_polish(res.model, res.solution.x)
     assert cand is not None
     assert cand.objective == pytest.approx(res.objective, rel=1e-4)
 
@@ -406,7 +406,7 @@ def test_polish_fails_on_infeasible_instance(net3):
     scaled = network.scale_load(net3, 1.10, scale_p=False)
     res = jabr.solve_relaxation(scaled, refine=False)
     assert res.solution.optimal  # relaxation still feasible
-    cand = bnb.local_polish(scaled, res.model.point(res.solution.x))
+    cand = bnb.local_polish(res.model, res.solution.x)
     assert cand is None
 
 
@@ -418,10 +418,10 @@ def _polish_points(net, seeds=(0, 1, 2)):
     cost where that requirement equals the bus's summed active split (the
     reactive split does not enter the cost)."""
     res = jabr.solve_relaxation(net)
-    point = res.model.point(res.solution.x)
-    vm = np.sqrt([point["cii"][b.id] for b in net.buses])
+    model, x = res.model, res.solution.x
+    vm = np.sqrt(x[[model.cii[b.id] for b in net.buses]])
     bal = bnb._balance(net)
-    base = np.clip([point["pg"], point["qg"]], bal.gen_lo, bal.gen_hi)
+    base = np.clip([x[model.pg], x[model.qg]], bal.gen_lo, bal.gen_hi)
     summed = np.bincount(bal.gen_bus, base[0], net.num_buses)
     n = net.num_buses
     out = []
@@ -506,7 +506,7 @@ def test_polish_of_two_bus_meets_the_rows_at_no_more_cost(net2):
     least-squares polish found."""
     scaled = network.scale_load(net2, 1.00)
     res = jabr.solve_relaxation(scaled, refine=False)
-    cand = bnb.local_polish(scaled, res.model.point(res.solution.x))
+    cand = bnb.local_polish(res.model, res.solution.x)
     assert cand is not None
     check = jabr.evaluate_opf_point(scaled, cand.e, cand.f, cand.pg, cand.qg)
     assert check.max_violation <= 1e-9
@@ -514,13 +514,11 @@ def test_polish_of_two_bus_meets_the_rows_at_no_more_cost(net2):
 
 
 def test_polish_of_an_exact_point_meets_the_balance_equations(net3):
-    """A single-start polish of an exact relaxation point lands on the
-    balance rows well below the 1e-6 acceptance tolerance, at the
-    relaxation's cost."""
+    """The polish of an exact relaxation point lands on the balance rows
+    well below the 1e-6 acceptance tolerance, at the relaxation's cost."""
     scaled = network.scale_load(net3, 0.95, scale_p=False)
     res = jabr.solve_relaxation(scaled)
-    cand = bnb.local_polish(scaled, res.model.point(res.solution.x),
-                            multistart=False)
+    cand = bnb.local_polish(res.model, res.solution.x)
     assert cand is not None
     check = jabr.evaluate_opf_point(scaled, cand.e, cand.f, cand.pg, cand.qg)
     assert check.max_violation < 1e-9
@@ -535,9 +533,31 @@ def test_polish_keeps_the_relaxation_split_between_units(net3):
     net = _two_units(net3, 1.00)
     res = jabr.solve_relaxation(net, refine=False)
     assert res.verdict == "inexact"
-    cand = bnb.local_polish(net, res.model.point(res.solution.x))
+    cand = bnb.local_polish(res.model, res.solution.x)
     assert cand is not None and cand.objective <= 912.0
     assert cand.pg[0] > net.generators[0].pmin + 1e-3
+
+
+def test_polish_without_newton_keeps_an_exact_point(net2, net3, monkeypatch):
+    """With the Newton core failing from every start, the polish of an
+    exact relaxation point still returns its guided start, which passes
+    the rectangular check at the relaxation's cost, while an inexact point
+    gives nothing.  The searches whose root is exact still end there."""
+    monkeypatch.setattr(bnb, "_core", lambda *args: None)
+    exact = network.scale_load(net3, 0.95, scale_p=False)
+    res = jabr.solve_relaxation(exact)
+    cand = bnb.local_polish(res.model, res.solution.x)
+    assert cand is not None
+    check = jabr.evaluate_opf_point(exact, cand.e, cand.f, cand.pg, cand.qg)
+    assert check.max_violation <= 1e-6
+    assert cand.objective == pytest.approx(res.objective, rel=1e-6)
+
+    res = jabr.solve_relaxation(network.scale_load(net2, 1.00), refine=False)
+    assert bnb.local_polish(res.model, res.solution.x) is None
+
+    for net in (network.scale_load(net2, 0.98), exact):
+        res = bnb.solve_global(net, gap_tol=9e-4)
+        assert res.status == bnb.GLOBAL_OPTIMAL and res.nodes == 1
 
 
 # ------------------------------------------------------------------ obbt
@@ -675,22 +695,19 @@ def test_global_fathoms_an_exact_node_with_two_units(net3):
 
 
 def test_unbranchable_node_keeps_its_bound(net3, monkeypatch):
-    """The exact root of the two-unit case gives no incumbent when angle
-    recovery fails and the polish splits from the units' floors: that
-    polish finds a dearer point, and the root can be neither fathomed nor
-    branched.  Its bound must stay in the lower bound, so the search may
-    not certify the polished point."""
-    def fail(*args, **kwargs):
-        raise ValueError("recovery failed")
-
+    """The exact root of the two-unit case gives no incumbent when the
+    polish splits from the units' floors: that polish finds a dearer
+    point, and the root can be neither fathomed nor branched.  Its bound
+    must stay in the lower bound, so the search may not certify the
+    polished point."""
     polish = bnb.local_polish
 
-    def from_floors(net, point, **kwargs):
-        floors = {"pg": [g.pmin for g in net.generators],
-                  "qg": [g.qmin for g in net.generators]}
-        return polish(net, {**point, **floors}, **kwargs)
+    def from_floors(model, x):
+        x = x.copy()
+        x[model.pg] = [g.pmin for g in model.net.generators]
+        x[model.qg] = [g.qmin for g in model.net.generators]
+        return polish(model, x)
 
-    monkeypatch.setattr(bnb.jabr, "recover_angles", fail)
     monkeypatch.setattr(bnb, "local_polish", from_floors)
     res = bnb.solve_global(_two_units(net3), gap_tol=1e-4)
     assert res.status == bnb.GAP_LIMIT
@@ -786,13 +803,13 @@ def test_global_certifies_infeasible(net3):
 
 def test_polish_backs_off_without_an_incumbent(net3, monkeypatch):
     """On an infeasible instance every polish fails: each failure doubles
-    the wait to the next one, and only the first call multistarts."""
+    the wait to the next one."""
     calls = []
     polish = bnb.local_polish
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("multistart", True))
-        return polish(*args, **kwargs)
+    def counted(*args):
+        calls.append(args)
+        return polish(*args)
 
     monkeypatch.setattr(bnb, "local_polish", counted)
     scaled = network.scale_load(net3, 1.04, scale_p=False)
@@ -800,7 +817,6 @@ def test_polish_backs_off_without_an_incumbent(net3, monkeypatch):
     assert res.status == bnb.INFEASIBLE
     assert res.nodes == 19
     assert 1 <= len(calls) <= math.ceil(math.log2(res.nodes)) + 2
-    assert sum(calls) == 1
     assert (res.polish_calls, res.polish_found) == (len(calls), 0)
 
 

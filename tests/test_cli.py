@@ -206,6 +206,25 @@ def test_solve_fixed_voltage(capsys, case2_path):
         100.0 * (1.0 - doc["socp_objective"] / doc["global_objective"]))
 
 
+def test_solve_reports_the_gap_at_a_negative_cost(capsys, tmp_path):
+    """The relaxation gap is reported whenever the global objective is
+    nonzero, as 100·(global − socp)/|global|; this instance's optimum
+    costs −0.49."""
+    from radopf import network, twobus
+    net = twobus.TwoBusInstance(g=-1, b=5, pd=-0.5, qd=0.2,
+                                pmin=-0.49).to_network()
+    path = tmp_path / "negative.json"
+    path.write_text(network.network_to_json(net))
+    code, out, _ = run(capsys, ["solve", "--case", str(path)])
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    glob, socp = doc["global_objective"], doc["socp_objective"]
+    assert glob == pytest.approx(-0.49, rel=1e-6)
+    assert doc["gap_percent"] == pytest.approx(
+        100.0 * (glob - socp) / abs(glob))
+    assert abs(doc["gap_percent"]) < 1e-4
+
+
 @pytest.mark.parametrize("pins,words", [
     ('{"1": 0.874', "JSON"),
     ('[0.874]', "JSON"),
@@ -349,11 +368,14 @@ def test_genlib_reads_a_json_case(capsys, tmp_path):
     ["genlib", "--cases", "case9", "--step", "-0.05"],
     ["plotdata", "--instance", "inst.json", "--resolution", "0"],
     ["solve", "--case", "case2_two_gen", "--gap", "-1"],
+    ["solve", "--case", "case2_two_gen", "--time-limit", "nan"],
+    ["genlib", "--cases", "case9", "--time-limit", "0"],
 ], ids=["genlib-step-0", "genlib-step-negative", "plotdata-resolution-0",
-        "solve-gap-negative"])
+        "solve-gap-negative", "solve-time-limit-nan", "genlib-time-limit-0"])
 def test_out_of_range_option_is_a_usage_error(capsys, tmp_path, argv):
-    """A zero or negative step or resolution, or a negative gap, is refused
-    with one line on stderr before any work: no output directory is made."""
+    """A zero or negative step, resolution or time limit, or a negative
+    gap, is refused with one line on stderr before any work: no output
+    directory is made."""
     out_dir = tmp_path / "out"
     extra = [] if argv[0] == "solve" else ["--out", str(out_dir)]
     code, out, err = run(capsys, argv + extra)
@@ -366,6 +388,29 @@ def test_out_of_range_option_is_a_usage_error(capsys, tmp_path, argv):
 def test_missing_case_file_data_error(capsys):
     code, _, err = run(capsys, ["relax", "--case", "/nonexistent/case.m"])
     assert code == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("name,data,words", [
+    ("bad.json", b'{"buses": 3}', "bad network JSON"),
+    ("unknown.json", b'{"buses": [{"id": 1, "volts": 1.0}], '
+                     b'"generators": [], "lines": []}', "volts"),
+    ("missing.json", b'{"buses": []}', "generators"),
+    ("bad.m", b"\xff\xfe function mpc = case\n", "utf-8"),
+    ("folder", None, "directory"),
+], ids=["wrong-type", "unknown-field", "missing-key", "not-utf8",
+        "directory"])
+def test_unreadable_case_is_a_data_error(capsys, tmp_path, name, data, words):
+    """A case file that cannot be read, or a JSON case with a missing key,
+    a wrong type or an unknown field, exits 65 with one line on stderr."""
+    path = tmp_path / name
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    code, out, err = run(capsys, ["relax", "--case", str(path)])
+    assert code == cli.EXIT_DATA
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and words in err
 
 
 def test_usage_error(capsys):

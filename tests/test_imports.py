@@ -57,7 +57,7 @@ def polish_case2():
     """Local polish of the 2-bus γ = 1.00 relaxation point."""
     net = network.scale_load(cases.load_case("case2_two_gen"), 1.00)
     res = jabr.solve_relaxation(net, refine=False)
-    return bnb.local_polish(net, res.model.point(res.solution.x))
+    return bnb.local_polish(res.model, res.solution.x)
 
 
 def _fresh(code: str) -> str:
