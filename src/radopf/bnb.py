@@ -38,7 +38,6 @@ GAP_LIMIT = "gap-limit"
 TIME_LIMIT = "time-limit"
 
 _WIDTH_TOL = 1e-6   # interval width below which a variable is not branched
-_EXACT_TOL = 1e-6   # relative coupling slack accepted as on-surface
 _FEAS_TOL = 1e-6    # rectangular violation accepted for an incumbent
 _BATCH = 4          # best-first nodes whose relaxations are solved together
 
@@ -579,8 +578,9 @@ def range_reduction_batch(jobs) -> list[NodeBox | None]:
     A finite cutoff gives the model its cost cap, padded up by
     ``1e-6 * (1 + |cutoff|)``; +inf gives none.  Every variable of the
     worst coupling in `slacks` wider than `_WIDTH_TOL` goes to one
-    `tighten.min_max_batch` call that solves every direction of every
-    node.  A box is updated after the sweep, not between solves, which
+    `tighten.shrink_batch` call that solves every direction of every node
+    and cuts each interval to its directions' Lagrangian bounds, with no
+    pad.  A box is updated after the sweep, not between solves, which
     keeps the sweep order-independent.
     """
     bounded = []
@@ -591,26 +591,8 @@ def range_reduction_batch(jobs) -> list[NodeBox | None]:
         if len(model.net.lines):
             wide = [v for v in model.line_vars(int(np.argmax(slacks)))
                     if box.hi[v] - box.lo[v] > _WIDTH_TOL]
-        bounded.append((model, wide))
-    return [_reduced(box, wide, pairs) for (_, box, *_), (_, wide), pairs
-            in zip(jobs, bounded, tighten.min_max_batch(bounded))]
-
-
-def _reduced(box: NodeBox, wide, pairs) -> NodeBox | None:
-    """`box` with the intervals of the variables `wide` cut to their
-    (min, max) `pairs`, padded outward; None when the relaxation or an
-    interval is empty."""
-    if pairs is None:
-        return None
-    out = box.copy()
-    for v, (vmin, vmax) in zip(wide, pairs):
-        if vmin is not None:
-            out.lo[v] = max(out.lo[v], vmin - 1e-9 * (1 + abs(vmin)))
-        if vmax is not None:
-            out.hi[v] = min(out.hi[v], vmax + 1e-9 * (1 + abs(vmax)))
-        if out.lo[v] > out.hi[v]:
-            return None
-    return out
+        bounded.append((model, box, wide))
+    return tighten.shrink_batch(bounded)
 
 
 # ------------------------------------------------------------------ the search
@@ -835,7 +817,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             x, slacks = None, np.ones(len(net.lines))
             if sol.optimal:
                 x, slacks = sol.x, model.coupling_residuals(sol.x)
-                polish(x, np.max(slacks, initial=0.0) <= _EXACT_TOL)
+                polish(x, np.max(slacks, initial=0.0) <= jabr.EXACT_TOL)
                 if node_lb >= cutoff():
                     trace.append((nodes, node_lb, ub_val()))
                     continue

@@ -255,17 +255,16 @@ def cmd_plotdata(args) -> int:
 
 
 def _range_error(args) -> str | None:
-    """One line on the first of --step, --resolution and --time-limit
-    (which must be positive) and --gap (which must not be negative) that
-    `args` holds out of range, or None; a NaN is out of every range."""
-    for name, ok, want in (("step", lambda v: v > 0, "positive"),
-                           ("resolution", lambda v: v > 0, "positive"),
-                           ("time_limit", lambda v: v > 0, "positive"),
-                           ("gap", lambda v: v >= 0, "non-negative")):
+    """One line on the first of --step, --resolution, --time-limit, --gamma,
+    --gamma-from and --gamma-to (which must be positive) and --gap (which
+    must not be negative) that `args` holds out of range, or None; a NaN is
+    out of every range."""
+    for name in ("step", "resolution", "time_limit", "gamma", "gamma_from",
+                 "gamma_to", "gap"):
         value = getattr(args, name, None)
-        if value is not None and not ok(value):
-            flag = name.replace("_", "-")
-            return f"--{flag} must be {want}, not {value}"
+        if not (value is None or value > 0 or name == "gap" and value == 0):
+            want = "non-negative" if name == "gap" else "positive"
+            return f"--{name.replace('_', '-')} must be {want}, not {value}"
     return None
 
 

@@ -70,9 +70,10 @@ class _Cone:
 class ConicProgram:
     """Builder for a conic program over named scalar variables.
 
-    `ranges` maps a variable to an interval that holds it at every optimum
-    of the program's own objective, narrower than its bounds.  It adds no
-    row: only the Lagrangian bound of `solve_batch` reads it.
+    `ranges` maps a variable to an interval, narrower than its bounds,
+    that holds it at some optimum of every objective that weighs it at zero
+    or above.  It adds no row: only the Lagrangian bound of `solve_batch`
+    reads it, and only for such an objective.
     """
 
     def __init__(self):
@@ -139,8 +140,11 @@ class ConicProgram:
         method takes short steps for most of its iterations.  The set is the
         same for every g > 0.
 
-        When every term is bounded, t gets the range ``[0, g^2]``: t is a
-        cost the program minimizes, so at an optimum it equals the sum.
+        When every term is bounded, t gets the range ``[0, g^2]``.  It
+        holds at some optimum of every objective that weighs t at zero or
+        above: lowering t to the sum keeps every row of the lifted model,
+        of its cost cap and of its node programs, and costs such an
+        objective nothing.
         """
         pairs = [(i, qi) for i, qi in terms if qi > 0]
         idx = np.array([i for i, _ in pairs], dtype=int)
@@ -312,10 +316,12 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
     member's optimum is of no use (+inf for none); a member with an
     override takes none.  Every member of such a call reports in
     `ConicSolution.bound` the largest Lagrangian bound of its iterates on
-    its program's own optimum (`_ipm.conelp`), whatever its status, and
-    ends `CUTOFF` once that bound reaches its cutoff; the bound reads the
-    program's variable bounds narrowed to its `ranges`.  A member with an
-    override, and every member of a call without `cutoffs`, reports -inf.
+    its own optimum, that of its override where it has one
+    (`_ipm.conelp`), whatever its status, and ends `CUTOFF` once that bound
+    reaches its cutoff.  The bound reads the program's variable bounds,
+    narrowed to its `ranges` where the member's objective weighs the
+    variable at zero or above.  Every member of a call without `cutoffs`
+    reports -inf.
     """
     if overrides is None:
         overrides = [None] * len(progs)
@@ -336,11 +342,11 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
             G, h, A, b = (np.stack([d[j] for d in data]) for j in (0, 1, 3, 4))
         cut = box = None
         if cutoffs is not None:
-            # a cutoff and the ranges hold for a program's own objective only
+            # a cutoff is a value of the program's own objective
             cut = [cutoffs[i] - progs[i].cost_const if overrides[i] is None
                    else INF for i, _, _ in members]
-            box = tuple(np.stack([_bound_box(progs[i]) for i, _, _ in members],
-                                 axis=1))
+            box = tuple(np.stack([_bound_box(progs[i], c)
+                                  for i, _, c in members], axis=1))
         res = _ipm.conelp(np.array([c for _, _, c in members]), G, h, dims,
                           A, b, cut, box)
         for (i, _, _), r in zip(members, res):
@@ -348,12 +354,14 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
     return sols
 
 
-def _bound_box(prog: ConicProgram) -> np.ndarray:
-    """(lo, hi) of the variables as the Lagrangian bound reads them: their
-    bounds narrowed to the program's `ranges`."""
+def _bound_box(prog: ConicProgram, c: np.ndarray) -> np.ndarray:
+    """(lo, hi) of the variables as the Lagrangian bound of the objective
+    `c` reads them: their bounds, narrowed to the program's `ranges` where
+    `c` weighs the variable at zero or above."""
     box = np.array([prog.lb, prog.ub])
     for v, (lo, hi) in prog.ranges.items():
-        box[:, v] = max(box[0, v], lo), min(box[1, v], hi)
+        if c[v] >= 0:
+            box[:, v] = max(box[0, v], lo), min(box[1, v], hi)
     return box
 
 
@@ -370,5 +378,5 @@ def _solution(prog: ConicProgram, override, res) -> ConicSolution:
     return ConicSolution(
         status=res["status"], x=x, objective=obj,
         iterations=res["iterations"], certificate=res["certificate"],
-        bound=res["bound"] + offset if override is None else -INF)
+        bound=res["bound"] + offset)
 

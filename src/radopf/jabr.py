@@ -26,6 +26,8 @@ import numpy as np
 from . import conic
 from .network import Network, admittance, tree_edges
 
+EXACT_TOL = 1e-6   # relative coupling slack accepted as on the surface
+
 
 @dataclass
 class JabrModel:
@@ -158,11 +160,12 @@ class Exactness:
 
 
 def check_exactness(model: JabrModel, sol: conic.ConicSolution) -> Exactness:
-    """Exact iff every line sits on the cone surface to relative 1e-6."""
+    """Exact iff every line sits on the cone surface to relative
+    `EXACT_TOL`."""
     if not sol.optimal:
         raise ValueError(f"exactness undefined for status {sol.status}")
     worst = float(np.max(model.coupling_residuals(sol.x), initial=0.0))
-    return Exactness(exact=worst <= 1e-6, max_residual=worst)
+    return Exactness(exact=worst <= EXACT_TOL, max_residual=worst)
 
 
 # -------------------------------------------------------------- opf solutions

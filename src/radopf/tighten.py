@@ -4,10 +4,11 @@ The lifted pair (c_ij, s_ij) of every line is confined to the annulus between
 radii R_lo = Vi_min*Vj_min and R_hi = Vi_max*Vj_max.  The lifted model leaves
 c and s free (its cone already implies the box), and a search starts from
 the very loose box |c|, |s| <= R_hi (`NodeBox.of`).  Minimizing/maximizing
-each coordinate over the relaxation produces a much tighter box; where that
-box pokes inside the inner circle, the chord of the circle across the
-intrusion is a valid linear cut, because every cut-off point has norm below
-R_lo and is therefore infeasible.  Boxes and cuts accumulate line by line,
+each coordinate over the relaxation, with each solve's Lagrangian bound as
+the interval's end, produces a much tighter box; where that box pokes
+inside the inner circle, the chord of the circle across the intrusion is a
+valid linear cut, because every cut-off point has norm below R_lo and is
+therefore infeasible.  Boxes and cuts accumulate line by line,
 each tightening the relaxation used for the next; every bound solve runs on
 a copy of one lifted model (`boxed`).
 """
@@ -150,39 +151,43 @@ def boxed(model: jabr.JabrModel, box: NodeBox, cuts=()) -> jabr.JabrModel:
     return out
 
 
-def min_max_batch(jobs) -> list[list[tuple[float | None, float | None]] | None]:
-    """Minimum and maximum of each variable over each job's relaxation.
+def shrink_batch(jobs) -> list[NodeBox | None]:
+    """Each job's box with the interval of each of its variables shrunk to
+    the Lagrangian bounds on that variable's minimum and maximum over the
+    job's relaxation.
 
-    `jobs` holds (model, variables) pairs.  Every direction of every job
-    (minimize, then maximize, per variable in order) is solved in one
-    `conic.solve_batch` call, which compiles each model once.  Returns one
-    entry per job: a (min, max) pair per variable, None where a direction
-    did not end optimal, or None in place of the pairs when a direction
-    certified the job's relaxation empty.
+    `jobs` holds (model, box, variables) triples.  Every direction of every
+    job (minimize, then maximize, per variable in order) is solved in one
+    `conic.solve_batch` call, which compiles each model once and forms each
+    direction's bound L (`ConicSolution.bound`), whatever its status.  A
+    variable's interval becomes ``[max(lo, L_min), min(hi, -L_max)]``, so
+    an end is a bound from the solve's duals, not its primal value, and an
+    L of -inf leaves that end as it is.  Returns one box per job: a new
+    `NodeBox`, or None where a direction certified the relaxation empty or
+    an interval inverted.
     """
     progs, overrides = [], []
-    for model, variables in jobs:
+    for model, _, variables in jobs:
         prog = model.program
         for var in variables:
             for sense in (+1, -1):  # +1 minimizes, -1 maximizes
                 progs.append(prog)
                 overrides.append(np.zeros(prog.num_vars))
                 overrides[-1][var] = sense
-    sols = iter(conic.solve_batch(progs, overrides) if progs else [])
+    sols = iter(conic.solve_batch(progs, overrides,
+                                  cutoffs=[math.inf] * len(progs))
+                if progs else [])
     out = []
-    for _, variables in jobs:
+    for _, box, variables in jobs:
         mine = [next(sols) for _ in range(2 * len(variables))]
-        if any(sol.status == conic.INFEASIBLE for sol in mine):
-            out.append(None)
-            continue
-        vals = [sense * sol.objective if sol.optimal else None
-                for sol, sense in zip(mine, (+1, -1) * len(variables))]
-        out.append(list(zip(vals[::2], vals[1::2])))
+        bounds = np.array([sol.bound for sol in mine]).reshape(-1, 2)
+        new = box.copy()
+        new.lo[variables] = np.maximum(box.lo[variables], bounds[:, 0])
+        new.hi[variables] = np.minimum(box.hi[variables], -bounds[:, 1])
+        empty = (any(sol.status == conic.INFEASIBLE for sol in mine)
+                 or (new.lo[variables] > new.hi[variables]).any())
+        out.append(None if empty else new)
     return out
-
-
-# bound solves are exact only to solver tolerance; pad outward before use
-_PAD = 1e-7
 
 
 def _tighten_loop(model: jabr.JabrModel,
@@ -191,16 +196,11 @@ def _tighten_loop(model: jabr.JabrModel,
     cuts: list[Cut] = []
     for k in range(len(model.net.lines)):
         vc, vs = model.c[k], model.s[k]
-        pairs = min_max_batch([(boxed(model, box, cuts), [vc, vs])])[0]
-        if pairs is None:
+        box = shrink_batch([(boxed(model, box, cuts), box, [vc, vs])])[0]
+        if box is None:
             raise RelaxationInfeasible("relaxation infeasible while bounding "
                                        + ", ".join(model.program.names[v]
                                                    for v in (vc, vs)))
-        for v, (vmin, vmax) in zip((vc, vs), pairs):
-            if vmin is not None:
-                box.lo[v] = max(box.lo[v], vmin - _PAD)
-            if vmax is not None:
-                box.hi[v] = min(box.hi[v], vmax + _PAD)
         if with_cuts:
             cut = generate_cut(float(box.lo[vc]), float(box.hi[vc]),
                                float(box.lo[vs]), float(box.hi[vs]),
@@ -212,16 +212,18 @@ def _tighten_loop(model: jabr.JabrModel,
 
 def compute_bounds(model: jabr.JabrModel) -> NodeBox:
     """The model's box with each line's c and s intervals tightened by four
-    relaxation solves, boxes accumulating in input-file line order; every
-    other interval is the program's own."""
+    relaxation solves (`shrink_batch`), boxes accumulating in input-file
+    line order; every other interval is the program's own."""
     return _tighten_loop(model, False)[0]
 
 
 def run_algorithm1(model: jabr.JabrModel) -> tuple[NodeBox, list[Cut]]:
     """Algorithm 1 over the model's lines in order: tighten the line's c and
-    s intervals, then add its secant cut (when the box pokes inside the
-    inner circle) before moving on.  Returns the tightened box over all of
-    the model's variables, as `compute_bounds` does, and the cuts."""
+    s intervals to the Lagrangian bounds of one `shrink_batch` call on the
+    box and cuts so far, then add its secant cut (when the box pokes inside
+    the inner circle) before moving on.  Returns the tightened box over all
+    of the model's variables, as `compute_bounds` does, and the cuts;
+    raises `RelaxationInfeasible` when a line's call empties the box."""
     return _tighten_loop(model, True)
 
 

@@ -614,7 +614,7 @@ def test_range_reduction_batch_matches_single_node_calls(net2):
 
 
 def test_range_reduction_bounds_the_whole_worst_line(net3, monkeypatch):
-    """One `min_max_batch` call bounds every variable of each node's worst
+    """One `shrink_batch` call bounds every variable of each node's worst
     line that is wider than the width floor: all four on the root box, and
     the other three once its from-bus c_ii interval is narrowed to the
     floor around the relaxation point, which keeps its interval."""
@@ -629,13 +629,13 @@ def test_range_reduction_bounds_the_whole_worst_line(net3, monkeypatch):
     narrow, vi = root.copy(), worst[0]
     narrow.lo[vi] = x[vi] - bnb._WIDTH_TOL / 4
     narrow.hi[vi] = x[vi] + bnb._WIDTH_TOL / 4
-    asked, min_max_batch = [], tighten.min_max_batch
+    asked, shrink_batch = [], tighten.shrink_batch
 
     def spy(jobs):
-        asked.append([wide for _, wide in jobs])
-        return min_max_batch(jobs)
+        asked.append([wide for _, _, wide in jobs])
+        return shrink_batch(jobs)
 
-    monkeypatch.setattr(tighten, "min_max_batch", spy)
+    monkeypatch.setattr(tighten, "shrink_batch", spy)
     got = bnb.range_reduction_batch(
         [(bnb.node_relaxation(base, box), box, math.inf, slacks)
          for box in (root, narrow)])
@@ -1071,12 +1071,11 @@ def test_range_reduction_matches_per_direction_solves(net2, gamma,
         for sense in (+1, -1):
             override = np.zeros(ref_model.program.num_vars)
             override[var] = sense
-            one = conic.solve(ref_model.program, objective_override=override)
+            one = conic.solve_batch([ref_model.program], [override],
+                                    cutoffs=[math.inf])[0]
             assert one.optimal
-            val = sense * one.objective
-            pad = 1e-9 * (1 + abs(val))
-            lo, hi = (max(lo, val - pad), hi) if sense > 0 else \
-                (lo, min(hi, val + pad))
+            val = sense * one.bound
+            lo, hi = (max(lo, val), hi) if sense > 0 else (lo, min(hi, val))
         want.lo[var], want.hi[var] = lo, hi
     assert got is not None
     np.testing.assert_allclose(got.lo, want.lo, rtol=1e-7, atol=1e-7)

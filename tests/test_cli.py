@@ -370,14 +370,20 @@ def test_genlib_reads_a_json_case(capsys, tmp_path):
     ["solve", "--case", "case2_two_gen", "--gap", "-1"],
     ["solve", "--case", "case2_two_gen", "--time-limit", "nan"],
     ["genlib", "--cases", "case9", "--time-limit", "0"],
+    ["genlib", "--cases", "case9", "--gamma-from", "0"],
+    ["relax", "--case", "case2_two_gen", "--gamma", "-1"],
+    ["sweep", "--case", "case2_two_gen", "--gamma-to", "1", "--step", "0.1",
+     "--gamma-from", "nan"],
 ], ids=["genlib-step-0", "genlib-step-negative", "plotdata-resolution-0",
-        "solve-gap-negative", "solve-time-limit-nan", "genlib-time-limit-0"])
+        "solve-gap-negative", "solve-time-limit-nan", "genlib-time-limit-0",
+        "genlib-gamma-from-0", "relax-gamma-negative", "sweep-gamma-from-nan"])
 def test_out_of_range_option_is_a_usage_error(capsys, tmp_path, argv):
-    """A zero or negative step, resolution or time limit, or a negative
-    gap, is refused with one line on stderr before any work: no output
-    directory is made."""
+    """A zero or negative step, resolution, time limit or load factor, or a
+    negative gap, is refused with one line on stderr before any work: no
+    output directory is made."""
     out_dir = tmp_path / "out"
-    extra = [] if argv[0] == "solve" else ["--out", str(out_dir)]
+    extra = ([] if argv[0] in ("solve", "relax", "sweep")
+             else ["--out", str(out_dir)])
     code, out, err = run(capsys, argv + extra)
     assert code == cli.EXIT_USAGE
     assert out == "" and len(err.splitlines()) == 1

@@ -831,8 +831,8 @@ def test_batch_partners_without_a_cutoff_are_untouched():
 def test_infinite_cutoffs_still_form_the_bound():
     """A call that passes cutoffs forms each member's bound even when every
     cutoff is +inf, and ends the member as a call without them does.  A
-    member with an objective override reports -inf: the ranges the bound
-    reads hold for the program's own objective only."""
+    member with an objective override reports its own bound, finite and at
+    or below its objective."""
     prog = _node_program()
     opt = conic.solve(prog)
     low = np.zeros(prog.num_vars)
@@ -841,7 +841,30 @@ def test_infinite_cutoffs_still_form_the_bound():
     assert sols[0].optimal and sols[0].x.tobytes() == opt.x.tobytes()
     assert math.isfinite(sols[0].bound)
     assert sols[0].bound <= opt.objective * (1 + _ipm.GAPTOL)
-    assert sols[1].optimal and sols[1].bound == -math.inf
+    assert sols[1].optimal and math.isfinite(sols[1].bound)
+    assert sols[1].bound <= sols[1].objective
+
+
+def test_range_is_ignored_for_an_objective_that_weighs_it_below_zero():
+    """t's range [0, g²] holds at some optimum of an objective that weighs
+    t at zero or above, not of one that maximizes it.  With t <= 5, the
+    maximum of t is 5, outside [0, 1]: the bound of that direction reads
+    t's own bounds [0, 5] and stays valid, finite and at or below -5."""
+    p = conic.ConicProgram()
+    x = p.add_var("x", -1.0, 1.0)
+    t = p.add_var("t", 0.0, 5.0, cost=1.0)
+    p.epigraph_cone(t, [(x, 1.0)])
+    assert p.ranges == {t: (0.0, 1.0)}
+    for weight in (0.0, 1.0):
+        c = np.zeros(2)
+        c[t] = weight
+        assert tuple(conic._bound_box(p, c)[:, t]) == (0.0, 1.0)
+    up = np.zeros(2)
+    up[t] = -1.0
+    assert tuple(conic._bound_box(p, up)[:, t]) == (0.0, 5.0)
+    sol = conic.solve_batch([p], [up], cutoffs=[math.inf])[0]
+    assert sol.optimal and sol.objective == pytest.approx(-5.0, rel=1e-7)
+    assert -5.0 - 1e-6 <= sol.bound <= -5.0
 
 
 def test_infeasible_node_program_stops_before_its_certificate():

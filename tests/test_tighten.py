@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from radopf import bnb, cases, conic, jabr, network, tighten
+from radopf import _ipm, bnb, cases, conic, jabr, network, tighten
 from radopf.tighten import NodeBox, Ring, generate_cut, ring_for
 
 
@@ -206,6 +206,61 @@ def test_bounds_are_valid_for_feasible_points():
         assert cut.violation(c, s) <= 1e-9
 
 
+def test_a_direction_cut_short_still_tightens(monkeypatch):
+    """A bound solve stopped by the iteration cap still gives its
+    Lagrangian bound as an interval end.  With six IPM iterations no
+    direction on the 2-bus γ=1.00 line ends optimal, yet its box narrows
+    from ±1.21 and still holds the (c, s) of the certified optimum."""
+    monkeypatch.setattr(_ipm, "MAXITER", 6)
+    solve_batch, statuses = conic.solve_batch, []
+
+    def spy(progs, overrides=None, **kwargs):
+        sols = solve_batch(progs, overrides, **kwargs)
+        statuses.extend(sol.status for sol in sols)
+        return sols
+
+    monkeypatch.setattr(conic, "solve_batch", spy)
+    net = network.scale_load(cases.load_case("case2_two_gen"), 1.00)
+    model = jabr.build_relaxation(net)
+    box, _ = tighten.run_algorithm1(model)
+    assert len(statuses) == 4 and conic.OPTIMAL not in statuses
+    c_lo, c_hi, s_lo, s_hi = line_box(model, box, 0)
+    assert (c_lo, c_hi) == pytest.approx((0.6553, 1.1834), abs=1e-4)
+    assert (s_lo, s_hi) == pytest.approx((-0.0456, 0.0388), abs=1e-4)
+    # the global optimum that `bnb.solve_global` certifies on this network
+    c, s = 0.838254, -0.002894
+    assert c_lo <= c <= c_hi and s_lo <= s <= s_hi
+
+
+@pytest.mark.parametrize("name,gamma", [("case2_two_gen", 1.00),
+                                        ("case3_one_gen", 1.03)])
+def test_shrunk_ends_lie_on_the_safe_side_of_each_optimum(name, gamma):
+    """On a root node program, every interval end `shrink_batch` moves is
+    at or below the variable's value at its own minimizer (lower end) and
+    at or above its value at its own maximizer (upper end).  An end it
+    keeps is the program's own bound, which the IPM meets only to its
+    tolerance."""
+    net = network.scale_load(cases.load_case(name), gamma,
+                             scale_p=name != "case3_one_gen")
+    base = jabr.build_relaxation(net)
+    root = tighten.compute_bounds(base)
+    model = bnb.node_relaxation(base, root)
+    variables = sorted({v for k in range(len(net.lines))
+                        for v in model.line_vars(k)})
+    (got,) = tighten.shrink_batch([(model, root, variables)])
+    assert (got.lo > root.lo).any() and (got.hi < root.hi).any()
+    for v in variables:
+        for sense in (+1, -1):
+            override = np.zeros(model.program.num_vars)
+            override[v] = sense
+            sol = conic.solve(model.program, objective_override=override)
+            assert sol.optimal
+            if sense > 0 and got.lo[v] > root.lo[v]:
+                assert got.lo[v] <= sol.x[v]
+            if sense < 0 and got.hi[v] < root.hi[v]:
+                assert got.hi[v] >= sol.x[v]
+
+
 def test_run_algorithm1_two_bus_single_cut():
     net = cases.load_case("case2_two_gen")
     _, cuts = tighten.run_algorithm1(jabr.build_relaxation(net))
@@ -277,7 +332,8 @@ def test_cuts_csv():
 
 def _reference_algorithm1(net):
     """Algorithm 1 with every direction solved on its own, each on a fresh
-    build with the box and cuts so far installed row by row."""
+    build with the box and cuts so far installed row by row, and each
+    interval end taken from that solve's Lagrangian bound."""
     model = jabr.build_relaxation(net)
     bounds = NodeBox.of(model)
     cuts = []
@@ -293,14 +349,12 @@ def _reference_algorithm1(net):
                               [-cut.a_c, -cut.a_s], -cut.rhs)
             override = np.zeros(prog.num_vars)
             override[var] = sense
-            sol = conic.solve(prog, objective_override=override)
-            vals[var, sense] = sense * sol.objective if sol.optimal else None
-        pad = tighten._PAD
+            sol = conic.solve_batch([prog], [override],
+                                    cutoffs=[math.inf])[0]
+            vals[var, sense] = sense * sol.bound
         for var in (model.c[k], model.s[k]):
-            if vals[var, 1] is not None:
-                bounds.lo[var] = max(bounds.lo[var], vals[var, 1] - pad)
-            if vals[var, -1] is not None:
-                bounds.hi[var] = min(bounds.hi[var], vals[var, -1] + pad)
+            bounds.lo[var] = max(bounds.lo[var], vals[var, 1])
+            bounds.hi[var] = min(bounds.hi[var], vals[var, -1])
         cut = generate_cut(*line_box(model, bounds, k), ring_for(net, k).r_lo,
                            line=k)
         if cut is not None:
