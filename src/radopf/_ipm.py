@@ -604,8 +604,7 @@ class _Sparse(_Storage):
 def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
     """Solve a batch of conic LPs to `FEASTOL` and `GAPTOL`; returns one
     result dict per member: its ``status``, ``iterations``, ``x`` (the
-    optimum, a failed member's best iterate or an unbounded member's ray),
-    ``pobj`` (a failed member's objective there, else None),
+    optimum or an unbounded member's ray; None for every other status),
     ``certificate`` (the ray of an infeasible or unbounded member, else
     None) and ``bound``.
 
@@ -614,7 +613,7 @@ def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
     matrix for every member or both stacked per member, (members, m, n) and
     (members, p, n).  The objective of each member is normalized internally
     (costs can be orders of magnitude above the constraint data in $-valued
-    problems); ``pobj`` and ``bound`` are scaled back on exit.
+    problems); ``bound`` is scaled back on exit.
 
     `cutoff`, one value per member (+inf for none), and `box`, a pair
     (lo, hi) of rows like `c` that holds some optimal point of each member,
@@ -627,7 +626,8 @@ def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
     some r_i has its minimum makes L -inf.  A member whose L reaches its
     cutoff ends `CUTOFF`, and every member reports in ``bound`` the largest
     L over its iterates, whatever its status.  Without `cutoff` the bound
-    is not formed and ``bound`` is -inf.
+    is not formed and ``bound`` is -inf.  A certified-infeasible member
+    reports +inf either way.
     """
     c = np.asarray(c, dtype=float).reshape(-1, np.shape(c)[-1])
     c_scale = np.maximum.reduce(np.abs(c), axis=1, initial=1.0)
@@ -640,19 +640,16 @@ def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
         outs = _conelp_core(c / c_scale[:, None], G, h, dims, A, b, cutoff,
                             box)
     for out, scale in zip(outs, c_scale.tolist()):
-        if out["pobj"] is not None:
-            out["pobj"] *= scale
         out["bound"] *= scale
     return outs
 
 
-# columns of the per-member convergence record; the stopping score is the
-# largest of the last three
+# columns of the per-member convergence record
 _INFO = ("pobj", "dobj", "gap", "pres", "dres", "relgap")
 
 
 def _result(status, iterations, **kw):
-    out = dict(status=status, x=None, pobj=None, iterations=iterations,
+    out = dict(status=status, x=None, iterations=iterations,
                certificate=None, bound=-np.inf)
     out.update(kw)
     return out
@@ -729,21 +726,12 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         act.keep(kkt0.ok)
         if not len(act.ids):
             return out
-    # per iteration: the member ids, their de-homogenized iterates and their
-    # info, from which a member that fails reports its best iterate
-    history = []
 
     def fail(rows):
-        """Record the best iterate of each member in `rows` as a failure:
-        the first one with the smallest of max(pres, dres, relgap)."""
+        """End each member in `rows` `numerical_failure`, with no point and
+        its largest bound."""
         for i, bound in zip(act.ids[rows].tolist(), act.best[rows].tolist()):
-            best, fields = np.inf, {}
-            for ids, Xt, info in history:
-                j = np.searchsorted(ids, i)
-                if j < len(ids) and ids[j] == i and info[j, 3:].max() < best:
-                    best = info[j, 3:].max()
-                    fields = dict(x=Xt[j, :n], pobj=float(info[j, 0]))
-            out[i] = _result(FAILED, it, bound=bound, **fields)
+            out[i] = _result(FAILED, it, bound=bound)
 
     for it in range(1, MAXITER + 1):
         X, cbh = act.X, act.cbh
@@ -784,7 +772,6 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         np.minimum(np.vecdot(st, zt), np.abs(pobj - dobj), out=gap)
         np.divide(gap, np.maximum.reduce(np.abs(info[:, :2]), axis=1,
                                          initial=1.0), out=relgap)
-        history.append((act.ids, Xt, info))
 
         done = np.maximum(pres, dres) <= feastol
         if np.count_nonzero(done):
@@ -796,6 +783,7 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         rows = np.vecdot(BGyz, BGyz) <= act.cert * by_hz * by_hz
         if np.count_nonzero(rows):
             rows &= (by_hz < -1e-12) & ~done
+            act.best[rows] = np.inf
             for j in np.flatnonzero(rows):
                 yzc = yz[j] / -by_hz[j]
                 yc, zc = yzc[:p], yzc[p + 1:]
@@ -816,8 +804,7 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
             done |= rows
         if cutoff is not None:
             # the Lagrangian bound of each iterate (see `conelp`): a member
-            # whose bound reaches its cutoff ends, and every member that
-            # ends reports its largest bound
+            # whose bound reaches its cutoff ends
             r = hr[:, :n]
             np.fmax(act.best, (np.vecdot(r, np.where(r > 0, act.lo, act.hi))
                                - by_hz) / tau, out=act.best)
@@ -825,11 +812,12 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
             for j in np.flatnonzero(rows):
                 out[act.ids[j]] = _result(CUTOFF, it)
             done |= rows
-            for j in np.flatnonzero(done):
-                out[act.ids[j]]["bound"] = float(act.best[j])
+        # every member that ends reports its largest bound
+        for j in np.flatnonzero(done):
+            out[act.ids[j]]["bound"] = float(act.best[j])
 
         # NT scaling and KKT factor; a scaling blow-up at the boundary or a
-        # failed factorization ends the member with its best iterate
+        # failed factorization fails the member
         resid = (hr, hrt, mu)
         while True:
             if np.count_nonzero(done):

@@ -650,13 +650,13 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     relaxation whose Lagrangian bound reaches the cutoff stops there, and
     `cutoff_stops` counts those.  A node's bound is the larger of its
     parent's and the largest Lagrangian bound of its relaxation's iterates
-    (`ConicSolution.bound`), whatever the relaxation's status, and
-    `root_lb` is the root's.  The batch then runs in three phases:
+    (`ConicSolution.bound`), whatever the relaxation's status: +inf for a
+    certified-infeasible relaxation, at or above the cutoff for one stopped
+    there.  `root_lb` is the root's.  The batch then runs in three phases:
 
-    1. Per node, in bound order: a node whose relaxation is infeasible or
-       stopped at the cutoff, or whose bound is at the cutoff, is dropped;
-       the polish runs when one is due, and a bound that the polish's
-       incumbent brought to the cutoff is fathomed.
+    1. Per node, in bound order: a node whose bound reaches the cutoff is
+       dropped; the polish runs when one is due, and a bound that the
+       polish's incumbent brought to the cutoff is fathomed.
     2. Every node still open is range-reduced in one call
        (`range_reduction_batch`) over its whole worst line, under the
        cutoff as phase 1 left it.
@@ -682,9 +682,10 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     reported lower bound, so the search then ends `gap-limit`.
 
     Infeasibility is declared only when bound tightening finds the
-    relaxation empty before the first node (`nodes == 0`), or when the whole
-    tree is exhausted with every leaf relaxation-infeasible, emptied by
-    interval propagation or emptied by range reduction.
+    relaxation empty before the first node (`nodes == 0`), or when the
+    search's lower bound is +inf: the whole tree is exhausted with every
+    leaf's bound +inf, emptied by interval propagation or emptied by range
+    reduction.
 
     Every unit needs finite bounds: the polish shares a bus's generation by
     its units' room toward their bounds, and a node box is finite.  A unit
@@ -811,8 +812,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             node_lb = max(lb_parent, sol.bound)
             if root_lb is None:
                 root_lb = node_lb
-            if (sol.status in (conic.INFEASIBLE, conic.CUTOFF)
-                    or node_lb >= cutoff()):
+            if node_lb >= cutoff():
                 continue
             x, slacks = None, np.ones(len(net.lines))
             if sol.optimal:
@@ -852,8 +852,8 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             return done(GLOBAL_OPTIMAL, global_lb())
 
     # the tree is exhausted or every open node is at the cutoff; without an
-    # incumbent the heap is empty, so the bound is `floor`
+    # incumbent the heap is empty, so the bound is `floor`, +inf when no
+    # node was dropped unbranched
     lb = global_lb()
     return done(GLOBAL_OPTIMAL if _rel_gap(lb, ub_val()) <= gap_tol
-                else INFEASIBLE if incumbent is None and floor == math.inf
-                else GAP_LIMIT, lb)
+                else INFEASIBLE if lb == math.inf else GAP_LIMIT, lb)

@@ -282,6 +282,8 @@ class ConicProgram:
 
 @dataclass
 class ConicSolution:
+    """One member's answer (`solve_batch`).  Only an optimal member has an
+    `objective` and a point `x`; an unbounded one has its ray in `x`."""
     status: str
     x: np.ndarray | None = None
     objective: float | None = None
@@ -306,25 +308,27 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
     calls as their shapes allow; returns one solution per member, in order.
 
     `overrides`, if given, is aligned to `progs`: an objective per member,
-    or None to keep the program's own.  A program listed for several
-    members is compiled once; members whose compiled shapes agree share one
-    batched `conelp` call, in which every member runs its own iterates and
-    ends as its own one-member solve would.
+    or None to keep the program's own.  Each member has one objective: its
+    override, or the program's costs plus their constant.  A program listed
+    for several members is compiled once; members whose compiled shapes
+    agree share one batched `conelp` call, in which every member runs its
+    own iterates and ends as its own one-member solve would.
 
     `cutoffs`, if given, is aligned to `progs` as well: a value of the
-    program's own objective, cost constant included, at or above which the
-    member's optimum is of no use (+inf for none); a member with an
-    override takes none.  Every member of such a call reports in
-    `ConicSolution.bound` the largest Lagrangian bound of its iterates on
-    its own optimum, that of its override where it has one
-    (`_ipm.conelp`), whatever its status, and ends `CUTOFF` once that bound
-    reaches its cutoff.  The bound reads the program's variable bounds,
-    narrowed to its `ranges` where the member's objective weighs the
-    variable at zero or above.  Every member of a call without `cutoffs`
-    reports -inf.
+    member's objective at or above which its optimum is of no use (+inf for
+    none).  Every member of such a call reports in `ConicSolution.bound` the
+    largest Lagrangian bound of its iterates on its optimum
+    (`_ipm.conelp`), whatever its status, and ends `CUTOFF`, with a bound at
+    or above its cutoff, once that bound reaches it.  The bound reads the
+    program's variable bounds, narrowed to its `ranges` where the member's
+    objective weighs the variable at zero or above.  A certified-infeasible
+    member reports +inf, and any other member of a call without `cutoffs`
+    -inf.
     """
     if overrides is None:
         overrides = [None] * len(progs)
+    consts = [prog.cost_const if override is None else 0.0
+              for prog, override in zip(progs, overrides)]
     compiled, groups = {}, {}
     for i, (prog, override) in enumerate(zip(progs, overrides)):
         key = id(prog)
@@ -342,15 +346,21 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
             G, h, A, b = (np.stack([d[j] for d in data]) for j in (0, 1, 3, 4))
         cut = box = None
         if cutoffs is not None:
-            # a cutoff is a value of the program's own objective
-            cut = [cutoffs[i] - progs[i].cost_const if overrides[i] is None
-                   else INF for i, _, _ in members]
+            cut = [cutoffs[i] - consts[i] for i, _, _ in members]
             box = tuple(np.stack([_bound_box(progs[i], c)
                                   for i, _, c in members], axis=1))
         res = _ipm.conelp(np.array([c for _, _, c in members]), G, h, dims,
                           A, b, cut, box)
-        for (i, _, _), r in zip(members, res):
-            sols[i] = _solution(progs[i], overrides[i], r)
+        for (i, _, c), r in zip(members, res):
+            obj, bound = None, r["bound"] + consts[i]
+            if r["status"] == OPTIMAL:
+                obj = float(c @ r["x"] + consts[i])
+            elif r["status"] == CUTOFF:
+                # `conelp` compares in its scaled objective, which may put
+                # the bound an ulp under the cutoff it reached
+                bound = max(bound, cutoffs[i])
+            sols[i] = ConicSolution(r["status"], r["x"], obj, r["iterations"],
+                                    r["certificate"], bound)
     return sols
 
 
@@ -363,20 +373,3 @@ def _bound_box(prog: ConicProgram, c: np.ndarray) -> np.ndarray:
         if c[v] >= 0:
             box[:, v] = max(box[0, v], lo), min(box[1, v], hi)
     return box
-
-
-def _solution(prog: ConicProgram, override, res) -> ConicSolution:
-    x = res["x"]
-    offset = prog.cost_const if override is None else 0.0
-    if res["status"] == OPTIMAL and x is not None:
-        if override is None:
-            obj = prog.objective_value(x)
-        else:
-            obj = float(np.asarray(override) @ x)
-    else:
-        obj = res["pobj"] + offset if res["pobj"] is not None else None
-    return ConicSolution(
-        status=res["status"], x=x, objective=obj,
-        iterations=res["iterations"], certificate=res["certificate"],
-        bound=res["bound"] + offset)
-

@@ -359,8 +359,5 @@ def solve_relaxation(net: Network, *, refine: bool = True,
                 res.exactness = ex2
                 model, use = model2, sol2
     if res.exactness.exact:
-        try:
-            res.opf = recover_angles(net, model, use)
-        except ValueError:
-            res.opf = None
+        res.opf = recover_angles(net, model, use)
     return res

@@ -34,8 +34,9 @@ class CostFunction:
     c0: float = 0.0
 
     def __post_init__(self):
-        if self.c2 < 0:
-            raise NetworkError("quadratic cost coefficient must be >= 0")
+        if not (np.isfinite([self.c2, self.c1, self.c0]).all()
+                and self.c2 >= 0):
+            raise NetworkError("cost coefficients must be finite, c2 >= 0")
 
     def value(self, p: float) -> float:
         return self.c2 * p * p + self.c1 * p + self.c0
@@ -68,7 +69,8 @@ class Generator:
     cost: CostFunction = CostFunction()
 
     def __post_init__(self):
-        if self.pmin > self.pmax or self.qmin > self.qmax:
+        # a bound may be infinite; a NaN one fails the test too
+        if not (self.pmin <= self.pmax and self.qmin <= self.qmax):
             raise NetworkError(f"generator at bus {self.bus}: crossed bounds")
 
 
@@ -80,8 +82,10 @@ class Line:
     x: float
 
     def __post_init__(self):
-        if self.r * self.r + self.x * self.x <= 0:
-            raise NetworkError(f"line ({self.from_bus},{self.to_bus}): zero impedance")
+        if not (np.isfinite([self.r, self.x]).all()
+                and self.r * self.r + self.x * self.x > 0):
+            raise NetworkError(f"line ({self.from_bus},{self.to_bus}): "
+                               f"zero or non-finite impedance")
 
     @property
     def g(self) -> float:

@@ -160,32 +160,33 @@ def shrink_batch(jobs) -> list[NodeBox | None]:
     job (minimize, then maximize, per variable in order) is solved in one
     `conic.solve_batch` call, which compiles each model once and forms each
     direction's bound L (`ConicSolution.bound`), whatever its status.  A
-    variable's interval becomes ``[max(lo, L_min), min(hi, -L_max)]``, so
-    an end is a bound from the solve's duals, not its primal value, and an
-    L of -inf leaves that end as it is.  Returns one box per job: a new
-    `NodeBox`, or None where a direction certified the relaxation empty or
-    an interval inverted.
+    direction's cutoff is its interval's other end (``hi`` when it
+    minimizes, ``-lo`` when it maximizes): once L reaches it, the interval
+    is decided and the direction stops.  A variable's interval becomes
+    ``[max(lo, L_min), min(hi, -L_max)]``, so an end is a bound from the
+    solve's duals, not its primal value, and an L of -inf leaves that end
+    as it is.  Returns one box per job: a new `NodeBox`, or None where an
+    interval inverted (a certified-infeasible direction has L = +inf).
     """
-    progs, overrides = [], []
-    for model, _, variables in jobs:
+    progs, overrides, cutoffs = [], [], []
+    for model, box, variables in jobs:
         prog = model.program
         for var in variables:
             for sense in (+1, -1):  # +1 minimizes, -1 maximizes
                 progs.append(prog)
                 overrides.append(np.zeros(prog.num_vars))
                 overrides[-1][var] = sense
-    sols = iter(conic.solve_batch(progs, overrides,
-                                  cutoffs=[math.inf] * len(progs))
+                cutoffs.append(box.hi[var] if sense > 0 else -box.lo[var])
+    sols = iter(conic.solve_batch(progs, overrides, cutoffs=cutoffs)
                 if progs else [])
     out = []
     for _, box, variables in jobs:
-        mine = [next(sols) for _ in range(2 * len(variables))]
-        bounds = np.array([sol.bound for sol in mine]).reshape(-1, 2)
+        bounds = np.array([next(sols).bound
+                           for _ in range(2 * len(variables))]).reshape(-1, 2)
         new = box.copy()
         new.lo[variables] = np.maximum(box.lo[variables], bounds[:, 0])
         new.hi[variables] = np.minimum(box.hi[variables], -bounds[:, 1])
-        empty = (any(sol.status == conic.INFEASIBLE for sol in mine)
-                 or (new.lo[variables] > new.hi[variables]).any())
+        empty = (new.lo[variables] > new.hi[variables]).any()
         out.append(None if empty else new)
     return out
 

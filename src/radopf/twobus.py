@@ -47,6 +47,11 @@ class TwoBusInstance:
     qmax: float = INF
 
     def __post_init__(self):
+        if not np.isfinite([self.g, self.b, self.pd, self.qd, self.cost]).all():
+            raise ValueError("g, b, pd, qd and cost must be finite")
+        # a unit bound may be infinite; a NaN one fails the test too
+        if not (self.pmin <= self.pmax and self.qmin <= self.qmax):
+            raise ValueError("unit bounds must be ordered numbers")
         if self.g >= 0:
             raise ValueError("need g < 0 (resistive series branch)")
         if self.b == 0:
@@ -163,6 +168,17 @@ def _socp_feasible(inst: TwoBusInstance, delta: float) -> bool:
     return float(hyperbola_c11(inst, c22_star)) <= inst.c11_max + 1e-15
 
 
+def _crossings(be: float, m2: float, c11: float):
+    """The two c22, smaller first, where the curve of the constants
+    (a, be), with m2 = a² + be², meets the line at `c11`; None where the
+    line misses the curve."""
+    disc = (2 * be + c11) ** 2 - 4 * m2
+    if disc < 0:
+        return None
+    root = math.sqrt(disc)
+    return (2 * be + c11 - root) / 2, (2 * be + c11 + root) / 2
+
+
 _TIE = 1e-11  # ties on decision inequalities resolve toward `exact`
 
 
@@ -191,6 +207,7 @@ def classify(inst: TwoBusInstance) -> TwoBusClassification:
     delta = effective_delta(inst)
     cls = TwoBusClassification(alpha=a, beta=be, delta=delta, verdict=BOTH_INFEASIBLE)
     m2 = a * a + be * be
+    top = _crossings(be, m2, inst.c11_max)
 
     if not _socp_feasible(inst, delta):
         cls.notes.append("relaxation infeasible over the voltage box")
@@ -208,12 +225,11 @@ def classify(inst: TwoBusInstance) -> TwoBusClassification:
         diff_u = curve_top - inst.c22_max
         c_o = (curve_top, inst.c22_max)
     else:
-        disc = (2 * be + inst.c11_max) ** 2 - 4 * m2
-        if disc < 0:  # guarded by the feasibility check; defensive only
+        if top is None:  # guarded by the feasibility check; defensive only
             cls.degenerate = True
             cls.notes.append("curve misses the box entirely (negative discriminant)")
             return cls
-        c22_up = (2 * be + inst.c11_max + math.sqrt(disc)) / 2
+        c22_up = top[1]
         diff_u = inst.c11_max - c22_up
         c_o = (inst.c11_max, c22_up)
     cls.c_o = c_o
@@ -242,9 +258,7 @@ def classify(inst: TwoBusInstance) -> TwoBusClassification:
     if opf_ok:
         cv = float(hyperbola_c11(inst, cand))
         if cv > inst.c11_max:  # slide down into the band where curve <= c11_max
-            disc = (2 * be + inst.c11_max) ** 2 - 4 * m2
-            lo = (2 * be + inst.c11_max - math.sqrt(disc)) / 2 if disc >= 0 else INF
-            hi = (2 * be + inst.c11_max + math.sqrt(disc)) / 2 if disc >= 0 else -INF
+            lo, hi = top or (INF, -INF)
             if cand < lo:
                 opf_ok = False
             else:
@@ -252,13 +266,13 @@ def classify(inst: TwoBusInstance) -> TwoBusClassification:
                 cv = float(hyperbola_c11(inst, cand))
     if opf_ok and cv < inst.c11_min:
         # cand sits in the dip below the c11 lower bound; exit at its lower end
-        disc = (2 * be + inst.c11_min) ** 2 - 4 * m2
-        if disc < 0:
+        bottom = _crossings(be, m2, inst.c11_min)
+        if bottom is None:
             opf_ok = False
             cls.degenerate = True
             cls.notes.append("negative discriminant at the c11 lower bound")
         else:
-            cand = (2 * be + inst.c11_min - math.sqrt(disc)) / 2
+            cand = bottom[0]
             cls.c_i = (inst.c11_min, cand)
             via_i = True
     if opf_ok and cand < inst.c22_min - _TIE:
@@ -385,7 +399,7 @@ def grid_oracle(inst: TwoBusInstance, resolution: float = 1e-4) -> OracleResult:
     prog.lb[p], prog.ub[p] = inst.pmin, inst.pmax
     prog.lb[q], prog.ub[q] = inst.qmin, inst.qmax
     sol = conic.solve(prog)
-    socp_value = sol.objective if sol.optimal else None
+    socp_value = sol.objective
 
     tol = 2.0 * resolution * abs(inst.g) * inst.cost
     if socp_value is None:

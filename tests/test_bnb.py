@@ -667,6 +667,14 @@ def test_global_infeasible_in_preprocessing():
     assert res.root_lb is None and res.objective is None
 
 
+def test_infeasible_root_has_an_infinite_bound(net2):
+    """At γ = 0.13 the root relaxation is certified infeasible: its bound,
+    and so `root_lb`, is +inf, and that bound alone makes the verdict."""
+    res = bnb.solve_global(network.scale_load(net2, 0.13), gap_tol=9e-4)
+    assert res.status == bnb.INFEASIBLE and res.nodes == 1
+    assert res.root_lb == math.inf and res.lower_bound == math.inf
+
+
 def test_global_exact_short_circuit(net2):
     """Exact root relaxations return after a single node with zero gap."""
     scaled = network.scale_load(net2, 0.90)

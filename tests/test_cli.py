@@ -157,6 +157,57 @@ def test_classify2bus_bad_instance_data_error(capsys, tmp_path):
     assert code == cli.EXIT_DATA
 
 
+def test_classify2bus_nan_instance_data_error(capsys, tmp_path):
+    """A NaN admittance is refused as bad data, not classified."""
+    p = tmp_path / "nan.json"
+    p.write_text('{"g": NaN, "b": 5, "pd": 0.5, "qd": 0.2}')
+    code, out, err = run(capsys, ["classify2bus", "--instance", str(p)])
+    assert code == cli.EXIT_DATA
+    assert out == "" and "bad instance" in err
+
+
+def test_relax_of_a_nan_unit_bound_is_a_data_error(capsys, tmp_path):
+    """A JSON case with `"pmax": NaN` exits 65 with one line on stderr; it
+    once ran with that bound silently dropped."""
+    from radopf import network
+    doc = json.loads(network.network_to_json(cases.load_case("case2_two_gen")))
+    doc["generators"][0]["pmax"] = float("nan")
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(doc))
+    assert "NaN" in p.read_text()
+    code, out, err = run(capsys, ["relax", "--case", str(p)])
+    assert code == cli.EXIT_DATA
+    assert out == "" and len(err.splitlines()) == 1
+
+
+def test_failed_relaxation_reports_no_objective(capsys, monkeypatch):
+    """A relaxation cut off by the iteration cap has no answer:
+    `socp_objective` is null, and `solve` reports no relaxation gap
+    although its search (run without the cap) finds the optimum."""
+    from radopf import _ipm, jabr
+    with monkeypatch.context() as m:
+        m.setattr(_ipm, "MAXITER", 3)
+        code, out, _ = run(capsys, ["relax", "--case", "case2_two_gen"])
+    assert code == cli.EXIT_LIMIT
+    doc = json.loads(out)
+    assert doc["socp_status"] == "numerical_failure"
+    assert doc["socp_objective"] is None
+    relax = jabr.solve_relaxation
+
+    def capped(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(_ipm, "MAXITER", 3)
+            return relax(*args, **kwargs)
+
+    monkeypatch.setattr(jabr, "solve_relaxation", capped)
+    code, out, _ = run(capsys, ["solve", "--case", "case2_two_gen",
+                                "--gamma", "0.98", "--gap", "2e-3"])
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert doc["socp_objective"] is None and doc["global_objective"]
+    assert "gap_percent" not in doc
+
+
 def test_solve_global_golden(capsys, case2_path):
     code, out, _ = run(capsys, ["solve", "--case", case2_path,
                                 "--gamma", "1.01", "--gap", "2e-3",

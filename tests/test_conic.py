@@ -892,6 +892,51 @@ def test_failed_member_reports_its_largest_bound(monkeypatch):
     assert bounds == sorted(bounds) and bounds[-1] <= opt.objective
 
 
+def test_failed_member_reports_no_point(monkeypatch):
+    """A member that ends `numerical_failure` has no answer: it reports no
+    point and no objective, only its largest bound."""
+    prog = _node_program()
+    monkeypatch.setattr(_ipm, "MAXITER", 3)
+    sol = conic.solve_batch([prog], cutoffs=[1e30])[0]
+    assert sol.status == conic.FAILED and sol.iterations == 3
+    assert sol.x is None and sol.objective is None
+    assert math.isfinite(sol.bound)
+
+
+def test_infeasible_member_reports_an_infinite_bound():
+    """A certified-infeasible member's bound is +inf, with cutoffs or
+    without: no point of an empty set costs less."""
+    prog = _node_program(cii1_hi=0.91, cii2_lo=1.01)
+    for cutoffs in (None, [math.inf]):
+        sol = conic.solve_batch([prog], cutoffs=cutoffs)[0]
+        assert sol.status == conic.INFEASIBLE and sol.bound == math.inf
+        assert sol.x is None and sol.objective is None
+
+
+def test_override_member_stops_at_its_cutoff():
+    """A member with an objective override keeps its cutoff, a value of
+    that objective.  Given one below its optimum, it ends `cutoff` with a
+    bound at or above the cutoff.  The cutoffs swept here are the bounds
+    such stops reached and the few floats around each: at some of them
+    `conelp`, which compares in its scaled objective, scales the bound back
+    to an ulp below the cutoff it reached."""
+    prog = _node_program()
+    cost = 3.7 * np.array(prog.cost)
+    opt = conic.solve(prog, objective_override=cost)
+    assert opt.optimal
+    for k in range(1, 40, 3):
+        first = conic.solve_batch([prog], [cost],
+                                  cutoffs=[opt.objective * (1 - k * 1e-5)])[0]
+        assert first.status == conic.CUTOFF and first.x is None
+        up = np.nextafter(first.bound, math.inf)
+        for cut in (first.bound, up, np.nextafter(up, math.inf),
+                    np.nextafter(first.bound, -math.inf)):
+            sol = conic.solve_batch([prog], [cost], cutoffs=[float(cut)])[0]
+            assert sol.status == conic.CUTOFF and sol.bound >= cut
+            assert sol.bound <= opt.objective
+            assert sol.objective is None
+
+
 @pytest.mark.xfail(strict=True, reason="the IPM ends numerical_failure on "
                    "a chain whose line variables carry a node's box")
 def test_boxed_chain_solves_like_the_unboxed_one():

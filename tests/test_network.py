@@ -166,3 +166,28 @@ def test_unsupported_table_warns():
 def test_cost_validation():
     with pytest.raises(NetworkError):
         network.CostFunction(c2=-1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Generator(1, pmax=NAN),
+    lambda: Generator(1, pmin=NAN, pmax=1.0),
+    lambda: Generator(1, qmin=NAN),
+    lambda: Generator(1, qmax=NAN),
+    lambda: Line(1, 2, r=NAN, x=0.1),
+    lambda: Line(1, 2, r=0.01, x=INF),
+    lambda: network.CostFunction(c1=NAN),
+    lambda: network.CostFunction(c2=INF),
+    lambda: network.CostFunction(c0=-INF),
+], ids=["pmax-nan", "pmin-nan", "qmin-nan", "qmax-nan", "r-nan", "x-inf",
+        "c1-nan", "c2-inf", "c0-inf"])
+def test_nan_or_infinite_data_is_refused(make):
+    """Every comparison with NaN is false, so a NaN bound once passed the
+    crossed-bounds test and was then read as no bound at all.  A NaN in
+    any field, and a non-finite impedance or cost coefficient, is refused;
+    a unit bound may still be infinite."""
+    with pytest.raises(NetworkError):
+        make()
+    assert Generator(1, pmin=-INF, pmax=INF, qmin=-INF, qmax=INF).pmax == INF

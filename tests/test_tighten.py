@@ -206,6 +206,37 @@ def test_bounds_are_valid_for_feasible_points():
         assert cut.violation(c, s) <= 1e-9
 
 
+def test_a_direction_stops_at_its_interval_end(monkeypatch):
+    """Each direction's cutoff is its interval's other end.  Capped at
+    0.1% below its optimum, the 2-bus γ=1.00 root node program is empty:
+    every direction of its line stops once its bound passes that end, or
+    is certified infeasible, and the box is reported empty."""
+    net = network.scale_load(cases.load_case("case2_two_gen"), 1.00)
+    base = jabr.build_relaxation(net)
+    box = tighten.compute_bounds(base)
+    model = bnb.node_relaxation(base, box)
+    opt = conic.solve(model.program)
+    assert opt.optimal
+    jabr.add_cost_cap(model, opt.objective * (1 - 1e-3))
+    solve_batch, calls = conic.solve_batch, []
+
+    def spy(progs, overrides=None, **kwargs):
+        sols = solve_batch(progs, overrides, **kwargs)
+        calls.append((kwargs["cutoffs"], sols))
+        return sols
+
+    monkeypatch.setattr(conic, "solve_batch", spy)
+    variables = list(model.line_vars(0))
+    assert tighten.shrink_batch([(model, box, variables)]) == [None]
+    ((cutoffs, sols),) = calls
+    assert cutoffs == [end for v in variables
+                       for end in (box.hi[v], -box.lo[v])]
+    statuses = {sol.status for sol in sols}
+    assert conic.CUTOFF in statuses
+    assert statuses <= {conic.CUTOFF, conic.INFEASIBLE}
+    assert all(sol.bound >= cut for cut, sol in zip(cutoffs, sols))
+
+
 def test_a_direction_cut_short_still_tightens(monkeypatch):
     """A bound solve stopped by the iteration cap still gives its
     Lagrangian bound as an interval end.  With six IPM iterations no

@@ -201,6 +201,23 @@ def test_classify_requires_conventions():
         TwoBusInstance(g=-0.5, b=1.0, pd=0.0, qd=0.0, cost=0.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("g", math.nan), ("b", math.nan), ("pd", math.nan), ("qd", math.inf),
+    ("cost", math.inf), ("pmin", math.nan), ("qmax", math.nan),
+    ("c11_max", math.nan), ("c22_min", math.nan), ("g", -math.inf),
+    ("b", math.inf), ("pmin", 2.0), ("qmin", 1.0)])
+def test_instance_refuses_nan_infinite_and_crossed_data(field, value):
+    """A NaN in any field fails every comparison, so it once made an
+    instance that classified as `both-infeasible`.  NaN anywhere, a
+    non-finite admittance, load or cost, and unit bounds crossed against
+    pmax = 1 or qmax = 0.5 are refused; a unit bound may be infinite."""
+    fields = dict(pmax=1.0, qmax=0.5)
+    fields[field] = value
+    with pytest.raises(ValueError):
+        make_inst(**fields)
+    assert make_inst(pmin=-math.inf, pmax=math.inf).pmax == math.inf
+
+
 def test_classify_outcomes_crafted():
     """One crafted instance per outcome of the classification."""
     exact = make_inst()
