@@ -16,9 +16,9 @@ One call solves a batch of programs that share the cone layout and the sizes
 ``n`` and ``p``.  Every array carries a leading member axis and every
 member keeps its own iterates, step lengths, stopping test and certificate;
 a member that ends leaves the batch, so the numpy dispatch of an iteration
-is paid once for all members still running.  A member given a finite cutoff
-and a box around its optimal points also leaves once a Lagrangian bound of
-its iterate reaches that cutoff (`conelp`).
+is paid once for all members still running.  Every member forms a
+Lagrangian bound of each iterate from its box and leaves once that bound
+reaches its cutoff (`conelp`).
 
 Each iteration eliminates the ``z`` block of the Newton system through the NT
 scaling ``W``: with ``Gt = W^{-1} G`` only the ``(n+p)``-square matrix
@@ -347,8 +347,8 @@ class _Dense(_Storage):
     """`[A; G]` and the reduced matrices of the members as dense arrays,
     each factored by LAPACK's LU.
 
-    `BG1` is ``[A; 0; G]``, which multiplies ``[y; tau; z]`` in the
-    residuals (a view when shared); `Ghr` holds ``[G, h, r_z]``, scaled by
+    `BG1` is ``[A; 0; G]`` of each member, which multiplies ``[y; tau;
+    z]`` in the residuals; `Ghr` holds ``[G, h, r_z]``, scaled by
     W^{-1} in one pass into `Bhr` under A; the reduced matrices `K` keep
     their A blocks, and each factorization rewrites only the Gt'Gt block
     and views ``[A; Gt]`` of `Bhr` as `B`, Gt as `Gt`, and their transposes.
@@ -357,10 +357,7 @@ class _Dense(_Storage):
     def __init__(self, A, G, h, dims, count):
         (_, p, n), m = A.shape, dims.m
         self.n, self.p = n, p
-        BG1 = np.concatenate((A, np.zeros((len(A), 1, n)), G), axis=1)
-        if len(BG1) < count:
-            BG1 = np.broadcast_to(BG1, (count,) + BG1.shape[1:])
-        self.BG1 = BG1
+        self.BG1 = np.concatenate((A, np.zeros((count, 1, n)), G), axis=1)
         self.Ghr = np.empty((count, m, n + 2))
         self.Ghr[:, :, :n] = G
         self.Ghr[:, :, n] = h
@@ -455,31 +452,33 @@ class _Sparse(_Storage):
 
     The pattern of Gt = W^{-1} G closes G's row pattern over each cone
     block, where W^{-1} is dense; on the orthant it is G's own.  `BG` holds
-    per member (one row when shared) the data of ``[A; G]`` on that pattern,
-    A's `na` entries first.  An entry of Gt sums the products of W^{-1}
-    entries (`iw`, into the data `_winv` lays out) with G entries (`ig`), in
-    segments that start at `terms`; an entry of the Gt'Gt block sums the
-    products of two Gt entries of one row (`pa`, `pb`), in segments that
-    start at `pairs`, and lands at `kpos` in the CSC data of the reduced
-    matrices.  `Kd` holds that data per member with the A blocks in place,
-    and `diag` locates its diagonal.  `Bpat`, `Gtpat` and `Kpat` are the
-    pattern templates of ``[A; Gt]`` and ``Gt``, each with its transpose,
-    and of the reduced matrices (a 1-tuple); `mats` holds ``[A; 0; G]`` and
-    its transpose of each member on its data; a factorization puts ``[A;
-    Gt]`` and ``Gt`` of each member on their templates as `B` and `Gt`.
+    per member the data of ``[A; G]`` on that pattern, A's `na` entries
+    first.  An entry of Gt sums the products of W^{-1} entries (`iw`, into
+    the data `_winv` lays out) with G entries (`ig`), in segments that start
+    at `terms`; an entry of the Gt'Gt block sums the products of two Gt
+    entries of one row (`pa`, `pb`), in segments that start at `pairs`, and
+    lands at `kpos` in the CSC data of the reduced matrices.  `Kd` holds that
+    data per member with the A blocks in place, and `diag` locates its
+    diagonal.  `Bpat`, `Gtpat` and `Kpat` are the pattern templates of ``[A;
+    Gt]`` and ``Gt``, each with its transpose, and of the reduced matrices
+    (a 1-tuple); `mats` holds ``[A; 0; G]`` and its transpose of each member
+    on its data; a factorization puts ``[A; Gt]`` and ``Gt`` of each member
+    on their templates as `B` and `Gt`.
     """
 
     def __init__(self, A, G, h, dims, count):
         (_, p, n), m = A.shape, dims.m
         k = n + p
         self.n, self.p, self.h = n, p, h
-        nz = np.any(G != 0, axis=0)
+        # reduced in buffered chunks: a shared G, broadcast to the members,
+        # is never materialized
+        nz = np.any(G, axis=0)
         for where, (nb, bk) in dims.groups:
             nz[where] = nz[where].reshape(nb, bk, n).any(axis=1).repeat(bk, 0)
         row, col = np.nonzero(nz)
         width = np.count_nonzero(nz, axis=1)
         gptr = np.concatenate(([0], np.cumsum(width)))
-        arow, acol = np.nonzero(np.any(A != 0, axis=0))
+        arow, acol = np.nonzero(np.any(A, axis=0))
         self.na = na = len(acol)
         aptr = np.searchsorted(arow, np.arange(p + 1))
         bcol = np.concatenate((acol, col))
@@ -526,17 +525,12 @@ class _Sparse(_Storage):
     def __getitem__(self, rows):
         """The members in `rows`, a boolean mask."""
         out = copy.copy(self)
-        out.h, out.Kd = self.h[rows], self.Kd[rows]
-        if len(self.BG) > 1:
-            out.BG = self.BG[rows]
-            out.mats = [mat for mat, keep in zip(self.mats, rows) if keep]
+        out.h, out.Kd, out.BG = self.h[rows], self.Kd[rows], self.BG[rows]
+        out.mats = [mat for mat, keep in zip(self.mats, rows) if keep]
         return out
 
     def products(self, x, yz):
         """``[A x; 0; G x]`` and ``A'y + G'z`` of each member."""
-        if len(self.mats) == 1:
-            M, MT = self.mats[0]
-            return (M @ x.T).T, (MT @ yz.T).T
         return (np.array([M @ v for (M, _), v in zip(self.mats, x)]),
                 np.array([MT @ v for (_, MT), v in zip(self.mats, yz)]))
 
@@ -601,7 +595,7 @@ class _Sparse(_Storage):
         return out
 
 
-def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
+def conelp(c, G, h, dims, A, b, cutoff, box):
     """Solve a batch of conic LPs to `FEASTOL` and `GAPTOL`; returns one
     result dict per member: its ``status``, ``iterations``, ``x`` (the
     optimum or an unbounded member's ray; None for every other status),
@@ -615,25 +609,21 @@ def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
     (costs can be orders of magnitude above the constraint data in $-valued
     problems); ``bound`` is scaled back on exit.
 
-    `cutoff`, one value per member (+inf for none), and `box`, a pair
-    (lo, hi) of rows like `c` that holds some optimal point of each member,
-    bound every member's optimum and stop a member whose optimum cannot lie
-    below its cutoff.  With ``r = c + A'y + G'z``, every iterate with z in
-    K gives the Lagrangian bound
+    `cutoff` holds one value per member (+inf for none), and `box` is a
+    pair (lo, hi) of arrays shaped like `c` whose rows hold some optimal
+    point of each member.  With ``r = c + A'y + G'z``, every iterate with
+    z in K gives the Lagrangian bound
     ``L = sum_i min(r_i lo_i, r_i hi_i) - b'y - h'z`` on the optimum, since
     ``c'x = r'x - b'y - h'z + s'z`` at a feasible x (Neumaier and
     Shcherbina, Math. Prog. 2004); an infinite side of the box on which
-    some r_i has its minimum makes L -inf.  A member whose L reaches its
-    cutoff ends `CUTOFF`, and every member reports in ``bound`` the largest
-    L over its iterates, whatever its status.  Without `cutoff` the bound
-    is not formed and ``bound`` is -inf.  A certified-infeasible member
-    reports +inf either way.
+    some r_i has its minimum makes L -inf.  Every member reports in
+    ``bound`` the largest L over its iterates, whatever its status, and
+    ends `CUTOFF` once that L reaches its cutoff; a certified-infeasible
+    member reports +inf.
     """
     c = np.asarray(c, dtype=float).reshape(-1, np.shape(c)[-1])
     c_scale = np.maximum.reduce(np.abs(c), axis=1, initial=1.0)
-    if cutoff is not None:
-        cutoff = np.asarray(cutoff, dtype=float) / c_scale
-        box = tuple(_rows(side, len(c)) for side in box)
+    cutoff = np.asarray(cutoff, dtype=float) / c_scale
     # iterates near the cone boundary may overflow or divide by zero; the
     # solver detects non-finite values itself and stops on them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -644,23 +634,11 @@ def conelp(c, G, h, dims, A, b, cutoff=None, box=None):
     return outs
 
 
-# columns of the per-member convergence record
-_INFO = ("pobj", "dobj", "gap", "pres", "dres", "relgap")
-
-
 def _result(status, iterations, **kw):
     out = dict(status=status, x=None, iterations=iterations,
                certificate=None, bound=-np.inf)
     out.update(kw)
     return out
-
-
-def _rows(v, count):
-    """v with one row per member: as given, or one shared row repeated."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        v = v[None]
-    return v if len(v) == count else v.repeat(count, axis=0)
 
 
 class _Members:
@@ -678,8 +656,11 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
     count, n = c.shape
     m = dims.m
     feastol, gaptol = FEASTOL, GAPTOL
-    G, A = (np.asarray(M, dtype=float) for M in (G, A))
-    G, A = (M[None] if M.ndim == 2 else M for M in (G, A))
+    # one layout for every call: data shared by the members is broadcast to
+    # the member axis as a read-only view, with no copy
+    G, A, h, b = (np.broadcast_to(np.asarray(v, dtype=float),
+                                  (count,) + np.shape(v)[-nd:])
+                  for v, nd in ((G, 2), (A, 2), (h, 1), (b, 1)))
     p = A.shape[1]
     k = n + p
     # the iterate of each member is [x; y; tau; z; kappa; s], so that a step
@@ -687,8 +668,6 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
     # the complementary pair, tau and kappa counting as orthant entries
     z0, s0 = k + 1, k + m + 2
     dims1 = make_dims(dims.l + 1, dims.q)
-    h = _rows(h, count)
-    b = _rows(b, count)
     # [c; b; 0; h], aligned with [x; y; tau; z]
     cbh = np.concatenate((c, b, np.zeros((count, 1)), h), axis=1)
     e = _unit(dims)
@@ -717,9 +696,8 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         # residual with r_x negated
         cbh_=np.concatenate((c, -cbh[:, n:]), axis=1),
         norms=norms, cert=(feastol * norms[:, 2]) ** 2,
-        # the largest Lagrangian bound so far, formed only under cutoffs
-        best=np.full(count, -np.inf),
-        **({} if cutoff is None else dict(cut=cutoff, lo=box[0], hi=box[1])))
+        # the largest Lagrangian bound so far
+        best=np.full(count, -np.inf), cut=cutoff, lo=box[0], hi=box[1])
     if not kkt0.ok.all():
         for i in np.flatnonzero(~kkt0.ok):
             out[i] = _result(FAILED, it)
@@ -758,20 +736,16 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         s_rep = _clip_into_cone(hG, dims)
         res_rep, res_st = _norms(s_rep - hG), _norms(st - hG)
         np.copyto(st, s_rep, where=(res_rep < res_st)[:, None])
-        info = np.empty((len(X), len(_INFO)))
-        pobj, dobj, gap, pres, dres, relgap = info.T
-        np.divide(cx, tau, out=pobj)
-        np.divide(-by_hz, tau, out=dobj)
+        pobj, dobj = cx / tau, -by_hz / tau
         nb_, nh_, nc_ = act.norms.T
-        np.maximum(_norms(hr[:, n:k]) / (tau * nb_),
-                   np.minimum(res_rep, res_st) / nh_, out=pres)
-        np.divide(_norms(hr[:, :n]), tau * nc_, out=dres)
+        pres = np.maximum(_norms(hr[:, n:k]) / (tau * nb_),
+                          np.minimum(res_rep, res_st) / nh_)
+        dres = _norms(hr[:, :n]) / (tau * nc_)
         # s'z picks up residual-times-dual cross terms; the objective
         # difference is the cleaner suboptimality estimate once both
         # residuals are small, so use the smaller consistent measure
-        np.minimum(np.vecdot(st, zt), np.abs(pobj - dobj), out=gap)
-        np.divide(gap, np.maximum.reduce(np.abs(info[:, :2]), axis=1,
-                                         initial=1.0), out=relgap)
+        gap = np.minimum(np.vecdot(st, zt), np.abs(pobj - dobj))
+        relgap = gap / np.maximum(np.maximum(np.abs(pobj), np.abs(dobj)), 1.0)
 
         done = np.maximum(pres, dres) <= feastol
         if np.count_nonzero(done):
@@ -802,16 +776,15 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
                     UNBOUNDED, it, x=xc,
                     certificate={"kind": "dual", "x": xc, "s": sc})
             done |= rows
-        if cutoff is not None:
-            # the Lagrangian bound of each iterate (see `conelp`): a member
-            # whose bound reaches its cutoff ends
-            r = hr[:, :n]
-            np.fmax(act.best, (np.vecdot(r, np.where(r > 0, act.lo, act.hi))
-                               - by_hz) / tau, out=act.best)
-            rows = ~done & (act.best >= act.cut)
-            for j in np.flatnonzero(rows):
-                out[act.ids[j]] = _result(CUTOFF, it)
-            done |= rows
+        # the Lagrangian bound of each iterate (see `conelp`): a member
+        # whose bound reaches its cutoff ends
+        r = hr[:, :n]
+        np.fmax(act.best, (np.vecdot(r, np.where(r > 0, act.lo, act.hi))
+                           - by_hz) / tau, out=act.best)
+        rows = ~done & (act.best >= act.cut)
+        for j in np.flatnonzero(rows):
+            out[act.ids[j]] = _result(CUTOFF, it)
+        done |= rows
         # every member that ends reports its largest bound
         for j in np.flatnonzero(done):
             out[act.ids[j]]["bound"] = float(act.best[j])

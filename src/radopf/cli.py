@@ -1,7 +1,8 @@
 """Command-line front end: parse, relax, classify, tighten, solve, report.
 
-Exit codes: 0 solved, 2 OPF certified infeasible, 3 gap/time limit reached,
-64 usage error, 65 data error.
+Exit codes: 0 solved, 2 OPF certified infeasible, 3 gap/time limit reached
+or a relaxation that ended without an answer (such as
+`numerical_failure`), 64 usage error, 65 data error.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ form, over exactly the program's variables, and runs the in-repo
 interior-point method.  A convex quadratic cost is modelled by its caller as
 a variable t with cost 1 and the epigraph cone ``t >= sum_i q_i x_i^2``
 (`ConicProgram.epigraph_cone`), which is scaled from the variables' bounds so
-that both sides of the cone are of one size.  :func:`solve_batch` can stop a
-member once a Lagrangian bound of its iterate reaches a cutoff.
+that both sides of the cone are of one size.  :func:`solve_batch` reports
+each member's Lagrangian bound and stops a member once that bound reaches
+its cutoff.
 """
 
 from __future__ import annotations
@@ -315,18 +316,19 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
     own iterates and ends as its own one-member solve would.
 
     `cutoffs`, if given, is aligned to `progs` as well: a value of the
-    member's objective at or above which its optimum is of no use (+inf for
-    none).  Every member of such a call reports in `ConicSolution.bound` the
-    largest Lagrangian bound of its iterates on its optimum
-    (`_ipm.conelp`), whatever its status, and ends `CUTOFF`, with a bound at
-    or above its cutoff, once that bound reaches it.  The bound reads the
-    program's variable bounds, narrowed to its `ranges` where the member's
-    objective weighs the variable at zero or above.  A certified-infeasible
-    member reports +inf, and any other member of a call without `cutoffs`
-    -inf.
+    member's objective at or above which its optimum is of no use; without
+    it every member's cutoff is +inf.  Every member reports in
+    `ConicSolution.bound` the largest Lagrangian bound of its iterates on
+    its optimum (`_ipm.conelp`), whatever its status, and ends `CUTOFF`,
+    with a bound at or above its cutoff, once that bound reaches it.  The
+    bound reads the program's variable bounds, narrowed to its `ranges`
+    where the member's objective weighs the variable at zero or above.  A
+    certified-infeasible member reports +inf.
     """
     if overrides is None:
         overrides = [None] * len(progs)
+    if cutoffs is None:
+        cutoffs = [INF] * len(progs)
     consts = [prog.cost_const if override is None else 0.0
               for prog, override in zip(progs, overrides)]
     compiled, groups = {}, {}
@@ -344,11 +346,9 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
         G, h, dims, A, b = data[0]
         if len({key for _, key, _ in members}) > 1:
             G, h, A, b = (np.stack([d[j] for d in data]) for j in (0, 1, 3, 4))
-        cut = box = None
-        if cutoffs is not None:
-            cut = [cutoffs[i] - consts[i] for i, _, _ in members]
-            box = tuple(np.stack([_bound_box(progs[i], c)
-                                  for i, _, c in members], axis=1))
+        cut = [cutoffs[i] - consts[i] for i, _, _ in members]
+        box = tuple(np.stack([_bound_box(progs[i], c) for i, _, c in members],
+                             axis=1))
         res = _ipm.conelp(np.array([c for _, _, c in members]), G, h, dims,
                           A, b, cut, box)
         for (i, _, c), r in zip(members, res):
