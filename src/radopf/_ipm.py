@@ -285,13 +285,14 @@ class _Storage:
     `ok` marks the members with factors.  `solve` takes the right-hand sides
     ``[r_x; r_y; W^{-1} r_z]`` of the full Newton systems ``[[0, A', G'],
     [A, 0, 0], [G, 0, -W^2]]`` and returns ``[x; y; W z]``: the reduced
-    solve eliminates ``W z = Gt x - W^{-1} r_z``, and two refinement steps
-    run against the unregularized full system in these scaled coordinates,
-    ``[[0, A', Gt'], [A, 0, 0], [Gt, 0, -I]]``, which needs no W.  A member
-    without factors solves to NaN.  A storage class supplies `_lu(data)`,
-    the factors of one member's matrix data or None, `_reduced(r)`, the
-    unrefined solve, and `_full(u)`, the product of the full matrix less
-    its -I block with u; `diag` locates the diagonal in the data.
+    solve eliminates ``W z = Gt x - W^{-1} r_z``, and `refine` refinement
+    steps run against the unregularized full system in these scaled
+    coordinates, ``[[0, A', Gt'], [A, 0, 0], [Gt, 0, -I]]``, which needs no
+    W.  A member without factors solves to NaN.  A storage class supplies
+    `refine`, `_lu(data)`, the factors of one member's matrix data or None,
+    `_reduced(r)`, the unrefined solve, and `_full(u)`, the product of the
+    full matrix less its -I block with u; `diag` locates the diagonal in
+    the data.
     """
 
     def _factor(self, data):
@@ -325,7 +326,7 @@ class _Storage:
             r = r[:, None]
         k = self.n + self.p
         u = self._reduced(r)
-        for _ in range(2):
+        for _ in range(self.refine):
             res = r - self._full(u)
             res[..., k:] += u[..., k:]
             u += self._reduced(res)
@@ -334,12 +335,14 @@ class _Storage:
 
 # Reduced order n + p from which `_Sparse` replaces `_Dense`.  Measured on
 # the feeder relaxations (2-core x86_64, one BLAS thread), ms per IPM
-# iteration dense against sparse: feeder33 (n + p = 166) 1.49 / 1.75, a
-# 39-bus feeder (196) 2.57 / 2.76, a 42-bus feeder (211) 2.43 / 2.06,
-# feeder69 (346) 5.76 / 2.14, feeder120 (601) 21.6 / 3.48; the factor alone
-# at 601 takes 7.7 ms by dgetrf and 0.9 ms by splu.  Below the crossover
-# the sparse path's fixed costs per iteration (pattern gathers, matrix
-# wrappers, SuperLU's ordering) outweigh the dense work.
+# iteration dense (one refinement step) against sparse: feeder33 (n + p =
+# 166) 1.10 / 1.57, a 39-bus feeder (196) 1.31 / 1.61, a 42-bus feeder
+# (211) 1.45 / 1.65, feeder69 (346) 3.39 / 2.04, feeder120 (601) 11.9 /
+# 2.67; the factor alone at 601 takes 7.7 ms by dgetrf and 0.9 ms by splu.
+# Below the crossover the sparse path's fixed costs per iteration (pattern
+# gathers, matrix wrappers, SuperLU's ordering) outweigh the dense work.
+# The crossover lies between 211 and 346; no benchmark program has an
+# order between 167 and 345, so the threshold stays where it was set.
 _SPARSE_FROM = 200
 
 
@@ -353,6 +356,12 @@ class _Dense(_Storage):
     their A blocks, and each factorization rewrites only the Gt'Gt block
     and views ``[A; Gt]`` of `Bhr` as `B`, Gt as `Gt`, and their transposes.
     """
+
+    # One step leaves the relative residual of the full system where a
+    # second leaves it (over the bnb-small solves, median 5.9e-16 against
+    # 5.4e-16, 99th percentile 9.1e-13 against 8.6e-13), and saves one
+    # `_reduced` and one `_full` call per solve.
+    refine = 1
 
     def __init__(self, A, G, h, dims, count):
         (_, p, n), m = A.shape, dims.m
@@ -465,6 +474,12 @@ class _Sparse(_Storage):
     on its data; a factorization puts ``[A; Gt]`` and ``Gt`` of each member
     on their templates as `B` and `Gt`.
     """
+
+    # SuperLU's factors leave more behind: over the relax-sweep feeders the
+    # 99th-percentile relative residual is 1.0e-7 after one step and 2.5e-10
+    # after two, and with one step feeder120 at load 0.8 ends
+    # `numerical_failure`.
+    refine = 2
 
     def __init__(self, A, G, h, dims, count):
         (_, p, n), m = A.shape, dims.m

@@ -39,7 +39,10 @@ TIME_LIMIT = "time-limit"
 
 _WIDTH_TOL = 1e-6   # interval width below which a variable is not branched
 _FEAS_TOL = 1e-6    # rectangular violation accepted for an incumbent
-_BATCH = 4          # best-first nodes whose relaxations are solved together
+# best-first nodes whose relaxations are solved together: on 2-3-bus nodes
+# an IPM iteration costs ~0.45 ms however many members it holds and ~0.03 ms
+# more per member, so a wider batch pays that fixed cost less often
+_BATCH = 8
 
 
 class _Propagator:

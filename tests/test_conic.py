@@ -1,6 +1,10 @@
 """Conic solver: analytic cases, LP cross-checks, certificates, invariants."""
 
+import importlib.util
 import math
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -714,6 +718,29 @@ def test_batch_groups_programs_by_shape():
     assert sols[0].objective == sols[2].objective
 
 
+@pytest.mark.parametrize("impl, reduced", [(_ipm._Dense, 2),
+                                            (_ipm._Sparse, 3)])
+def test_refinement_steps_per_storage(impl, reduced, monkeypatch):
+    """One solve makes the unrefined reduced solve and one more per
+    refinement step: one step on `_Dense` and two on `_Sparse`, per call,
+    however many members and right-hand sides it holds."""
+    calls = []
+    reduced_solve = impl._reduced
+
+    def spy(self, r):
+        calls.append(r.shape)
+        return reduced_solve(self, r)
+
+    monkeypatch.setattr(impl, "_reduced", spy)
+    kkt, _ = _singular_storage(impl, [True, True]).factor()
+    assert kkt.ok.all()
+    rhs = np.random.default_rng(0).normal(size=(2, 10))
+    for r in (rhs, np.stack((rhs, -rhs), axis=1)):
+        calls.clear()
+        kkt.solve(r)
+        assert len(calls) == reduced
+
+
 # ------------------------------------------------------- large sparse programs
 
 def _chain_program(nbus, r=0.002, load=0.01, extra_ineq=10.0):
@@ -774,6 +801,27 @@ def test_sparse_batch_with_an_infeasible_member():
     for k in dims.q:
         assert z[off] >= np.linalg.norm(z[off + 1:off + k])
         off += k
+
+
+_FEEDERS = Path(__file__).resolve().parent.parent / "perfbench" / "feeders.py"
+
+
+def test_sparse_refinement_keeps_a_feeder_relaxation_optimal(monkeypatch):
+    """The benchmark's 120-bus feeder at load 0.8 takes the sparse path and
+    ends `optimal`.  With one refinement step on `_Sparse` instead of two
+    it ends `numerical_failure`, which the reduced-solve checks above do
+    not see."""
+    # feeders.py imports the benchmark's `env` only for what importing it
+    # does to the process (BLAS threads, sys.path); a stub keeps that out
+    monkeypatch.setitem(sys.modules, "env", types.ModuleType("env"))
+    spec = importlib.util.spec_from_file_location("_radopf_feeders", _FEEDERS)
+    feeders = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(feeders)
+    from radopf import jabr, network
+    net = network.scale_load(feeders.radial_feeder(120, 0), 0.8)
+    res = jabr.solve_relaxation(net, refine=False)
+    assert _reduced_order(res.model.program) >= _ipm._SPARSE_FROM
+    assert res.status == conic.OPTIMAL
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
