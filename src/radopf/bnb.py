@@ -106,40 +106,42 @@ def _sweep_rows(rows, lo, hi):
 def node_relaxation(model: jabr.JabrModel, box: NodeBox,
                     cuts=()) -> jabr.JabrModel:
     """A copy of the lifted model with the box as its variable bounds and
-    the secant cuts (`tighten.boxed`), plus four rows per line over the
-    box: two that outer-approximate the reverse side of its coupling, and
-    its two lifted nonlinear cuts (`_lnc_rows`).  Every node of a search
-    gets the same rows, so its programs share one compiled shape."""
+    the secant cuts (`tighten.boxed`), plus four rows per line on its four
+    columns (`model.lines`), over the box gathered once on that table: two
+    rows that outer-approximate the reverse side of its coupling, and its
+    two lifted nonlinear cuts (`_lnc_rows`).  Every node of a search gets
+    the same rows, so its programs share one compiled shape."""
     model = tighten.boxed(model, box, cuts)
     prog = model.program
-    lo, hi = box.lo, box.hi
-    for k in range(len(model.net.lines)):
-        vi, vj, vc, vs = model.line_vars(k)
-        li, ui, lj, uj = lo[vi], hi[vi], lo[vj], hi[vj]
-        lc, uc, ls, us = lo[vc], hi[vc], lo[vs], hi[vs]
+    # the rows are built line by line on floats: on the one- to three-line
+    # networks that most nodes have, numpy arithmetic on arrays that short
+    # costs several times as much
+    for idx, lo, hi in zip(model.lines, box.lo[model.lines].tolist(),
+                           box.hi[model.lines].tolist()):
+        li, lj, lc, ls = lo
+        ui, uj, uc, us = hi
         rhs_sec = -(lc * uc) - (ls * us)
         # McCormick underestimate of cii*cjj <= secants of c^2 + s^2
-        prog.add_ineq([vi, vj, vc, vs],
-                      [lj, li, -(lc + uc), -(ls + us)],
-                      li * lj + rhs_sec)
-        prog.add_ineq([vi, vj, vc, vs],
-                      [uj, ui, -(lc + uc), -(ls + us)],
-                      ui * uj + rhs_sec)
-        for coef, rhs in _lnc_rows(li, ui, lj, uj, lc, uc, ls, us):
-            prog.add_ineq([vi, vj, vc, vs], coef, rhs)
+        prog.add_ineq(idx, [lj, li, -(lc + uc), -(ls + us)], li * lj + rhs_sec)
+        prog.add_ineq(idx, [uj, ui, -(lc + uc), -(ls + us)], ui * uj + rhs_sec)
+        for coef, rhs in _lnc_rows(lo, hi):
+            prog.add_ineq(idx, coef, rhs)
     return model
 
 
-def _lnc_rows(li, ui, lj, uj, lc, uc, ls, us):
-    """The two lifted nonlinear cuts of one line over the box of its
-    (c_ii, c_jj, c, s), as (coefficients, rhs) of rows a'x <= rhs in that
-    variable order (Coffrin, Hijazi and Van Hentenryck, IEEE TPWRS 2017).
+def _lnc_rows(lo, hi):
+    """The two lifted nonlinear cuts of one line over its box, `lo` and
+    `hi` on the line's columns (c_ii, c_jj, c, s), as (coefficients, rhs)
+    of rows a'x <= rhs on those columns (Coffrin, Hijazi and Van
+    Hentenryck, IEEE TPWRS 2017).
 
     With voltage magnitudes in [√l, √u] at each end and the angle of (c, s)
     in [θl, θu], which lies inside ±π/2 when lc > 0, every point of the
     surface c² + s² = c_ii·c_jj in the box meets both.  Where lc <= 0 the
     rows are 0 <= 1, which every point meets strictly, so the row count
     does not depend on the box."""
+    li, lj, lc, ls = lo
+    ui, uj, uc, us = hi
     if lc <= 0:
         return [([0.0] * 4, 1.0)] * 2
     vli, vui, vlj, vuj = map(math.sqrt, (li, ui, lj, uj))
@@ -163,30 +165,27 @@ def branch(model: jabr.JabrModel, box: NodeBox, x: np.ndarray,
     """Children boxes from bisecting the strongest contributor to the worst
     coupling slack at the point `x` of `model`'s variables, and the
     (variable, split) bisected; the split point is the middle of the
-    variable's interval, whatever its value in `x`.  Candidates, in order,
-    are a line's from-bus c_ii, to-bus c_ii, c and s; no children when no
-    line with positive slack has one wider than the width floor."""
-    lo, hi = box.lo, box.hi
+    variable's interval, whatever its value in `x`.  The candidates of a
+    line are its four columns (`model.lines`: from-bus c_ii, to-bus c_ii,
+    c and s), all scored at once; the first of the best-scored among those
+    wider than the width floor is bisected.  Lines are tried in order of
+    decreasing slack; no children when no line with positive slack has a
+    column wider than the width floor."""
+    lo, hi, xl = box.lo[model.lines], box.hi[model.lines], x[model.lines]
+    # product gap scales with the partner value; secant gap is quadratic
+    score = np.concatenate(
+        [(hi[:, :2] - lo[:, :2]) * np.abs(xl[:, 1::-1]),
+         (lo[:, 2:] + hi[:, 2:]) * xl[:, 2:] - lo[:, 2:] * hi[:, 2:]
+         - xl[:, 2:] * xl[:, 2:]], axis=1)
+    wide = hi - lo > _WIDTH_TOL
+    score[~wide] = -np.inf
     for k in np.argsort(-slacks):
         if slacks[k] <= 0:
             break
-        vi, vj, vc, vs = model.line_vars(k)
-        cv, sv = x[vc], x[vs]
-        # product gap scales with the partner value; secant gap is quadratic
-        cands = ((vi, (hi[vi] - lo[vi]) * abs(x[vj])),
-                 (vj, (hi[vj] - lo[vj]) * abs(x[vi])),
-                 (vc, (lo[vc] + hi[vc]) * cv - lo[vc] * hi[vc] - cv * cv),
-                 (vs, (lo[vs] + hi[vs]) * sv - lo[vs] * hi[vs] - sv * sv))
-        best = None
-        for v, score in cands:
-            if hi[v] - lo[v] <= _WIDTH_TOL:
-                continue
-            if best is None or score > best[1]:
-                best = (v, score)
-        if best is None:
+        if not wide[k].any():
             continue
-        v = best[0]
-        split = 0.5 * (lo[v] + hi[v])
+        v = model.lines[k, np.argmax(score[k])]
+        split = 0.5 * (box.lo[v] + box.hi[v])
         left, right = box.copy(), box.copy()
         left.hi[v] = right.lo[v] = split
         return [left, right], (v, split)
@@ -591,9 +590,9 @@ def range_reduction_batch(jobs) -> list[NodeBox | None]:
         if math.isfinite(cutoff):
             jabr.add_cost_cap(model, cutoff + 1e-6 * (1 + abs(cutoff)))
         wide = []
-        if len(model.net.lines):
-            wide = [v for v in model.line_vars(int(np.argmax(slacks)))
-                    if box.hi[v] - box.lo[v] > _WIDTH_TOL]
+        if len(model.lines):
+            line = model.lines[np.argmax(slacks)]
+            wide = line[box.hi[line] - box.lo[line] > _WIDTH_TOL].tolist()
         bounded.append((model, box, wide))
     return tighten.shrink_batch(bounded)
 

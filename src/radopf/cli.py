@@ -98,8 +98,8 @@ def cmd_relax(args) -> int:
 def cmd_sweep(args) -> int:
     base = _load_network(argparse.Namespace(**{**vars(args), "gamma": None}))
     rows = []
-    g = args.gamma_from
-    while g <= args.gamma_to + 1e-12:
+    for g in map(float, np.arange(args.gamma_from, args.gamma_to + 1e-12,
+                                  args.step)):
         net = network.scale_load(base, g, scale_p=not args.q_only)
         res = jabr.solve_relaxation(net)
         row = {"gamma": round(g, 10), "socp_status": res.status,
@@ -110,7 +110,6 @@ def cmd_sweep(args) -> int:
             row.update({"global_status": gres.status,
                         "global_objective": gres.objective})
         rows.append(row)
-        g += args.step
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]) if rows else
                             ["gamma"])
     writer.writeheader()
@@ -258,14 +257,18 @@ def cmd_plotdata(args) -> int:
 def _range_error(args) -> str | None:
     """One line on the first of --step, --resolution, --time-limit, --gamma,
     --gamma-from and --gamma-to (which must be positive) and --gap (which
-    must not be negative) that `args` holds out of range, or None; a NaN is
-    out of every range."""
+    must not be negative) that `args` holds out of range, or of a --step so
+    small that adding it to --gamma-from leaves it as it is, or None; a NaN
+    is out of every range."""
     for name in ("step", "resolution", "time_limit", "gamma", "gamma_from",
                  "gamma_to", "gap"):
         value = getattr(args, name, None)
         if not (value is None or value > 0 or name == "gap" and value == 0):
             want = "non-negative" if name == "gap" else "positive"
             return f"--{name.replace('_', '-')} must be {want}, not {value}"
+    step = getattr(args, "step", None)
+    if step and args.gamma_from + step == args.gamma_from:
+        return f"--step {step} does not move --gamma-from {args.gamma_from}"
     return None
 
 

@@ -40,24 +40,20 @@ class JabrModel:
     c: list[int]           # per line, oriented from->to
     s: list[int]
     t: int | None          # cost epigraph, None when every cost is linear
+    # read-only (lines, 4) table: row k holds line k's from-bus c_ii,
+    # to-bus c_ii, c and s; copies share it
+    lines: np.ndarray
 
     def copy(self) -> "JabrModel":
         """The same layout over a copy of the program (`ConicProgram.copy`),
         so rows, variables and cost caps added to it stay its own."""
         return replace(self, program=self.program.copy())
 
-    def line_vars(self, k: int) -> tuple[int, int, int, int]:
-        ln = self.net.lines[k]
-        return self.cii[ln.from_bus], self.cii[ln.to_bus], self.c[k], self.s[k]
-
     def coupling_residuals(self, x: np.ndarray) -> np.ndarray:
         """Relative slack of c^2 + s^2 = cii*cjj per line (>=0 inside cone)."""
-        out = np.empty(len(self.net.lines))
-        for k in range(len(self.net.lines)):
-            vi, vj, vc, vs = self.line_vars(k)
-            prod = x[vi] * x[vj]
-            out[k] = (prod - x[vc] ** 2 - x[vs] ** 2) / max(prod, 1e-12)
-        return out
+        xi, xj, xc, xs = x[self.lines].T
+        prod = xi * xj
+        return (prod - xc ** 2 - xs ** 2) / np.maximum(prod, 1e-12)
 
 
 def checked_pins(net: Network,
@@ -138,13 +134,17 @@ def build_relaxation(net: Network, *,
         prog.add_eq(p_idx, p_coef, bus.pd)
         prog.add_eq(q_idx, q_coef, bus.qd)
 
-    for k, ln in enumerate(net.lines):
-        prog.add_rotated_cone(cii[ln.from_bus], cii[ln.to_bus], [c[k], s[k]])
+    lines = [(cii[ln.from_bus], cii[ln.to_bus], c[k], s[k])
+             for k, ln in enumerate(net.lines)]
+    for vi, vj, vc, vs in lines:
+        prog.add_rotated_cone(vi, vj, [vc, vs])
+    lines = np.array(lines, dtype=int).reshape(-1, 4)
+    lines.flags.writeable = False
     if quads:
         prog.epigraph_cone(t, quads)
 
     return JabrModel(net=net, program=prog, pg=pg, qg=qg, cii=cii, c=c, s=s,
-                     t=t)
+                     t=t, lines=lines)
 
 
 # ------------------------------------------------------------------ exactness

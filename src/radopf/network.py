@@ -53,8 +53,8 @@ class Bus:
     bsh: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.vmin <= self.vmax):
-            raise NetworkError(f"bus {self.id}: need 0 < vmin <= vmax")
+        if not (0.0 < self.vmin <= self.vmax < np.inf):
+            raise NetworkError(f"bus {self.id}: need 0 < vmin <= vmax < inf")
         if not all(np.isfinite([self.pd, self.qd, self.gsh, self.bsh])):
             raise NetworkError(f"bus {self.id}: non-finite data")
 

@@ -52,7 +52,8 @@ def ring_for(net: Network, k: int) -> Ring:
 class NodeBox:
     """Interval [lo, hi] of every variable of a lifted model
     (`jabr.build_relaxation`), indexed like the model's own variables
-    (`model.cii`, `model.c`, `model.s`, `model.line_vars(k)`, `model.t`).
+    (`model.cii`, `model.c`, `model.s`, `model.t`, and row k of
+    `model.lines` for line k's four columns).
     Every program a search solves has exactly those columns.  The layout
     depends only on the network, so Algorithm 1, interval propagation and
     every node of a search share it; `boxed` makes it a program's bounds."""
@@ -67,11 +68,11 @@ class NodeBox:
         implies that box, so it does not bind at the root; after tightening
         and branching it does."""
         box = cls(np.array(model.program.lb), np.array(model.program.ub))
-        net = model.net
-        for k, ln in enumerate(net.lines):
-            rmax = net.bus(ln.from_bus).vmax * net.bus(ln.to_bus).vmax
-            pair = [model.c[k], model.s[k]]
-            box.lo[pair], box.hi[pair] = -rmax, rmax
+        vmax = np.zeros(len(box.lo))
+        for bus in model.net.buses:
+            vmax[model.cii[bus.id]] = bus.vmax
+        rmax = vmax[model.lines[:, :1]] * vmax[model.lines[:, 1:2]]
+        box.lo[model.lines[:, 2:]], box.hi[model.lines[:, 2:]] = -rmax, rmax
         return box
 
     def copy(self) -> "NodeBox":
@@ -97,41 +98,30 @@ def generate_cut(c_lo: float, c_hi: float, s_lo: float, s_hi: float,
                  r_lo: float, line: int = 0) -> Cut | None:
     """Secant cut for one line's box against the inner circle of radius r_lo.
 
-    The chord endpoints (x1, y1), (x2, y2) depend on which of the two left
-    corners of the box fall inside the circle; the cut
+    The chord's upper end (x1, y1) is where the circle meets s = s_hi when
+    the box's upper-left corner lies inside the circle, and where it meets
+    c = c_lo (s > 0) otherwise; its lower end (x2, y2) is likewise on
+    s = s_lo or on c = c_lo (s < 0).  `case` is 1 with both corners inside,
+    2 with the lower one only and 3 with the upper one only.  The cut
     (y1-y2) c - (x1-x2) s >= x2 y1 - x1 y2 keeps everything on the outer side
-    of the chord.  Returns None when the box clears the circle (no cut needed)
-    and skips with a warning when c_lo <= 0 (construction assumes the box
-    sits right of the s-axis).
+    of the chord.  Returns None when neither corner is inside (the box
+    clears the circle) and skips with a warning when c_lo <= 0
+    (construction assumes the box sits right of the s-axis).
     """
     if c_lo <= 0.0:
         warnings.warn(f"line {line}: c lower bound {c_lo:.4g} <= 0, cut skipped",
                       stacklevel=2)
         return None
-    if c_lo >= r_lo:
+    hi_in = math.hypot(c_lo, s_hi) < r_lo
+    lo_in = math.hypot(c_lo, s_lo) < r_lo
+    if not (hi_in or lo_in):
         return None
-    norm_lo = math.hypot(c_lo, s_lo)
-    norm_hi = math.hypot(c_lo, s_hi)
-    if norm_lo < r_lo and norm_hi < r_lo:
-        case = 1
-        y1, y2 = s_hi, s_lo
-        x1 = math.sqrt(r_lo ** 2 - s_hi ** 2)
-        x2 = math.sqrt(r_lo ** 2 - s_lo ** 2)
-    elif norm_lo < r_lo:
-        case = 2
-        x1, y2 = c_lo, s_lo
-        y1 = math.sqrt(r_lo ** 2 - c_lo ** 2)
-        x2 = math.sqrt(r_lo ** 2 - s_lo ** 2)
-    elif norm_hi < r_lo:
-        case = 3
-        y1, x2 = s_hi, c_lo
-        x1 = math.sqrt(r_lo ** 2 - s_hi ** 2)
-        y2 = -math.sqrt(r_lo ** 2 - c_lo ** 2)
-    else:
-        # both corners already outside: the chord degenerates to c >= c_lo
-        return None
+    edge = math.sqrt(r_lo ** 2 - c_lo ** 2)
+    x1, y1 = (math.sqrt(r_lo ** 2 - s_hi ** 2), s_hi) if hi_in else (c_lo, edge)
+    x2, y2 = (math.sqrt(r_lo ** 2 - s_lo ** 2), s_lo) if lo_in else (c_lo, -edge)
     return Cut(line=line, a_c=y1 - y2, a_s=-(x1 - x2), rhs=x2 * y1 - x1 * y2,
-               case=case, p1=(x1, y1), p2=(x2, y2))
+               case=1 if hi_in and lo_in else 2 if lo_in else 3,
+               p1=(x1, y1), p2=(x2, y2))
 
 
 def boxed(model: jabr.JabrModel, box: NodeBox, cuts=()) -> jabr.JabrModel:

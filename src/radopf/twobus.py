@@ -73,7 +73,8 @@ class TwoBusInstance:
         An absent unit bound becomes a ±1e6 stand-in, because the global
         search (`bnb.solve_global`) needs a finite box on every unit.
         `grid_oracle` does not use the stand-ins: it solves the relaxation
-        on the instance's own bounds."""
+        on the instance's own bounds.  An infinite `c11_max` or `c22_max`
+        is refused (`NetworkError`): a bus needs a finite voltage limit."""
         den = self.g ** 2 + self.b ** 2
         r, x = -self.g / den, self.b / den
         return Network(

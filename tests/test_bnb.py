@@ -108,6 +108,53 @@ def test_node_programs_are_independent_copies(net2):
     assert (got[2].l, list(got[2].q)) == (want[2].l, list(want[2].q))
 
 
+def _line_rows(lo, hi):
+    """The four rows of one line over its box, `lo` and `hi` on its columns
+    (c_ii, c_jj, c, s), computed with `math` on floats: the two McCormick
+    and secant rows, then the two lifted nonlinear cuts, or two rows
+    0 <= 1 where lc <= 0.  The reference for `node_relaxation`'s bits."""
+    li, lj, lc, ls = lo
+    ui, uj, uc, us = hi
+    rhs_sec = -(lc * uc) - (ls * us)
+    rows = [([lj, li, -(lc + uc), -(ls + us)], li * lj + rhs_sec),
+            ([uj, ui, -(lc + uc), -(ls + us)], ui * uj + rhs_sec)]
+    if lc <= 0:
+        return rows + [([0.0] * 4, 1.0)] * 2
+    vli, vui, vlj, vuj = map(math.sqrt, (li, ui, lj, uj))
+    si, sj = vli + vui, vlj + vuj
+    th_l = math.atan2(ls, lc if ls < 0 else uc)
+    th_u = math.atan2(us, lc if us > 0 else uc)
+    phi, cd = 0.5 * (th_u + th_l), math.cos(0.5 * (th_u - th_l))
+    ac, as_ = si * sj * math.cos(phi), si * sj * math.sin(phi)
+    span = vli * vlj - vui * vuj
+    return rows + [([ej * cd * sj, ei * cd * si, -ac, -as_], -rhs)
+                   for ei, ej, rhs in ((vui, vuj, vui * vuj * cd * span),
+                                       (vli, vlj, -vli * vlj * cd * span))]
+
+
+def test_node_rows_match_the_per_line_reference_bit_for_bit():
+    """On a case9 tree, the rows `node_relaxation` writes on each line's
+    columns equal, bit for bit, the rows `_line_rows` computes with `math`
+    per line: over the root box after Algorithm 1, over a child of it from
+    `branch`, and over a box in which two lines have lc <= 0."""
+    base = jabr.build_relaxation(_case9_tree())
+    root, cuts = tighten.run_algorithm1(base)
+    x = conic.solve(bnb.node_relaxation(base, root, cuts).program).x
+    (child, _), _ = bnb.branch(base, root, x, base.coupling_residuals(x))
+    void = root.copy()
+    void.lo[base.c[0]], void.lo[base.c[1]] = -0.1, 0.0
+    assert (root.lo[base.c] > 0).all()
+    nl = len(base.lines)
+    for box in (root, child, void):
+        rows = bnb.node_relaxation(base, box, cuts).program.ineqs[-4 * nl:]
+        for k, cols in enumerate(base.lines.tolist()):
+            want = _line_rows(box.lo[cols].tolist(), box.hi[cols].tolist())
+            for row, (coef, rhs) in zip(rows[4 * k:4 * k + 4], want):
+                assert row.idx.tolist() == cols
+                assert row.coef.tolist() == coef and row.rhs == rhs, k
+    assert not np.any(rows[2].coef) and not np.any(rows[6].coef)
+
+
 def _case9_tree():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # charging/tap/shift zeroed
@@ -151,7 +198,7 @@ def test_lifted_nonlinear_cuts_keep_every_surface_point(net2, which):
     glo = np.array([[g.pmin, g.qmin] for g in net.generators])
     ghi = np.array([[g.pmax, g.qmax] for g in net.generators])
     walk = network.tree_edges(net, net.buses[0].id)
-    line_vars = [v for k in range(nl) for v in model.line_vars(k)]
+    cols = model.lines.ravel().tolist()
     seen = {"cut": 0, "void": 0}
     for trial in range(60):
         # a cluster of points around a random centre; every fourth one has
@@ -173,11 +220,9 @@ def test_lifted_nonlinear_cuts_keep_every_surface_point(net2, which):
         X = _lifted_points(net, model, vm, th, units[:, :, 0], units[:, :, 1])
 
         box = root.copy()
-        margin = spread * rng.uniform(0, 0.1, len(line_vars))
-        box.lo[line_vars] = np.maximum(root.lo[line_vars],
-                                       X[:, line_vars].min(axis=0) - margin)
-        box.hi[line_vars] = np.minimum(root.hi[line_vars],
-                                       X[:, line_vars].max(axis=0) + margin)
+        margin = spread * rng.uniform(0, 0.1, len(cols))
+        box.lo[cols] = np.maximum(root.lo[cols], X[:, cols].min(axis=0) - margin)
+        box.hi[cols] = np.minimum(root.hi[cols], X[:, cols].max(axis=0) + margin)
         rows = bnb.node_relaxation(model, box).program.ineqs[-4 * nl:]
         for k in range(nl):
             void = box.lo[model.c[k]] <= 0
@@ -624,7 +669,7 @@ def test_range_reduction_bounds_the_whole_worst_line(net3, monkeypatch):
     model = bnb.node_relaxation(base, root)
     x = conic.solve(model.program).x
     slacks = model.coupling_residuals(x)
-    worst = list(model.line_vars(int(np.argmax(slacks))))
+    worst = model.lines[np.argmax(slacks)].tolist()
     assert np.all(root.hi[worst] - root.lo[worst] > bnb._WIDTH_TOL)
     narrow, vi = root.copy(), worst[0]
     narrow.lo[vi] = x[vi] - bnb._WIDTH_TOL / 4
@@ -1072,7 +1117,7 @@ def test_range_reduction_matches_per_direction_solves(net2, gamma,
     if math.isfinite(incumbent):
         jabr.add_cost_cap(ref_model, incumbent + 1e-6 * (1 + abs(incumbent)))
     want = box.copy()
-    for var in ref_model.line_vars(int(np.argmax(slacks))):
+    for var in ref_model.lines[np.argmax(slacks)]:
         if box.hi[var] - box.lo[var] <= bnb._WIDTH_TOL:
             continue
         lo, hi = box.lo[var], box.hi[var]

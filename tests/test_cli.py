@@ -425,13 +425,18 @@ def test_genlib_reads_a_json_case(capsys, tmp_path):
     ["relax", "--case", "case2_two_gen", "--gamma", "-1"],
     ["sweep", "--case", "case2_two_gen", "--gamma-to", "1", "--step", "0.1",
      "--gamma-from", "nan"],
+    ["sweep", "--case", "case2_two_gen", "--gamma-from", "1", "--gamma-to",
+     "1", "--step", "1e-300"],
+    ["genlib", "--cases", "case2_two_gen", "--step", "1e-300"],
 ], ids=["genlib-step-0", "genlib-step-negative", "plotdata-resolution-0",
         "solve-gap-negative", "solve-time-limit-nan", "genlib-time-limit-0",
-        "genlib-gamma-from-0", "relax-gamma-negative", "sweep-gamma-from-nan"])
+        "genlib-gamma-from-0", "relax-gamma-negative", "sweep-gamma-from-nan",
+        "sweep-step-too-small", "genlib-step-too-small"])
 def test_out_of_range_option_is_a_usage_error(capsys, tmp_path, argv):
-    """A zero or negative step, resolution, time limit or load factor, or a
-    negative gap, is refused with one line on stderr before any work: no
-    output directory is made."""
+    """A zero or negative step, resolution, time limit or load factor, a
+    step too small to move the first load factor, or a negative gap, is
+    refused with one line on stderr before any work: no output directory
+    is made."""
     out_dir = tmp_path / "out"
     extra = ([] if argv[0] in ("solve", "relax", "sweep")
              else ["--out", str(out_dir)])
@@ -454,11 +459,14 @@ def test_missing_case_file_data_error(capsys):
     ("missing.json", b'{"buses": []}', "generators"),
     ("bad.m", b"\xff\xfe function mpc = case\n", "utf-8"),
     ("folder", None, "directory"),
+    ("vmax-inf.json", b'{"buses": [{"id": 1, "vmax": Infinity}], '
+                      b'"generators": [], "lines": []}', "vmax"),
 ], ids=["wrong-type", "unknown-field", "missing-key", "not-utf8",
-        "directory"])
+        "directory", "vmax-infinite"])
 def test_unreadable_case_is_a_data_error(capsys, tmp_path, name, data, words):
     """A case file that cannot be read, or a JSON case with a missing key,
-    a wrong type or an unknown field, exits 65 with one line on stderr."""
+    a wrong type, an unknown field or an infinite voltage limit, exits 65
+    with one line on stderr."""
     path = tmp_path / name
     if data is None:
         path.mkdir()

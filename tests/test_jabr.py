@@ -294,6 +294,22 @@ def test_lifted_model_has_no_line_pair_box():
         assert box_G.shape[0] - lean_G.shape[0] == 4 * len(net.lines), label
 
 
+def test_line_table_holds_each_lines_four_columns(case14):
+    """Row k of `model.lines` is line k's from-bus c_ii, to-bus c_ii, c and
+    s on every line of a case14 tree; the table is read-only, and a copy of
+    the model shares it."""
+    tree = network.spanning_tree(case14, 0)
+    model = jabr.build_relaxation(tree)
+    assert model.lines.shape == (len(tree.lines), 4)
+    for k, ln in enumerate(tree.lines):
+        assert model.lines[k].tolist() == [model.cii[ln.from_bus],
+                                           model.cii[ln.to_bus],
+                                           model.c[k], model.s[k]]
+    with pytest.raises(ValueError):
+        model.lines[0, 0] = model.lines[0, 1]
+    assert model.copy().lines is model.lines
+
+
 def test_lean_relaxation_stays_in_the_line_box_and_keeps_its_value():
     """The cone and the c_ii bounds imply |c|, |s| <= Vi_max*Vj_max, so the
     lean program's optimum lies in that box and its value is the boxed

@@ -181,8 +181,9 @@ NAN, INF = float("nan"), float("inf")
     lambda: network.CostFunction(c1=NAN),
     lambda: network.CostFunction(c2=INF),
     lambda: network.CostFunction(c0=-INF),
+    lambda: Bus(1, vmax=INF),
 ], ids=["pmax-nan", "pmin-nan", "qmin-nan", "qmax-nan", "r-nan", "x-inf",
-        "c1-nan", "c2-inf", "c0-inf"])
+        "c1-nan", "c2-inf", "c0-inf", "vmax-inf"])
 def test_nan_or_infinite_data_is_refused(make):
     """Every comparison with NaN is false, so a NaN bound once passed the
     crossed-bounds test and was then read as no bound at all.  A NaN in

@@ -226,7 +226,7 @@ def test_a_direction_stops_at_its_interval_end(monkeypatch):
         return sols
 
     monkeypatch.setattr(conic, "solve_batch", spy)
-    variables = list(model.line_vars(0))
+    variables = model.lines[0].tolist()
     assert tighten.shrink_batch([(model, box, variables)]) == [None]
     ((cutoffs, sols),) = calls
     assert cutoffs == [end for v in variables
@@ -276,8 +276,7 @@ def test_shrunk_ends_lie_on_the_safe_side_of_each_optimum(name, gamma):
     base = jabr.build_relaxation(net)
     root = tighten.compute_bounds(base)
     model = bnb.node_relaxation(base, root)
-    variables = sorted({v for k in range(len(net.lines))
-                        for v in model.line_vars(k)})
+    variables = sorted(set(model.lines.ravel().tolist()))
     (got,) = tighten.shrink_batch([(model, root, variables)])
     assert (got.lo > root.lo).any() and (got.hi < root.hi).any()
     for v in variables:
