@@ -38,7 +38,7 @@ GAP_LIMIT = "gap-limit"
 TIME_LIMIT = "time-limit"
 
 _WIDTH_TOL = 1e-6   # interval width below which a variable is not branched
-_FEAS_TOL = 1e-6    # rectangular violation accepted for an incumbent
+_FEAS_TOL = 1e-8    # rectangular violation accepted for an incumbent
 # best-first nodes whose relaxations are solved together: on 2-3-bus nodes
 # an IPM iteration costs ~0.45 ms however many members it holds and ~0.03 ms
 # more per member, so a wider batch pays that fixed cost less often
@@ -460,14 +460,14 @@ def _descend(pt: _Solved, box, bal: _Balance, base) -> _Solved:
     return pt
 
 
-def _verified(net: Network, bal: _Balance, z, base: np.ndarray):
-    """The operating point of z with its generation allocated from the
-    `base` split, if it passes the rectangular feasibility check at
-    `_FEAS_TOL`."""
+def _verified(net: Network, bal: _Balance, pt: _Solved, base: np.ndarray):
+    """The operating point of the core's point `pt` with its generation
+    allocated from the `base` split, if it passes the independent
+    rectangular feasibility check at `_FEAS_TOL`."""
     n = net.num_buses
-    vm, th = z[:n], np.zeros(n)
-    th[bal.free] = z[n:]
-    (pg, qg), _ = _allocate(bal, _required(z, bal), base)
+    vm, th = pt.z[:n], np.zeros(n)
+    th[bal.free] = pt.z[n:]
+    (pg, qg), _ = _allocate(bal, pt.need, base)
     check = jabr.evaluate_opf_point(net, vm * np.cos(th), vm * np.sin(th),
                                     pg, qg)
     if not check.feasible(_FEAS_TOL):
@@ -481,10 +481,10 @@ def local_polish(model: jabr.JabrModel,
     """Project the point `x` of the lifted model `model` onto the feasible
     set and locally improve it; the search's only source of incumbents.
 
-    Lines are rescaled radially onto the cone surface and angles recovered
-    along the tree (`jabr.tree_angles`); with |V| = √c_ii this is the
-    guided start z0.  A bus whose c_ii column has equal bounds in the
-    model's program is pinned, since the model is built with its pins
+    The guided start z0 is |V| = √c_ii at every bus, with the angles of
+    x's line pairs (c, s) summed along the tree (`jabr.tree_angles`).  A
+    bus whose c_ii column has equal bounds in the model's program is
+    pinned, since the model is built with its pins
     (`jabr.build_relaxation`), and its |V| is held at the root of the pin.
     The Newton core (`_core`) solves the balance rows from z0 with the
     slack bus's |V|, every pinned |V| and every other bus's generation
@@ -499,11 +499,10 @@ def local_polish(model: jabr.JabrModel,
     `_allocate`), so units at one bus keep the relaxation's split up to the
     shift that the solved requirement asks.  When the guided start fails,
     the core is retried from a feeder-tilted voltage profile (voltage
-    declining with depth from the slack).  When neither start solves, the
-    guided start itself is checked; on the cone surface that is the point
-    of angle recovery along the tree with its generation allocated as
-    above, so the balance rows hold at every generator bus.  Returns a
-    point that passes the rectangular check at `_FEAS_TOL`, or None.
+    declining with depth from the slack).  Returns the point the core
+    solved and the descent lowered if it passes the independent
+    rectangular check at `_FEAS_TOL` (`_verified`), and None otherwise or
+    when neither start solves.
     """
     net = model.net
     bal = _balance(net)
@@ -520,17 +519,7 @@ def local_polish(model: jabr.JabrModel,
     box = (np.concatenate([vlo, bal.lo.ravel()]),
            np.concatenate([vhi, bal.hi.ravel()]))
 
-    c, s = x[model.c], x[model.s]
-    for k, ln in enumerate(net.lines):
-        target = math.sqrt(max(cii[pos[ln.from_bus]] * cii[pos[ln.to_bus]],
-                               0.0))
-        nrm = math.hypot(c[k], s[k])
-        if nrm > 1e-12:
-            c[k] *= target / nrm
-            s[k] *= target / nrm
-        else:
-            c[k], s[k] = target, 0.0
-    th0 = jabr.tree_angles(net, c, s)
+    th0 = jabr.tree_angles(net, x[model.c], x[model.s])
 
     # the generation held at the guided start can lie beyond what any
     # voltage profile near it carries; then try a feeder-tilted profile
@@ -558,8 +547,8 @@ def local_polish(model: jabr.JabrModel,
         target = np.clip(_required(z0, bal), bal.lo, bal.hi).ravel()
         pt = _core(z0, held, target, box, bal)
         if pt is not None:
-            return _verified(net, bal, _descend(pt, box, bal, base).z, base)
-    return _verified(net, bal, guided, base)
+            return _verified(net, bal, _descend(pt, box, bal, base), base)
+    return None
 
 
 # -------------------------------------------------------------- range reduction
@@ -667,15 +656,16 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
        pushed with the node's bound.
 
     Incumbents come only from `local_polish` of a node's relaxation point
-    in the lifted model (node programs have its columns); a polished point
-    is kept when it is cheaper than the incumbent.  A node whose relaxation
-    point lies on the cone surface is polished at once.  Other nodes are
-    polished when one is due: while there is no incumbent, a failed polish
-    makes the next one wait `2**fails` nodes; once there is one, the polish
-    runs at every 25th node.  A polish succeeds when it gives a new
-    incumbent and fails otherwise.  Skipped polishes make no call;
-    `polish_calls` counts the calls made and `polish_found` those that gave
-    a new incumbent.
+    in the lifted model (node programs have its columns), each a point
+    its Newton core solved to `_BALANCE_TOL` that passes the rectangular
+    check at `_FEAS_TOL`; a polished point is kept when it is cheaper than
+    the incumbent.  A node whose relaxation point lies on the cone surface
+    is polished at once.  Other nodes are polished when one is due: while
+    there is no incumbent, a failed polish makes the next one wait
+    `2**fails` nodes; once there is one, the polish runs at every 25th
+    node.  A polish succeeds when it gives a new incumbent and fails
+    otherwise.  Skipped polishes make no call; `polish_calls` counts the
+    calls made and `polish_found` those that gave a new incumbent.
 
     A node whose relaxation ends without an answer goes through the same
     phases: it is range-reduced like any open node and, unless that

@@ -47,12 +47,22 @@ def _load_network(args) -> network.Network:
     return net
 
 
+def _gap_percent(glob: float | None, bound: float) -> float | None:
+    """100·(global − bound)/|global| for a relaxation's Lagrangian bound
+    (`ConicSolution.bound`); None without a nonzero global or finite bound."""
+    if not glob or not math.isfinite(bound):
+        return None
+    return 100.0 * (glob - bound) / abs(glob)
+
+
 def _report(net, gamma, relax_result, bnb_result=None) -> dict:
+    bound = relax_result.solution.bound
     out = {
         "instance": net.name,
         "gamma": gamma,
         "socp_status": relax_result.status,
         "socp_objective": relax_result.objective,
+        "socp_bound": bound if math.isfinite(bound) else None,
         "exactness": relax_result.verdict,
         "max_cone_residual": (relax_result.exactness.max_residual
                               if relax_result.exactness else None),
@@ -78,10 +88,9 @@ def _report(net, gamma, relax_result, bnb_result=None) -> dict:
                             for n, lb, ub in
                             trace[::max(1, len(trace) // 20)]],
         })
-        obj = bnb_result.objective
-        if relax_result.objective is not None and obj:
-            out["gap_percent"] = (100.0 * (obj - relax_result.objective)
-                                  / abs(obj))
+        gap = _gap_percent(bnb_result.objective, bound)
+        if relax_result.objective is not None and gap is not None:
+            out["gap_percent"] = gap
     return out
 
 
@@ -203,10 +212,6 @@ def cmd_genlib(args) -> int:
                     continue
                 gres = bnb.solve_global(net, gap_tol=args.gap,
                                         time_limit=args.time_limit)
-                gap = None
-                if gres.objective:
-                    gap = 100.0 * ((gres.objective - res.objective)
-                                   / abs(gres.objective))
                 tag = f"{net.name}_tree{seed}_g{g:.2f}"
                 with open(os.path.join(args.out, tag + ".json"), "w") as fh:
                     fh.write(network.network_to_json(net))
@@ -214,7 +219,8 @@ def cmd_genlib(args) -> int:
                                  "socp": res.objective,
                                  "global_status": gres.status,
                                  "global": gres.objective,
-                                 "gap_percent": gap})
+                                 "gap_percent": _gap_percent(
+                                     gres.objective, res.solution.bound)})
     path = os.path.join(args.out, "manifest.csv")
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["name", "gamma", "socp",

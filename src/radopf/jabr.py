@@ -82,10 +82,11 @@ def build_relaxation(net: Network, *,
     a bus that is not in the network, or outside the bus's [vmin², vmax²],
     raises ValueError.
 
-    Each line's c and s are free: the cone c² + s² <= c_ii·c_jj and the
-    c_ii bounds already hold them inside |c|, |s| <= Vi_max·Vj_max, so that
-    box never binds here and only slows the interior-point method.  The box
-    is where bound tightening starts, so `tighten.NodeBox.of` writes it.
+    Each line's c and s have no bounds, only the range |c|, |s| <=
+    Vi_max·Vj_max (`ConicProgram.ranges`) that the cone c² + s² <= c_ii·c_jj
+    and the c_ii bounds imply: as rows that box would never bind and only
+    slow the interior-point method, while the range makes the Lagrangian
+    bound finite.  Bound tightening starts from it (`tighten.NodeBox.of`).
     """
     net.require_radial()
     G, B = admittance(net)
@@ -110,6 +111,8 @@ def build_relaxation(net: Network, *,
     for ln in net.lines:
         c.append(prog.add_var(f"c[{ln.from_bus},{ln.to_bus}]"))
         s.append(prog.add_var(f"s[{ln.from_bus},{ln.to_bus}]"))
+        r = net.bus(ln.from_bus).vmax * net.bus(ln.to_bus).vmax
+        prog.ranges[c[-1]] = prog.ranges[s[-1]] = (-r, r)
 
     quads = [(v, gen.cost.c2) for v, gen in zip(pg, net.generators)
              if gen.cost.c2 > 0]

@@ -1,9 +1,9 @@
 """SOCP-based variable bound tightening and secant valid inequalities.
 
 The lifted pair (c_ij, s_ij) of every line is confined to the annulus between
-radii R_lo = Vi_min*Vj_min and R_hi = Vi_max*Vj_max.  The lifted model leaves
-c and s free (its cone already implies the box), and a search starts from
-the very loose box |c|, |s| <= R_hi (`NodeBox.of`).  Minimizing/maximizing
+radii R_lo = Vi_min*Vj_min and R_hi = Vi_max*Vj_max.  A search starts from
+the very loose box |c|, |s| <= R_hi, which the lifted model's cone implies
+and its `ranges` hold (`NodeBox.of`).  Minimizing/maximizing
 each coordinate over the relaxation, with each solve's Lagrangian bound as
 the interval's end, produces a much tighter box; where that box pokes
 inside the inner circle, the chord of the circle across the intrusion is a
@@ -63,16 +63,14 @@ class NodeBox:
     @classmethod
     def of(cls, model: jabr.JabrModel) -> "NodeBox":
         """The program's own bounds (unit boxes, vmin²..vmax² or the pinned
-        voltage, a free cost epigraph t), with ±Vi_max·Vj_max on each
-        line's c and s, which the lifted model leaves free.  The cone
-        implies that box, so it does not bind at the root; after tightening
-        and branching it does."""
-        box = cls(np.array(model.program.lb), np.array(model.program.ub))
-        vmax = np.zeros(len(box.lo))
-        for bus in model.net.buses:
-            vmax[model.cii[bus.id]] = bus.vmax
-        rmax = vmax[model.lines[:, :1]] * vmax[model.lines[:, 1:2]]
-        box.lo[model.lines[:, 2:]], box.hi[model.lines[:, 2:]] = -rmax, rmax
+        voltage, a free cost epigraph t), with each line's c and s in its
+        range ±Vi_max·Vj_max (`jabr.build_relaxation`).  The cone implies
+        that box, so it does not bind at the root; after tightening and
+        branching it does."""
+        prog = model.program
+        box = cls(np.array(prog.lb), np.array(prog.ub))
+        for v in model.lines[:, 2:].ravel().tolist():
+            box.lo[v], box.hi[v] = prog.ranges[v]
         return box
 
     def copy(self) -> "NodeBox":

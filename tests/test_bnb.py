@@ -583,26 +583,104 @@ def test_polish_keeps_the_relaxation_split_between_units(net3):
     assert cand.pg[0] > net.generators[0].pmin + 1e-3
 
 
-def test_polish_without_newton_keeps_an_exact_point(net2, net3, monkeypatch):
-    """With the Newton core failing from every start, the polish of an
-    exact relaxation point still returns its guided start, which passes
-    the rectangular check at the relaxation's cost, while an inexact point
-    gives nothing.  The searches whose root is exact still end there."""
+def test_polish_without_newton_returns_nothing(net2, net3, monkeypatch):
+    """With the Newton core failing from every start, the polish returns
+    nothing, from an exact relaxation point as from an inexact one: it
+    returns only points the core solved.  So a search whose root is exact
+    cannot end there, and under a node limit it ends `gap-limit` without
+    an incumbent."""
     monkeypatch.setattr(bnb, "_core", lambda *args: None)
     exact = network.scale_load(net3, 0.95, scale_p=False)
     res = jabr.solve_relaxation(exact)
-    cand = bnb.local_polish(res.model, res.solution.x)
-    assert cand is not None
-    check = jabr.evaluate_opf_point(exact, cand.e, cand.f, cand.pg, cand.qg)
-    assert check.max_violation <= 1e-6
-    assert cand.objective == pytest.approx(res.objective, rel=1e-6)
+    assert res.verdict == "exact"
+    assert bnb.local_polish(res.model, res.solution.x) is None
 
     res = jabr.solve_relaxation(network.scale_load(net2, 1.00), refine=False)
+    assert res.verdict == "inexact"
     assert bnb.local_polish(res.model, res.solution.x) is None
 
     for net in (network.scale_load(net2, 0.98), exact):
-        res = bnb.solve_global(net, gap_tol=9e-4)
-        assert res.status == bnb.GLOBAL_OPTIMAL and res.nodes == 1
+        res = bnb.solve_global(net, gap_tol=9e-4, node_limit=8)
+        assert (res.status, res.incumbent, res.polish_found) == (
+            bnb.GAP_LIMIT, None, 0)
+
+
+@pytest.mark.parametrize("case,gamma,rescued,objective", [
+    ("net2", 1.00, True, 564.84483), ("net2", 1.01, True, 642.14772),
+    ("net2", 0.98, False, 496.96110), ("net3", 1.00, False, 950.71790)])
+def test_the_tilted_start_is_the_only_rescue(request, monkeypatch, case,
+                                              gamma, rescued, objective):
+    """Each of these searches polishes once.  On 2-bus γ = 1.00 and 1.01
+    the core fails from the guided start, solves from the tilted one, and
+    that point, after the descent, is the search's incumbent; on 2-bus
+    γ = 0.98 and 3-bus γ = 1.00 the guided start solves."""
+    core, descend, polish = bnb._core, bnb._descend, bnb.local_polish
+    log, calls = [], []
+
+    def core_spy(*args):
+        pt = core(*args)
+        log.append(pt is not None)
+        return pt
+
+    def descend_spy(*args):
+        log.append("descend")
+        return descend(*args)
+
+    def polish_spy(*args):
+        log.clear()
+        cand = polish(*args)
+        calls.append((list(log), cand))
+        return cand
+
+    monkeypatch.setattr(bnb, "_core", core_spy)
+    monkeypatch.setattr(bnb, "_descend", descend_spy)
+    monkeypatch.setattr(bnb, "local_polish", polish_spy)
+    net = network.scale_load(request.getfixturevalue(case), gamma,
+                             scale_p=case == "net2")
+    res = bnb.solve_global(net, gap_tol=9e-4)
+    (starts, cand), = calls
+    want = [False, True, "descend"] if rescued else [True, "descend"]
+    assert starts[:len(want)] == want
+    assert res.optimal and res.incumbent is cand
+    assert res.objective == pytest.approx(objective, rel=1e-7)
+
+
+def test_acceptance_refuses_a_point_that_undercuts_the_optimum():
+    """A 2-bus instance whose optimum the closed form gives (`twobus`):
+    moving the load bus's angle 2e-8 toward the slack's makes its active
+    row miss by ~1.1e-7 and the allocated cost fall below the optimum.
+    That point passes the rectangular check at 1e-6, and the polish's
+    acceptance check (`_verified`, at `_FEAS_TOL`) refuses it.  Polished
+    from the optimum's lifted image, the point costs no less than the
+    closed-form value."""
+    inst = twobus.TwoBusInstance(g=-1, b=5, pd=0.5, qd=0.2)
+    cls = twobus.classify(inst)
+    assert cls.verdict == twobus.EXACT
+    c11, c22 = cls.c_r
+    pg, qg, c12, s12 = twobus.back_substitute(inst, c11, c22)
+    net = inst.to_network()
+    bal = bnb._balance(net)
+    vm = np.sqrt([c11, c22])
+    z = np.array([*vm, math.atan2(s12, c12) + 2e-8])
+    need, d_need = bnb._required(z, bal, jac=True)
+    assert 5e-8 < abs(need[0, 1]) < 5e-7  # the load bus's active row
+    base = need[:, :1]
+    (pgs, qgs), _ = bnb._allocate(bal, need, base)
+    th = np.array([0.0, z[2]])
+    check = jabr.evaluate_opf_point(net, vm * np.cos(th), vm * np.sin(th),
+                                    pgs, qgs)
+    assert check.feasible(1e-6) and check.objective < cls.opf_value
+    pt = bnb._Solved(z, np.zeros(6, dtype=bool), need.ravel(), need, d_need)
+    assert bnb._verified(net, bal, pt, base) is None
+
+    model = jabr.build_relaxation(net)
+    x = np.zeros(model.program.num_vars)
+    x[model.pg], x[model.qg] = pg, qg
+    x[model.cii[1]], x[model.cii[2]] = c11, c22
+    x[model.c], x[model.s] = c12, s12
+    cand = bnb.local_polish(model, x)
+    assert cand is not None
+    assert cand.objective >= cls.opf_value - 1e-9 * abs(cls.opf_value)
 
 
 # ------------------------------------------------------------------ obbt

@@ -253,14 +253,16 @@ def test_solve_fixed_voltage(capsys, case2_path):
     assert doc["global_objective"] == pytest.approx(573.82, rel=5e-3)
     # the reported relaxation is the pinned one, and so is the gap
     assert doc["socp_objective"] == pytest.approx(503.37, rel=5e-3)
+    glob = doc["global_objective"]
     assert doc["gap_percent"] == pytest.approx(
-        100.0 * (1.0 - doc["socp_objective"] / doc["global_objective"]))
+        100.0 * (glob - doc["socp_bound"]) / abs(glob))
 
 
 def test_solve_reports_the_gap_at_a_negative_cost(capsys, tmp_path):
     """The relaxation gap is reported whenever the global objective is
-    nonzero, as 100·(global − socp)/|global|; this instance's optimum
-    costs −0.49."""
+    nonzero, as 100·(global − bound)/|global| from the relaxation's
+    Lagrangian bound, so it is not negative; this instance's optimum costs
+    −0.49, and the relaxation's primal value lies above its bound."""
     from radopf import network, twobus
     net = twobus.TwoBusInstance(g=-1, b=5, pd=-0.5, qd=0.2,
                                 pmin=-0.49).to_network()
@@ -269,11 +271,12 @@ def test_solve_reports_the_gap_at_a_negative_cost(capsys, tmp_path):
     code, out, _ = run(capsys, ["solve", "--case", str(path)])
     assert code == cli.EXIT_OK
     doc = json.loads(out)
-    glob, socp = doc["global_objective"], doc["socp_objective"]
+    glob, bound = doc["global_objective"], doc["socp_bound"]
     assert glob == pytest.approx(-0.49, rel=1e-6)
+    assert bound <= doc["socp_objective"]
     assert doc["gap_percent"] == pytest.approx(
-        100.0 * (glob - socp) / abs(glob))
-    assert abs(doc["gap_percent"]) < 1e-4
+        100.0 * (glob - bound) / abs(glob))
+    assert 0.0 <= doc["gap_percent"] < 1e-4
 
 
 @pytest.mark.parametrize("pins,words", [

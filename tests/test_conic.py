@@ -829,10 +829,12 @@ def test_shared_program_solves_as_its_stacked_copies(sparse):
     """One program listed for three members is broadcast to them; three
     copies of it are stacked.  Under three objective overrides, each
     member of the two calls ends alike, bit for bit, on either storage.
-    The chain's line variables are free, so its bounds are -inf; the
-    boxed program's are finite."""
+    The chain's ranges are dropped, so its line variables and cost
+    epigraph are free and its bounds are -inf; the boxed program's are
+    finite."""
     prog = (_chain_program(50) if sparse
             else _cone_program(np.random.default_rng(3)))
+    prog.ranges = {}
     assert (_reduced_order(prog) >= _ipm._SPARSE_FROM) == sparse
     v = next(i for i, (lo, hi) in enumerate(zip(prog.lb, prog.ub))
              if lo > -math.inf and hi < math.inf and lo < hi)
@@ -1032,18 +1034,22 @@ def test_boxed_chain_solves_like_the_unboxed_one():
 def test_epigraph_range_lets_the_bound_stop_a_quadratic_cost():
     """The free cost epigraph t gets [0, Σ q·max(lb², ub²)] in the box the
     bound reads, not as a row; without that range the bound is -inf and
-    the same cutoff cannot stop the solve.  Each line's c and s get the
-    box |c|, |s| <= vmax² that a node box gives them, which the cone
-    already implies, so the optimum is the unboxed program's."""
+    the same cutoff cannot stop the solve.  Each line's c and s have the
+    range |c|, |s| <= vmax² (`jabr.build_relaxation`), and get it as
+    bounds too, as a node box gives them; the cone already implies it, so
+    the optimum is the unboxed program's."""
     prog = _chain_program(5)
     t = prog.num_vars - 1
     assert prog.names[t] == "cost_epi" and prog.lb[t] == -math.inf
-    assert prog.ranges == {t: (0.0, 10.0 * 5.0 ** 2)}
+    lines = [v for v, name in enumerate(prog.names)
+             if name.startswith(("c[", "s[")) and "," in name]
+    assert len(lines) == 8
+    assert prog.ranges == {t: (0.0, 10.0 * 5.0 ** 2),
+                           **{v: (-1.1 ** 2, 1.1 ** 2) for v in lines}}
     opt = conic.solve(prog)
     assert opt.optimal
-    for v, name in enumerate(prog.names):
-        if name.startswith(("c[", "s[")) and "," in name:
-            prog.lb[v], prog.ub[v] = -1.1 ** 2, 1.1 ** 2
+    for v in lines:
+        prog.lb[v], prog.ub[v] = -1.1 ** 2, 1.1 ** 2
     cut = opt.objective * (1 - 1e-4)
     sol = conic.solve_batch([prog], cutoffs=[cut])[0]
     assert sol.status == conic.CUTOFF and cut <= sol.bound <= opt.objective

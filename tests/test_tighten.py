@@ -130,8 +130,9 @@ def _box_cases():
 
 
 def test_node_box_of_puts_the_line_box_on_every_pair():
-    """NodeBox.of writes -+Vi_max*Vj_max on each line's c and s, which the
-    lifted model leaves free, and the program's own bounds elsewhere."""
+    """NodeBox.of writes -+Vi_max*Vj_max on each line's c and s, the range
+    that the lifted model gives them, and the program's own bounds
+    elsewhere."""
     for label, net, pins in _box_cases():
         model = jabr.build_relaxation(net, fixed_voltage=pins)
         box = NodeBox.of(model)
