@@ -633,8 +633,8 @@ def conelp(c, G, h, dims, A, b, cutoff, box):
     Shcherbina, Math. Prog. 2004); an infinite side of the box on which
     some r_i has its minimum makes L -inf.  Every member reports in
     ``bound`` the largest L over its iterates, whatever its status, and
-    ends `CUTOFF` once that L reaches its cutoff; a certified-infeasible
-    member reports +inf.
+    ends `CUTOFF` once that L reaches its cutoff, before any other test of
+    that iterate; a certified-infeasible member reports +inf.
     """
     c = np.asarray(c, dtype=float).reshape(-1, np.shape(c)[-1])
     c_scale = np.maximum.reduce(np.abs(c), axis=1, initial=1.0)
@@ -762,11 +762,20 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         gap = np.minimum(np.vecdot(st, zt), np.abs(pobj - dobj))
         relgap = gap / np.maximum(np.maximum(np.abs(pobj), np.abs(dobj)), 1.0)
 
-        done = np.maximum(pres, dres) <= feastol
-        if np.count_nonzero(done):
-            done &= (relgap <= gaptol) | (gap <= gaptol * 1e-2)
-            for j in np.flatnonzero(done):
+        # the Lagrangian bound of each iterate (see `conelp`): a member
+        # whose bound reaches its cutoff ends, before any other test
+        r = hr[:, :n]
+        np.fmax(act.best, (np.vecdot(r, np.where(r > 0, act.lo, act.hi))
+                           - by_hz) / tau, out=act.best)
+        done = act.best >= act.cut
+        for j in np.flatnonzero(done):
+            out[act.ids[j]] = _result(CUTOFF, it)
+        rows = ~done & (np.maximum(pres, dres) <= feastol)
+        if np.count_nonzero(rows):
+            rows &= (relgap <= gaptol) | (gap <= gaptol * 1e-2)
+            for j in np.flatnonzero(rows):
                 out[act.ids[j]] = _result(OPTIMAL, it, x=xt[j])
+            done |= rows
         # infeasibility certificates (rays, not scaled by tau): A'y + G'z
         # and [A x; G x + s] vanish relative to -b'y - h'z and -c'x
         rows = np.vecdot(BGyz, BGyz) <= act.cert * by_hz * by_hz
@@ -791,15 +800,6 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
                     UNBOUNDED, it, x=xc,
                     certificate={"kind": "dual", "x": xc, "s": sc})
             done |= rows
-        # the Lagrangian bound of each iterate (see `conelp`): a member
-        # whose bound reaches its cutoff ends
-        r = hr[:, :n]
-        np.fmax(act.best, (np.vecdot(r, np.where(r > 0, act.lo, act.hi))
-                           - by_hz) / tau, out=act.best)
-        rows = ~done & (act.best >= act.cut)
-        for j in np.flatnonzero(rows):
-            out[act.ids[j]] = _result(CUTOFF, it)
-        done |= rows
         # every member that ends reports its largest bound
         for j in np.flatnonzero(done):
             out[act.ids[j]]["bound"] = float(act.best[j])

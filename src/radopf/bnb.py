@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,15 +104,14 @@ def _sweep_rows(rows, lo, hi):
 
 
 def node_relaxation(model: jabr.JabrModel, box: NodeBox,
-                    cuts=()) -> jabr.JabrModel:
-    """A copy of the lifted model with the box as its variable bounds and
-    the secant cuts (`tighten.boxed`), plus four rows per line on its four
+                    cuts=()) -> conic.Member:
+    """The lifted model's program over the box (`conic.Member`) with the
+    secant cuts (`tighten.Cut.row`), plus four rows per line on its four
     columns (`model.lines`), over the box gathered once on that table: two
     rows that outer-approximate the reverse side of its coupling, and its
     two lifted nonlinear cuts (`_lnc_rows`).  Every node of a search gets
-    the same rows, so its programs share one compiled shape."""
-    model = tighten.boxed(model, box, cuts)
-    prog = model.program
+    the same rows, so its members share one standard-form shape."""
+    rows = [cut.row(model) for cut in cuts]
     # the rows are built line by line on floats: on the one- to three-line
     # networks that most nodes have, numpy arithmetic on arrays that short
     # costs several times as much
@@ -122,11 +121,10 @@ def node_relaxation(model: jabr.JabrModel, box: NodeBox,
         ui, uj, uc, us = hi
         rhs_sec = -(lc * uc) - (ls * us)
         # McCormick underestimate of cii*cjj <= secants of c^2 + s^2
-        prog.add_ineq(idx, [lj, li, -(lc + uc), -(ls + us)], li * lj + rhs_sec)
-        prog.add_ineq(idx, [uj, ui, -(lc + uc), -(ls + us)], ui * uj + rhs_sec)
-        for coef, rhs in _lnc_rows(lo, hi):
-            prog.add_ineq(idx, coef, rhs)
-    return model
+        rows.append((idx, [lj, li, -(lc + uc), -(ls + us)], li * lj + rhs_sec))
+        rows.append((idx, [uj, ui, -(lc + uc), -(ls + us)], ui * uj + rhs_sec))
+        rows += [(idx, coef, rhs) for coef, rhs in _lnc_rows(lo, hi)]
+    return model.program.member(box.lo, box.hi, rows)
 
 
 def _lnc_rows(lo, hi):
@@ -553,21 +551,23 @@ def local_polish(model: jabr.JabrModel,
 
 # -------------------------------------------------------------- range reduction
 
-def range_reduction(model: jabr.JabrModel, box: NodeBox, cutoff: float,
-                    slacks: np.ndarray) -> NodeBox | None:
+def range_reduction(model: jabr.JabrModel, member: conic.Member, box: NodeBox,
+                    cutoff: float, slacks: np.ndarray) -> NodeBox | None:
     """Optimization-based shrink of the intervals of the worst line of
-    `box` (the largest entry of `slacks`) over its node model `model`,
+    `box` (the largest entry of `slacks`) over its node relaxation `member`,
     under the cost cutoff when it is finite; returns None when the box
     empties.  `range_reduction_batch` of one node."""
-    return range_reduction_batch([(model, box, cutoff, slacks)])[0]
+    return range_reduction_batch(model, [(member, box, cutoff, slacks)])[0]
 
 
-def range_reduction_batch(jobs) -> list[NodeBox | None]:
-    """Range reduction of several nodes, each job a (model, box, cutoff,
-    slacks) tuple; returns one reduced box per job, None where it empties.
+def range_reduction_batch(model: jabr.JabrModel,
+                          jobs) -> list[NodeBox | None]:
+    """Range reduction of several nodes of the lifted model `model`, each
+    job a (member, box, cutoff, slacks) tuple with its `node_relaxation`;
+    returns one reduced box per job, None where it empties.
 
-    A finite cutoff gives the model its cost cap, padded up by
-    ``1e-6 * (1 + |cutoff|)``; +inf gives none.  Every variable of the
+    A finite cutoff appends the cost cap (`jabr.cost_cap`), padded up by
+    ``1e-6 * (1 + |cutoff|)``; +inf appends none.  Every variable of the
     worst coupling in `slacks` wider than `_WIDTH_TOL` goes to one
     `tighten.shrink_batch` call that solves every direction of every node
     and cuts each interval to its directions' Lagrangian bounds, with no
@@ -575,14 +575,15 @@ def range_reduction_batch(jobs) -> list[NodeBox | None]:
     keeps the sweep order-independent.
     """
     bounded = []
-    for model, box, cutoff, slacks in jobs:
+    for member, box, cutoff, slacks in jobs:
         if math.isfinite(cutoff):
-            jabr.add_cost_cap(model, cutoff + 1e-6 * (1 + abs(cutoff)))
+            cap = jabr.cost_cap(model, cutoff + 1e-6 * (1 + abs(cutoff)))
+            member = replace(member, rows=[*member.rows, cap])
         wide = []
         if len(model.lines):
             line = model.lines[np.argmax(slacks)]
             wide = line[box.hi[line] - box.lo[line] > _WIDTH_TOL].tolist()
-        bounded.append((model, box, wide))
+        bounded.append((member, box, wide))
     return tighten.shrink_batch(bounded)
 
 
@@ -630,7 +631,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
     box's c and s intervals and, with `use_cuts` as well, adds the secant
     cuts.  The cuts are built from the tightened boxes, so
     `use_bounds=False` drops them too.  Algorithm 1, propagation and every
-    node program start from that one model.
+    node relaxation start from that one model, compiled once.
 
     Each node is a `NodeBox` over the lifted model's variables.  Up to
     `_BATCH` best-first nodes are popped together; a batch never takes more
@@ -656,7 +657,7 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
        pushed with the node's bound.
 
     Incumbents come only from `local_polish` of a node's relaxation point
-    in the lifted model (node programs have its columns), each a point
+    in the lifted model (node members have its columns), each a point
     its Newton core solved to `_BALANCE_TOL` that passes the rectangular
     check at `_FEAS_TOL`; a polished point is kept when it is cheaper than
     the incumbent.  A node whose relaxation point lies on the cone surface
@@ -790,15 +791,14 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
             batch.append((lb_parent, box))
         if not batch:
             break
-        models = [node_relaxation(base, box, cuts) for _, box in batch]
-        sols = conic.solve_batch([m.program for m in models],
-                                 cutoffs=[cutoff()] * len(models))
+        members = [node_relaxation(base, box, cuts) for _, box in batch]
+        sols = conic.solve_batch(members, cutoffs=[cutoff()] * len(members))
 
         # phase 1, per node in bound order: verdict, fathoming, incumbents;
-        # `left` keeps (bound, box, model, x, slacks, node) of the nodes
+        # `left` keeps (bound, box, member, x, slacks, node) of the nodes
         # still open, with x None where the IPM failed
         left = []
-        for (lb_parent, box), model, sol in zip(batch, models, sols):
+        for (lb_parent, box), member, sol in zip(batch, members, sols):
             nodes += 1
             cutoff_stops += sol.status == conic.CUTOFF
             node_lb = max(lb_parent, sol.bound)
@@ -808,27 +808,27 @@ def solve_global(net: Network, *, gap_tol: float = 1e-4,
                 continue
             x, slacks = None, np.ones(len(net.lines))
             if sol.optimal:
-                x, slacks = sol.x, model.coupling_residuals(sol.x)
+                x, slacks = sol.x, base.coupling_residuals(sol.x)
                 polish(x, np.max(slacks, initial=0.0) <= jabr.EXACT_TOL)
                 if node_lb >= cutoff():
                     trace.append((nodes, node_lb, ub_val()))
                     continue
-            left.append((node_lb, box, model, x, slacks, nodes))
+            left.append((node_lb, box, member, x, slacks, nodes))
 
         # phase 2: one range-reduction call for the open nodes, under the
         # cutoff as phase 1 left it.  Cutoff-based reduction pays for itself
         # at every depth on these instance sizes.
-        boxes = range_reduction_batch([(model, box, cutoff(), slacks) for
-                                       _, box, model, _, slacks, _ in left])
+        boxes = range_reduction_batch(base, [(m, box, cutoff(), slacks) for
+                                             _, box, m, _, slacks, _ in left])
 
         # phase 3, per node: prune or branch.  An unresolved node is
         # branched blindly, scored at its box's middle; the free cost
         # epigraph has no middle, and `branch` does not read it.
-        for (node_lb, _, model, x, slacks, node), box in zip(left, boxes):
+        for (node_lb, _, _, x, slacks, node), box in zip(left, boxes):
             if box is not None:
                 with np.errstate(invalid="ignore"):
                     mid = 0.5 * (box.lo + box.hi)
-                kids, _ = branch(model, box, mid if x is None else x, slacks)
+                kids, _ = branch(base, box, mid if x is None else x, slacks)
                 if not kids:
                     # nothing branchable: the width floor is hit, the point
                     # is on the surface but gave no incumbent to fathom it,

@@ -2,18 +2,19 @@
 
 A :class:`ConicProgram` collects variables with box bounds, linear equalities
 and inequalities, rotated-cone couplings ``|z|^2 <= u*w`` and an objective
-``c'x + const``.  :func:`solve` compiles the program to the standard conic
-form, over exactly the program's variables, and runs the in-repo
-interior-point method.  A convex quadratic cost is modelled by its caller as
-a variable t with cost 1 and the epigraph cone ``t >= sum_i q_i x_i^2``
-(`ConicProgram.epigraph_cone`), which is scaled from the variables' bounds so
-that both sides of the cone are of one size.  :func:`solve_batch` reports
-each member's Lagrangian bound and stops a member once that bound reaches
-its cutoff.
+``c'x + const``.  :func:`solve` forms the standard conic form of a
+:class:`Member`, a program over a box with rows appended, over exactly the
+program's variables, and runs the in-repo interior-point method.  A convex
+quadratic cost is modelled by its caller as a variable t with cost 1 and the
+epigraph cone ``t >= sum_i q_i x_i^2`` (`ConicProgram.epigraph_cone`), which
+is scaled from the variables' bounds so that both sides of the cone are of
+one size.  :func:`solve_batch` reports each member's Lagrangian bound and
+stops a member once that bound reaches its cutoff.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,18 +55,8 @@ def _entries(terms):
             np.concatenate(idx), np.concatenate(coef))
 
 
-@dataclass
-class _Row:
-    idx: np.ndarray
-    coef: np.ndarray
-    rhs: float
-
-
-@dataclass
-class _Cone:
-    u: tuple
-    w: tuple
-    zs: list
+_Row = namedtuple("_Row", "idx coef rhs")
+_Cone = namedtuple("_Cone", "u w zs")
 
 
 class ConicProgram:
@@ -74,7 +65,9 @@ class ConicProgram:
     `ranges` maps a variable to an interval, narrower than its bounds,
     that holds it at some optimum of every objective that weighs it at zero
     or above.  It adds no row: only the Lagrangian bound of `solve_batch`
-    reads it, and only for such an objective.
+    reads it, and only for such an objective.  The rows, cones and ranges
+    are compiled once into index/value entries (`_compiled`), from which
+    every `member` of the program forms its standard form.
     """
 
     def __init__(self):
@@ -87,17 +80,7 @@ class ConicProgram:
         self.ineqs: list[_Row] = []
         self.cones: list[_Cone] = []
         self.ranges: dict[int, tuple[float, float]] = {}
-
-    def copy(self) -> "ConicProgram":
-        """A program with the same data whose lists are its own: variables,
-        rows and cones added to the copy do not reach this one.  The rows
-        and cones themselves are shared."""
-        out = ConicProgram()
-        out.cost_const = self.cost_const
-        out.ranges = dict(self.ranges)
-        for attr in ("names", "lb", "ub", "cost", "eqs", "ineqs", "cones"):
-            setattr(out, attr, list(getattr(self, attr)))
-        return out
+        self._cache = None, None
 
     # ------------------------------------------------------------------ build
     @property
@@ -115,13 +98,11 @@ class ConicProgram:
         return len(self.names) - 1
 
     def add_eq(self, idx, coef, rhs: float):
-        idx, coef, const = _as_term((idx, coef))
-        self.eqs.append(_Row(idx, coef, float(rhs) - const))
+        self.eqs.append(_Row(*_as_term((idx, coef))[:2], float(rhs)))
 
     def add_ineq(self, idx, coef, rhs: float):
         """a'x <= rhs."""
-        idx, coef, const = _as_term((idx, coef))
-        self.ineqs.append(_Row(idx, coef, float(rhs) - const))
+        self.ineqs.append(_Row(*_as_term((idx, coef))[:2], float(rhs)))
 
     def add_rotated_cone(self, u, w, zs):
         """|z|^2 <= u * w with u, w >= 0; each argument is a variable index,
@@ -144,7 +125,7 @@ class ConicProgram:
         When every term is bounded, t gets the range ``[0, g^2]``.  It
         holds at some optimum of every objective that weighs t at zero or
         above: lowering t to the sum keeps every row of the lifted model,
-        of its cost cap and of its node programs, and costs such an
+        of its cost cap and of its node members, and costs such an
         objective nothing.
         """
         pairs = [(i, qi) for i, qi in terms if qi > 0]
@@ -157,10 +138,8 @@ class ConicProgram:
         g = float(np.sqrt(g2)) or 1.0
         if bounded.all():
             self.ranges[t] = (0.0, g2)
-        self.cones.append(_Cone((np.array([t]), np.array([1.0 / g]), 0.0),
-                                (np.empty(0, dtype=int), np.empty(0), g),
-                                [(np.array([i]), np.array([np.sqrt(qi)]), 0.0)
-                                 for i, qi in zip(idx, q)]))
+        self.add_rotated_cone((t, 1.0 / g), g,
+                              [(i, np.sqrt(qi)) for i, qi in zip(idx, q)])
         return self.cones[-1]
 
     # ------------------------------------------------------------- inspection
@@ -221,6 +200,18 @@ class ConicProgram:
         return "\n".join(out)
 
     # ---------------------------------------------------------------- compile
+    def member(self, lo=None, hi=None, rows=()) -> "Member":
+        """The program over the box [lo, hi] (its own bounds where not
+        given) with the rows a'x <= rhs of `rows`, each (idx, coef, rhs),
+        after its own inequalities; raises ProgramError when an interval
+        is inverted."""
+        lo = np.array(self.lb if lo is None else lo, dtype=float)
+        hi = np.array(self.ub if hi is None else hi, dtype=float)
+        for v in np.flatnonzero(lo > hi)[:1]:
+            raise ProgramError(f"variable {self.names[v]}: "
+                               f"lb {lo[v]} > ub {hi[v]}")
+        return Member(self, lo, hi, rows)
+
     def _objective(self, objective_override=None):
         """Objective row of the standard form: the override, if given, or
         the program's own costs."""
@@ -229,56 +220,81 @@ class ConicProgram:
         return c
 
     def _constraints(self):
-        """(G, h, dims, A, b) of the standard form over the program's
-        variables.  Every matrix is filled by index scatter from zeros."""
-        n = self.num_vars
-        lb, ub = np.array(self.lb), np.array(self.ub)
-        free = lb != ub
-        fixed = np.flatnonzero(~free & np.isfinite(lb))
-        # variable bounds: per variable its upper row, then its lower one
+        """(G, h, dims, A, b) of the program over its own bounds."""
+        return self.member()._constraints()
+
+    def _compiled(self) -> "_Compiled":
+        """The entries, compiled again only when the number of variables,
+        rows, cones or ranges changes or `ranges` is replaced."""
+        key = (self.num_vars, len(self.eqs), len(self.ineqs), len(self.cones),
+               id(self.ranges), len(self.ranges))
+        if self._cache[0] != key:
+            self._cache = key, self._compile()
+        return self._cache[1]
+
+    def _compile(self) -> "_Compiled":
+        # (u+w)/2 >= |((u-w)/2, z...)| is the SOC form of |z|^2 <= u*w: per
+        # cone a top row, a mid row and one row per z term, each a linear
+        # row (idx, coef, h) of the standard form before its negation
+        soc = []
+        for (iu, cu, du), (iw, cw, dw), zs in self.cones:
+            idx = np.concatenate((iu, iw))
+            soc += [(idx, 0.5 * np.concatenate((cu, cw)), 0.5 * (du + dw)),
+                    (idx, 0.5 * np.concatenate((cu, -cw)), 0.5 * (du - dw)),
+                    *zs]
+        ranges = np.full((2, self.num_vars), [[-INF], [INF]])
+        ranges[:, list(self.ranges)] = np.reshape(
+            list(self.ranges.values()), (-1, 2)).T
+        return _Compiled(
+            *(_entries([(k, *row[:2]) for k, row in enumerate(rows)])
+              + (np.array([row[2] for row in rows], dtype=float),)
+              for rows in (self.eqs, self.ineqs, soc)),
+            [2 + len(cone.zs) for cone in self.cones], ranges)
+
+
+# a program's (row, column, value, rhs) entries of its equalities, of its
+# inequalities and of its cones' SOC rows, before their negation; its cone
+# sizes; and its ranges as (lo, hi) arrays, -inf/+inf where there is none
+_Compiled = namedtuple("_Compiled", "eq ineq cone q ranges")
+
+
+@dataclass(eq=False)
+class Member:
+    """A program over the box [lo, hi] of its variables, with the rows
+    a'x <= rhs of `rows`, each (idx, coef, rhs), after its own
+    inequalities (`ConicProgram.member`); what `solve_batch` solves."""
+    prog: ConicProgram
+    lo: np.ndarray
+    hi: np.ndarray
+    rows: list | tuple = ()
+
+    def _constraints(self):
+        """(G, h, dims, A, b) of the standard form: in `A` the program's
+        equalities, then a row per fixed variable (lo = hi, finite); in `G`
+        its inequalities, the rows, each other finite end of the box (per
+        variable its upper, then its lower) and the cones, negated."""
+        (*eq, b), (*ineq, h), (*cone, h_cone), q, _ = self.prog._compiled()
+        lo, hi, rows = self.lo, self.hi, self.rows
+        free = lo != hi
+        fixed = np.flatnonzero(~free & np.isfinite(lo))
         bvar, lower = np.nonzero(np.stack(
-            (free & np.isfinite(ub), free & np.isfinite(lb)), axis=1))
-        bound_h = np.where(lower, -lb[bvar], ub[bvar])
-
-        def scatter(M, linear, cols, vals):
-            """Write the rows `linear` into M, then one row per (col, val)
-            pair."""
-            r, i, v = _entries([(k, row.idx, row.coef)
-                                for k, row in enumerate(linear)])
-            M[r, i] = v
-            M[np.arange(len(linear), len(linear) + len(cols)), cols] = vals
-
-        A = np.zeros((len(self.eqs) + len(fixed), n))
-        scatter(A, self.eqs, fixed, np.ones(len(fixed)))
-        b = np.concatenate(([r.rhs for r in self.eqs], lb[fixed]))
-        l = len(self.ineqs) + len(bvar)
-        h_lin = np.concatenate(([r.rhs for r in self.ineqs], bound_h))
-
-        # (u+w)/2 >= |((u-w)/2, z...)| is the SOC form of |z|^2 <= u*w; per
-        # cone its rows are top, mid and one per z term, built positive in C
-        # and negated as a block, since rows enter as s = h - Gx
-        q_sizes = [2 + len(cone.zs) for cone in self.cones]
-        heads = np.cumsum(q_sizes) - q_sizes
-        u, w, z, h_cone = [], [], [], []
-        for head, cone in zip(heads, self.cones):
-            (iu, cu, du), (iw, cw, dw) = cone.u, cone.w
-            u.append((head, iu, 0.5 * cu))
-            w.append((head, iw, 0.5 * cw))
-            z += [(head + t, iz, cz) for t, (iz, cz, _) in enumerate(cone.zs, 2)]
-            h_cone += [0.5 * (du + dw), 0.5 * (du - dw)]
-            h_cone += [dz for _, _, dz in cone.zs]
-        (ru, iu, cu), (rw, iw, cw), (rz, iz, cz) = map(_entries, (u, w, z))
-        G = np.zeros((l + sum(q_sizes), n))
-        scatter(G, self.ineqs, bvar, 1.0 - 2.0 * lower)
-        C = G[l:]
-        C[ru, iu] += cu
-        C[rw, iw] += cw
-        C[ru + 1, iu] += cu
-        C[rw + 1, iw] -= cw
-        C[rz, iz] = cz
-        np.negative(C, out=C)
-        return (G, np.concatenate((h_lin, h_cone)), _ipm.make_dims(l, q_sizes),
-                A, b)
+            (free & np.isfinite(hi), free & np.isfinite(lo)), axis=1))
+        A = np.zeros((len(b) + len(fixed), len(lo)))
+        A[eq[0], eq[1]] = eq[2]
+        A[np.arange(len(b), len(A)), fixed] = 1.0
+        l = len(h) + len(rows) + len(bvar)
+        G = np.zeros((l + len(h_cone), len(lo)))
+        G[ineq[0], ineq[1]] = ineq[2]
+        r, i, v = _entries([(len(h) + k, *x[:2]) for k, x in enumerate(rows)])
+        G[r, i] = v
+        G[np.arange(l - len(bvar), l), bvar] = 1.0 - 2.0 * lower
+        # entries of one cone row that share a column add up; rows enter as
+        # s = h - Gx, so the cone block is negated
+        np.add.at(G, (l + cone[0], cone[1]), cone[2])
+        np.negative(G[l:], out=G[l:])
+        h = np.concatenate((h, [row[2] for row in rows],
+                            np.where(lower, -lo[bvar], hi[bvar]), h_cone))
+        return G, h, _ipm.make_dims(l, q), A, np.concatenate((b, lo[fixed]))
 
 
 @dataclass
@@ -305,15 +321,16 @@ def solve(prog: ConicProgram, *, objective_override=None) -> ConicSolution:
 
 
 def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
-    """Solve a list of programs, one member each, in as few interior-point
-    calls as their shapes allow; returns one solution per member, in order.
+    """Solve a list of members or programs (a program over its own bounds),
+    one member each, in as few interior-point calls as their shapes allow;
+    returns one solution per member, in order.
 
     `overrides`, if given, is aligned to `progs`: an objective per member,
     or None to keep the program's own.  Each member has one objective: its
-    override, or the program's costs plus their constant.  A program listed
-    for several members is compiled once; members whose compiled shapes
-    agree share one batched `conelp` call, in which every member runs its
-    own iterates and ends as its own one-member solve would.
+    override, or the program's costs plus their constant.  An entry listed
+    for several members is formed once; members whose standard forms
+    agree in shape share one batched `conelp` call, in which every member
+    runs its own iterates and ends as its own one-member solve would.
 
     `cutoffs`, if given, is aligned to `progs` as well: a value of the
     member's objective at or above which its optimum is of no use; without
@@ -321,7 +338,7 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
     `ConicSolution.bound` the largest Lagrangian bound of its iterates on
     its optimum (`_ipm.conelp`), whatever its status, and ends `CUTOFF`,
     with a bound at or above its cutoff, once that bound reaches it.  The
-    bound reads the program's variable bounds, narrowed to its `ranges`
+    bound reads the member's box, narrowed to the program's `ranges`
     where the member's objective weighs the variable at zero or above.  A
     certified-infeasible member reports +inf.
     """
@@ -329,26 +346,26 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
         overrides = [None] * len(progs)
     if cutoffs is None:
         cutoffs = [INF] * len(progs)
-    consts = [prog.cost_const if override is None else 0.0
-              for prog, override in zip(progs, overrides)]
-    compiled, groups = {}, {}
-    for i, (prog, override) in enumerate(zip(progs, overrides)):
-        key = id(prog)
-        if key not in compiled:
-            compiled[key] = prog._constraints()
-        G, _, dims, A, _ = compiled[key]
+    formed, groups, consts = {}, {}, []
+    for i, (p, override) in enumerate(zip(progs, overrides)):
+        key = id(p)
+        if key not in formed:
+            m = p if isinstance(p, Member) else p.member()
+            formed[key] = m, m._constraints()
+        m, (G, _, dims, A, _) = formed[key]
+        consts.append(m.prog.cost_const if override is None else 0.0)
         shape = (G.shape, A.shape, dims.l, tuple(dims.q))
-        groups.setdefault(shape, []).append((i, key, prog._objective(override)))
+        groups.setdefault(shape, []).append((i, key, m.prog._objective(override)))
 
     sols = [None] * len(progs)
     for members in groups.values():
-        data = [compiled[key] for _, key, _ in members]
+        data = [formed[key][1] for _, key, _ in members]
         G, h, dims, A, b = data[0]
         if len({key for _, key, _ in members}) > 1:
             G, h, A, b = (np.stack([d[j] for d in data]) for j in (0, 1, 3, 4))
         cut = [cutoffs[i] - consts[i] for i, _, _ in members]
-        box = tuple(np.stack([_bound_box(progs[i], c) for i, _, c in members],
-                             axis=1))
+        box = tuple(np.stack([_bound_box(formed[key][0], c)
+                              for _, key, c in members], axis=1))
         res = _ipm.conelp(np.array([c for _, _, c in members]), G, h, dims,
                           A, b, cut, box)
         for (i, _, c), r in zip(members, res):
@@ -364,12 +381,11 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
     return sols
 
 
-def _bound_box(prog: ConicProgram, c: np.ndarray) -> np.ndarray:
+def _bound_box(p, c: np.ndarray) -> np.ndarray:
     """(lo, hi) of the variables as the Lagrangian bound of the objective
-    `c` reads them: their bounds, narrowed to the program's `ranges` where
-    `c` weighs the variable at zero or above."""
-    box = np.array([prog.lb, prog.ub])
-    for v, (lo, hi) in prog.ranges.items():
-        if c[v] >= 0:
-            box[:, v] = max(box[0, v], lo), min(box[1, v], hi)
-    return box
+    `c` reads them: the box of `p`, a member or program, narrowed to the
+    program's `ranges` where `c` weighs the variable at zero or above."""
+    m = p if isinstance(p, Member) else p.member()
+    (rlo, rhi), narrow = m.prog._compiled().ranges, c >= 0
+    return np.array([np.where(narrow, np.maximum(m.lo, rlo), m.lo),
+                     np.where(narrow, np.minimum(m.hi, rhi), m.hi)])

@@ -19,7 +19,7 @@ implied by ``c_ji = c_ij`` and ``s_ji = -s_ij`` at model-build time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,8 @@ class JabrModel:
     s: list[int]
     t: int | None          # cost epigraph, None when every cost is linear
     # read-only (lines, 4) table: row k holds line k's from-bus c_ii,
-    # to-bus c_ii, c and s; copies share it
+    # to-bus c_ii, c and s
     lines: np.ndarray
-
-    def copy(self) -> "JabrModel":
-        """The same layout over a copy of the program (`ConicProgram.copy`),
-        so rows, variables and cost caps added to it stay its own."""
-        return replace(self, program=self.program.copy())
 
     def coupling_residuals(self, x: np.ndarray) -> np.ndarray:
         """Relative slack of c^2 + s^2 = cii*cjj per line (>=0 inside cone)."""
@@ -316,13 +311,13 @@ class RelaxationResult:
         return "exact" if (self.opf is not None) else "inexact"
 
 
-def add_cost_cap(model: JabrModel, cap: float):
-    """Constrain generation cost <= cap inside the model's program: one row
-    that holds the program's own objective (c1 on each unit, 1 on the cost
+def cost_cap(model: JabrModel, cap: float):
+    """The row, as (idx, coef, rhs) of a'x <= rhs (`conic.Member`), that
+    holds the program's own objective (c1 on each unit, 1 on the cost
     epigraph t, the constant sum of c0) at or below cap."""
     prog = model.program
     idx = np.flatnonzero(prog.cost)
-    prog.add_ineq(idx, np.asarray(prog.cost)[idx], cap - prog.cost_const)
+    return idx, np.asarray(prog.cost)[idx], cap - prog.cost_const
 
 
 def solve_relaxation(net: Network, *, refine: bool = True,
@@ -334,9 +329,10 @@ def solve_relaxation(net: Network, *, refine: bool = True,
     the cone surface even when an exact optimum exists.  When the first solve
     is inexact we re-solve lexicographically - cost capped at the optimum,
     total squared voltage minimized - which slides along the optimal face
-    toward the surface; exactness is then re-checked on that point.  The
-    verdict is `exact` only when a recovered point actually exists.
-    Exactness is judged at `check_exactness`'s tolerance.
+    toward the surface (the program with the `cost_cap` row appended);
+    exactness is then re-checked on that point.  The verdict is `exact`
+    only when a recovered point actually exists.  Exactness is judged at
+    `check_exactness`'s tolerance.
     """
     model = build_relaxation(net, fixed_voltage=fixed_voltage)
     sol = conic.solve(model.program)
@@ -347,20 +343,16 @@ def solve_relaxation(net: Network, *, refine: bool = True,
     res.exactness = check_exactness(model, sol)
     use = sol
     if not res.exactness.exact and refine:
-        model2 = model.copy()
         cap = sol.objective + 1e-7 * (1.0 + abs(sol.objective))
-        add_cost_cap(model2, cap)
-        override = np.zeros(model2.program.num_vars)
-        for v in model2.cii.values():
-            override[v] = 1.0
-        sol2 = conic.solve(model2.program, objective_override=override)
+        override = np.zeros(model.program.num_vars)
+        override[list(model.cii.values())] = 1.0
+        sol2 = conic.solve(model.program.member(rows=[cost_cap(model, cap)]),
+                           objective_override=override)
         res.ipm_iterations += sol2.iterations
         if sol2.optimal:
-            ex2 = check_exactness(model2, sol2)
+            ex2 = check_exactness(model, sol2)
             if ex2.exact:
-                res.refined = sol2
-                res.exactness = ex2
-                model, use = model2, sol2
+                res.refined, res.exactness, use = sol2, ex2, sol2
     if res.exactness.exact:
         res.opf = recover_angles(net, model, use)
     return res

@@ -9,8 +9,8 @@ the interval's end, produces a much tighter box; where that box pokes
 inside the inner circle, the chord of the circle across the intrusion is a
 valid linear cut, because every cut-off point has norm below R_lo and is
 therefore infeasible.  Boxes and cuts accumulate line by line,
-each tightening the relaxation used for the next; every bound solve runs on
-a copy of one lifted model (`boxed`).
+each tightening the relaxation used for the next; every bound solve is the
+lifted program over the box so far with the cuts as rows (`Cut.row`).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class NodeBox:
     `model.lines` for line k's four columns).
     Every program a search solves has exactly those columns.  The layout
     depends only on the network, so Algorithm 1, interval propagation and
-    every node of a search share it; `boxed` makes it a program's bounds."""
+    every node of a search share it; `ConicProgram.member` solves over it."""
     lo: np.ndarray
     hi: np.ndarray
 
@@ -91,6 +91,11 @@ class Cut:
     def violation(self, c, s):
         return self.rhs - (self.a_c * np.asarray(c) + self.a_s * np.asarray(s))
 
+    def row(self, model: jabr.JabrModel):
+        """The cut as a row (idx, coef, rhs) of a'x <= rhs (`conic.Member`)."""
+        return ([model.c[self.line], model.s[self.line]],
+                [-self.a_c, -self.a_s], -self.rhs)
+
 
 def generate_cut(c_lo: float, c_hi: float, s_lo: float, s_hi: float,
                  r_lo: float, line: int = 0) -> Cut | None:
@@ -122,31 +127,15 @@ def generate_cut(c_lo: float, c_hi: float, s_lo: float, s_hi: float,
                p1=(x1, y1), p2=(x2, y2))
 
 
-def boxed(model: jabr.JabrModel, box: NodeBox, cuts=()) -> jabr.JabrModel:
-    """A copy of `model` with the box as its variable bounds and the secant
-    cuts as rows; raises conic.ProgramError when an interval is inverted."""
-    bad = np.flatnonzero(box.lo > box.hi)
-    if bad.size:
-        v = bad[0]
-        raise conic.ProgramError(f"variable {model.program.names[v]}: "
-                                 f"lb {box.lo[v]} > ub {box.hi[v]}")
-    out = model.copy()
-    prog = out.program
-    prog.lb, prog.ub = box.lo.tolist(), box.hi.tolist()
-    for cut in cuts:
-        prog.add_ineq([out.c[cut.line], out.s[cut.line]],
-                      [-cut.a_c, -cut.a_s], -cut.rhs)
-    return out
-
-
 def shrink_batch(jobs) -> list[NodeBox | None]:
     """Each job's box with the interval of each of its variables shrunk to
     the Lagrangian bounds on that variable's minimum and maximum over the
     job's relaxation.
 
-    `jobs` holds (model, box, variables) triples.  Every direction of every
-    job (minimize, then maximize, per variable in order) is solved in one
-    `conic.solve_batch` call, which compiles each model once and forms each
+    `jobs` holds (member, box, variables) triples, the member a relaxation
+    over the box (`conic.Member`).  Every direction of every job (minimize,
+    then maximize, per variable in order) is solved in one
+    `conic.solve_batch` call, which forms each member once and each
     direction's bound L (`ConicSolution.bound`), whatever its status.  A
     direction's cutoff is its interval's other end (``hi`` when it
     minimizes, ``-lo`` when it maximizes): once L reaches it, the interval
@@ -157,12 +146,11 @@ def shrink_batch(jobs) -> list[NodeBox | None]:
     interval inverted (a certified-infeasible direction has L = +inf).
     """
     progs, overrides, cutoffs = [], [], []
-    for model, box, variables in jobs:
-        prog = model.program
+    for member, box, variables in jobs:
         for var in variables:
             for sense in (+1, -1):  # +1 minimizes, -1 maximizes
-                progs.append(prog)
-                overrides.append(np.zeros(prog.num_vars))
+                progs.append(member)
+                overrides.append(np.zeros(len(box.lo)))
                 overrides[-1][var] = sense
                 cutoffs.append(box.hi[var] if sense > 0 else -box.lo[var])
     sols = iter(conic.solve_batch(progs, overrides, cutoffs=cutoffs)
@@ -181,14 +169,16 @@ def shrink_batch(jobs) -> list[NodeBox | None]:
 
 def _tighten_loop(model: jabr.JabrModel,
                   with_cuts: bool) -> tuple[NodeBox, list[Cut]]:
+    prog = model.program
     box = NodeBox.of(model)
     cuts: list[Cut] = []
     for k in range(len(model.net.lines)):
         vc, vs = model.c[k], model.s[k]
-        box = shrink_batch([(boxed(model, box, cuts), box, [vc, vs])])[0]
+        member = prog.member(box.lo, box.hi, [c.row(model) for c in cuts])
+        box = shrink_batch([(member, box, [vc, vs])])[0]
         if box is None:
             raise RelaxationInfeasible("relaxation infeasible while bounding "
-                                       + ", ".join(model.program.names[v]
+                                       + ", ".join(prog.names[v]
                                                    for v in (vc, vs)))
         if with_cuts:
             cut = generate_cut(float(box.lo[vc]), float(box.hi[vc]),

@@ -52,8 +52,7 @@ def test_point_box_relaxation_is_exact(net2):
     at[lifted.s[0]] = vi * vj * math.sin(d)
     for v, val in at.items():
         box.lo[v], box.hi[v] = val - 1e-9, val + 1e-9
-    model = bnb.node_relaxation(lifted, box)
-    sol = conic.solve(model.program)
+    sol = conic.solve(bnb.node_relaxation(lifted, box))
     assert sol.optimal
     assert sol.objective == pytest.approx(opf.objective, rel=1e-5)
 
@@ -64,8 +63,7 @@ def test_root_relaxation_sandwiched(net2):
     scaled = network.scale_load(net2, 1.00)
     socp = jabr.solve_relaxation(scaled).objective
     base = jabr.build_relaxation(scaled)
-    model = bnb.node_relaxation(base, bnb.NodeBox.of(base))
-    sol = conic.solve(model.program)
+    sol = conic.solve(bnb.node_relaxation(base, bnb.NodeBox.of(base)))
     assert socp - 1e-4 <= sol.objective <= 563.56 * 1.01
 
 
@@ -76,36 +74,52 @@ def test_node_relaxation_lp_variant_bounded(net2):
     box = tighten.compute_bounds(jabr.build_relaxation(scaled))
     base = jabr.build_relaxation(scaled)
     base.program.cones.clear()
-    model = bnb.node_relaxation(base, box)
-    sol = conic.solve(model.program)
+    sol = conic.solve(bnb.node_relaxation(base, box))
     assert sol.optimal
     assert sol.objective <= 563.56 * 1.005
 
 
-def test_node_programs_are_independent_copies(net2):
-    """Two node programs from one base model: a cost cap on the first
-    reaches neither the base nor the second, which compiles to the bytes of
-    a fresh build with the same bounds and rows."""
-    scaled = network.scale_load(net2, 1.00)
-    base = jabr.build_relaxation(scaled)
+def test_node_member_compiles_like_a_program_built_row_by_row():
+    """On a case9 tree with Algorithm-1 cuts, a node member, without and
+    with the cost cap appended, compiles to the bits of the lifted program
+    built afresh with the box as its bounds and the cuts, the line rows
+    (`_line_rows`) and the cap added one row at a time.  In the second box
+    one line's c interval is collapsed, not by a pin, and that variable
+    moves into `A`.  Forming members leaves the base program as it was."""
+    net = _case9_tree()
+    base = jabr.build_relaxation(net)
     before = base.program.dump()
     root, cuts = tighten.run_algorithm1(base)
-    first = bnb.node_relaxation(base, root, cuts)
-    second = bnb.node_relaxation(base, root, cuts)
-    jabr.add_cost_cap(first, 600.0)
+    assert cuts
+    flat, v = root.copy(), base.c[1]
+    flat.hi[v] = flat.lo[v]
+    n, eqs = base.program.num_vars, len(base.program.eqs)
+    for box in (root, flat):
+        node = bnb.node_relaxation(base, box, cuts)
+        for cap in (None, 6000.0):
+            member = node if cap is None else dataclasses.replace(
+                node, rows=[*node.rows, jabr.cost_cap(base, cap)])
+            prog = jabr.build_relaxation(net).program
+            prog.lb, prog.ub = box.lo.tolist(), box.hi.tolist()
+            for cut in cuts:
+                prog.add_ineq([base.c[cut.line], base.s[cut.line]],
+                              [-cut.a_c, -cut.a_s], -cut.rhs)
+            for cols in base.lines.tolist():
+                for coef, rhs in _line_rows(box.lo[cols].tolist(),
+                                            box.hi[cols].tolist()):
+                    prog.add_ineq(cols, coef, rhs)
+            if cap is not None:
+                idx = np.flatnonzero(prog.cost)
+                prog.add_ineq(idx, np.asarray(prog.cost)[idx],
+                              cap - prog.cost_const)
+            got, want = member._constraints(), prog._constraints()
+            for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
+                assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+            assert (got[2].l, got[2].q) == (want[2].l, want[2].q)
+        fixed = got[3][eqs:]
+        assert np.array_equal(fixed, np.eye(n)[[v]] if box is flat
+                              else np.zeros((0, n)))
     assert base.program.dump() == before
-    assert len(first.program.ineqs) == len(second.program.ineqs) + 1
-
-    fresh = jabr.build_relaxation(scaled)
-    prog = fresh.program
-    prog.lb, prog.ub = root.lo.tolist(), root.hi.tolist()
-    for row in second.program.ineqs:
-        prog.add_ineq(row.idx, row.coef, row.rhs)
-    got = second.program._constraints()
-    want = prog._constraints()
-    for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
-        assert a.tobytes() == b.tobytes()
-    assert (got[2].l, list(got[2].q)) == (want[2].l, list(want[2].q))
 
 
 def _line_rows(lo, hi):
@@ -139,20 +153,20 @@ def test_node_rows_match_the_per_line_reference_bit_for_bit():
     `branch`, and over a box in which two lines have lc <= 0."""
     base = jabr.build_relaxation(_case9_tree())
     root, cuts = tighten.run_algorithm1(base)
-    x = conic.solve(bnb.node_relaxation(base, root, cuts).program).x
+    x = conic.solve(bnb.node_relaxation(base, root, cuts)).x
     (child, _), _ = bnb.branch(base, root, x, base.coupling_residuals(x))
     void = root.copy()
     void.lo[base.c[0]], void.lo[base.c[1]] = -0.1, 0.0
     assert (root.lo[base.c] > 0).all()
     nl = len(base.lines)
     for box in (root, child, void):
-        rows = bnb.node_relaxation(base, box, cuts).program.ineqs[-4 * nl:]
+        rows = bnb.node_relaxation(base, box, cuts).rows[-4 * nl:]
         for k, cols in enumerate(base.lines.tolist()):
             want = _line_rows(box.lo[cols].tolist(), box.hi[cols].tolist())
-            for row, (coef, rhs) in zip(rows[4 * k:4 * k + 4], want):
-                assert row.idx.tolist() == cols
-                assert row.coef.tolist() == coef and row.rhs == rhs, k
-    assert not np.any(rows[2].coef) and not np.any(rows[6].coef)
+            for (idx, a, b), (coef, rhs) in zip(rows[4 * k:4 * k + 4], want):
+                assert idx.tolist() == cols
+                assert list(a) == coef and b == rhs, k
+    assert not np.any(rows[2][1]) and not np.any(rows[6][1])
 
 
 def _case9_tree():
@@ -223,16 +237,16 @@ def test_lifted_nonlinear_cuts_keep_every_surface_point(net2, which):
         margin = spread * rng.uniform(0, 0.1, len(cols))
         box.lo[cols] = np.maximum(root.lo[cols], X[:, cols].min(axis=0) - margin)
         box.hi[cols] = np.minimum(root.hi[cols], X[:, cols].max(axis=0) + margin)
-        rows = bnb.node_relaxation(model, box).program.ineqs[-4 * nl:]
+        rows = bnb.node_relaxation(model, box).rows[-4 * nl:]
         for k in range(nl):
             void = box.lo[model.c[k]] <= 0
             seen["void" if void else "cut"] += 1
-            for row in rows[4 * k + 2:4 * k + 4]:
-                excess = X[:, row.idx] @ row.coef - row.rhs
+            for idx, coef, rhs in rows[4 * k + 2:4 * k + 4]:
+                excess = X[:, idx] @ np.asarray(coef) - rhs
                 if void:
                     assert excess.max() < 0
                 else:
-                    assert np.any(row.coef != 0)
+                    assert np.any(np.asarray(coef) != 0)
                     assert excess.max() <= 1e-9, (which, trial, k)
     assert min(seen.values()) > 0, seen
 
@@ -258,8 +272,8 @@ def test_boxes_with_and_without_lifted_cuts_share_one_shape(net2,
     root = bnb.NodeBox.of(base)
     kid = root.copy()
     kid.lo[base.c[0]] = 0.5 * kid.hi[base.c[0]]
-    progs = [bnb.node_relaxation(base, box).program for box in (root, kid)]
-    assert [any(not np.any(r.coef) for r in p.ineqs) for p in progs] \
+    progs = [bnb.node_relaxation(base, box) for box in (root, kid)]
+    assert [any(not np.any(coef) for _, coef, _ in p.rows) for p in progs] \
         == [True, False]
     shapes = [(G.shape, A.shape, dims.l, tuple(dims.q))
               for G, _, dims, A, _ in (p._constraints() for p in progs)]
@@ -367,22 +381,22 @@ def test_propagation_handles_lossless_lines():
 
 def test_propagation_keeps_unit_bounds(net3):
     """Propagation writes back only the c_ii, c and s intervals: the node
-    program's bounds are the box, and its unit bounds stay those of the
-    unit although the sweep alone cuts its pmax."""
+    member's box is the propagated one, and its unit bounds stay those of
+    the unit although the sweep alone cuts its pmax."""
     scaled = network.scale_load(net3, 1.00, scale_p=False)
     base = jabr.build_relaxation(scaled)
     prop = bnb._Propagator(base)
     box = tighten.compute_bounds(base)
     lo, hi = bnb._sweep_rows(prop.rows, box.lo.copy(), box.hi.copy())
     out = prop.run(box)
-    model = bnb.node_relaxation(base, out)
-    assert model.program.lb == out.lo.tolist()
-    assert model.program.ub == out.hi.tolist()
+    node = bnb.node_relaxation(base, out)
+    assert node.lo.tolist() == out.lo.tolist()
+    assert node.hi.tolist() == out.hi.tolist()
     assert scaled.generators[0].pmax == 5.5
-    assert hi[model.pg[0]] == pytest.approx(4.6185, abs=1e-4)
+    assert hi[base.pg[0]] == pytest.approx(4.6185, abs=1e-4)
     for k, g in enumerate(scaled.generators):
-        assert (out.lo[model.pg[k]], out.hi[model.pg[k]]) == (g.pmin, g.pmax)
-        assert (out.lo[model.qg[k]], out.hi[model.qg[k]]) == (g.qmin, g.qmax)
+        assert (out.lo[base.pg[k]], out.hi[base.pg[k]]) == (g.pmin, g.pmax)
+        assert (out.lo[base.qg[k]], out.hi[base.qg[k]]) == (g.qmin, g.qmax)
 
 
 # ------------------------------------------------------------------- branching
@@ -689,24 +703,22 @@ def test_range_reduction_shrinks_and_keeps_optimum(net2):
     scaled = network.scale_load(net2, 1.00)
     base = jabr.build_relaxation(scaled)
     box, cuts = tighten.run_algorithm1(base)
-    model = bnb.node_relaxation(base, box, cuts)
-    sol = conic.solve(model.program)
-    slacks = model.coupling_residuals(sol.x)
-    red = bnb.range_reduction(model, box, 564.9, slacks)
+    node = bnb.node_relaxation(base, box, cuts)
+    slacks = base.coupling_residuals(conic.solve(node).x)
+    red = bnb.range_reduction(base, node, box, 564.9, slacks)
     assert red is not None
     assert np.all(red.hi - red.lo <= box.hi - box.lo)
     # the verified optimum (cost 564.84, s = v1*v2*sin(-0.003452)) stays inside
-    assert red.lo[model.s[0]] <= -0.002894 <= red.hi[model.s[0]]
+    assert red.lo[base.s[0]] <= -0.002894 <= red.hi[base.s[0]]
 
 
 def test_range_reduction_infeasible_cutoff_prunes(net2):
     scaled = network.scale_load(net2, 1.00)
     base = jabr.build_relaxation(scaled)
     box = bnb.NodeBox.of(base)
-    model = bnb.node_relaxation(base, box)
-    sol = conic.solve(model.program)
-    slacks = model.coupling_residuals(sol.x)
-    red = bnb.range_reduction(model, box, 100.0, slacks)
+    node = bnb.node_relaxation(base, box)
+    slacks = base.coupling_residuals(conic.solve(node).x)
+    red = bnb.range_reduction(base, node, box, 100.0, slacks)
     assert red is None  # cutoff below the relaxation value empties the node
 
 
@@ -717,17 +729,16 @@ def test_range_reduction_batch_matches_single_node_calls(net2):
     scaled = network.scale_load(net2, 1.00)
     base = jabr.build_relaxation(scaled)
     root, cuts = tighten.run_algorithm1(base)
-    model = bnb.node_relaxation(base, root, cuts)
-    x = conic.solve(model.program).x
-    slacks = model.coupling_residuals(x)
-    kids, _ = bnb.branch(model, root, x, slacks)
+    x = conic.solve(bnb.node_relaxation(base, root, cuts)).x
+    slacks = base.coupling_residuals(x)
+    kids, _ = bnb.branch(base, root, x, slacks)
     nodes = [(root, 570.0), (kids[0], 100.0), (kids[1], 570.0)]
-    got = bnb.range_reduction_batch(
-        [(bnb.node_relaxation(base, box, cuts), box, cap, slacks)
-         for box, cap in nodes])
+    got = bnb.range_reduction_batch(base, [
+        (bnb.node_relaxation(base, box, cuts), box, cap, slacks)
+        for box, cap in nodes])
     assert got[1] is None
     for (box, cap), red in zip(nodes, got):
-        alone = bnb.range_reduction(bnb.node_relaxation(base, box, cuts),
+        alone = bnb.range_reduction(base, bnb.node_relaxation(base, box, cuts),
                                     box, cap, slacks)
         assert (red is None) == (alone is None)
         if red is None:
@@ -744,10 +755,9 @@ def test_range_reduction_bounds_the_whole_worst_line(net3, monkeypatch):
     scaled = network.scale_load(net3, 1.03, scale_p=False)
     base = jabr.build_relaxation(scaled)
     root = tighten.compute_bounds(base)
-    model = bnb.node_relaxation(base, root)
-    x = conic.solve(model.program).x
-    slacks = model.coupling_residuals(x)
-    worst = model.lines[np.argmax(slacks)].tolist()
+    x = conic.solve(bnb.node_relaxation(base, root)).x
+    slacks = base.coupling_residuals(x)
+    worst = base.lines[np.argmax(slacks)].tolist()
     assert np.all(root.hi[worst] - root.lo[worst] > bnb._WIDTH_TOL)
     narrow, vi = root.copy(), worst[0]
     narrow.lo[vi] = x[vi] - bnb._WIDTH_TOL / 4
@@ -759,9 +769,9 @@ def test_range_reduction_bounds_the_whole_worst_line(net3, monkeypatch):
         return shrink_batch(jobs)
 
     monkeypatch.setattr(tighten, "shrink_batch", spy)
-    got = bnb.range_reduction_batch(
-        [(bnb.node_relaxation(base, box), box, math.inf, slacks)
-         for box in (root, narrow)])
+    got = bnb.range_reduction_batch(base, [
+        (bnb.node_relaxation(base, box), box, math.inf, slacks)
+        for box in (root, narrow)])
     assert asked == [[worst, worst[1:]]]
     assert got[1] is not None
     assert (got[1].lo[vi], got[1].hi[vi]) == (narrow.lo[vi], narrow.hi[vi])
@@ -995,7 +1005,7 @@ def test_failed_node_is_pruned_by_its_bound(net2, monkeypatch):
     scaled = network.scale_load(net2, 1.00)
     want = bnb.solve_global(scaled, gap_tol=9e-4)
     assert want.cutoff_stops > 0
-    # the programs themselves are kept, so that no id is reused
+    # the members themselves are kept, so that no id is reused
     solve_batch, failed, reduced = conic.solve_batch, [], []
 
     def failing(progs, overrides=None, cutoffs=None):
@@ -1008,9 +1018,9 @@ def test_failed_node_is_pruned_by_its_bound(net2, monkeypatch):
 
     reduce = bnb.range_reduction_batch
 
-    def spy(jobs):
-        reduced.extend(model.program for model, *_ in jobs)
-        return reduce(jobs)
+    def spy(model, jobs):
+        reduced.extend(member for member, *_ in jobs)
+        return reduce(model, jobs)
 
     monkeypatch.setattr(conic, "solve_batch", failing)
     monkeypatch.setattr(bnb, "range_reduction_batch", spy)
@@ -1051,9 +1061,9 @@ def test_node_bounds_are_lagrangian_bounds(net2, monkeypatch):
     relax, solve_batch = bnb.node_relaxation, conic.solve_batch
 
     def built(*args, **kwargs):
-        model = relax(*args, **kwargs)
-        node_progs.add(id(model.program))
-        return model
+        member = relax(*args, **kwargs)
+        node_progs.add(id(member))
+        return member
 
     def spy(progs, overrides=None, cutoffs=None):
         sols = solve_batch(progs, overrides, cutoffs)
@@ -1186,23 +1196,23 @@ def test_range_reduction_matches_per_direction_solves(net2, gamma,
     scaled = network.scale_load(net2, gamma)
     base = jabr.build_relaxation(scaled)
     box = tighten.compute_bounds(base)
-    model = bnb.node_relaxation(base, box)
-    sol = conic.solve(model.program)
-    slacks = model.coupling_residuals(sol.x)
-    got = bnb.range_reduction(model, box, incumbent, slacks)
+    node = bnb.node_relaxation(base, box)
+    slacks = base.coupling_residuals(conic.solve(node).x)
+    got = bnb.range_reduction(base, node, box, incumbent, slacks)
 
-    ref_model = bnb.node_relaxation(base, box)
+    ref = bnb.node_relaxation(base, box)
     if math.isfinite(incumbent):
-        jabr.add_cost_cap(ref_model, incumbent + 1e-6 * (1 + abs(incumbent)))
+        cap = jabr.cost_cap(base, incumbent + 1e-6 * (1 + abs(incumbent)))
+        ref = dataclasses.replace(ref, rows=[*ref.rows, cap])
     want = box.copy()
-    for var in ref_model.lines[np.argmax(slacks)]:
+    for var in base.lines[np.argmax(slacks)]:
         if box.hi[var] - box.lo[var] <= bnb._WIDTH_TOL:
             continue
         lo, hi = box.lo[var], box.hi[var]
         for sense in (+1, -1):
-            override = np.zeros(ref_model.program.num_vars)
+            override = np.zeros(base.program.num_vars)
             override[var] = sense
-            one = conic.solve_batch([ref_model.program], [override],
+            one = conic.solve_batch([ref], [override],
                                     cutoffs=[math.inf])[0]
             assert one.optimal
             val = sense * one.bound

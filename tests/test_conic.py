@@ -1,5 +1,6 @@
 """Conic solver: analytic cases, LP cross-checks, certificates, invariants."""
 
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -182,9 +183,11 @@ def test_random_feasible_lp_never_infeasible(seed):
 
 # ------------------------------------------------------------ compile
 
-def _constraints_by_rows(prog):
-    """(G, h, dims, A, b) built one dense row at a time: the reference for
-    the scatter in `ConicProgram._constraints`."""
+def _constraints_by_rows(p):
+    """(G, h, dims, A, b) of a program or member built one dense row at a
+    time: the reference for the scatter in `Member._constraints`."""
+    m = p if isinstance(p, conic.Member) else p.member()
+    prog, lb, ub = m.prog, m.lo, m.hi
     n = prog.num_vars
     A_rows, b_vals, G_rows, h_vals = [], [], [], []
 
@@ -197,21 +200,22 @@ def _constraints_by_rows(prog):
         A_rows.append(row_of(row.idx, row.coef))
         b_vals.append(row.rhs)
     for i in range(n):
-        if prog.lb[i] == prog.ub[i] and np.isfinite(prog.lb[i]):
+        if lb[i] == ub[i] and np.isfinite(lb[i]):
             A_rows.append(row_of([i], [1.0]))
-            b_vals.append(prog.lb[i])
-    for row in prog.ineqs:
-        G_rows.append(row_of(row.idx, row.coef))
-        h_vals.append(row.rhs)
+            b_vals.append(lb[i])
+    for idx, coef, rhs in ([(r.idx, r.coef, r.rhs) for r in prog.ineqs]
+                           + list(m.rows)):
+        G_rows.append(row_of(idx, coef))
+        h_vals.append(rhs)
     for i in range(n):
-        if prog.lb[i] == prog.ub[i]:
+        if lb[i] == ub[i]:
             continue
-        if np.isfinite(prog.ub[i]):
+        if np.isfinite(ub[i]):
             G_rows.append(row_of([i], [1.0]))
-            h_vals.append(prog.ub[i])
-        if np.isfinite(prog.lb[i]):
+            h_vals.append(ub[i])
+        if np.isfinite(lb[i]):
             G_rows.append(row_of([i], [-1.0]))
-            h_vals.append(-prog.lb[i])
+            h_vals.append(-lb[i])
     l = len(G_rows)
     q_sizes = []
     for cone in prog.cones:
@@ -253,17 +257,17 @@ def _compile_case(name):
     if name == "2-bus node with cost cap":
         net = network.scale_load(cases.load_case("case2_two_gen"), 1.0)
         base = jabr.build_relaxation(net)
-        model = bnb.node_relaxation(base, bnb.NodeBox.of(base))
-        jabr.add_cost_cap(model, 600.0)
-        return model.program
+        node = bnb.node_relaxation(base, bnb.NodeBox.of(base))
+        return dataclasses.replace(
+            node, rows=[*node.rows, jabr.cost_cap(base, 600.0)])
     tree9 = network.spanning_tree(cases.load_case("case9", drop_charging=True))
     if name == "case9 tree":
         return jabr.build_relaxation(tree9).program
     # quadratic costs: the model's epigraph column and cone, and the cap row
     base = jabr.build_relaxation(tree9)
-    model = bnb.node_relaxation(base, bnb.NodeBox.of(base))
-    jabr.add_cost_cap(model, 6000.0)
-    return model.program
+    node = bnb.node_relaxation(base, bnb.NodeBox.of(base))
+    return dataclasses.replace(
+        node, rows=[*node.rows, jabr.cost_cap(base, 6000.0)])
 
 
 @pytest.mark.parametrize("name", ["case9 tree", "2-bus node with cost cap",
@@ -307,7 +311,6 @@ def _cost_cap_program(unbounded):
     """A case9 tree model with a cost cap; the second unit's cost is linear
     and, unless every bound is finite, the first unit has no upper limit.
     The model's epigraph t is its last variable."""
-    import dataclasses
     from radopf import cases, jabr, network
     net = network.spanning_tree(cases.load_case("case9", drop_charging=True))
     gens = list(net.generators)
@@ -317,23 +320,22 @@ def _cost_cap_program(unbounded):
         gens[0] = dataclasses.replace(gens[0], pmax=np.inf)
     model = jabr.build_relaxation(dataclasses.replace(net,
                                                       generators=tuple(gens)))
-    jabr.add_cost_cap(model, 6000.0)
-    prog = model.program
-    q = np.zeros(prog.num_vars)
+    q = np.zeros(model.program.num_vars)
     q[model.pg] = [g.cost.c2 for g in gens]
-    return prog, q
+    return model.program.member(rows=[jabr.cost_cap(model, 6000.0)]), q
 
 
 @pytest.mark.parametrize("unbounded", [False, True])
 def test_balanced_epigraph_is_the_same_set(unbounded):
     """Points (x, t) just above sum q_i x_i^2 lie inside the compiled
     epigraph cone and points just below lie outside, for a hand-built
-    epigraph and for the lifted model's under `jabr.add_cost_cap`; q = 0
+    epigraph and for the lifted model's under `jabr.cost_cap`; q = 0
     variables add no row."""
     rng = np.random.default_rng(0)
-    # (program, q per column); t is the last column and its cone the last
+    # (program or member, q per column); t is the last column and its cone
+    # the last
     for p, q in (_epigraph_program(unbounded), _cost_cap_program(unbounded)):
-        n = p.num_vars
+        n = len(q)
         assert p._constraints()[2].q[-1] == 2 + np.count_nonzero(q)
         for x in (*rng.uniform(-2.0, 3.0, size=(6, n)), np.zeros(n)):
             f = q @ (x * x)
@@ -827,7 +829,7 @@ def test_sparse_refinement_keeps_a_feeder_relaxation_optimal(monkeypatch):
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_shared_program_solves_as_its_stacked_copies(sparse):
     """One program listed for three members is broadcast to them; three
-    copies of it are stacked.  Under three objective overrides, each
+    members of it over its own bounds are stacked.  Under three objective overrides, each
     member of the two calls ends alike, bit for bit, on either storage.
     The chain's ranges are dropped, so its line variables and cost
     epigraph are free and its bounds are -inf; the boxed program's are
@@ -842,7 +844,7 @@ def test_shared_program_solves_as_its_stacked_copies(sparse):
     unit[v] = 1.0
     overrides = [np.array(prog.cost), unit, -unit]
     shared = conic.solve_batch([prog] * 3, overrides)
-    stacked = conic.solve_batch([prog.copy() for _ in range(3)], overrides)
+    stacked = conic.solve_batch([prog.member() for _ in range(3)], overrides)
     for a, b in zip(shared, stacked):
         assert a.status == b.status == conic.OPTIMAL
         assert a.iterations == b.iterations
@@ -854,7 +856,7 @@ def test_shared_program_solves_as_its_stacked_copies(sparse):
 # ----------------------------------------------------------- cutoff stop
 
 def _node_program(cii1_hi=None, cii2_lo=None):
-    """The 2-bus γ=1.00 node program over its tightened root box, with the
+    """The 2-bus γ=1.00 node member over its tightened root box, with the
     squared voltages of buses 1 and 2 optionally cut from above and below;
     cut to [0.81, 0.91] and [1.01, 1.21] its relaxation is empty."""
     from radopf import bnb, cases, jabr, network, tighten
@@ -865,7 +867,7 @@ def _node_program(cii1_hi=None, cii2_lo=None):
         box.hi[base.cii[1]] = cii1_hi
     if cii2_lo is not None:
         box.lo[base.cii[2]] = cii2_lo
-    return bnb.node_relaxation(base, box).program
+    return bnb.node_relaxation(base, box)
 
 
 def test_cutoff_below_the_optimum_stops_with_a_valid_bound():
@@ -910,8 +912,8 @@ def test_infinite_cutoffs_still_form_the_bound():
     or below its objective."""
     prog = _node_program()
     opt = conic.solve(prog)
-    low = np.zeros(prog.num_vars)
-    low[prog.names.index("c[1,2]")] = 1.0
+    low = np.zeros(prog.prog.num_vars)
+    low[prog.prog.names.index("c[1,2]")] = 1.0
     sols = conic.solve_batch([prog, prog], [None, low], [math.inf] * 2)
     assert sols[0].optimal and sols[0].x.tobytes() == opt.x.tobytes()
     assert math.isfinite(sols[0].bound)
@@ -940,6 +942,27 @@ def test_range_is_ignored_for_an_objective_that_weighs_it_below_zero():
     sol = conic.solve_batch([p], [up], cutoffs=[math.inf])[0]
     assert sol.optimal and sol.objective == pytest.approx(-5.0, rel=1e-7)
     assert -5.0 - 1e-6 <= sol.bound <= -5.0
+
+
+def test_bound_box_matches_a_loop_over_the_ranges():
+    """`_bound_box` reads the ranges as arrays; it gives the bits of a loop
+    that narrows each variable with a range to it where the objective
+    weighs it at zero or above.  On a case9 tree: the program over its own
+    bounds (free c, s and t), the search's root box and Algorithm 1's."""
+    from radopf import bnb, cases, jabr, network, tighten
+    base = jabr.build_relaxation(network.spanning_tree(
+        cases.load_case("case9", drop_charging=True)))
+    prog, rng = base.program, np.random.default_rng(5)
+    for box in (None, bnb.NodeBox.of(base), tighten.run_algorithm1(base)[0]):
+        member = prog if box is None else prog.member(box.lo, box.hi)
+        for _ in range(4):
+            c = rng.choice([-1.0, 0.0, 2.0], prog.num_vars)
+            want = np.array([prog.lb, prog.ub] if box is None
+                            else [box.lo, box.hi])
+            for v, (lo, hi) in prog.ranges.items():
+                if c[v] >= 0:
+                    want[:, v] = max(want[0, v], lo), min(want[1, v], hi)
+            assert conic._bound_box(member, c).tobytes() == want.tobytes()
 
 
 def test_infeasible_node_program_stops_before_its_certificate():
@@ -996,7 +1019,7 @@ def test_override_member_stops_at_its_cutoff():
     `conelp`, which compares in its scaled objective, scales the bound back
     to an ulp below the cutoff it reached."""
     prog = _node_program()
-    cost = 3.7 * np.array(prog.cost)
+    cost = 3.7 * np.array(prog.prog.cost)
     opt = conic.solve(prog, objective_override=cost)
     assert opt.optimal
     for k in range(1, 40, 3):
@@ -1056,3 +1079,20 @@ def test_epigraph_range_lets_the_bound_stop_a_quadratic_cost():
     prog.ranges = {}
     sol = conic.solve_batch([prog], cutoffs=[cut])[0]
     assert sol.status != conic.CUTOFF and sol.bound == -math.inf
+
+
+def test_a_bound_that_reaches_the_cutoff_as_the_member_converges_stops_it():
+    """The cutoff is tested before convergence.  On the chain, whose line
+    box is held only as ranges, a cutoff 1e-4 below the optimum 4.0163282
+    is reached by the bound in the iteration in which the member also
+    converges: the member ends `cutoff`, in that iteration, with a bound
+    at or above the cutoff."""
+    prog = _chain_program(5)
+    assert not any(np.isfinite([prog.lb[v], prog.ub[v]]).any()
+                   for v in prog.ranges)
+    opt = conic.solve(prog)
+    assert opt.optimal and opt.objective == pytest.approx(4.0163282, rel=1e-7)
+    cut = opt.objective * (1 - 1e-4)
+    sol = conic.solve_batch([prog], cutoffs=[cut])[0]
+    assert sol.status == conic.CUTOFF and sol.iterations == opt.iterations
+    assert cut <= sol.bound <= opt.objective

@@ -286,9 +286,10 @@ def test_lifted_model_has_no_line_pair_box():
             for v in (model.c[k], model.s[k]):
                 assert model.program.lb[v] == -np.inf
                 assert model.program.ub[v] == np.inf
-        boxed = tighten.boxed(model, tighten.NodeBox.of(model))
+        box = tighten.NodeBox.of(model)
         lean_G, lean_dims = model.program._constraints()[0:3:2]
-        box_G, box_dims = boxed.program._constraints()[0:3:2]
+        box_G, box_dims = model.program.member(
+            box.lo, box.hi)._constraints()[0:3:2]
         assert box_dims.l - lean_dims.l == 4 * len(net.lines), label
         assert list(box_dims.q) == list(lean_dims.q), label
         assert box_G.shape[0] - lean_G.shape[0] == 4 * len(net.lines), label
@@ -296,8 +297,7 @@ def test_lifted_model_has_no_line_pair_box():
 
 def test_line_table_holds_each_lines_four_columns(case14):
     """Row k of `model.lines` is line k's from-bus c_ii, to-bus c_ii, c and
-    s on every line of a case14 tree; the table is read-only, and a copy of
-    the model shares it."""
+    s on every line of a case14 tree; the table is read-only."""
     tree = network.spanning_tree(case14, 0)
     model = jabr.build_relaxation(tree)
     assert model.lines.shape == (len(tree.lines), 4)
@@ -307,7 +307,6 @@ def test_line_table_holds_each_lines_four_columns(case14):
                                            model.c[k], model.s[k]]
     with pytest.raises(ValueError):
         model.lines[0, 0] = model.lines[0, 1]
-    assert model.copy().lines is model.lines
 
 
 def test_lean_relaxation_stays_in_the_line_box_and_keeps_its_value():
@@ -317,7 +316,8 @@ def test_lean_relaxation_stays_in_the_line_box_and_keeps_its_value():
     for label, net in _lean_cases():
         model = jabr.build_relaxation(net)
         lean = conic.solve(model.program)
-        ref = conic.solve(tighten.boxed(model, tighten.NodeBox.of(model)).program)
+        box = tighten.NodeBox.of(model)
+        ref = conic.solve(model.program.member(box.lo, box.hi))
         assert lean.status == ref.status == conic.OPTIMAL, label
         assert lean.objective == pytest.approx(ref.objective, rel=1e-6), label
         for k in range(len(net.lines)):
@@ -349,17 +349,15 @@ def test_cost_epigraph_is_the_last_variable():
 
 
 def test_cost_cap_is_one_row():
-    """`add_cost_cap` adds one inequality row, the model's objective at most
-    the cap, and no variable or cone."""
+    """`cost_cap` is one inequality row, the model's objective at most the
+    cap, and leaves the program as it was."""
     model = jabr.build_relaxation(_case9_tree())
     prog = model.program
-    n, rows, cones = prog.num_vars, len(prog.ineqs), len(prog.cones)
-    jabr.add_cost_cap(model, 6000.0)
-    assert (prog.num_vars, len(prog.ineqs), len(prog.cones)) == (n, rows + 1,
-                                                                 cones)
-    row = prog.ineqs[-1]
-    x = np.random.default_rng(0).uniform(-1.0, 2.0, n)
-    assert row.coef @ x[row.idx] - row.rhs == pytest.approx(
+    before = prog.dump()
+    idx, coef, rhs = jabr.cost_cap(model, 6000.0)
+    assert prog.dump() == before
+    x = np.random.default_rng(0).uniform(-1.0, 2.0, prog.num_vars)
+    assert coef @ x[idx] - rhs == pytest.approx(
         prog.objective_value(x) - 6000.0, rel=1e-12)
 
 
@@ -369,6 +367,6 @@ def test_linear_costs_have_no_cost_epigraph(net2):
     model = jabr.build_relaxation(net2)
     assert model.t is None
     assert len(model.program.cones) == len(net2.lines)
-    jabr.add_cost_cap(model, 600.0)
-    assert list(model.program.ineqs[-1].idx) == [
+    idx, _, _ = jabr.cost_cap(model, 600.0)
+    assert list(idx) == [
         v for v, g in zip(model.pg, net2.generators) if g.cost.c1]

@@ -1,5 +1,6 @@
 """Bound tightening and secant valid inequalities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -147,21 +148,22 @@ def test_node_box_of_puts_the_line_box_on_every_pair():
 
 
 def test_node_program_matches_one_with_the_line_box_set_explicitly():
-    """A node program built from NodeBox.of compiles to the same arrays as
+    """A node member built from NodeBox.of compiles to the same arrays as
     one from a model whose c/s bounds were written into the program."""
     for label, net, pins in _box_cases():
         base = jabr.build_relaxation(net, fixed_voltage=pins)
         _, cuts = tighten.run_algorithm1(base)
-        ref = base.copy()
+        ref = jabr.build_relaxation(net, fixed_voltage=pins)
         prog = ref.program
         for k in range(len(net.lines)):
             r_hi = ring_for(net, k).r_hi
             for v in (ref.c[k], ref.s[k]):
                 prog.lb[v], prog.ub[v] = -r_hi, r_hi
         ref_box = NodeBox(np.array(prog.lb), np.array(prog.ub))
-        got = bnb.node_relaxation(base, NodeBox.of(base), cuts).program
-        want = bnb.node_relaxation(ref, ref_box, cuts).program
-        assert np.array_equal(got._objective(), want._objective()), label
+        got = bnb.node_relaxation(base, NodeBox.of(base), cuts)
+        want = bnb.node_relaxation(ref, ref_box, cuts)
+        assert np.array_equal(got.prog._objective(),
+                              want.prog._objective()), label
         got, want = got._constraints(), want._constraints()
         for a, b in zip(got, want):
             if isinstance(a, np.ndarray):
@@ -209,16 +211,17 @@ def test_bounds_are_valid_for_feasible_points():
 
 def test_a_direction_stops_at_its_interval_end(monkeypatch):
     """Each direction's cutoff is its interval's other end.  Capped at
-    0.1% below its optimum, the 2-bus γ=1.00 root node program is empty:
+    0.1% below its optimum, the 2-bus γ=1.00 root node member is empty:
     every direction of its line stops once its bound passes that end, or
     is certified infeasible, and the box is reported empty."""
     net = network.scale_load(cases.load_case("case2_two_gen"), 1.00)
     base = jabr.build_relaxation(net)
     box = tighten.compute_bounds(base)
-    model = bnb.node_relaxation(base, box)
-    opt = conic.solve(model.program)
+    node = bnb.node_relaxation(base, box)
+    opt = conic.solve(node)
     assert opt.optimal
-    jabr.add_cost_cap(model, opt.objective * (1 - 1e-3))
+    capped = dataclasses.replace(
+        node, rows=[*node.rows, jabr.cost_cap(base, opt.objective * (1 - 1e-3))])
     solve_batch, calls = conic.solve_batch, []
 
     def spy(progs, overrides=None, **kwargs):
@@ -227,8 +230,8 @@ def test_a_direction_stops_at_its_interval_end(monkeypatch):
         return sols
 
     monkeypatch.setattr(conic, "solve_batch", spy)
-    variables = model.lines[0].tolist()
-    assert tighten.shrink_batch([(model, box, variables)]) == [None]
+    variables = base.lines[0].tolist()
+    assert tighten.shrink_batch([(capped, box, variables)]) == [None]
     ((cutoffs, sols),) = calls
     assert cutoffs == [end for v in variables
                        for end in (box.hi[v], -box.lo[v])]
@@ -267,24 +270,24 @@ def test_a_direction_cut_short_still_tightens(monkeypatch):
 @pytest.mark.parametrize("name,gamma", [("case2_two_gen", 1.00),
                                         ("case3_one_gen", 1.03)])
 def test_shrunk_ends_lie_on_the_safe_side_of_each_optimum(name, gamma):
-    """On a root node program, every interval end `shrink_batch` moves is
+    """On a root node member, every interval end `shrink_batch` moves is
     at or below the variable's value at its own minimizer (lower end) and
     at or above its value at its own maximizer (upper end).  An end it
-    keeps is the program's own bound, which the IPM meets only to its
+    keeps is the member's own bound, which the IPM meets only to its
     tolerance."""
     net = network.scale_load(cases.load_case(name), gamma,
                              scale_p=name != "case3_one_gen")
     base = jabr.build_relaxation(net)
     root = tighten.compute_bounds(base)
-    model = bnb.node_relaxation(base, root)
-    variables = sorted(set(model.lines.ravel().tolist()))
-    (got,) = tighten.shrink_batch([(model, root, variables)])
+    node = bnb.node_relaxation(base, root)
+    variables = sorted(set(base.lines.ravel().tolist()))
+    (got,) = tighten.shrink_batch([(node, root, variables)])
     assert (got.lo > root.lo).any() and (got.hi < root.hi).any()
     for v in variables:
         for sense in (+1, -1):
-            override = np.zeros(model.program.num_vars)
+            override = np.zeros(base.program.num_vars)
             override[v] = sense
-            sol = conic.solve(model.program, objective_override=override)
+            sol = conic.solve(node, objective_override=override)
             assert sol.optimal
             if sense > 0 and got.lo[v] > root.lo[v]:
                 assert got.lo[v] <= sol.x[v]
@@ -336,16 +339,17 @@ def test_tightening_never_cuts_relaxation_optimum():
         plain = jabr.solve_relaxation(net).objective
         model = jabr.build_relaxation(net)
         box, cuts = tighten.run_algorithm1(model)
-        sol = conic.solve(tighten.boxed(model, box, cuts).program)
+        sol = conic.solve(model.program.member(
+            box.lo, box.hi, [cut.row(model) for cut in cuts]))
         assert sol.objective == pytest.approx(plain, rel=1e-6)
 
 
-def test_boxed_rejects_an_inverted_box():
+def test_member_rejects_an_inverted_box():
     model = jabr.build_relaxation(cases.load_case("case2_two_gen"))
     box = NodeBox.of(model)
     box.lo[model.c[0]], box.hi[model.c[0]] = 0.9, 0.8
     with pytest.raises(conic.ProgramError):
-        tighten.boxed(model, box)
+        model.program.member(box.lo, box.hi)
 
 
 def test_infeasible_relaxation_propagates():

@@ -13,12 +13,17 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
-def test_every_traced_function_exists():
-    """`Tracer.install` re-binds each (module, attr) of `TARGETS` and raises
-    on a missing one, which would stop the traced benchmark run."""
+def _tracing():
     spec = importlib.util.spec_from_file_location("_radopf_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_function_exists():
+    """`Tracer.install` re-binds each (module, attr) of `TARGETS` and raises
+    on a missing one, which would stop the traced benchmark run."""
+    tracing = _tracing()
     assert tracing.TARGETS
     for module, attr, _ in tracing.TARGETS:
         assert module.__name__.startswith("radopf."), module
@@ -87,3 +92,33 @@ def test_benchmark_calls_bind_to_current_signatures():
     assert ("network", "scale_load", frozenset({"scale_p"})) in checked
     assert ("bnb", "solve_global", frozenset({"gap_tol", "fixed_voltage"})) \
         in checked
+
+
+def test_node_relaxation_spans_count_the_solved_node_members(monkeypatch):
+    """With `Tracer` installed around one `solve_global` on 2-bus γ=1.00,
+    `bnb.node_relaxation` has one span, and its per-layer call count one
+    call, per node member that `conic.solve_batch` solves (its calls with
+    cutoffs and no overrides).  A search that formed its node members
+    without calling `node_relaxation` through the module would read 0
+    there and still run."""
+    from radopf import bnb, cases, conic, network
+    tracing = _tracing()
+    solve_batch, solved = conic.solve_batch, []
+
+    def spy(progs, overrides=None, cutoffs=None):
+        if overrides is None and cutoffs is not None:
+            solved.extend(progs)
+        return solve_batch(progs, overrides, cutoffs)
+
+    monkeypatch.setattr(conic, "solve_batch", spy)
+    net = network.scale_load(cases.load_case("case2_two_gen"), 1.00)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        res = bnb.solve_global(net, gap_tol=9e-4)
+    finally:
+        tracer.remove()
+    spans = [s for s in tracer.spans if s["name"] == "bnb.node_relaxation"]
+    calls = tracing.layer_metrics(tracer.spans, 1.0)["bnb.node_relaxation.calls"]
+    assert res.optimal and len(solved) > 1
+    assert len(spans) == calls == len(solved)
