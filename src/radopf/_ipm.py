@@ -617,12 +617,13 @@ def conelp(c, G, h, dims, A, b, cutoff, box):
     ``certificate`` (the ray of an infeasible or unbounded member, else
     None) and ``bound``.
 
-    Row i of `c` (members, n) belongs to member i; `h` and `b` are one row
-    for every member or one row per member, and `G` and `A` are both one
-    matrix for every member or both stacked per member, (members, m, n) and
-    (members, p, n).  The objective of each member is normalized internally
-    (costs can be orders of magnitude above the constraint data in $-valued
-    problems); ``bound`` is scaled back on exit.
+    Row i of `c` (members, n) belongs to member i.  Each of `G`, `h`, `A`
+    and `b` is, on its own, one array for every member or the members'
+    arrays stacked: `G` (m, n) or (members, m, n), `A` (p, n) or (members,
+    p, n), `h` and `b` one row or one row per member.  The objective of
+    each member is normalized internally (costs can be orders of magnitude
+    above the constraint data in $-valued problems); ``bound`` is scaled
+    back on exit.
 
     `cutoff` holds one value per member (+inf for none), and `box` is a
     pair (lo, hi) of arrays shaped like `c` whose rows hold some optimal

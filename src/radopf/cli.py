@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -194,10 +195,22 @@ def cmd_tighten(args) -> int:
 
 def cmd_genlib(args) -> int:
     import os
+    unit = args.overshoot_gen
+    reads = [argparse.Namespace(case=name, drop_charging=True)
+             for name in args.cases]
+    # a unit that some case lacks is a usage error, found before any output
+    # and reported without the warnings of the reads
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for read in reads:
+            units = len(_load_network(read).generators)
+            if unit is not None and not 0 <= unit < units:
+                print(f"--overshoot-gen {unit} names no unit of {read.case}, "
+                      f"which has {units}", file=sys.stderr)
+                return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
     manifest = []
-    for name in args.cases:
-        base = _load_network(argparse.Namespace(case=name, drop_charging=True))
+    for base in map(_load_network, reads):
         for seed in range(args.seeds):
             tree = network.spanning_tree(base, seed)
             if args.overshoot_gen is not None:
@@ -262,15 +275,21 @@ def cmd_plotdata(args) -> int:
 
 def _range_error(args) -> str | None:
     """One line on the first of --step, --resolution, --time-limit, --gamma,
-    --gamma-from and --gamma-to (which must be positive) and --gap (which
-    must not be negative) that `args` holds out of range, or of a --step so
-    small that adding it to --gamma-from leaves it as it is, or None; a NaN
-    is out of every range."""
+    --gamma-from, --gamma-to, --samples and --seeds (which must be
+    positive), --gap (which must not be negative) and --raise-fraction and
+    --overshoot-q (which must lie in [0, 1]) that `args` holds out of
+    range, or of a --step so small that adding it to --gamma-from leaves it
+    as it is, or None; a NaN is out of every range."""
+    shares = ("raise_fraction", "overshoot_q")
     for name in ("step", "resolution", "time_limit", "gamma", "gamma_from",
-                 "gamma_to", "gap"):
+                 "gamma_to", "samples", "seeds", "gap") + shares:
         value = getattr(args, name, None)
-        if not (value is None or value > 0 or name == "gap" and value == 0):
-            want = "non-negative" if name == "gap" else "positive"
+        if value is None:
+            continue
+        want, ok = (("in [0, 1]", 0 <= value <= 1) if name in shares else
+                    ("non-negative", value >= 0) if name == "gap" else
+                    ("positive", value > 0))
+        if not ok:
             return f"--{name.replace('_', '-')} must be {want}, not {value}"
     step = getattr(args, "step", None)
     if step and args.gamma_from + step == args.gamma_from:

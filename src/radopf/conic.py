@@ -66,8 +66,9 @@ class ConicProgram:
     that holds it at some optimum of every objective that weighs it at zero
     or above.  It adds no row: only the Lagrangian bound of `solve_batch`
     reads it, and only for such an objective.  The rows, cones and ranges
-    are compiled once into index/value entries (`_compiled`), from which
-    every `member` of the program forms its standard form.
+    are compiled once (`_compiled`): the equalities into one read-only
+    `(A, b)` that every `member` without a fixed variable shares, the rest
+    into index/value entries from which each member forms its `G` and `h`.
     """
 
     def __init__(self):
@@ -89,8 +90,8 @@ class ConicProgram:
 
     def add_var(self, name: str, lb: float = -INF, ub: float = INF,
                 cost: float = 0.0) -> int:
-        if lb > ub:
-            raise ProgramError(f"variable {name}: lb {lb} > ub {ub}")
+        if not lb <= ub:
+            raise ProgramError(f"variable {name}: [{lb}, {ub}] is no interval")
         self.names.append(name)
         self.lb.append(float(lb))
         self.ub.append(float(ub))
@@ -204,12 +205,12 @@ class ConicProgram:
         """The program over the box [lo, hi] (its own bounds where not
         given) with the rows a'x <= rhs of `rows`, each (idx, coef, rhs),
         after its own inequalities; raises ProgramError when an interval
-        is inverted."""
+        is inverted or has a NaN end."""
         lo = np.array(self.lb if lo is None else lo, dtype=float)
         hi = np.array(self.ub if hi is None else hi, dtype=float)
-        for v in np.flatnonzero(lo > hi)[:1]:
+        for v in np.flatnonzero(~(lo <= hi))[:1]:
             raise ProgramError(f"variable {self.names[v]}: "
-                               f"lb {lo[v]} > ub {hi[v]}")
+                               f"[{lo[v]}, {hi[v]}] is no interval")
         return Member(self, lo, hi, rows)
 
     def _objective(self, objective_override=None):
@@ -224,10 +225,10 @@ class ConicProgram:
         return self.member()._constraints()
 
     def _compiled(self) -> "_Compiled":
-        """The entries, compiled again only when the number of variables,
-        rows, cones or ranges changes or `ranges` is replaced."""
+        """The compiled program, compiled again only when the number of
+        variables, rows or cones or the contents of `ranges` change."""
         key = (self.num_vars, len(self.eqs), len(self.ineqs), len(self.cones),
-               id(self.ranges), len(self.ranges))
+               dict(self.ranges))
         if self._cache[0] != key:
             self._cache = key, self._compile()
         return self._cache[1]
@@ -245,17 +246,22 @@ class ConicProgram:
         ranges = np.full((2, self.num_vars), [[-INF], [INF]])
         ranges[:, list(self.ranges)] = np.reshape(
             list(self.ranges.values()), (-1, 2)).T
-        return _Compiled(
-            *(_entries([(k, *row[:2]) for k, row in enumerate(rows)])
-              + (np.array([row[2] for row in rows], dtype=float),)
-              for rows in (self.eqs, self.ineqs, soc)),
-            [2 + len(cone.zs) for cone in self.cones], ranges)
+        (r, i, v, b), *rest = (
+            _entries([(k, *row[:2]) for k, row in enumerate(rows)])
+            + (np.array([row[2] for row in rows], dtype=float),)
+            for rows in (self.eqs, self.ineqs, soc))
+        A = np.zeros((len(b), self.num_vars))
+        A[r, i] = v
+        A.flags.writeable = b.flags.writeable = False
+        return _Compiled(A, b, *rest,
+                         [2 + len(cone.zs) for cone in self.cones], ranges)
 
 
-# a program's (row, column, value, rhs) entries of its equalities, of its
-# inequalities and of its cones' SOC rows, before their negation; its cone
-# sizes; and its ranges as (lo, hi) arrays, -inf/+inf where there is none
-_Compiled = namedtuple("_Compiled", "eq ineq cone q ranges")
+# a program's equalities as one read-only (A, b); the (row, column, value,
+# rhs) entries of its inequalities and of its cones' SOC rows, before their
+# negation; its cone sizes; and its ranges as (lo, hi) arrays, -inf/+inf
+# where there is none
+_Compiled = namedtuple("_Compiled", "A b ineq cone q ranges")
 
 
 @dataclass(eq=False)
@@ -272,16 +278,19 @@ class Member:
         """(G, h, dims, A, b) of the standard form: in `A` the program's
         equalities, then a row per fixed variable (lo = hi, finite); in `G`
         its inequalities, the rows, each other finite end of the box (per
-        variable its upper, then its lower) and the cones, negated."""
-        (*eq, b), (*ineq, h), (*cone, h_cone), q, _ = self.prog._compiled()
+        variable its upper, then its lower) and the cones, negated.  A
+        member that fixes no variable returns the program's own read-only
+        `A` and `b`, the same arrays for every such member."""
+        A, b, (*ineq, h), (*cone, h_cone), q, _ = self.prog._compiled()
         lo, hi, rows = self.lo, self.hi, self.rows
         free = lo != hi
         fixed = np.flatnonzero(~free & np.isfinite(lo))
         bvar, lower = np.nonzero(np.stack(
             (free & np.isfinite(hi), free & np.isfinite(lo)), axis=1))
-        A = np.zeros((len(b) + len(fixed), len(lo)))
-        A[eq[0], eq[1]] = eq[2]
-        A[np.arange(len(b), len(A)), fixed] = 1.0
+        if len(fixed):
+            pins = np.zeros((len(fixed), len(lo)))
+            pins[np.arange(len(fixed)), fixed] = 1.0
+            A, b = np.concatenate((A, pins)), np.concatenate((b, lo[fixed]))
         l = len(h) + len(rows) + len(bvar)
         G = np.zeros((l + len(h_cone), len(lo)))
         G[ineq[0], ineq[1]] = ineq[2]
@@ -294,7 +303,7 @@ class Member:
         np.negative(G[l:], out=G[l:])
         h = np.concatenate((h, [row[2] for row in rows],
                             np.where(lower, -lo[bvar], hi[bvar]), h_cone))
-        return G, h, _ipm.make_dims(l, q), A, np.concatenate((b, lo[fixed]))
+        return G, h, _ipm.make_dims(l, q), A, b
 
 
 @dataclass
@@ -330,7 +339,10 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
     override, or the program's costs plus their constant.  An entry listed
     for several members is formed once; members whose standard forms
     agree in shape share one batched `conelp` call, in which every member
-    runs its own iterates and ends as its own one-member solve would.
+    runs its own iterates and ends as its own one-member solve would.  Of
+    `G`, `h`, `A` and `b`, the call gets one array where every member in it
+    holds that same array (the program's `A` and `b` when no member fixes a
+    variable) and the members' arrays stacked where they differ.
 
     `cutoffs`, if given, is aligned to `progs` as well: a value of the
     member's objective at or above which its optimum is of no use; without
@@ -351,8 +363,10 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
         key = id(p)
         if key not in formed:
             m = p if isinstance(p, Member) else p.member()
-            formed[key] = m, m._constraints()
-        m, (G, _, dims, A, _) = formed[key]
+            # the box and the program's ranges, rows of one array
+            formed[key] = m, m._constraints(), np.array(
+                (m.lo, m.hi, *m.prog._compiled().ranges))
+        m, (G, _, dims, A, _), _ = formed[key]
         consts.append(m.prog.cost_const if override is None else 0.0)
         shape = (G.shape, A.shape, dims.l, tuple(dims.q))
         groups.setdefault(shape, []).append((i, key, m.prog._objective(override)))
@@ -360,14 +374,16 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
     sols = [None] * len(progs)
     for members in groups.values():
         data = [formed[key][1] for _, key, _ in members]
-        G, h, dims, A, b = data[0]
-        if len({key for _, key, _ in members}) > 1:
-            G, h, A, b = (np.stack([d[j] for d in data]) for j in (0, 1, 3, 4))
+        dims = data[0][2]
+        G, h, A, b = (v[0] if all(x is v[0] for x in v) else np.stack(v)
+                      for v in ([d[j] for d in data] for j in (0, 1, 3, 4)))
         cut = [cutoffs[i] - consts[i] for i, _, _ in members]
-        box = tuple(np.stack([_bound_box(formed[key][0], c)
-                              for _, key, c in members], axis=1))
-        res = _ipm.conelp(np.array([c for _, _, c in members]), G, h, dims,
-                          A, b, cut, box)
+        costs = np.array([c for _, _, c in members])
+        lo, hi, rlo, rhi = np.stack([formed[key][2] for _, key, _ in members],
+                                    axis=1)
+        box = np.where(costs >= 0, [np.maximum(lo, rlo), np.minimum(hi, rhi)],
+                       [lo, hi])
+        res = _ipm.conelp(costs, G, h, dims, A, b, cut, box)
         for (i, _, c), r in zip(members, res):
             obj, bound = None, r["bound"] + consts[i]
             if r["status"] == OPTIMAL:
@@ -380,12 +396,3 @@ def solve_batch(progs, overrides=None, cutoffs=None) -> list[ConicSolution]:
                                     r["certificate"], bound)
     return sols
 
-
-def _bound_box(p, c: np.ndarray) -> np.ndarray:
-    """(lo, hi) of the variables as the Lagrangian bound of the objective
-    `c` reads them: the box of `p`, a member or program, narrowed to the
-    program's `ranges` where `c` weighs the variable at zero or above."""
-    m = p if isinstance(p, Member) else p.member()
-    (rlo, rhi), narrow = m.prog._compiled().ranges, c >= 0
-    return np.array([np.where(narrow, np.maximum(m.lo, rlo), m.lo),
-                     np.where(narrow, np.minimum(m.hi, rhi), m.hi)])

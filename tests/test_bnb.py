@@ -307,6 +307,24 @@ def test_node_batches_share_one_conelp_call(net2, monkeypatch, use_bounds):
     assert per_batch == [1] * len(per_batch)
 
 
+def test_search_members_pass_one_equality_block(net2, monkeypatch):
+    """No member of a 2-bus γ=1.00 search fixes a variable, so every
+    member holds its program's `A` and `b`: every `conelp` call with more
+    than one member gets them once, a 2-D `A` and a 1-D `b`, not a copy
+    per member."""
+    conelp, seen = _ipm.conelp, []
+
+    def spy(c, G, h, dims, A, b, cutoff, box):
+        if len(c) > 1:
+            seen.append((np.ndim(G), np.ndim(A), np.ndim(b)))
+        return conelp(c, G, h, dims, A, b, cutoff, box)
+
+    monkeypatch.setattr(_ipm, "conelp", spy)
+    res = bnb.solve_global(network.scale_load(net2, 1.00), gap_tol=9e-4)
+    assert res.optimal and (3, 2, 1) in seen
+    assert {ndims[1:] for ndims in seen} == {(2, 1)}
+
+
 def test_search_programs_have_the_model_columns(monkeypatch):
     """Every program a search on a case9 tree solves, from Algorithm 1 to
     range reduction, compiles to exactly the lifted model's columns, so a

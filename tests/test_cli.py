@@ -431,15 +431,31 @@ def test_genlib_reads_a_json_case(capsys, tmp_path):
     ["sweep", "--case", "case2_two_gen", "--gamma-from", "1", "--gamma-to",
      "1", "--step", "1e-300"],
     ["genlib", "--cases", "case2_two_gen", "--step", "1e-300"],
+    ["genlib", "--cases", "case9", "--overshoot-gen", "7"],
+    ["genlib", "--cases", "case9", "--overshoot-gen", "-1"],
+    ["genlib", "--cases", "case9", "case2_two_gen", "--overshoot-gen", "2"],
+    ["plotdata", "--case", "case2_two_gen", "--samples", "0"],
+    ["plotdata", "--case", "case2_two_gen", "--samples", "-3"],
+    ["genlib", "--cases", "case9", "--seeds", "-1"],
+    ["genlib", "--cases", "case9", "--raise-fraction", "nan"],
+    ["genlib", "--cases", "case9", "--raise-fraction", "-0.1"],
+    ["genlib", "--cases", "case9", "--overshoot-gen", "1",
+     "--overshoot-q", "1.5"],
 ], ids=["genlib-step-0", "genlib-step-negative", "plotdata-resolution-0",
         "solve-gap-negative", "solve-time-limit-nan", "genlib-time-limit-0",
         "genlib-gamma-from-0", "relax-gamma-negative", "sweep-gamma-from-nan",
-        "sweep-step-too-small", "genlib-step-too-small"])
+        "sweep-step-too-small", "genlib-step-too-small",
+        "genlib-overshoot-gen-past-the-units", "genlib-overshoot-gen-negative",
+        "genlib-overshoot-gen-past-one-case", "plotdata-samples-0",
+        "plotdata-samples-negative", "genlib-seeds-negative",
+        "genlib-raise-fraction-nan", "genlib-raise-fraction-negative",
+        "genlib-overshoot-q-above-1"])
 def test_out_of_range_option_is_a_usage_error(capsys, tmp_path, argv):
-    """A zero or negative step, resolution, time limit or load factor, a
-    step too small to move the first load factor, or a negative gap, is
-    refused with one line on stderr before any work: no output directory
-    is made."""
+    """A zero or negative step, resolution, time limit, load factor, sample
+    count or seed count, a step too small to move the first load factor, a
+    negative gap, a raise fraction or overshoot share outside [0, 1], or an
+    --overshoot-gen that names no unit of some case, is refused with one
+    line on stderr before any work: no output directory is made."""
     out_dir = tmp_path / "out"
     extra = ([] if argv[0] in ("solve", "relax", "sweep")
              else ["--out", str(out_dir)])

@@ -284,6 +284,59 @@ def test_compile_matches_row_by_row(name):
     assert (got[2].l, got[2].q) == (want[2].l, want[2].q)
 
 
+def test_members_share_the_programs_equalities():
+    """The program's `A` and `b` are compiled once, read-only: every member
+    that fixes no variable returns those same arrays, and one that fixes a
+    variable appends its row to a copy and leaves them unchanged."""
+    prog = _compile_case("hand-built")
+    A, b = prog._compiled()[:2]
+    assert not A.flags.writeable and not b.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 0] = 1.0
+    before = A.copy(), b.copy()
+    lo, hi = np.array(prog.lb), np.array(prog.ub)
+    lo[1], hi[1] = -1.0, 1.0            # "fixed" is free in this member
+    for rows in ((), [([0], [1.0], 1.0)]):
+        got = prog.member(lo, hi, rows)._constraints()
+        assert got[3] is A and got[4] is b
+    lo[0] = hi[0] = 0.5                 # "a" is fixed in this one
+    got = prog.member(lo, hi)._constraints()
+    assert got[3].shape == (len(b) + 1, prog.num_vars)
+    assert got[3][:-1].tobytes() == A.tobytes()
+    assert got[4][:-1].tobytes() == b.tobytes() and got[4][-1] == 0.5
+    assert A.tobytes() == before[0].tobytes()
+    assert b.tobytes() == before[1].tobytes()
+    # the program over its own bounds pins "fixed"
+    assert prog._constraints()[3] is not A
+
+
+def test_a_range_changed_in_place_reaches_the_bound(monkeypatch):
+    """A value changed under a key of `ranges`, with the number of ranges
+    and the dict itself unchanged, is compiled again: the box the bound
+    reads follows it."""
+    p = conic.ConicProgram()
+    x = p.add_var("x", 0.0, 10.0, cost=1.0)
+    boxes = _conelp_boxes(monkeypatch)
+    for rng in ((2.0, 3.0), (1.0, 3.0), (1.0, 4.0)):
+        p.ranges[x] = rng
+        conic.solve_batch([p.member()])
+        assert (boxes[-1][0][0, x], boxes[-1][1][0, x]) == rng
+
+
+@pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.nan),
+                                   (math.nan, math.nan)])
+def test_a_nan_bound_is_refused(lo, hi):
+    """A NaN end is no bound: `add_var` and `member` refuse it as they
+    refuse an inverted interval, rather than drop it and report the
+    program unbounded."""
+    with pytest.raises(conic.ProgramError, match="no interval"):
+        conic.ConicProgram().add_var("x", lo, hi, cost=1.0)
+    p = conic.ConicProgram()
+    p.add_var("x", -1.0, 1.0, cost=1.0)
+    with pytest.raises(conic.ProgramError, match="no interval"):
+        p.member(lo=[lo], hi=[hi])
+
+
 def _epigraph_slack(prog, point):
     """s0 - |s1..| of the last cone block of h - G·point (> 0 inside)."""
     G, h, dims, _, _ = prog._constraints()
@@ -922,7 +975,22 @@ def test_infinite_cutoffs_still_form_the_bound():
     assert sols[1].bound <= sols[1].objective
 
 
-def test_range_is_ignored_for_an_objective_that_weighs_it_below_zero():
+def _conelp_boxes(monkeypatch):
+    """Patch `_ipm.conelp` to record the `box` of each call and to end its
+    members `numerical_failure` without solving; returns the list of
+    boxes."""
+    boxes = []
+
+    def spy(c, G, h, dims, A, b, cutoff, box):
+        boxes.append(box)
+        return [_ipm._result(_ipm.FAILED, 0) for _ in c]
+
+    monkeypatch.setattr(_ipm, "conelp", spy)
+    return boxes
+
+
+def test_range_is_ignored_for_an_objective_that_weighs_it_below_zero(
+        monkeypatch):
     """t's range [0, g²] holds at some optimum of an objective that weighs
     t at zero or above, not of one that maximizes it.  With t <= 5, the
     maximum of t is 5, outside [0, 1]: the bound of that direction reads
@@ -932,37 +1000,52 @@ def test_range_is_ignored_for_an_objective_that_weighs_it_below_zero():
     t = p.add_var("t", 0.0, 5.0, cost=1.0)
     p.epigraph_cone(t, [(x, 1.0)])
     assert p.ranges == {t: (0.0, 1.0)}
-    for weight in (0.0, 1.0):
-        c = np.zeros(2)
-        c[t] = weight
-        assert tuple(conic._bound_box(p, c)[:, t]) == (0.0, 1.0)
     up = np.zeros(2)
     up[t] = -1.0
-    assert tuple(conic._bound_box(p, up)[:, t]) == (0.0, 5.0)
     sol = conic.solve_batch([p], [up], cutoffs=[math.inf])[0]
     assert sol.optimal and sol.objective == pytest.approx(-5.0, rel=1e-7)
     assert -5.0 - 1e-6 <= sol.bound <= -5.0
+    boxes = _conelp_boxes(monkeypatch)
+    objectives = [np.eye(2)[t] * weight for weight in (0.0, 1.0, -1.0)]
+    conic.solve_batch([p] * 3, objectives)
+    (lo, hi), = boxes
+    assert [(lo[k, t], hi[k, t]) for k in range(3)] \
+        == [(0.0, 1.0), (0.0, 1.0), (0.0, 5.0)]
 
 
-def test_bound_box_matches_a_loop_over_the_ranges():
-    """`_bound_box` reads the ranges as arrays; it gives the bits of a loop
-    that narrows each variable with a range to it where the objective
-    weighs it at zero or above.  On a case9 tree: the program over its own
-    bounds (free c, s and t), the search's root box and Algorithm 1's."""
+def test_bound_box_matches_a_loop_over_the_ranges(monkeypatch):
+    """The box that `conelp` gets is the bits of a loop that narrows each
+    variable with a range to it where the objective weighs it at zero or
+    above.  On a case9 tree: the program over its own bounds (free c, s
+    and t), the search's root box and Algorithm 1's, each in a call of its
+    own, and then one call that mixes members over the last two boxes with
+    objectives of both signs."""
     from radopf import bnb, cases, jabr, network, tighten
     base = jabr.build_relaxation(network.spanning_tree(
         cases.load_case("case9", drop_charging=True)))
     prog, rng = base.program, np.random.default_rng(5)
-    for box in (None, bnb.NodeBox.of(base), tighten.run_algorithm1(base)[0]):
-        member = prog if box is None else prog.member(box.lo, box.hi)
-        for _ in range(4):
-            c = rng.choice([-1.0, 0.0, 2.0], prog.num_vars)
-            want = np.array([prog.lb, prog.ub] if box is None
-                            else [box.lo, box.hi])
-            for v, (lo, hi) in prog.ranges.items():
+    members = [prog] + [prog.member(box.lo, box.hi) for box in (
+        bnb.NodeBox.of(base), tighten.run_algorithm1(base)[0])]
+    boxes = _conelp_boxes(monkeypatch)
+
+    def check(batch):
+        objectives = rng.choice([-1.0, 0.0, 2.0], (len(batch), prog.num_vars))
+        conic.solve_batch(batch, list(objectives))
+        (lo, hi), = boxes[-1:]
+        for k, (p, c) in enumerate(zip(batch, objectives)):
+            m = p if isinstance(p, conic.Member) else p.member()
+            want = np.array([m.lo, m.hi])
+            for v, (rlo, rhi) in prog.ranges.items():
                 if c[v] >= 0:
-                    want[:, v] = max(want[0, v], lo), min(want[1, v], hi)
-            assert conic._bound_box(member, c).tobytes() == want.tobytes()
+                    want[:, v] = max(want[0, v], rlo), min(want[1, v], rhi)
+            assert np.array([lo[k], hi[k]]).tobytes() == want.tobytes()
+
+    for member in members:
+        check([member] * 4)
+    mixed = [members[1], members[2]] * 3
+    assert not np.array_equal(mixed[0].lo, mixed[1].lo)
+    check(mixed)
+    assert len(boxes) == 4
 
 
 def test_infeasible_node_program_stops_before_its_certificate():

@@ -30,12 +30,17 @@ def test_every_traced_function_exists():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
+def _radopf_modules(tree):
+    """Names that the parsed file binds by `from radopf import m`."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "radopf"
+            for alias in node.names}
+
+
 def _radopf_calls(tree):
     """(call node, module name, attribute) of every call `m.f(...)` in the
     parsed file whose `m` is imported by `from radopf import m`."""
-    modules = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "radopf"
-               for alias in node.names}
+    modules = _radopf_modules(tree)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Name)
@@ -122,3 +127,26 @@ def test_node_relaxation_spans_count_the_solved_node_members(monkeypatch):
     calls = tracing.layer_metrics(tracer.spans, 1.0)["bnb.node_relaxation.calls"]
     assert res.optimal and len(solved) > 1
     assert len(spans) == calls == len(solved)
+
+
+def test_every_name_the_benchmark_reads_exists():
+    """Every `m.attr` that `perfbench/*.py` reads from a radopf module `m`
+    exists: status constants (`bnb.GLOBAL_OPTIMAL`, `conic.INFEASIBLE`,
+    `twobus.INEXACT`), classes, and functions bound at import
+    (`jabr.evaluate_opf_point` in workloads.py), not only the functions
+    it calls.  A renamed one would pass every other test and stop each
+    benchmark run."""
+    read = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = _radopf_modules(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                module = importlib.import_module(f"radopf.{node.value.id}")
+                assert hasattr(module, node.attr), \
+                    f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                read.add(f"{node.value.id}.{node.attr}")
+    assert {"bnb.GLOBAL_OPTIMAL", "bnb.INFEASIBLE", "conic.INFEASIBLE",
+            "twobus.INEXACT", "jabr.evaluate_opf_point"} <= read
