@@ -23,15 +23,18 @@ reaches its cutoff (`conelp`).
 Each iteration eliminates the ``z`` block of the Newton system through the NT
 scaling ``W``: with ``Gt = W^{-1} G`` only the ``(n+p)``-square matrix
 ``[[Gt'Gt, A'], [A, 0]]`` of each member is factored, up one regularization
-ladder where the plain factorization fails, and every solve is refined
-against the full system in the scaled coordinates ``W z`` (`_Storage`).
-Small programs keep that matrix dense and LU-factor it through LAPACK
+ladder where the plain factorization fails (`_Storage`).  The predictor,
+which only sets sigma and the second-order term, is solved unrefined and
+stepped on the scaled point ``lam = W z = W^{-1} s``; the corrector is
+refined against the full system in the scaled coordinates ``W z``.  Small
+programs keep the reduced matrix dense and LU-factor it through LAPACK
 (`_Dense`); from `_SPARSE_FROM` reduced rows on, ``[A; G]``, ``Gt`` and the
-matrix are kept in compressed sparse form on a fixed pattern and factored by
-SuperLU (`_Sparse`); each supplies only the factorization, the unrefined
-solve and the product with the full matrix.  Second-order cones of equal
-size are stacked, so the scaling and the cone algebra are whole-array
-operations over (member, block) with no loop over cones.
+matrix are kept in compressed sparse form on a fixed pattern, in its
+reverse Cuthill-McKee order, and factored by SuperLU (`_Sparse`); each
+supplies only the factorization, the unrefined solve and the product with
+the full matrix.  Second-order cones of equal size are stacked, so the
+scaling and the cone algebra are whole-array operations over (member,
+block) with no loop over cones.
 """
 
 from __future__ import annotations
@@ -290,9 +293,9 @@ class _Storage:
     coordinates, ``[[0, A', Gt'], [A, 0, 0], [Gt, 0, -I]]``, which needs no
     W.  A member without factors solves to NaN.  A storage class supplies
     `refine`, `_lu(data)`, the factors of one member's matrix data or None,
-    `_reduced(r)`, the unrefined solve, and `_full(u)`, the product of the
-    full matrix less its -I block with u; `diag` locates the diagonal in
-    the data.
+    `_reduced(r)`, the unrefined solve (which the predictor takes alone),
+    and `_full(u)`, the product of the full matrix less its -I block with
+    u; `diag` locates the diagonal in the data.
     """
 
     def _factor(self, data):
@@ -334,16 +337,16 @@ class _Storage:
 
 
 # Reduced order n + p from which `_Sparse` replaces `_Dense`.  Measured on
-# the feeder relaxations (2-core x86_64, one BLAS thread), ms per IPM
-# iteration dense (one refinement step) against sparse: feeder33 (n + p =
-# 166) 1.10 / 1.57, a 39-bus feeder (196) 1.31 / 1.61, a 42-bus feeder
-# (211) 1.45 / 1.65, feeder69 (346) 3.39 / 2.04, feeder120 (601) 11.9 /
-# 2.67; the factor alone at 601 takes 7.7 ms by dgetrf and 0.9 ms by splu.
-# Below the crossover the sparse path's fixed costs per iteration (pattern
-# gathers, matrix wrappers, SuperLU's ordering) outweigh the dense work.
-# The crossover lies between 211 and 346; no benchmark program has an
-# order between 167 and 345, so the threshold stays where it was set.
-_SPARSE_FROM = 200
+# `radial_feeder(n, 0)` relaxations (2-core x86_64, one BLAS thread; the
+# least of 7 solves), ms per IPM iteration dense against sparse: feeder33
+# (n + p = 166) 1.08 / 1.42, a 39-bus feeder (196) 1.21-1.31 / 1.33-1.47,
+# a 42-bus feeder (211) 1.39-1.56 / 1.33-1.54, a 45-bus feeder (226)
+# 1.48-1.79 / 1.39-1.44, feeder69 (346) 3.34 / 1.94.  Below the crossover
+# the sparse path's fixed costs per iteration (pattern gathers, matrix
+# wrappers, the permuted solves) outweigh the dense work.  The crossover
+# lies between 211 and 226; no benchmark program has an order between 167
+# and 345.
+_SPARSE_FROM = 220
 
 
 class _Dense(_Storage):
@@ -466,7 +469,9 @@ class _Sparse(_Storage):
     the data `_winv` lays out) with G entries (`ig`), in segments that start
     at `terms`; an entry of the Gt'Gt block sums the products of two Gt
     entries of one row (`pa`, `pb`), in segments that start at `pairs`, and
-    lands at `kpos` in the CSC data of the reduced matrices.  `Kd` holds that
+    lands at `kpos` in the CSC data of the reduced matrices.  Those are laid
+    out in the reverse Cuthill-McKee order `perm` of their pattern, computed
+    once per call, which SuperLU keeps; `inv` maps back.  `Kd` holds that
     data per member with the A blocks in place, and `diag` locates its
     diagonal.  `Bpat`, `Gtpat` and `Kpat` are the pattern templates of ``[A;
     Gt]`` and ``Gt``, each with its transpose, and of the reduced matrices
@@ -475,10 +480,10 @@ class _Sparse(_Storage):
     on their templates as `B` and `Gt`.
     """
 
-    # SuperLU's factors leave more behind: over the relax-sweep feeders the
-    # 99th-percentile relative residual is 1.0e-7 after one step and 2.5e-10
-    # after two, and with one step feeder120 at load 0.8 ends
-    # `numerical_failure`.
+    # SuperLU's factors leave more behind: over the refined solves of the
+    # relax-sweep feeders the 99th-percentile relative residual is 1.3e-7
+    # after one step and 3.4e-10 after two, and with one step feeder120 at
+    # load 0.8 ends `numerical_failure`.
     refine = 2
 
     def __init__(self, A, G, h, dims, count):
@@ -518,24 +523,35 @@ class _Sparse(_Storage):
         self.iw = wrow[row[e]] + j
         self.ig = na + gptr[first[row[e]] + j] + e - gptr[row[e]]
 
-        # CSC keys (column * k + row) of Gt'Gt, the diagonal, A and A'
+        # (column, row) of the entries of Gt'Gt, the diagonal, A and A'
         a, b, _ = _runs(width[row])
         b += gptr[row[a]]
-        pkey = col[b] * k + col[a]
-        akeys = (acol * k + n + arow, (n + arow) * k + acol)
-        keys = np.unique(np.concatenate((pkey, np.arange(k) * (k + 1))
-                                        + akeys))
+        ends = ((col[b], col[a]), (np.arange(k),) * 2, (acol, n + arow),
+                (n + arow, acol))
+        kcol, krow = (np.concatenate(v) for v in zip(*ends))
+        # one fill-reducing order of the pattern for the call, in which the
+        # reduced matrices are laid out and SuperLU factors them; imported
+        # here, so that a run on dense storage only never loads csgraph
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+        self.perm = reverse_cuthill_mckee(sparse.csr_matrix(
+            (np.ones(len(kcol)), (krow, kcol)), shape=(k, k)),
+            symmetric_mode=True)
+        self.inv = np.argsort(self.perm)
+        # CSC keys (column * k + row) in that order
+        allkeys = self.inv[kcol] * k + self.inv[krow]
+        keys = np.unique(allkeys)
         self.Kpat = (sparse.csc_matrix(
             (np.zeros(len(keys)), keys % k,
              np.searchsorted(keys, np.arange(k + 1) * k)), shape=(k, k)),)
-        self.diag = np.searchsorted(keys, np.arange(k) * (k + 1))
-        dest = np.searchsorted(keys, pkey)
+        dest, self.diag, *akeys = np.split(
+            np.searchsorted(keys, allkeys),
+            np.cumsum([len(c) for c, _ in ends[:-1]]))
         order = np.argsort(dest, kind="stable")
         self.pa, self.pb = a[order], b[order]
         self.kpos, self.pairs = np.unique(dest[order], return_index=True)
         self.Kd = np.zeros((count, len(keys)))
         for key in akeys:
-            self.Kd[:, np.searchsorted(keys, key)] = self.BG[:, :na]
+            self.Kd[:, key] = self.BG[:, :na]
 
     def __getitem__(self, rows):
         """The members in `rows`, a boolean mask."""
@@ -582,7 +598,7 @@ class _Sparse(_Storage):
         if not np.isfinite(data).all():
             return None
         try:
-            lu = splu(*_on(self.Kpat, data))
+            lu = splu(*_on(self.Kpat, data), permc_spec="NATURAL")
         except RuntimeError:
             return None
         return lu if np.isfinite(lu.U.data).all() else None
@@ -597,7 +613,7 @@ class _Sparse(_Storage):
             v = r[i].T
             red = v[:k].copy()
             red[:n] += GtT @ v[k:]
-            x = lu.solve(red)
+            x = lu.solve(red[self.perm])[self.inv]
             out[i] = np.concatenate((x, Gt @ x[:n] - v[k:])).T
         return out
 
@@ -692,17 +708,18 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
     lin = (_Sparse if k >= _SPARSE_FROM else _Dense)(A, G, h, dims, count)
 
     # --- initial point: least-squares primal/dual shifted into the cone,
-    # from the Newton matrix with W = I
+    # from the Newton matrix with W = I, both systems in one solve
     kkt0, _ = lin.factor()
     X = np.ones((count, s0 + m))
-    sol0 = kkt0.solve(np.concatenate((np.zeros((count, n)), b, h), axis=1))
-    X[:, :n] = sol0[:, :n]
-    s_hat = -sol0[:, k:]
+    R = np.zeros((count, 2, k + m))
+    R[:, 0, n:k], R[:, 0, k:], R[:, 1, :n] = b, h, -c
+    sol0 = kkt0.solve(R)
+    X[:, :n] = sol0[:, 0, :n]
+    s_hat = -sol0[:, 0, k:]
     me = _min_eig(s_hat, dims)[:, None]
     X[:, s0:] = np.where(me > 0, s_hat, s_hat + (1.0 - me) * e)
-    sol0 = kkt0.solve(np.concatenate((-c, np.zeros((count, p + m))), axis=1))
-    X[:, n:k] = sol0[:, n:k]
-    z_hat = sol0[:, k:]
+    X[:, n:k] = sol0[:, 1, n:k]
+    z_hat = sol0[:, 1, k:]
     me = _min_eig(z_hat, dims)[:, None]
     X[:, z0:z0 + m] = np.where(me > 0, z_hat, z_hat + (1.0 - me) * e)
     norms = 1.0 + np.sqrt(np.array([np.vecdot(v, v) for v in (b, h, c)]).T)
@@ -742,26 +759,10 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         hrt = kappa + cx + by_hz
         mu = np.vecdot(ZS[:, 0], ZS[:, 1]) / (dims.degree + 1)
 
-        # convergence metrics of the de-homogenized iterates
-        Xt = X / T
-        xt, zt, st = Xt[:, :n], Xt[:, z0:z0 + m], Xt[:, s0:]
-        # the embedding's slack drifts by ~|hrz|/tau; h - Gx is the actual
-        # primal slack, adopted after clipping marginal cone violations
-        # (the clip size then reappears honestly in the row residual)
-        hG = cbh[:, z0:] - BGx[:, p + 1:] / T
-        s_rep = _clip_into_cone(hG, dims)
-        res_rep, res_st = _norms(s_rep - hG), _norms(st - hG)
-        np.copyto(st, s_rep, where=(res_rep < res_st)[:, None])
-        pobj, dobj = cx / tau, -by_hz / tau
+        # residuals of the de-homogenized iterates: of A x = b, and dual
         nb_, nh_, nc_ = act.norms.T
-        pres = np.maximum(_norms(hr[:, n:k]) / (tau * nb_),
-                          np.minimum(res_rep, res_st) / nh_)
+        bres = _norms(hr[:, n:k]) / (tau * nb_)
         dres = _norms(hr[:, :n]) / (tau * nc_)
-        # s'z picks up residual-times-dual cross terms; the objective
-        # difference is the cleaner suboptimality estimate once both
-        # residuals are small, so use the smaller consistent measure
-        gap = np.minimum(np.vecdot(st, zt), np.abs(pobj - dobj))
-        relgap = gap / np.maximum(np.maximum(np.abs(pobj), np.abs(dobj)), 1.0)
 
         # the Lagrangian bound of each iterate (see `conelp`): a member
         # whose bound reaches its cutoff ends, before any other test
@@ -771,9 +772,28 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         done = act.best >= act.cut
         for j in np.flatnonzero(done):
             out[act.ids[j]] = _result(CUTOFF, it)
-        rows = ~done & (np.maximum(pres, dres) <= feastol)
+        # the rest of the stopping test, only once a member can pass it
+        rows = ~done & (np.maximum(bres, dres) <= feastol)
         if np.count_nonzero(rows):
-            rows &= (relgap <= gaptol) | (gap <= gaptol * 1e-2)
+            Xt = X / T
+            xt, zt, st = Xt[:, :n], Xt[:, z0:z0 + m], Xt[:, s0:]
+            # the embedding's slack drifts by ~|hrz|/tau; h - Gx is the
+            # actual primal slack, adopted after clipping marginal cone
+            # violations (the clip size then reappears honestly in the row
+            # residual)
+            hG = cbh[:, z0:] - BGx[:, p + 1:] / T
+            s_rep = _clip_into_cone(hG, dims)
+            res_rep, res_st = _norms(s_rep - hG), _norms(st - hG)
+            np.copyto(st, s_rep, where=(res_rep < res_st)[:, None])
+            pobj, dobj = cx / tau, -by_hz / tau
+            # s'z picks up residual-times-dual cross terms; the objective
+            # difference is the cleaner suboptimality estimate once both
+            # residuals are small, so use the smaller consistent measure
+            gap = np.minimum(np.vecdot(st, zt), np.abs(pobj - dobj))
+            relgap = gap / np.maximum(np.maximum(np.abs(pobj), np.abs(dobj)),
+                                      1.0)
+            rows &= ((np.minimum(res_rep, res_st) / nh_ <= feastol)
+                     & ((relgap <= gaptol) | (gap <= gaptol * 1e-2)))
             for j in np.flatnonzero(rows):
                 out[act.ids[j]] = _result(OPTIMAL, it, x=xt[j])
             done |= rows
@@ -833,55 +853,68 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
         q = np.concatenate((cbh[:, :k], hrs[..., 0]), axis=1)
         base = -np.concatenate((hr[:, :k], hrs[..., 1]), axis=1)
 
-        def direction(f, g, bk, u):
-            """Step [dx; dy; dtau; dz; dkappa; ds] for residuals scaled by f
-            and complementarity targets (lam o g, bk), from u solving the
-            Newton system for them; also returns [W dz; W^{-1} ds]."""
-            D = np.empty_like(X)
-            dtau = D[:, k]
-            np.divide(-f * hrt - bk / tau - np.vecdot(q, u), denom, out=dtau)
+        def tau_kappa(f, bk, u):
+            """dtau and dkappa of the step for residuals scaled by f and the
+            kappa target bk, from u solving the Newton system for them; u
+            becomes [dx; dy; W dz]."""
+            dtau = (-f * hrt - bk / tau - np.vecdot(q, u)) / denom
             u += dtau[:, None] * v
-            D[:, s0 - 1] = (bk - kappa * dtau) / tau
+            return dtau, (bk - kappa * dtau) / tau
+
+        def newton(f, bs, bk):
+            """Step [dx; dy; dtau; dz; dkappa; ds] for residuals scaled by f
+            and complementarity targets (lam o g = bs, bk), from one refined
+            solve with the tau direction v, which it renews."""
+            nonlocal v, denom
+            g = _jsolve(lam, bs, dims)
+            np.multiply(base, f[:, None], out=R[:, 1])
+            R[:, 1, k:] -= g
+            v, u = kkt.solve(R).transpose(1, 0, 2)
+            denom = np.vecdot(q, v) - kappa / tau
+            D = np.empty_like(X)
+            D[:, k], D[:, s0 - 1] = tau_kappa(f, bk, u)
             D[:, :k] = u[:, :k]
             WS = np.concatenate((u[:, k:], g - u[:, k:]),
                                 axis=1).reshape(-1, 2, m)
             scal.unscale(WS, D[:, k:].reshape(-1, 2, m + 1)[:, :, 1:])
-            return D, WS
+            return D
 
-        def newton(f, bs, bk):
-            g = _jsolve(lam, bs, dims)
-            r = base * f[:, None]
-            r[:, k:] -= g
-            return direction(f, g, bk, kkt.solve(r))[0]
-
-        def feasible_step(D, back=1.0):
-            return np.fmin(1.0, back * _max_step(
+        def feasible_step(D):
+            return np.fmin(1.0, _STEP * _max_step(
                 ZS, D[:, k:].reshape(-1, 2, m + 1), dims1))
 
-        # predictor, solved together with the tau direction v; its
-        # complementarity target lam o g = -lam o lam has g = -lam
+        # predictor, with the tau direction v, in one unrefined solve: it
+        # only sets sigma and the second-order term.  Its complementarity
+        # target lam o g = -lam o lam has g = -lam
         lam2 = _jprod(lam, lam, dims)
         R = np.empty((len(X), 2, k + m))
         np.negative(q, out=R[:, 0])
         R[:, 0, n:] *= -1.0
         R[:, 1] = base
         R[:, 1, k:] += lam
-        V = kkt.solve(R)
-        v = V[:, 0]
+        v, u = kkt._reduced(R).transpose(1, 0, 2)
         denom = np.vecdot(q, v) - kappa / tau
         tk = tau * kappa
-        Da, WS = direction(1.0, -lam, -tk, V[:, 1])
-        a_aff = feasible_step(Da)
-        ZSa = ZS + a_aff[:, None, None] * Da[:, k:].reshape(-1, 2, m + 1)
-        mu_aff = np.vecdot(ZSa[:, 0], ZSa[:, 1]) / (dims.degree + 1)
+        # (dtau, W dz; dkappa, W^{-1} ds), stepped on the scaled pair (tau,
+        # lam; kappa, lam): W maps it onto (tau, z; kappa, s) and the cone
+        # onto itself, so the step length and mu_aff are those unscaled
+        Da = np.empty((len(X), 2, m + 1))
+        Da[:, 0, 0], Da[:, 1, 0] = tau_kappa(1.0, -tk, u)
+        Da[:, 0, 1:] = u[:, k:]
+        np.subtract(-lam, u[:, k:], out=Da[:, 1, 1:])
+        TL = ZS.copy()
+        TL[:, :, 1:] = lam[:, None]
+        a_aff = np.fmin(1.0, _max_step(TL, Da, dims1))
+        TL += a_aff[:, None, None] * Da
+        mu_aff = np.vecdot(TL[:, 0], TL[:, 1]) / (dims.degree + 1)
         sigma = np.fmin(1.0, np.fmax(0.0, mu_aff / mu)) ** 3
 
         # corrector; the second-order term is (W^{-1} ds) o (W dz)
-        corr = _jprod(WS[:, 1], WS[:, 0], dims)
+        corr = _jprod(Da[:, 1, 1:], Da[:, 0, 1:], dims)
         smu = sigma * mu
         D = newton(1.0 - sigma, smu[:, None] * e - lam2 - corr,
-                   smu - tk - Da[:, k] * Da[:, s0 - 1])
-        step = feasible_step(D, _STEP)
+                   smu - tk - Da[:, 0, 0] * Da[:, 1, 0])
+        step = feasible_step(D)
         blocked = step < 1e-4
         if np.count_nonzero(blocked):
             # blocked by the corrector near a degenerate face: retake a plain
@@ -889,7 +922,7 @@ def _conelp_core(c, G, h, dims, A, b, cutoff, box):
             sigma2 = np.maximum(sigma, 0.5)
             smu2 = sigma2 * mu
             D2 = newton(1.0 - sigma2, smu2[:, None] * e - lam2, smu2 - tk)
-            step2 = feasible_step(D2, _STEP)
+            step2 = feasible_step(D2)
             take = blocked & (step2 > step)
             D[take] = D2[take]
             step = np.where(take, step2, step)

@@ -796,6 +796,60 @@ def test_refinement_steps_per_storage(impl, reduced, monkeypatch):
         assert len(calls) == reduced
 
 
+@pytest.mark.parametrize("impl, start, step", [
+    (_ipm._Dense, "RUR", "R" + "RUR"),
+    (_ipm._Sparse, "RURUR", "R" + "RURUR")], ids=["dense", "sparse"])
+def test_one_refined_solve_per_iteration(impl, start, step, monkeypatch):
+    """The start point takes one refined solve of both its systems, and an
+    iteration the unrefined predictor solve (`R`, one `_reduced` call) and
+    one refined solve (each refinement step a `_full` call, `U`, and one
+    more `_reduced`), in which the tau direction rides with the corrector:
+    3 `_reduced` and 1 `_full` call dense, 4 and 2 sparse.  A refined
+    predictor, or a solve of its own for the tau direction, adds calls."""
+    events = []
+    for name, tag in (("factor", "F"), ("_reduced", "R"), ("_full", "U")):
+        def spy(self, *args, _f=getattr(impl, name), _tag=tag):
+            events.append(_tag)
+            return _f(self, *args)
+        monkeypatch.setattr(impl, name, spy)
+    monkeypatch.setattr(_ipm, "_SPARSE_FROM",
+                        0 if impl is _ipm._Sparse else 10 ** 9)
+    sol = conic.solve(_cone_program(np.random.default_rng(1)))
+    assert sol.optimal
+    # one factorization at the start and one in each iteration but the
+    # last, which ends at its stopping test
+    first, *iterations = "".join(events).split("F")[1:]
+    assert first == start
+    assert iterations == [step] * (sol.iterations - 1)
+
+
+def test_sparse_call_orders_its_pattern_once(monkeypatch):
+    """A `_Sparse` call computes one reverse Cuthill-McKee order of its
+    pattern, however many members and factorizations it holds, and every
+    factorization keeps that order (SuperLU's ``NATURAL``)."""
+    from scipy.sparse import csgraph
+    orders, specs = [], []
+    rcm, splu = csgraph.reverse_cuthill_mckee, _ipm.splu
+
+    def rcm_spy(*args, **kw):
+        orders.append(1)
+        return rcm(*args, **kw)
+
+    def splu_spy(*args, **kw):
+        specs.append(kw.get("permc_spec"))
+        return splu(*args, **kw)
+
+    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", rcm_spy)
+    monkeypatch.setattr(_ipm, "splu", splu_spy)
+    prog = _chain_program(50)
+    assert _reduced_order(prog) >= _ipm._SPARSE_FROM
+    sols = conic.solve_batch([prog.member() for _ in range(3)])
+    assert all(sol.optimal for sol in sols)
+    assert len(orders) == 1
+    assert len(specs) >= 3 * sols[0].iterations
+    assert set(specs) == {"NATURAL"}
+
+
 # ------------------------------------------------------- large sparse programs
 
 def _chain_program(nbus, r=0.002, load=0.01, extra_ineq=10.0):

@@ -1,8 +1,10 @@
 """What a fresh process loads: no module in `src/radopf` imports
 scipy.optimize, and no run loads it, whether relaxation, tightening, the
 two-bus analysis, the CLI's relax command, a local polish or a global
-search; the first polish in a fresh process gives the same point as one
-in a warm process; a star import binds every public name."""
+search; a global search on dense KKT storage only never loads
+scipy.sparse.csgraph, which only the sparse storage uses; the first polish
+in a fresh process gives the same point as one in a warm process; a star
+import binds every public name."""
 
 import ast
 import os
@@ -43,7 +45,7 @@ import sys
 from radopf import bnb, cases, network
 net = network.scale_load(cases.load_case("case2_two_gen"), 1.00)
 assert bnb.solve_global(net, gap_tol=9e-4).optimal
-print("scipy.optimize" in sys.modules)
+print("scipy.optimize" in sys.modules, "scipy.sparse.csgraph" in sys.modules)
 """
 
 STAR = """
@@ -81,7 +83,9 @@ def test_first_polish_in_a_fresh_process_matches_a_warm_one():
 
 
 def test_global_search_never_loads_scipy_optimize():
-    assert _fresh(GLOBAL_SEARCH) == "False"
+    """Nor scipy.sparse.csgraph: the 2-bus search factors every KKT matrix
+    dense."""
+    assert _fresh(GLOBAL_SEARCH) == "False False"
 
 
 def test_no_source_module_imports_scipy_optimize():
